@@ -226,8 +226,8 @@ const aluKernelIters = 30_000
 
 // aluKernelSource builds an ALU-dense RV32IM kernel: iters iterations of a
 // 72-instruction unrolled xorshift/multiply mixing block with no loads,
-// stores, or branches inside the unroll — the workload class the batched
-// fast path exists for, and the complement of the memory-bound towers
+// stores, or branches inside the unroll — the workload class the AOT
+// engine's batched ALU runs exist for, and the complement of the memory-bound towers
 // workload measured by BenchmarkEmulatorThroughput.
 func aluKernelSource(iters int) string {
 	var sb strings.Builder
@@ -282,21 +282,14 @@ func BenchmarkEmulatorThroughputALU(b *testing.B) {
 	benchmarkALUKernel(b, Config{System: Volatile, DisableVerify: true})
 }
 
-// BenchmarkEmulatorThroughputALUFast pins the batched fast-path engine on
-// the same kernel; it remains the quickest engine on pure-ALU code (the AOT
-// engine wins on memory-bound code, see the Mem benchmarks).
-func BenchmarkEmulatorThroughputALUFast(b *testing.B) {
-	benchmarkALUKernel(b, Config{System: Volatile, DisableVerify: true, Engine: "fast"})
-}
-
 // BenchmarkEmulatorThroughputALUReference runs the same kernel on the
 // per-instruction reference engine; the ratio to BenchmarkEmulatorThroughputALU
-// is the batched engine's speedup.
+// is the AOT engine's speedup.
 func BenchmarkEmulatorThroughputALUReference(b *testing.B) {
-	benchmarkALUKernel(b, Config{System: Volatile, DisableVerify: true, NoFastPath: true})
+	benchmarkALUKernel(b, Config{System: Volatile, DisableVerify: true, Engine: "ref"})
 }
 
-// BenchmarkEmulatorThroughputALUIntermittent measures the batched engine on
+// BenchmarkEmulatorThroughputALUIntermittent measures the default engine on
 // the ALU kernel under dense power failures (1 ms on-durations on NACHO, so
 // checkpoints guarantee forward progress): the horizon clamps to each failure
 // instant and the engine degrades gracefully rather than falling off a cliff.

@@ -19,11 +19,14 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# The end-to-end benchmark is its own module (perfbench/go.mod), so the root
+# build and test above never compile it; a change that broke it would pass
+# them.
+(cd perfbench && go vet ./... && go test ./...)
 # The harness race pass includes the engine-equivalence suite
-# (TestEngineEquivalence*) over the full five-variant matrix: the
-# per-instruction reference interpreter, the batched fast path, and the AOT
-# threaded-code engine, with the fast and AOT engines run both with and
-# without the sim.FastPort cached-hit path (the /noport axis) — all must
+# (TestEngineEquivalence*) over the full engine matrix: the per-instruction
+# reference interpreter (ref), and the AOT threaded-code engine run both with
+# and without the sim.FastPort cached-hit path (aot, aot/noport) — all must
 # produce byte-identical results, including Fork/RunUntil mid-run state and
 # the fuzzer-generated programs, under the race detector too. The
 # snapshot/mem pass exercises the copy-on-write fork machinery (refcounted
@@ -102,11 +105,5 @@ grep 'timing: 0 runs' /tmp/nachobench.ci.warm.err
 grep 'persistent-store hits' /tmp/nachobench.ci.warm.err
 grep 'store /tmp/nacho.ci.store:' /tmp/nachobench.ci.warm.err
 rm -rf /tmp/nachobench.ci /tmp/nacho.ci.store /tmp/nachobench.ci.cold /tmp/nachobench.ci.warm /tmp/nachobench.ci.cold.err /tmp/nachobench.ci.warm.err
-
-# Distributed campaign gate, under the race detector: a coordinator sharding
-# experiments across two separate worker processes over one shared store must
-# print a report byte-identical to the sequential single-process run; the
-# submitted fuzz campaign's merged report must match the local one.
-go test -race -run 'TestNachobenchDistributedDeterminism|TestNachofuzzSubmit' ./cmd/
 
 echo "ci.sh: all checks passed"

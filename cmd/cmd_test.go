@@ -4,29 +4,20 @@
 package cmd_test
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // build compiles one command into t.TempDir and returns the binary path.
-// When the test binary itself runs under -race, so do the built commands.
 func build(t *testing.T, pkg string) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
-	args := []string{"build"}
-	if raceEnabled {
-		args = append(args, "-race")
-	}
-	cmd := exec.Command("go", append(args, "-o", bin, "./"+pkg)...)
+	cmd := exec.Command("go", "build", "-o", bin, "./"+pkg)
 	cmd.Dir = ".."
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
@@ -325,11 +316,32 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"nachoasm unwritable -o", asm, []string{"-o", "/nonexistent-dir/out.bin", src},
 			[]string{"nachoasm:", "/nonexistent-dir/out.bin"}},
 		{"nachosim unknown engine", sim, []string{"-bench", "crc", "-engine", "bogus-engine"},
-			[]string{"nachosim:", "bogus-engine", "auto, ref, fast, aot"}},
+			[]string{"nachosim:", "bogus-engine", "auto, ref, aot"}},
 		{"nachobench unknown engine", bench, []string{"-engine", "bogus-engine"},
-			[]string{"nachobench:", "bogus-engine", "auto, ref, fast, aot"}},
+			[]string{"nachobench:", "bogus-engine", "auto, ref, aot"}},
 		{"nachofuzz unknown engine", fuzz, []string{"-engine", "bogus-engine"},
-			[]string{"nachofuzz:", "bogus-engine", "auto, ref, fast, aot"}},
+			[]string{"nachofuzz:", "bogus-engine", "auto, ref, aot"}},
+		// Removed options must fail loudly, not fall back silently: the
+		// batched "fast" engine, the deprecated reference alias, and the
+		// distributed job service's flags.
+		{"nachosim removed engine fast", sim, []string{"-bench", "crc", "-engine", "fast"},
+			[]string{"nachosim:", `"fast"`, "auto, ref, aot"}},
+		{"nachobench removed engine fast", bench, []string{"-engine", "fast"},
+			[]string{"nachobench:", `"fast"`, "auto, ref, aot"}},
+		{"nachofuzz removed engine fast", fuzz, []string{"-engine", "fast"},
+			[]string{"nachofuzz:", `"fast"`, "auto, ref, aot"}},
+		{"nachosim removed -no-fastpath", sim, []string{"-no-fastpath", "-bench", "crc"},
+			[]string{"flag provided but not defined: -no-fastpath"}},
+		{"nachobench removed -worker", bench, []string{"-worker", "http://127.0.0.1:1"},
+			[]string{"flag provided but not defined: -worker"}},
+		{"nachobench removed -serve-jobs", bench, []string{"-serve-jobs"},
+			[]string{"flag provided but not defined: -serve-jobs"}},
+		{"nachobench removed -exp none", bench, []string{"-exp", "none"},
+			[]string{"nachobench:", `"none"`}},
+		{"nachofuzz removed -submit", fuzz, []string{"-submit", "http://127.0.0.1:1"},
+			[]string{"flag provided but not defined: -submit"}},
+		{"nachofuzz removed -chunk", fuzz, []string{"-chunk", "8"},
+			[]string{"flag provided but not defined: -chunk"}},
 		{"nachofuzz unknown system", fuzz, []string{"-systems", "no-such-system"},
 			[]string{"nachofuzz:", "no-such-system"}},
 		{"nachofuzz volatile rejected", fuzz, []string{"-systems", "volatile"},
@@ -361,14 +373,13 @@ func TestCLIErrorPaths(t *testing.T) {
 
 // TestNachosimEngineSelection pins the -engine flag's contract: every named
 // engine produces byte-identical output (the engine is a performance knob,
-// never a semantics knob), and the deprecated -no-fastpath spelling still
-// works as an alias for the reference engine.
+// never a semantics knob).
 func TestNachosimEngineSelection(t *testing.T) {
 	bin := build(t, "cmd/nachosim")
 	args := []string{"-bench", "crc", "-system", "nacho", "-onduration", "1"}
 
 	outputs := map[string]string{}
-	for _, engine := range []string{"auto", "ref", "fast", "aot"} {
+	for _, engine := range []string{"auto", "ref", "aot"} {
 		out, err := run(t, bin, append([]string{"-engine", engine}, args...)...)
 		if err != nil {
 			t.Fatalf("-engine %s: %v\n%s", engine, err, out)
@@ -379,14 +390,6 @@ func TestNachosimEngineSelection(t *testing.T) {
 		if out != outputs["ref"] {
 			t.Errorf("-engine %s output differs from -engine ref:\n%s\nvs\n%s", engine, out, outputs["ref"])
 		}
-	}
-
-	out, err := run(t, bin, append([]string{"-no-fastpath"}, args...)...)
-	if err != nil {
-		t.Fatalf("-no-fastpath: %v\n%s", err, out)
-	}
-	if out != outputs["ref"] {
-		t.Errorf("-no-fastpath output differs from -engine ref:\n%s\nvs\n%s", out, outputs["ref"])
 	}
 }
 
@@ -531,181 +534,6 @@ func TestNachosimStoreFlag(t *testing.T) {
 	}
 	if !strings.Contains(warm, "1 hits, 0 misses, 0 puts") {
 		t.Errorf("warm store summary wrong:\n%s", warm)
-	}
-}
-
-// TestNachobenchDistributedDeterminism is the cross-process contract: a
-// coordinator sharding an experiment across two separate worker processes
-// (sharing one store directory and one job server) prints a report
-// byte-identical to a plain sequential single-process run. Under -race the
-// built binaries run with the race detector too.
-func TestNachobenchDistributedDeterminism(t *testing.T) {
-	bin := build(t, "cmd/nachobench")
-	dir := t.TempDir()
-	storeDir := filepath.Join(dir, "store")
-
-	// Baseline: sequential, storeless, single process.
-	seq := exec.Command(bin, "-exp", "fig6", "-bench", "crc", "-j", "1")
-	var seqOut, seqErr strings.Builder
-	seq.Stdout, seq.Stderr = &seqOut, &seqErr
-	if err := seq.Run(); err != nil {
-		t.Fatalf("sequential baseline: %v\n%s", err, seqErr.String())
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-
-	coord := exec.CommandContext(ctx, bin, "-exp", "fig6", "-bench", "crc", "-store", storeDir, "-serve-jobs")
-	var coordOut strings.Builder
-	coord.Stdout = &coordOut
-	stderrPipe, err := coord.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The coordinator announces its (port-0-assigned) job URL on stderr
-	// before it starts waiting for the fleet.
-	var coordErr strings.Builder
-	sc := bufio.NewScanner(stderrPipe)
-	url := ""
-	for sc.Scan() {
-		line := sc.Text()
-		coordErr.WriteString(line + "\n")
-		if _, after, ok := strings.Cut(line, "jobs on "); ok {
-			url = after
-			break
-		}
-	}
-	if url == "" {
-		coord.Process.Kill()
-		coord.Wait()
-		t.Fatalf("coordinator never announced its job URL:\n%s", coordErr.String())
-	}
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for sc.Scan() {
-			coordErr.WriteString(sc.Text() + "\n")
-		}
-	}()
-
-	// Two worker processes share the coordinator's store directory.
-	type workerRun struct {
-		cmd *exec.Cmd
-		out strings.Builder
-	}
-	workers := make([]*workerRun, 2)
-	for i := range workers {
-		w := &workerRun{cmd: exec.CommandContext(ctx, bin, "-worker", url, "-store", storeDir)}
-		w.cmd.Stdout, w.cmd.Stderr = &w.out, &w.out
-		if err := w.cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-	}
-	for i, w := range workers {
-		if err := w.cmd.Wait(); err != nil {
-			t.Errorf("worker %d: %v\n%s", i, err, w.out.String())
-		}
-		if !strings.Contains(w.out.String(), "worker drained") {
-			t.Errorf("worker %d never drained:\n%s", i, w.out.String())
-		}
-	}
-	if err := coord.Wait(); err != nil {
-		t.Fatalf("coordinator: %v\n%s", err, coordErr.String())
-	}
-	<-drained
-
-	if coordOut.String() != seqOut.String() {
-		t.Errorf("distributed report differs from sequential run:\n--- sequential\n%s--- distributed\n%s",
-			seqOut.String(), coordOut.String())
-	}
-	// The fleet did the simulating: the coordinator's own regeneration was
-	// pure store hits.
-	if !strings.Contains(coordErr.String(), "fleet executed") {
-		t.Errorf("coordinator stderr missing fleet summary:\n%s", coordErr.String())
-	}
-	if !strings.Contains(coordErr.String(), "timing: 0 runs") || !strings.Contains(coordErr.String(), "persistent-store hits") {
-		t.Errorf("coordinator executed simulations itself:\n%s", coordErr.String())
-	}
-}
-
-// TestNachofuzzSubmit: a fuzz campaign submitted to a coordinator and
-// executed by a worker process prints the same report as a local run.
-func TestNachofuzzSubmit(t *testing.T) {
-	bench := build(t, "cmd/nachobench")
-	fuzz := build(t, "cmd/nachofuzz")
-	dir := t.TempDir()
-	storeDir := filepath.Join(dir, "store")
-
-	local, err := exec.Command(fuzz, "-seeds", "6", "-systems", "nacho,clank").Output()
-	if err != nil {
-		t.Fatalf("local campaign: %v", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-
-	// A serve-only coordinator: accepts jobs until the test posts the
-	// shutdown after the submission completes.
-	coord := exec.CommandContext(ctx, bench, "-exp", "none", "-store", storeDir, "-serve-jobs")
-	stderrPipe, err := coord.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(stderrPipe)
-	url := ""
-	for sc.Scan() {
-		if _, after, ok := strings.Cut(sc.Text(), "jobs on "); ok {
-			url = after
-			break
-		}
-	}
-	if url == "" {
-		coord.Process.Kill()
-		coord.Wait()
-		t.Fatal("coordinator never announced its job URL")
-	}
-	go func() {
-		for sc.Scan() {
-		}
-	}()
-
-	worker := exec.CommandContext(ctx, bench, "-worker", url, "-store", storeDir)
-	var workerOut strings.Builder
-	worker.Stdout, worker.Stderr = &workerOut, &workerOut
-	if err := worker.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	submit := exec.CommandContext(ctx, fuzz, "-seeds", "6", "-systems", "nacho,clank", "-submit", url, "-chunk", "2")
-	var subOut, subErr strings.Builder
-	submit.Stdout, submit.Stderr = &subOut, &subErr
-	if err := submit.Run(); err != nil {
-		t.Fatalf("-submit: %v\n%s", err, subErr.String())
-	}
-	if subOut.String() != string(local) {
-		t.Errorf("distributed fuzz report differs from local:\n--- local\n%s--- distributed\n%s",
-			local, subOut.String())
-	}
-
-	resp, err := http.Post(url+"/jobs/shutdown", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	resp.Body.Close()
-
-	if err := worker.Wait(); err != nil {
-		t.Errorf("worker: %v\n%s", err, workerOut.String())
-	}
-	if err := coord.Wait(); err != nil {
-		t.Errorf("coordinator: %v", err)
 	}
 }
 

@@ -11,11 +11,7 @@
 //
 // With -store, results persist in a content-addressed store across
 // invocations: a re-run of an experiment whose matrix is already stored
-// executes zero simulations and prints a byte-identical report. With
-// -serve-jobs the process becomes a campaign coordinator — experiments are
-// submitted to an HTTP job queue and executed by `nachobench -worker <url>`
-// processes sharing the same -store directory — and the report is
-// regenerated from the warm store once the fleet drains the queue.
+// executes zero simulations and prints a byte-identical report.
 //
 // Usage:
 //
@@ -23,8 +19,6 @@
 //	nachobench -exp fig5 -j 1   # one experiment, sequential
 //	nachobench -exp fig7 -bench aes,sha
 //	nachobench -store runs/     # warm re-runs execute nothing
-//	nachobench -store runs/ -serve-jobs -exp fig5     # coordinator
-//	nachobench -store runs/ -worker http://host:9100  # worker
 package main
 
 import (
@@ -32,26 +26,22 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"nacho"
-	"nacho/internal/jobs"
 	"nacho/internal/profiling"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", `experiment: all, none (serve jobs only, with -serve-jobs), or one of `+strings.Join(nacho.ExperimentNames(), ", "))
+		exp     = flag.String("exp", "all", "experiment: all, or one of "+strings.Join(nacho.ExperimentNames(), ", "))
 		bench   = flag.String("bench", "", "comma-separated benchmark subset (default: the experiment's paper set)")
 		csv     = flag.Bool("csv", false, "emit CSV (the original artifact's log format) instead of tables")
 		j       = flag.Int("j", 0, "parallel simulation workers (0 = all CPUs, 1 = sequential)")
 		timings = flag.Bool("timings", true, "print per-experiment timing summaries to stderr")
-		engine  = flag.String("engine", "auto", "execution engine for all simulations: auto, ref, fast, or aot")
+		engine  = flag.String("engine", "auto", "execution engine for all simulations: auto, ref, or aot")
 		serve   = flag.String("serve", "", "serve live telemetry (/metrics, /status, /dashboard, /debug/pprof) on this address during the sweep")
 
-		storeDir  = flag.String("store", "", "persistent content-addressed run store directory (results survive restarts; warm re-runs execute nothing)")
-		serveJobs = flag.Bool("serve-jobs", false, "coordinate: expose the campaign job API (/jobs) on the -serve address (default 127.0.0.1:0) and distribute experiments to -worker processes")
-		workerURL = flag.String("worker", "", "work: lease and execute cells from the job server at this URL until it drains (share its -store directory)")
+		storeDir = flag.String("store", "", "persistent content-addressed run store directory (results survive restarts; warm re-runs execute nothing)")
 
 		traceCampaign = flag.String("trace-campaign", "", "write a Perfetto trace of the whole campaign (experiment/run spans) to this file")
 		ledger        = flag.String("ledger", "", "append one JSON record per run to this ledger file")
@@ -100,25 +90,6 @@ func main() {
 		}()
 	}
 
-	if *workerURL != "" {
-		if *storeDir == "" {
-			fmt.Fprintln(os.Stderr, "nachobench: -worker needs the coordinator's -store directory (run results travel through it)")
-			os.Exit(1)
-		}
-		w := &jobs.Worker{BaseURL: *workerURL, Name: fmt.Sprintf("nachobench-%d", os.Getpid())}
-		n, err := w.Run()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nachobench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "nachobench: worker drained: %d cells executed\n", n)
-		return
-	}
-
-	var jobsvc *nacho.JobService
-	if *serveJobs && *serve == "" {
-		*serve = "127.0.0.1:0"
-	}
 	if *serve != "" {
 		ts, err := nacho.ServeTelemetry(*serve)
 		if err != nil {
@@ -127,10 +98,6 @@ func main() {
 		}
 		defer ts.Close()
 		fmt.Fprintf(os.Stderr, "nachobench: telemetry on http://%s\n", ts.Addr())
-		if *serveJobs {
-			jobsvc = ts.ServeJobs()
-			fmt.Fprintf(os.Stderr, "nachobench: jobs on http://%s\n", ts.Addr())
-		}
 	}
 
 	campaign, err := nacho.StartCampaign(nacho.CampaignConfig{
@@ -152,40 +119,12 @@ func main() {
 	}
 
 	names := nacho.ExperimentNames()
-	switch *exp {
-	case "all":
-	case "none":
-		if jobsvc == nil {
-			fmt.Fprintln(os.Stderr, "nachobench: -exp none only makes sense with -serve-jobs")
-			campaign.Close()
-			os.Exit(1)
-		}
-		names = nil
-	default:
+	if *exp != "all" {
 		names = []string{*exp}
 	}
 	for i, name := range names {
 		if i > 0 {
 			fmt.Println()
-		}
-		if jobsvc != nil {
-			// Coordinate: the fleet fills the shared store; the regeneration
-			// below then renders the report without executing anything.
-			id, err := jobsvc.SubmitExperiment(name, subset)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nachobench:", err)
-				campaign.Close()
-				os.Exit(1)
-			}
-			executed, deduped, err := jobsvc.Wait(id)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nachobench:", err)
-				campaign.Close()
-				os.Exit(1)
-			}
-			if *timings {
-				fmt.Fprintf(os.Stderr, "%s: fleet executed %d cells (%d already stored)\n", name, executed, deduped)
-			}
 		}
 		out, err := nacho.RunExperiment(name, subset)
 		if err != nil {
@@ -201,20 +140,5 @@ func main() {
 		if *timings && out.Timing != "" {
 			fmt.Fprintf(os.Stderr, "%s %s\n", name, out.Timing)
 		}
-	}
-	if jobsvc != nil {
-		if *exp == "none" {
-			// Serve-only coordinator: keep accepting jobs (nachofuzz -submit,
-			// other processes) until someone POSTs /jobs/shutdown and the
-			// queue drains.
-			fmt.Fprintln(os.Stderr, "nachobench: serving jobs until shutdown")
-			jobsvc.AwaitShutdown()
-		} else {
-			jobsvc.Shutdown()
-		}
-		// Drain the fleet: workers are told to exit on their next poll; give
-		// every idle poll loop (100ms) a chance to hear it before the
-		// listener goes away with this process.
-		time.Sleep(500 * time.Millisecond)
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"nacho/internal/emu"
 	"nacho/internal/fuzzer"
 	"nacho/internal/harness"
-	"nacho/internal/jobs"
 	"nacho/internal/snapshot"
 	"nacho/internal/systems"
 	"nacho/internal/telemetry"
@@ -48,7 +47,7 @@ func main() {
 		schedules  = flag.Int("schedules", 3, "randomized failure schedules per (program, system)")
 		cacheSize  = flag.Int("cache", 512, "data cache size in bytes")
 		ways       = flag.Int("ways", 2, "cache associativity")
-		engineName = flag.String("engine", "auto", "execution engine under test: auto, ref, fast, or aot")
+		engineName = flag.String("engine", "auto", "execution engine under test: auto, ref, or aot")
 		duration   = flag.Duration("duration", 0, "stop after this wall time (0 = run all seeds; makes the report non-deterministic)")
 		minimize   = flag.Bool("minimize", true, "delta-debug findings before reporting")
 		outDir     = flag.String("out", "", "write replayable finding artifacts to this directory")
@@ -61,9 +60,6 @@ func main() {
 
 		traceCampaign = flag.String("trace-campaign", "", "write a Perfetto trace of the whole campaign (seed/run/window spans) to this file")
 		ledgerPath    = flag.String("ledger", "", "append one JSON record per oracle run to this ledger file")
-
-		submit = flag.String("submit", "", "submit the campaign to the job server at this URL (a nachobench -serve-jobs coordinator) instead of running locally; seed chunks execute on the worker fleet")
-		chunk  = flag.Int("chunk", 8, "seeds per distributed work cell with -submit")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -117,41 +113,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nachofuzz:", err)
 		exit(2)
-	}
-
-	if *submit != "" {
-		if *outDir != "" || *exhaustive || *duration > 0 {
-			fmt.Fprintln(os.Stderr, "nachofuzz: -submit does not support -out, -exhaustive, or -duration")
-			exit(2)
-		}
-		sysNames := make([]string, len(kinds))
-		for i, k := range kinds {
-			sysNames[i] = string(k)
-		}
-		spec := jobs.FuzzSpec{
-			Seeds: *seeds, SeedBase: *seedBase, Systems: sysNames,
-			CacheSize: *cacheSize, Ways: *ways, Schedules: *schedules,
-			Engine: string(engine), Minimize: *minimize,
-		}
-		id, err := jobs.SubmitJob(nil, *submit, jobs.JobRequest{Kind: "fuzz", Fuzz: &spec, Chunk: *chunk})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nachofuzz:", err)
-			exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "nachofuzz: submitted %s to %s (%d seeds in chunks of %d)\n", id, *submit, *seeds, *chunk)
-		st, err := jobs.WaitJob(nil, *submit, id, 0, time.Time{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nachofuzz:", err)
-			exit(2)
-		}
-		fmt.Print(st.Report)
-		switch {
-		case strings.Contains(st.Report, "\nERROR "):
-			exit(2)
-		case strings.Contains(st.Report, "\nFINDING "):
-			exit(1)
-		}
-		exit(0)
 	}
 
 	cfg := fuzzer.CampaignConfig{

@@ -231,7 +231,7 @@ func Compile(instrs []isa.Instr) *Program {
 			p.Stats.Fused++
 		}
 	}
-	// ALU run lengths, right to left (cf. emu's block analysis): Run counts
+	// ALU run lengths, right to left, so each slot is O(1): Run counts
 	// the consecutive simple-ALU slots starting at i. Fused slots are never
 	// simple ALU, so runs neither include nor jump over them, and a slot
 	// shadowed by a preceding fused op still carries its own run for direct

@@ -109,21 +109,18 @@ type Controller struct {
 	spMin      uint32
 	dirtyCount int    // maintained only when DirtyThreshold > 0
 	lastCommit uint64 // cycle of the previous checkpoint commit
-	epoch      uint64 // sim.FastPort invalidation epoch (see fastport.go)
 
 	// portLoadLine/portStoreLine memoize the line of the last port-served hit
-	// in each direction (see fastport.go); bumpEpoch clears them. A memo is
-	// valid exactly while the epoch stands: Install (the only Tag mutation)
-	// and InvalidateAll are reachable only through epoch-bumping paths.
+	// in each direction (see fastport.go); dropPortMemo clears them. A memo
+	// stays valid until the next drop: Install (the only Tag mutation) and
+	// InvalidateAll are reachable only through paths that drop it first.
 	portLoadLine  *cache.Line
 	portStoreLine *cache.Line
 }
 
-// bumpEpoch records a fast-port invalidation event: previously returned port
-// answers no longer bind, and the memoized hit lines may have been replaced,
-// cleared, or metadata-reset.
-func (k *Controller) bumpEpoch() {
-	k.epoch++
+// dropPortMemo records a fast-port invalidation event: the memoized hit
+// lines may have been replaced, cleared, or metadata-reset.
+func (k *Controller) dropPortMemo() {
 	k.portLoadLine = nil
 	k.portStoreLine = nil
 }
@@ -183,7 +180,6 @@ func (k *Controller) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters
 		spMin:      k.spMin,
 		dirtyCount: k.dirtyCount,
 		lastCommit: k.lastCommit,
-		epoch:      k.epoch,
 	}
 	if k.tracker != nil {
 		f.tracker = k.tracker.Clone()
@@ -195,7 +191,7 @@ func (k *Controller) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters
 // access, write-back, and checkpoint events plus the events of the components
 // it owns (cache fills, NVM traffic, checkpoint staging). nil detaches.
 func (k *Controller) AttachProbe(p sim.Probe) {
-	k.bumpEpoch()
+	k.dropPortMemo()
 	k.probe = p
 	k.cache.AttachProbe(p)
 	k.nvm.AttachProbe(p)
@@ -277,7 +273,7 @@ func (k *Controller) access(addr uint32, t accessType, size int) (*cache.Line, b
 func (k *Controller) miss(addr uint32, t accessType, size int) *cache.Line {
 	// Every miss replaces a line (and may evict or checkpoint): whatever the
 	// fast port would have answered before is no longer guaranteed.
-	k.bumpEpoch()
+	k.dropPortMemo()
 	line := k.cache.Victim(addr)
 	if line.Valid && line.Dirty {
 		victimAddr := line.Addr()
@@ -405,7 +401,7 @@ const (
 // checkpoint is Algorithm 1's Checkpoint procedure: double-buffered flush of
 // all live dirty lines plus the register file, then clear every WAR bit.
 func (k *Controller) checkpoint(cause ckptCause) {
-	k.bumpEpoch()
+	k.dropPortMemo()
 	var lines []checkpoint.Line
 	k.cache.ForEach(func(l *cache.Line) {
 		if l.Valid && l.Dirty {
@@ -480,7 +476,7 @@ func (k *Controller) NotifySP(sp uint32) {
 
 // PowerFailure implements sim.System: all volatile state evaporates.
 func (k *Controller) PowerFailure() {
-	k.bumpEpoch()
+	k.dropPortMemo()
 	k.cache.InvalidateAll()
 	if k.tracker != nil {
 		k.tracker.Reset()
@@ -491,7 +487,7 @@ func (k *Controller) PowerFailure() {
 
 // Restore implements sim.System: recover the newest committed checkpoint.
 func (k *Controller) Restore() (sim.Snapshot, bool) {
-	k.bumpEpoch()
+	k.dropPortMemo()
 	snap, ok := k.ckpt.Restore()
 	if !ok {
 		return snap, false

@@ -19,7 +19,6 @@ func (k *Controller) FastPort() (sim.FastPort, bool) {
 	return sim.FastPort{
 		LoadHit:   k.loadHit,
 		StoreHit:  k.storeHit,
-		Epoch:     func() uint64 { return k.epoch },
 		HitCycles: k.opts.Cost.HitCycles,
 	}, k.probe == nil
 }
@@ -28,8 +27,8 @@ func (k *Controller) FastPort() (sim.FastPort, bool) {
 // first-touch line in cache-bits mode (pw=rd=dirty=0) declines: the full path
 // runs updateLine's RD transition there (Algorithm 1's UpdateLine).
 func (k *Controller) loadHit(addr uint32, size int) (uint32, bool) {
-	// Serve straight from the memoized line when the access repeats: the
-	// memo survives exactly one epoch, within which tags cannot change.
+	// Serve straight from the memoized line when the access repeats: tags
+	// cannot change until the next dropPortMemo.
 	line := k.portLoadLine
 	if line == nil || line.Tag != addr>>2 {
 		if line = k.cache.Probe(addr); line == nil {

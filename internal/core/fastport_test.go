@@ -27,19 +27,28 @@ func newRigThreshold(t *testing.T, cacheSize, ways, threshold int) *rig {
 	return r
 }
 
+// memoDropped reports whether the controller's per-direction port memo is
+// empty.
+func (r *rig) memoDropped() bool { return r.k.portLoadLine == nil && r.k.portStoreLine == nil }
+
 func TestFastPortGatedByProbe(t *testing.T) {
 	r := newRig(t, 32, 2, WARCacheBits, false)
-	if _, ok := r.k.FastPort(); !ok {
+	port, ok := r.k.FastPort()
+	if !ok {
 		t.Fatal("unprobed controller refused its fast port")
 	}
-	before := r.k.epoch
+	const addr = 0x1000
+	r.k.Store(addr, 4, 1) // dirty line in cache: the port serves it
+	if _, hit := port.LoadHit(addr, 4); !hit || r.memoDropped() {
+		t.Fatal("port hit did not memoize its line")
+	}
 	ver := verify.New(r.nvm.Space(), verify.Config{})
 	r.k.AttachProbe(ver)
 	if _, ok := r.k.FastPort(); ok {
 		t.Fatal("probed controller offered a fast port; the probe stream would miss events")
 	}
-	if r.k.epoch <= before {
-		t.Fatal("AttachProbe did not bump the port epoch")
+	if !r.memoDropped() {
+		t.Fatal("AttachProbe did not drop the port memo")
 	}
 	r.k.AttachProbe(nil)
 	if _, ok := r.k.FastPort(); !ok {
@@ -49,10 +58,10 @@ func TestFastPortGatedByProbe(t *testing.T) {
 
 // TestFastPortEpochInvalidation is the property test behind the sim.FastPort
 // contract: across random interleavings of full-path accesses, port-served
-// hits, checkpoints, and power cycles, (1) the epoch strictly increases over
-// every invalidating event — miss/replacement, checkpoint, power failure,
-// restore — and (2) a served hit is never stale: its value always agrees
-// with a byte-granular shadow of the architectural memory state.
+// hits, checkpoints, and power cycles, (1) NACHO's per-direction port memo is
+// dropped by every invalidating event — miss/replacement, checkpoint, power
+// failure, restore — and (2) a served hit is never stale: its value always
+// agrees with a byte-granular shadow of the architectural memory state.
 func TestFastPortEpochInvalidation(t *testing.T) {
 	for _, war := range []WARMode{WARNone, WARCacheBits, WARExact} {
 		for seed := int64(0); seed < 6; seed++ {
@@ -88,34 +97,32 @@ func TestFastPortEpochInvalidation(t *testing.T) {
 				}
 				switch rng.Intn(12) {
 				case 0:
-					before := port.Epoch()
 					r.k.ForceCheckpoint()
-					if port.Epoch() <= before {
-						t.Fatalf("%s seed %d step %d: checkpoint did not bump epoch", war, seed, i)
+					if !r.memoDropped() {
+						t.Fatalf("%s seed %d step %d: checkpoint did not drop the port memo", war, seed, i)
 					}
 				case 1:
 					// Flush first so the power cycle loses no dirty data and
 					// the shadow stays the architectural truth.
 					r.k.ForceCheckpoint()
-					before := port.Epoch()
+					port.LoadHit(addr&^3, 4) // re-prime the memo if the line is cached
 					r.k.PowerFailure()
-					if port.Epoch() <= before {
-						t.Fatalf("%s seed %d step %d: power failure did not bump epoch", war, seed, i)
+					if !r.memoDropped() {
+						t.Fatalf("%s seed %d step %d: power failure did not drop the port memo", war, seed, i)
 					}
 					if _, hit := port.LoadHit(addr&^3, 4); hit {
 						t.Fatalf("%s seed %d step %d: port served a hit from an invalidated cache", war, seed, i)
 					}
-					before = port.Epoch()
 					if _, ok := r.k.Restore(); !ok {
 						t.Fatalf("%s seed %d step %d: no checkpoint to restore", war, seed, i)
 					}
-					if port.Epoch() <= before {
-						t.Fatalf("%s seed %d step %d: restore did not bump epoch", war, seed, i)
+					if !r.memoDropped() {
+						t.Fatalf("%s seed %d step %d: restore did not drop the port memo", war, seed, i)
 					}
 				case 2, 3, 4, 5, 6:
 					// Full-path access; a miss (which may evict or checkpoint)
-					// must bump the epoch.
-					before, misses := port.Epoch(), r.c.CacheMisses
+					// must drop the port memo.
+					misses := r.c.CacheMisses
 					if isRead {
 						if got, want := r.k.Load(addr, size), readShadow(addr, size); got != want {
 							t.Fatalf("%s seed %d step %d: Load(%#x,%d) = %#x, shadow %#x", war, seed, i, addr, size, got, want)
@@ -124,8 +131,8 @@ func TestFastPortEpochInvalidation(t *testing.T) {
 						r.k.Store(addr, size, val)
 						writeShadow(addr, size, val)
 					}
-					if r.c.CacheMisses > misses && port.Epoch() <= before {
-						t.Fatalf("%s seed %d step %d: miss did not bump epoch", war, seed, i)
+					if r.c.CacheMisses > misses && !r.memoDropped() {
+						t.Fatalf("%s seed %d step %d: miss did not drop the port memo", war, seed, i)
 					}
 				default:
 					// Port access: served hits must agree with the shadow.

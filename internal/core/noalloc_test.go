@@ -24,7 +24,6 @@ func TestFastPortHitPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		_, okL := port.LoadHit(addr, 4)
 		okS := port.StoreHit(addr, 4, 0x1234)
-		_ = port.Epoch()
 		served = served && okL && okS
 	}); n != 0 {
 		t.Fatalf("fast-port hit path allocates: %v allocs/op", n)

@@ -17,12 +17,13 @@ import (
 // bounds check on sequential flow, and direct-port memory access where the
 // system offers one.
 //
-// Correctness is an extension of the fast path's safe-horizon argument.
-// The outer loop (runSliceAOT) runs the exact per-boundary checks of
-// runSliceRef. Before entering the inline dispatch loop it computes a guard:
-// the smallest cycle at which any boundary event — power failure, cycle
-// budget, forced-checkpoint trigger, RunUntil stop-point — could fire,
-// pulled back by the width of the largest superinstruction. Below the guard
+// Correctness rests on a safe-horizon argument, which the cost model's
+// determinism makes possible. The outer loop (runSliceAOT) runs the exact
+// per-boundary checks of runSliceRef. Before entering the inline dispatch
+// loop it computes a guard (aotGuard): the smallest cycle at which any
+// boundary event — power failure, cycle budget, forced-checkpoint trigger,
+// RunUntil stop-point — could fire, pulled back by the width of the
+// largest superinstruction. Below the guard
 // every boundary check is statically false, so the inline loop may charge
 // base cycles with a bare increment and skip the checks entirely; the moment
 // the guard trips (including after a memory access whose dynamic cost jumped
@@ -32,8 +33,8 @@ import (
 // (stepChecked), and the machine commits m.pc before every call that can
 // advance the clock, so checkpoint register snapshots and mid-access power
 // failures observe exactly the reference interpreter's in-flight state.
-// The three-way engine-equivalence suite in internal/harness enforces all of
-// this rather than trusting the argument.
+// The engine-equivalence suite in internal/harness enforces all of this
+// rather than trusting the argument.
 //
 // For speed the dispatch loop mirrors the cycle and instruction counters in
 // local variables (registers), so guard checks and base-cycle charging never
@@ -54,40 +55,63 @@ import (
 // cycles) between guard checks, so the guard is pulled back by width-1.
 const aotMaxWidth = 2
 
-// aotGuard returns the inline window's cycle bound: while m.cycle is
-// strictly below it, no per-boundary event can fire even across a full
-// superinstruction. A zero return means the window is empty and the next
-// instruction must take the reference step. Mirrors batchHorizon bound for
-// bound; all arithmetic saturates rather than wraps.
-func (m *Machine) aotGuard(maxCycles, period, margin uint64) uint64 {
+// guardInputs is the machine state aotGuard reads, so the safe-horizon
+// arithmetic is a pure function pinned by table-driven tests.
+type guardInputs struct {
+	cycle       uint64
+	failEnabled bool
+	nextFailure uint64
+	maxCycles   uint64 // 0 = unbounded
+	maxInstr    uint64 // >= 1 (New defaults it)
+	period      uint64 // 0 = no forced checkpoints
+	margin      uint64
+	nextForced  uint64
+	stopAt      uint64 // 0 = no RunUntil bound
+}
+
+// aotGuard returns the inline window's bounds: while the cycle counter stays
+// strictly below cycleGuard and the instruction counter strictly below
+// instrGuard, no per-boundary event can fire even across a full
+// superinstruction. A cycleGuard at or below the current cycle means the
+// window is empty and the next instruction must take the reference step,
+// which raises the power failure, forced checkpoint, or error at the exact
+// same instant with the exact same state. Each bound mirrors one
+// runSliceRef check. All cycle arithmetic saturates: near-2^64 inputs
+// (NoFailure-adjacent cycles, margin exceeding nextForced) must shrink the
+// window, never wrap to a huge bogus one.
+func aotGuard(in guardInputs) (cycleGuard, instrGuard uint64) {
+	instrGuard = in.maxInstr - (aotMaxWidth - 1)
 	u := uint64(power.NoFailure)
-	if m.failEnabled {
-		if m.nextFailure <= m.cycle {
-			return 0
+	if in.failEnabled {
+		if in.nextFailure <= in.cycle {
+			return 0, instrGuard
 		}
 		// Base cycles inside the window must stay strictly before the
 		// failure instant (Advance panics at nextFailure).
-		u = m.nextFailure - 1
+		u = in.nextFailure - 1
 	}
-	if maxCycles > 0 && maxCycles < u {
-		u = maxCycles
+	if in.maxCycles > 0 && in.maxCycles < u {
+		u = in.maxCycles
 	}
-	if period > 0 && m.nextForced != power.NoFailure {
+	if in.period > 0 && in.nextForced != power.NoFailure {
+		// The trigger fires once satAdd(cycle, margin) >= nextForced, so
+		// the window ends at nextForced-margin; when margin reaches
+		// nextForced the window is empty.
 		t := uint64(0)
-		if margin < m.nextForced {
-			t = m.nextForced - margin
+		if in.margin < in.nextForced {
+			t = in.nextForced - in.margin
 		}
 		if t < u {
 			u = t
 		}
 	}
-	if m.stopAt != 0 && m.stopAt < u {
-		u = m.stopAt
+	if in.stopAt != 0 && in.stopAt < u {
+		u = in.stopAt
 	}
 	if u < aotMaxWidth-1 {
-		return 0
+		return 0, instrGuard
 	}
-	return u - (aotMaxWidth - 1)
+	return u - (aotMaxWidth - 1), instrGuard
 }
 
 // runSliceAOT executes the compiled IR until halt or the next power failure.
@@ -127,7 +151,6 @@ func (m *Machine) runSliceAOT() error {
 			}
 		}
 	}
-	instrGuard := maxInstr - (aotMaxWidth - 1)
 	for !m.halted {
 		if m.stopAt != 0 && m.cycle >= m.stopAt {
 			return nil
@@ -148,7 +171,17 @@ func (m *Machine) runSliceAOT() error {
 			}
 			continue
 		}
-		cycleGuard := m.aotGuard(maxCycles, period, margin)
+		cycleGuard, instrGuard := aotGuard(guardInputs{
+			cycle:       m.cycle,
+			failEnabled: m.failEnabled,
+			nextFailure: m.nextFailure,
+			maxCycles:   maxCycles,
+			maxInstr:    maxInstr,
+			period:      period,
+			margin:      margin,
+			nextForced:  m.nextForced,
+			stopAt:      m.stopAt,
+		})
 		if m.cycle >= cycleGuard || m.c.Instructions >= instrGuard {
 			// Inside the unsafe horizon: the reference step raises the
 			// event (or executes the final pre-event instructions) exactly

@@ -72,18 +72,11 @@ type Config struct {
 	// A probe overrides the selection with EngineRef — the reference
 	// interpreter is the sole emitter of per-instruction events.
 	Engine Engine
-	// NoFastPath forces the per-instruction reference interpreter even when
-	// no probe is attached.
-	//
-	// Deprecated: set Engine to EngineRef instead. The flag is kept as an
-	// alias for older callers and is consulted only while Engine is
-	// EngineAuto.
-	NoFastPath bool
-	// NoFastPort makes the AOT and batched engines route every data access
-	// through the full sim.System interface instead of consulting the
-	// system's sim.FastPort hit path. Results are byte-identical either way
-	// (the equivalence suite runs both sides of this axis); the knob exists
-	// for debugging, for that suite, and for measuring the fast path's gain.
+	// NoFastPort makes the AOT engine route every data access through the
+	// full sim.System interface instead of consulting the system's
+	// sim.FastPort hit path. Results are byte-identical either way (the
+	// equivalence suite runs both sides of this axis); the knob exists for
+	// debugging, for that suite, and for measuring the fast port's gain.
 	NoFastPort bool
 }
 
@@ -109,7 +102,6 @@ type Machine struct {
 	pc   uint32
 
 	text      []isa.Instr
-	aluRun    []uint32         // batched fast-path run table (see Text)
 	prog      *compile.Program // AOT threaded-code IR (see Text)
 	engine    Engine           // resolved engine (never EngineAuto)
 	textBase  uint32
@@ -188,9 +180,8 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 	}
 	m := &Machine{
 		text:      text.Instrs,
-		aluRun:    text.aluRun,
 		prog:      text.prog,
-		engine:    cfg.effectiveEngine(),
+		engine:    cfg.Engine.Resolve(),
 		textBase:  textBase,
 		entry:     entry,
 		initialSP: initialSP,
@@ -209,9 +200,9 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 	return m
 }
 
-// DecodeText decodes an assembled text segment into instructions and runs
-// the batched-execution pre-analysis (basic blocks and ALU run lengths) on
-// them, so the cost is paid once per image rather than once per run.
+// DecodeText decodes an assembled text segment into instructions and
+// compiles them to the AOT IR, so the cost is paid once per image rather
+// than once per run.
 func DecodeText(data []byte) (*Text, error) {
 	if len(data)%4 != 0 {
 		return nil, fmt.Errorf("emu: text size %d is not word-aligned", len(data))
@@ -348,8 +339,9 @@ func (m *Machine) RunUntil(target uint64) (halted bool, err error) {
 // state), and the fork's next failure instant is sched.NextFailureAfter(now)
 // — so a fork of a failure-free prefix at cycle c under power.At(t), t > c,
 // is state-identical to a from-boot run under the same schedule at cycle c.
-// Forks are probe-free (they run on the batched fast path) and safe to run
-// on another goroutine. The parent must be paused (between RunUntil calls).
+// Forks are probe-free (they run on the configured engine, never forced
+// onto the reference interpreter) and safe to run on another goroutine.
+// The parent must be paused (between RunUntil calls).
 func (m *Machine) Fork(sched power.Schedule) (*Machine, error) {
 	fsys, ok := m.sys.(sim.Forkable)
 	if !ok {
@@ -386,8 +378,7 @@ func (m *Machine) Halted() bool { return m.halted }
 // engine is selected once per slice: a probed run always takes the
 // per-instruction reference path (the sole emitter of per-instruction
 // events); otherwise the resolved Config.Engine picks the AOT IR
-// interpreter, the batched ALU fast path, or the reference loop. Every
-// engine produces byte-identical results.
+// interpreter or the reference loop. Both produce byte-identical results.
 func (m *Machine) runSlice() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -398,26 +389,16 @@ func (m *Machine) runSlice() (err error) {
 			panic(r)
 		}
 	}()
-	if m.probe != nil {
-		return m.runSliceRef()
-	}
-	switch m.engine {
-	case EngineAOT:
+	if m.probe == nil && m.engine == EngineAOT {
 		return m.runSliceAOT()
-	case EngineFast:
-		if m.aluRun != nil {
-			return m.runSliceFast()
-		}
-		return m.runSliceRef()
-	default:
-		return m.runSliceRef()
 	}
+	return m.runSliceRef()
 }
 
 // runSliceRef is the per-instruction reference loop: every instruction pays
 // the limit, budget, and forced-checkpoint checks individually. It is the
-// behavioral specification the batched fast path is tested against, and the
-// only loop that emits per-instruction probe events.
+// behavioral specification the AOT engine is tested against, and the only
+// loop that emits per-instruction probe events.
 func (m *Machine) runSliceRef() error {
 	for !m.halted {
 		if m.stopAt != 0 && m.cycle >= m.stopAt {
@@ -442,6 +423,19 @@ func (m *Machine) runSliceRef() error {
 		if m.stackFault {
 			return fmt.Errorf("emu: stack pointer 0x%08x left the stack region at pc=0x%08x", m.regs[isa.SP], m.pc)
 		}
+	}
+	return nil
+}
+
+// stepChecked is one reference-path instruction plus the stack-fault check
+// that follows every step (the AOT engine's fallback for anything it does
+// not specialize).
+func (m *Machine) stepChecked() error {
+	if err := m.step(); err != nil {
+		return err
+	}
+	if m.stackFault {
+		return fmt.Errorf("emu: stack pointer 0x%08x left the stack region at pc=0x%08x", m.regs[isa.SP], m.pc)
 	}
 	return nil
 }

@@ -14,7 +14,6 @@ func TestParseEngine(t *testing.T) {
 		"":     emu.EngineAuto,
 		"auto": emu.EngineAuto,
 		"ref":  emu.EngineRef,
-		"fast": emu.EngineFast,
 		"aot":  emu.EngineAOT,
 	}
 	for s, want := range valid {
@@ -26,7 +25,9 @@ func TestParseEngine(t *testing.T) {
 			t.Fatalf("ParseEngine(%q) = %q, want %q", s, got, want)
 		}
 	}
-	for _, s := range []string{"bogus", "AOT", "reference", "jit"} {
+	// "fast" named the batched engine the AOT engine replaced; it must fail
+	// loudly rather than fall back silently.
+	for _, s := range []string{"bogus", "AOT", "reference", "jit", "fast"} {
 		_, err := emu.ParseEngine(s)
 		if err == nil {
 			t.Fatalf("ParseEngine(%q) accepted", s)
@@ -34,7 +35,7 @@ func TestParseEngine(t *testing.T) {
 		if !strings.Contains(err.Error(), s) {
 			t.Fatalf("ParseEngine(%q) error %q does not name the bad value", s, err)
 		}
-		if !strings.Contains(err.Error(), emu.Engines) {
+		if !strings.Contains(err.Error(), "auto, ref, aot") {
 			t.Fatalf("ParseEngine(%q) error %q does not list the valid spellings", s, err)
 		}
 	}
@@ -42,22 +43,19 @@ func TestParseEngine(t *testing.T) {
 
 func TestResolveEngine(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  emu.Config
-		want emu.Engine
+		name   string
+		engine emu.Engine
+		want   emu.Engine
 	}{
-		{"auto picks aot", emu.Config{}, emu.EngineAOT},
-		{"deprecated no-fastpath forces ref", emu.Config{NoFastPath: true}, emu.EngineRef},
-		{"explicit ref", emu.Config{Engine: emu.EngineRef}, emu.EngineRef},
-		{"explicit fast", emu.Config{Engine: emu.EngineFast}, emu.EngineFast},
-		{"explicit aot", emu.Config{Engine: emu.EngineAOT}, emu.EngineAOT},
-		{"explicit engine wins over no-fastpath", emu.Config{Engine: emu.EngineAOT, NoFastPath: true}, emu.EngineAOT},
-		{"unknown value degrades to ref", emu.Config{Engine: emu.Engine("bogus")}, emu.EngineRef},
+		{"auto picks aot", emu.EngineAuto, emu.EngineAOT},
+		{"explicit ref", emu.EngineRef, emu.EngineRef},
+		{"explicit aot", emu.EngineAOT, emu.EngineAOT},
+		{"unknown value degrades to ref", emu.Engine("bogus"), emu.EngineRef},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.cfg.ResolveEngine(); got != tc.want {
-				t.Fatalf("ResolveEngine() = %q, want %q", got, tc.want)
+			if got := tc.engine.Resolve(); got != tc.want {
+				t.Fatalf("Engine(%q).Resolve() = %q, want %q", tc.engine, got, tc.want)
 			}
 		})
 	}
@@ -78,7 +76,7 @@ loop:
 	sw   t0, 0(sp)
 	bne  a0, a1, loop
 ` + epilogue
-	for _, engine := range []emu.Engine{emu.EngineRef, emu.EngineFast, emu.EngineAOT} {
+	for _, engine := range []emu.Engine{emu.EngineRef, emu.EngineAOT} {
 		t.Run(string(engine), func(t *testing.T) {
 			// run's assemble+DecodeText stage legitimately decodes each text
 			// word once; everything after the baseline snapshot inside the

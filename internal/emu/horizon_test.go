@@ -1,6 +1,6 @@
 package emu
 
-// White-box tests for the fast-path horizon arithmetic and the saturating
+// White-box tests for the AOT engine's safe-horizon arithmetic and the saturating
 // forced-checkpoint bookkeeping: the regression suite for the unsigned
 // underflow/overflow family (NoFailure-adjacent cycles, margin exceeding
 // nextForced) that the pre-fix expressions `nextForced - margin - cycle` and
@@ -32,69 +32,76 @@ func TestSatAdd(t *testing.T) {
 	}
 }
 
-// TestBatchHorizonTable pins the horizon computation, most importantly the
-// overflow family: each "pre-fix" comment states what the unguarded
-// arithmetic used to produce.
+// TestBatchHorizonTable pins the safe-horizon computation that bounds the
+// AOT engine's inline batches, most importantly the overflow family: each
+// "pre-fix" comment states what the unguarded arithmetic used to produce.
+// The guard is pulled back by aotMaxWidth-1 from the first instant at which a
+// boundary event could fire; a cycle guard at or below the current cycle
+// means an empty window (the reference step runs next).
 func TestBatchHorizonTable(t *testing.T) {
 	const inf = power.NoFailure
-	base := horizonInputs{
-		run:         100,
+	base := guardInputs{
 		failEnabled: true,
 		nextFailure: inf,
 		maxInstr:    1 << 40,
 	}
+	const b = 1<<40 - 1 // the base instruction guard
 	cases := []struct {
-		name string
-		mod  func(*horizonInputs)
-		want uint64
+		name  string
+		mod   func(*guardInputs)
+		cycle uint64 // want cycleGuard
+		instr uint64 // want instrGuard
 	}{
-		{"unbounded", func(in *horizonInputs) {}, 100},
-		{"failure-bound", func(in *horizonInputs) { in.cycle = 10; in.nextFailure = 50 }, 39},
-		{"failure-now", func(in *horizonInputs) { in.cycle = 50; in.nextFailure = 50 }, 0},
-		{"failure-next-cycle", func(in *horizonInputs) { in.cycle = 49; in.nextFailure = 50 }, 0},
-		{"failure-deferred", func(in *horizonInputs) { in.failEnabled = false; in.cycle = 60; in.nextFailure = 50 }, 100},
-		{"cycle-budget-bound", func(in *horizonInputs) { in.cycle = 90; in.maxCycles = 120 }, 30},
-		{"instruction-bound", func(in *horizonInputs) { in.instructions = in.maxInstr - 7 }, 7},
-		{"forced-bound", func(in *horizonInputs) {
-			in.run = 1000
+		{"unbounded", func(in *guardInputs) {}, inf - 2, b},
+		{"failure-bound", func(in *guardInputs) { in.cycle = 10; in.nextFailure = 50 }, 48, b},
+		{"failure-now", func(in *guardInputs) { in.cycle = 50; in.nextFailure = 50 }, 0, b},
+		// Guard 48 is below the cycle: an instruction issued at 49 reaches
+		// the failure instant at 50, so the window is empty.
+		{"failure-next-cycle", func(in *guardInputs) { in.cycle = 49; in.nextFailure = 50 }, 48, b},
+		{"failure-deferred", func(in *guardInputs) { in.failEnabled = false; in.cycle = 60; in.nextFailure = 50 }, inf - 1, b},
+		{"cycle-budget-bound", func(in *guardInputs) { in.cycle = 90; in.maxCycles = 120 }, 119, b},
+		{"instruction-bound", func(in *guardInputs) { in.maxInstr = 7 }, inf - 2, 6},
+		{"forced-bound", func(in *guardInputs) {
 			in.period = 1000
 			in.margin = 100
 			in.nextForced = 1000
 			in.cycle = 500
-		}, 400},
+		}, 899, b},
 		// Pre-fix: nextForced-margin-cycle = 50-100-0 wrapped to ~2^64,
 		// so the batch ran straight past the forced-checkpoint trigger.
-		{"margin-exceeds-nextForced", func(in *horizonInputs) {
+		{"margin-exceeds-nextForced", func(in *guardInputs) {
 			in.period = 10
 			in.margin = 100
 			in.nextForced = 50
-		}, 0},
+		}, 0, b},
 		// Pre-fix: (inf-5)-(4096)-(inf-10) underflowed to a huge horizon.
-		{"nofailure-adjacent-forced", func(in *horizonInputs) {
+		// The guard lands below the cycle: an empty window.
+		{"nofailure-adjacent-forced", func(in *guardInputs) {
 			in.cycle = inf - 10
 			in.period = 100
 			in.margin = 4096
 			in.nextForced = inf - 5
-		}, 0},
+		}, inf - 4102, b},
 		// A saturated nextForced disables the forced bound entirely (the
 		// trigger in both run loops skips it the same way).
-		{"forced-saturated", func(in *horizonInputs) {
+		{"forced-saturated", func(in *guardInputs) {
 			in.cycle = inf - 200
 			in.period = 100
 			in.margin = 10
 			in.nextForced = inf
 			in.nextFailure = inf
 			in.failEnabled = false
-		}, 100},
-		{"stopAt-bound", func(in *horizonInputs) { in.cycle = 10; in.stopAt = 25 }, 15},
-		{"stopAt-loose", func(in *horizonInputs) { in.stopAt = 1 << 30 }, 100},
+		}, inf - 1, b},
+		{"stopAt-bound", func(in *guardInputs) { in.cycle = 10; in.stopAt = 25 }, 24, b},
+		{"stopAt-loose", func(in *guardInputs) { in.stopAt = 1 << 30 }, 1<<30 - 1, b},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			in := base
 			c.mod(&in)
-			if got := batchHorizon(in); got != c.want {
-				t.Errorf("batchHorizon(%+v) = %d, want %d", in, got, c.want)
+			cycleGuard, instrGuard := aotGuard(in)
+			if cycleGuard != c.cycle || instrGuard != c.instr {
+				t.Errorf("aotGuard(%+v) = (%d, %d), want (%d, %d)", in, cycleGuard, instrGuard, c.cycle, c.instr)
 			}
 		})
 	}
@@ -137,8 +144,8 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 		forced      uint64
 		x5          uint32
 	}
-	run := func(noFast bool) outcome {
-		cfg := Config{ForcedCheckpointPeriod: 4000, NoFastPath: noFast}
+	run := func(engine Engine) outcome {
+		cfg := Config{ForcedCheckpointPeriod: 4000, Engine: engine}
 		m := horizonTestMachine(t, systems.KindClank, 64, cfg)
 		// Park the clock near the top of the domain, mid-interval: the next
 		// forced checkpoint saturates.
@@ -147,7 +154,7 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 		m.failEnabled = false // Advance's cycle+n must not be asked to wrap
 		res, err := m.Run()
 		if err != nil {
-			t.Fatalf("run (noFast=%v): %v", noFast, err)
+			t.Fatalf("run (%s): %v", engine, err)
 		}
 		return outcome{
 			cycles:      res.Counters.Cycles,
@@ -156,10 +163,10 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 			x5:          res.FinalRegs.Regs[4], // x5
 		}
 	}
-	ref := run(true)
-	fast := run(false)
-	if ref != fast {
-		t.Fatalf("engines diverged near overflow: ref=%+v fast=%+v", ref, fast)
+	ref := run(EngineRef)
+	aot := run(EngineAOT)
+	if ref != aot {
+		t.Fatalf("engines diverged near overflow: ref=%+v aot=%+v", ref, aot)
 	}
 	if ref.forced == 0 {
 		t.Fatal("expected the in-zone forced checkpoint to fire")
@@ -174,16 +181,16 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 // sweep of targets — the property the snapshot-fork prefix machine relies on.
 func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
 	for target := uint64(0); target <= 70; target += 7 {
-		ref := horizonTestMachine(t, systems.KindVolatile, 64, Config{NoFastPath: true})
-		fast := horizonTestMachine(t, systems.KindVolatile, 64, Config{})
+		ref := horizonTestMachine(t, systems.KindVolatile, 64, Config{Engine: EngineRef})
+		aot := horizonTestMachine(t, systems.KindVolatile, 64, Config{Engine: EngineAOT})
 		rh, rerr := ref.RunUntil(target)
-		fh, ferr := fast.RunUntil(target)
-		if rerr != nil || ferr != nil {
-			t.Fatalf("target %d: errors ref=%v fast=%v", target, rerr, ferr)
+		ah, aerr := aot.RunUntil(target)
+		if rerr != nil || aerr != nil {
+			t.Fatalf("target %d: errors ref=%v aot=%v", target, rerr, aerr)
 		}
-		if rh != fh || ref.cycle != fast.cycle || ref.pc != fast.pc || ref.regs != fast.regs {
-			t.Fatalf("target %d: boundary diverged: ref(halted=%v cycle=%d pc=%#x) fast(halted=%v cycle=%d pc=%#x)",
-				target, rh, ref.cycle, ref.pc, fh, fast.cycle, fast.pc)
+		if rh != ah || ref.cycle != aot.cycle || ref.pc != aot.pc || ref.regs != aot.regs {
+			t.Fatalf("target %d: boundary diverged: ref(halted=%v cycle=%d pc=%#x) aot(halted=%v cycle=%d pc=%#x)",
+				target, rh, ref.cycle, ref.pc, ah, aot.cycle, aot.pc)
 		}
 		if !rh && ref.cycle < target {
 			t.Fatalf("target %d: stopped early at %d without halting", target, ref.cycle)
@@ -192,10 +199,10 @@ func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
 		if _, err := ref.Run(); err != nil {
 			t.Fatalf("resume ref: %v", err)
 		}
-		if _, err := fast.Run(); err != nil {
-			t.Fatalf("resume fast: %v", err)
+		if _, err := aot.Run(); err != nil {
+			t.Fatalf("resume aot: %v", err)
 		}
-		if ref.cycle != fast.cycle || ref.regs != fast.regs {
+		if ref.cycle != aot.cycle || ref.regs != aot.regs {
 			t.Fatalf("target %d: post-resume state diverged", target)
 		}
 	}

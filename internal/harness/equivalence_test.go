@@ -16,11 +16,11 @@ import (
 
 // The engine-equivalence suite is the enforcement behind the execution
 // engines' correctness claim: for every program, system, and failure
-// schedule, all three engines — the per-instruction reference interpreter,
-// the batched fast path, and the AOT threaded-code engine — and, on the two
-// non-reference engines, both settings of the sim.FastPort cached-hit axis,
-// must produce byte-identical results: exit code, result words, output,
-// every counter including the cycle count, and the final register file.
+// schedule, both engines — the per-instruction reference interpreter and the
+// AOT threaded-code engine, the latter with and without the sim.FastPort
+// cached-hit path — must produce byte-identical results: exit code, result
+// words, output, every counter including the cycle count, and the final
+// register file.
 // Errors (cycle-budget aborts, stack faults) must also be identical, message
 // and all, because they encode the instant and pc at which the run died.
 
@@ -53,13 +53,11 @@ func (v engineVariant) String() string {
 
 // equivalenceVariants is the full engine × fast-port matrix; the reference
 // interpreter comes first so every other variant diffs against the
-// specification. The fast and AOT engines run both with and without the
-// system's sim.FastPort cached-hit path, making NoFastPort a fourth
-// equivalence axis alongside program, system, and schedule.
+// specification. The AOT engine runs both with and without the system's
+// sim.FastPort cached-hit path, making NoFastPort a fourth equivalence axis
+// alongside program, system, and schedule.
 var equivalenceVariants = []engineVariant{
 	{engine: emu.EngineRef},
-	{engine: emu.EngineFast},
-	{engine: emu.EngineFast, noPort: true},
 	{engine: emu.EngineAOT},
 	{engine: emu.EngineAOT, noPort: true},
 }
@@ -70,7 +68,6 @@ var equivalenceVariants = []engineVariant{
 func runBoth(t *testing.T, label string, img *program.Image, kind systems.Kind, cfg harness.RunConfig) emu.Result {
 	t.Helper()
 	cfg.Verify = false // a verifier probe would force the reference engine
-	cfg.NoFastPath = false
 	var ref emu.Result
 	var refErr error
 	for i, v := range equivalenceVariants {
@@ -188,12 +185,13 @@ func (l *eventLog) OnRetire(e sim.RetireEvent)      { l.add("retire", e) }
 func (l *eventLog) OnNVM(e sim.NVMEvent)            { l.add("nvm", e) }
 
 // TestEngineEquivalenceProbeStream pins two guarantees around instrumented
-// runs. First, attaching a probe always selects the reference engine, so the
-// event stream is identical whatever NoFastPath says — the historical trace
-// and probe formats cannot change under the fast path. Second, the fast
-// engine's un-instrumented result is identical to the instrumented reference
-// run's result: instrumentation observes the simulation without perturbing
-// it, and the fast path reproduces it exactly.
+// runs. First, attaching a probe always selects the reference engine, so a
+// probed run emits the reference event stream whatever Engine says — the
+// historical trace and probe formats cannot change under the AOT engine.
+// Second, the AOT engine's un-instrumented result, with and without the fast
+// port, is identical to the instrumented reference run's result:
+// instrumentation observes the simulation without perturbing it, and the AOT
+// engine reproduces it exactly.
 func TestEngineEquivalenceProbeStream(t *testing.T) {
 	p, ok := program.ByName("crc")
 	if !ok {
@@ -210,50 +208,59 @@ func TestEngineEquivalenceProbeStream(t *testing.T) {
 		Schedule:  power.Periodic{Period: 300_000},
 	}
 	for _, kind := range []systems.Kind{systems.KindNACHO, systems.KindClank} {
-		var logs [2]*eventLog
-		var probed [2]emu.Result
-		for i, noFast := range []bool{false, true} {
-			logs[i] = &eventLog{}
+		var ref *eventLog
+		var probed emu.Result
+		for i, engine := range []emu.Engine{emu.EngineRef, emu.EngineAuto, emu.EngineAOT} {
+			log := &eventLog{}
 			cfg := base
-			cfg.Probe = logs[i]
-			cfg.NoFastPath = noFast
-			probed[i], err = harness.RunImage(img, kind, cfg, false)
-			if err != nil {
-				t.Fatalf("%s probed (NoFastPath=%v): %v", kind, noFast, err)
-			}
-		}
-		if !reflect.DeepEqual(probed[0], probed[1]) {
-			t.Fatalf("%s: probed results differ across NoFastPath", kind)
-		}
-		if len(logs[0].events) == 0 {
-			t.Fatalf("%s: probe recorded no events", kind)
-		}
-		if !reflect.DeepEqual(logs[0].events, logs[1].events) {
-			for i := range logs[0].events {
-				if i >= len(logs[1].events) || logs[0].events[i] != logs[1].events[i] {
-					t.Fatalf("%s: probe streams diverge at event %d:\n  %s\n  %s",
-						kind, i, logs[0].events[i], logs[1].events[min(i, len(logs[1].events)-1)])
-				}
-			}
-			t.Fatalf("%s: probe streams differ in length: %d vs %d", kind, len(logs[0].events), len(logs[1].events))
-		}
-
-		for _, engine := range []emu.Engine{emu.EngineFast, emu.EngineAOT} {
-			cfg := base
+			cfg.Probe = log
 			cfg.Engine = engine
 			res, err := harness.RunImage(img, kind, cfg, false)
 			if err != nil {
-				t.Fatalf("%s %s: %v", kind, engine, err)
+				t.Fatalf("%s probed (engine %q): %v", kind, engine, err)
 			}
-			if !reflect.DeepEqual(res, probed[0]) {
-				t.Fatalf("%s: %s un-instrumented result differs from instrumented reference:\n  %s:     %+v\n  probed: %+v", kind, engine, engine, res, probed[0])
+			if i == 0 {
+				ref, probed = log, res
+				if len(ref.events) == 0 {
+					t.Fatalf("%s: probe recorded no events", kind)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(res, probed) {
+				t.Fatalf("%s: probed result under engine %q differs from the reference", kind, engine)
+			}
+			for j, want := range ref.events {
+				got := "<end of stream>"
+				if j < len(log.events) {
+					got = log.events[j]
+				}
+				if got != want {
+					t.Fatalf("%s: probe stream under engine %q diverges from the reference at event %d:\n  %s\n  ref: %s",
+						kind, engine, j, got, want)
+				}
+			}
+			if len(log.events) != len(ref.events) {
+				t.Fatalf("%s: probe stream under engine %q has %d events, reference %d", kind, engine, len(log.events), len(ref.events))
+			}
+		}
+
+		for _, v := range equivalenceVariants[1:] {
+			cfg := base
+			cfg.Engine = v.engine
+			cfg.NoFastPort = v.noPort
+			res, err := harness.RunImage(img, kind, cfg, false)
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, v, err)
+			}
+			if !reflect.DeepEqual(res, probed) {
+				t.Fatalf("%s: %s un-instrumented result differs from instrumented reference:\n  %s:     %+v\n  probed: %+v", kind, v, v, res, probed)
 			}
 		}
 	}
 }
 
 // TestEngineEquivalenceForkRunUntil pins the mid-run surface the snapshot
-// explorer depends on, across all engines: RunUntil must stop at the same
+// explorer depends on, across both engines: RunUntil must stop at the same
 // instruction boundary (same cycle, same halt state), a Fork taken at that
 // boundary must run to the same result under a failure schedule, and the
 // parent must resume to the same end state after forking — whatever engine

@@ -90,7 +90,7 @@ func keyFor(p *program.Program, kind systems.Kind, cfg RunConfig) runKey {
 		cost:                   cfg.Cost,
 		dirtyThreshold:         cfg.DirtyThreshold,
 		energyPrediction:       cfg.EnergyPrediction,
-		engine:                 emu.Config{Engine: cfg.Engine, NoFastPath: cfg.NoFastPath}.ResolveEngine(),
+		engine:                 cfg.Engine.Resolve(),
 	}
 }
 
@@ -107,6 +107,10 @@ type cacheEntry struct {
 	done chan struct{}
 	res  emu.Result
 	err  error
+	// requested is set once a builder has asked for the slot. A prewarmed
+	// slot starts unrequested, so only repeat requests count as hits and
+	// the hit count is the same at every worker count.
+	requested bool
 }
 
 // runCache deduplicates runs within one experiment so configurations shared
@@ -122,10 +126,10 @@ type runCache struct {
 	jobs    []job
 
 	runs      int           // simulations executed
-	hits      int           // cache hits, including singleflight waits
+	hits      int           // repeat requests, including singleflight waits
 	storeHits int           // owner slots served from the persistent store
 	bypassed  int           // probed/traced runs that skipped the cache
-	runTime   time.Duration // summed per-run wall time across all workers
+	runTime   time.Duration // per-run wall time summed across all workers
 
 	// Per-regeneration wall-time distribution and per-engine run counts over
 	// the simulations this cache executed (not hits or bypasses), feeding the
@@ -165,20 +169,47 @@ func (rc *runCache) get(p *program.Program, kind systems.Kind, cfg RunConfig) (e
 	}
 	rc.mu.Lock()
 	if e, ok := rc.entries[key]; ok {
-		rc.hits++
-		pool.cacheHits.Add(1)
+		// The first request for a prewarmed slot stands for the execution
+		// itself (it would have run here at one worker), so it is neither
+		// a hit nor a second ledger record.
+		hit := e.requested
+		e.requested = true
+		if hit {
+			rc.hits++
+			pool.cacheHits.Add(1)
+		}
 		rc.mu.Unlock()
 		<-e.done
 		// A served hit still appends a ledger record — the ledger's invariant
 		// is one record per run *request*, so a replayed campaign can see
 		// which report cells shared a simulation.
-		appendLedger(p.Name, kind, cfg, executedEngine(cfg), e.res, e.err, 0, outcomeCacheHit)
+		if hit {
+			appendLedger(p.Name, kind, cfg, executedEngine(cfg), e.res, e.err, 0, outcomeCacheHit)
+		}
 		return e.res, e.err
 	}
-	e := &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry{done: make(chan struct{}), requested: true}
 	rc.entries[key] = e
 	rc.mu.Unlock()
+	rc.execute(e, p, kind, cfg)
+	return e.res, e.err
+}
 
+// fill executes one prewarm job into a fresh, unrequested slot (see
+// cacheEntry.requested). The collect pass yields each key once, and the
+// prewarm finishes before the assembly pass requests anything, so the slot
+// cannot exist yet.
+func (rc *runCache) fill(j job) {
+	e := &cacheEntry{done: make(chan struct{})}
+	rc.mu.Lock()
+	rc.entries[keyFor(j.p, j.kind, j.cfg)] = e
+	rc.mu.Unlock()
+	rc.execute(e, j.p, j.kind, j.cfg)
+}
+
+// execute runs the simulation behind a slot its caller owns, publishes the
+// result to waiters, and accounts it.
+func (rc *runCache) execute(e *cacheEntry, p *program.Program, kind systems.Kind, cfg RunConfig) {
 	start := time.Now()
 	var fromStore bool
 	e.res, e.err, fromStore = runStored(p, kind, cfg)
@@ -200,7 +231,6 @@ func (rc *runCache) get(p *program.Program, kind systems.Kind, cfg RunConfig) (e
 	if !fromStore {
 		rc.wallHist.Observe(uint64(dur.Microseconds()))
 	}
-	return e.res, e.err
 }
 
 // prewarm executes jobs across nWorkers goroutines. Run errors are not
@@ -221,7 +251,7 @@ func (rc *runCache) prewarm(jobs []job, nWorkers int) {
 			defer wg.Done()
 			for j := range ch {
 				workerStarted(worker, j)
-				rc.get(j.p, j.kind, j.cfg)
+				rc.fill(j)
 				workerDone(worker)
 			}
 		}(i)
@@ -278,7 +308,7 @@ func regenerate(build func(rc *runCache) (*Report, error)) (*Report, error) {
 	}
 	tr.SetName(cell, rep.Title)
 	rc.mu.Lock()
-	rep.Timing = fmt.Sprintf("timing: %d runs (%d cache hits), %v simulated across %d workers, %v harness wall time",
+	rep.Timing = fmt.Sprintf("timing: %d runs (%d cache hits), %v run wall time summed across %d workers, %v harness wall time",
 		rc.runs, rc.hits, rc.runTime.Round(time.Millisecond), nWorkers, time.Since(start).Round(time.Millisecond))
 	if rc.storeHits > 0 {
 		rep.Timing += fmt.Sprintf("; %d persistent-store hits", rc.storeHits)

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"regexp"
 	"testing"
 
 	"nacho/internal/harness"
@@ -44,6 +45,41 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		if c.par.Timing == "" || c.seq.Timing == "" {
 			t.Errorf("%s: timing summary missing", c.name)
+		}
+	}
+}
+
+// TestTimingCountsWorkerInvariant pins the Timing line's run and hit counts
+// to the same values at every worker count: a hit is a repeat request, never
+// the assembly pass's first read of a prewarmed cell. Table 2 requests its
+// failure-free baselines repeatedly, so it must report hits; Figure 5
+// requests every cell once.
+func TestTimingCountsWorkerInvariant(t *testing.T) {
+	counts := regexp.MustCompile(`^timing: (\d+) runs \((\d+) cache hits\)`)
+	regen := func(workers int) map[string]string {
+		prev := harness.SetWorkers(workers)
+		defer harness.SetWorkers(prev)
+		out := map[string]string{}
+		for _, exp := range []string{"fig5", "table2"} {
+			rep, err := harness.RunNamedExperiment(exp, []string{"crc"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := counts.FindStringSubmatch(rep.Timing)
+			if m == nil {
+				t.Fatalf("%s: timing line %q lacks the runs/hits prefix", exp, rep.Timing)
+			}
+			out[exp] = m[0]
+			if exp == "table2" && m[2] == "0" {
+				t.Errorf("table2 reported no cache hits: %q", rep.Timing)
+			}
+		}
+		return out
+	}
+	seq, par := regen(1), regen(4)
+	for exp, want := range seq {
+		if got := par[exp]; got != want {
+			t.Errorf("%s: 4 workers print %q, 1 worker %q", exp, got, want)
 		}
 	}
 }

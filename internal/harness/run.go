@@ -56,18 +56,12 @@ type RunConfig struct {
 	// a clean halt (see emu.Config.FinalFlush), so every surviving store is
 	// visible in NVM for post-run state comparison.
 	FinalFlush bool
-	// NoFastPath forces the emulator's per-instruction reference
-	// interpreter.
-	//
-	// Deprecated: set Engine to emu.EngineRef instead. Consulted only while
-	// Engine is emu.EngineAuto (see emu.Config).
-	NoFastPath bool
 	// Engine selects the execution engine (see emu.Engine). The zero value
 	// picks the fastest correct engine; the equivalence suite sets concrete
 	// engines to obtain each side of its comparison. Validate external input
 	// with emu.ParseEngine before setting it here.
 	Engine emu.Engine
-	// NoFastPort disables the engines' sim.FastPort cached-hit path (see
+	// NoFastPort disables the AOT engine's sim.FastPort cached-hit path (see
 	// emu.Config.NoFastPort). Result-invariant — the equivalence suite runs
 	// both sides of this axis — so, like Probe and Trace, it is not part of
 	// the run-cache identity.
@@ -242,7 +236,6 @@ func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg R
 		MaxCycles:              cfg.MaxCycles,
 		FinalFlush:             cfg.FinalFlush,
 		Probe:                  probe,
-		NoFastPath:             cfg.NoFastPath,
 		NoFastPort:             cfg.NoFastPort,
 		Engine:                 cfg.Engine,
 	})

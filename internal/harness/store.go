@@ -73,7 +73,7 @@ func storeKeyFor(img *program.Image, kind systems.Kind, cfg RunConfig, checkGold
 		Program:                img.Program.Name,
 		ImageHash:              imageHash(img),
 		System:                 string(kind),
-		Engine:                 string(emu.Config{Engine: cfg.Engine, NoFastPath: cfg.NoFastPath}.ResolveEngine()),
+		Engine:                 string(cfg.Engine.Resolve()),
 		CacheSize:              cfg.CacheSize,
 		Ways:                   cfg.Ways,
 		Schedule:               scheduleKey(cfg),

@@ -98,8 +98,8 @@ type engineStat struct {
 }
 
 var engineStats = func() map[emu.Engine]*engineStat {
-	m := make(map[emu.Engine]*engineStat, 3)
-	for _, e := range []emu.Engine{emu.EngineRef, emu.EngineFast, emu.EngineAOT} {
+	m := make(map[emu.Engine]*engineStat, 2)
+	for _, e := range []emu.Engine{emu.EngineRef, emu.EngineAOT} {
 		m[e] = &engineStat{wall: telemetry.NewHistogram(RunWallBuckets)}
 	}
 	return m
@@ -113,7 +113,7 @@ func executedEngine(cfg RunConfig) emu.Engine {
 	if cfg.Verify || cfg.Trace != nil || cfg.Probe != nil {
 		return emu.EngineRef
 	}
-	return emu.Config{Engine: cfg.Engine, NoFastPath: cfg.NoFastPath}.ResolveEngine()
+	return cfg.Engine.Resolve()
 }
 
 // runObserved accounts one executed simulation against its engine's stats.
@@ -273,7 +273,7 @@ func RegisterMetrics(r *telemetry.Registry) {
 	r.NewGaugeFunc("nacho_harness_simulated_cycles_per_sec",
 		"Aggregate simulation throughput since the first run.",
 		func() float64 { return Status().SimulatedCyclesPerSec })
-	for _, e := range []emu.Engine{emu.EngineRef, emu.EngineFast, emu.EngineAOT} {
+	for _, e := range []emu.Engine{emu.EngineRef, emu.EngineAOT} {
 		st := engineStats[e]
 		lbl := telemetry.Label{Name: "engine", Value: string(e)}
 		r.NewCounterFunc("nacho_harness_engine_runs_total",

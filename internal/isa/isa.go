@@ -195,23 +195,10 @@ func (o Op) IsStore() bool { return o >= SB && o <= SW }
 // IsBranch reports whether the operation is a conditional branch.
 func (o Op) IsBranch() bool { return o >= BEQ && o <= BGEU }
 
-// IsMem reports whether the operation accesses data memory (load or store).
-// Whether a particular access targets NVM, cache, or MMIO is dynamic — it
-// depends on the computed address — so memory operations are never eligible
-// for statically batched execution.
-func (o Op) IsMem() bool { return o.IsLoad() || o.IsStore() }
-
-// IsControl reports whether the operation can divert the program counter or
-// end execution: jumps, conditional branches, EBREAK (halt), and ECALL
-// (unsupported trap). Control operations terminate basic blocks.
-func (o Op) IsControl() bool {
-	return o == JAL || o == JALR || o.IsBranch() || o == EBREAK || o == ECALL
-}
-
 // IsALU reports whether the operation is straight-line register-only compute:
 // it touches neither memory nor control flow, writes at most one register,
-// and retires in exactly one base cycle. These are the operations the batched
-// fast path may execute without consulting the memory system or the failure
+// and retires in exactly one base cycle. These are the operations the AOT
+// engine may batch without consulting the memory system or the failure
 // schedule (FENCE is excluded: it is a system operation, albeit a no-op
 // here).
 func (o Op) IsALU() bool {

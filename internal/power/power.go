@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -225,72 +224,4 @@ func FromBytes(b []byte) At {
 		instants = append(instants, cycle)
 	}
 	return NewAt(instants...)
-}
-
-// ParseKey reconstructs a schedule from its Key() string. It is the inverse
-// every distributed consumer of run identities relies on: a serialized run
-// spec carries only the schedule key, and the worker that executes it must
-// rebuild an equivalent schedule. ParseKey(s.Key()).Key() == s.Key() holds
-// for every schedule implementation in this package (pinned by
-// TestParseKeyRoundTrip); an unrecognized or malformed key is rejected with
-// a named diagnostic rather than silently mapped to always-on power.
-func ParseKey(key string) (Schedule, error) {
-	if key == "" || key == "none" {
-		return None{}, nil
-	}
-	open := strings.IndexByte(key, '(')
-	if open < 0 || !strings.HasSuffix(key, ")") {
-		return nil, fmt.Errorf("power: malformed schedule key %q", key)
-	}
-	name, args := key[:open], key[open+1:len(key)-1]
-	fields := []string{}
-	if args != "" {
-		fields = strings.Split(args, ",")
-	}
-	parse := func(s string) (uint64, error) {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("power: malformed schedule key %q: bad integer %q", key, s)
-		}
-		return v, nil
-	}
-	switch name {
-	case "periodic":
-		if len(fields) != 1 {
-			return nil, fmt.Errorf("power: malformed schedule key %q: periodic wants 1 argument", key)
-		}
-		period, err := parse(fields[0])
-		if err != nil {
-			return nil, err
-		}
-		return Periodic{Period: period}, nil
-	case "uniform":
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("power: malformed schedule key %q: uniform wants 3 arguments", key)
-		}
-		min, err := parse(fields[0])
-		if err != nil {
-			return nil, err
-		}
-		max, err := parse(fields[1])
-		if err != nil {
-			return nil, err
-		}
-		seed, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("power: malformed schedule key %q: bad seed %q", key, fields[2])
-		}
-		return NewUniform(min, max, seed), nil
-	case "at":
-		instants := make([]uint64, 0, len(fields))
-		for _, f := range fields {
-			v, err := parse(f)
-			if err != nil {
-				return nil, err
-			}
-			instants = append(instants, v)
-		}
-		return NewAt(instants...), nil
-	}
-	return nil, fmt.Errorf("power: unknown schedule key %q", key)
 }

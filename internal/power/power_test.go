@@ -407,45 +407,3 @@ func TestStatelessClonesAreIdentities(t *testing.T) {
 		t.Error("At.Clone lost instants")
 	}
 }
-
-// TestParseKeyRoundTrip checks ParseKey inverts Key for every schedule
-// implementation — the property the distributed job service relies on when a
-// worker rebuilds a schedule from a serialized run spec — and that the
-// reconstructed schedule replays the original failure sequence.
-func TestParseKeyRoundTrip(t *testing.T) {
-	for _, s := range allSchedules() {
-		t.Run(s.name, func(t *testing.T) {
-			orig := s.mk()
-			parsed, err := ParseKey(orig.Key())
-			if err != nil {
-				t.Fatalf("ParseKey(%q): %v", orig.Key(), err)
-			}
-			if parsed.Key() != orig.Key() {
-				t.Fatalf("round trip changed key: %q -> %q", orig.Key(), parsed.Key())
-			}
-			ref := s.mk()
-			cycle := uint64(0)
-			for i := 0; i < 200; i++ {
-				got, want := parsed.NextFailureAfter(cycle), ref.NextFailureAfter(cycle)
-				if got != want {
-					t.Fatalf("instant %d: parsed schedule fails at %d, original at %d", i, got, want)
-				}
-				if want == NoFailure {
-					break
-				}
-				cycle = want
-			}
-		})
-	}
-	if sched, err := ParseKey(""); err != nil || sched.Key() != "none" {
-		t.Errorf("ParseKey(\"\") = %v, %v; want the always-on schedule", sched, err)
-	}
-	if sched, err := ParseKey("uniform(3,29,-7)"); err != nil || sched.Key() != "uniform(3,29,-7)" {
-		t.Errorf("negative seed: got %v, %v", sched, err)
-	}
-	for _, bad := range []string{"periodic", "periodic(", "periodic(x)", "periodic(1,2)", "uniform(1,2)", "at(1,)", "warp(9)", "periodic(1)x"} {
-		if _, err := ParseKey(bad); err == nil {
-			t.Errorf("ParseKey(%q) accepted a malformed key", bad)
-		}
-	}
-}

@@ -130,8 +130,8 @@ type MemReaderWriter interface {
 // cache are the common, cheap case) applied to the simulator itself. A system
 // that can serve *plain* cache hits — valid line, no RD/PW metadata
 // transition, no eviction, no checkpoint pressure, no clock read — without
-// touching the simulation clock exposes one, and the execution engines call
-// the hit functions directly instead of the sim.System interface.
+// touching the simulation clock exposes one, and the AOT engine calls the hit
+// functions directly instead of the sim.System interface.
 //
 // Contract, enforced by the engine-equivalence suite:
 //
@@ -143,13 +143,12 @@ type MemReaderWriter interface {
 //     what lets the caller pre-check the power-failure horizon and decline
 //     near it (the full call then raises PowerFail at the byte-identical
 //     instant with byte-identical state).
-//   - Any event that invalidates previously returned hits or changes what the
-//     port would serve — a checkpoint, commit, restore, eviction,
-//     dirty-threshold crossing, power failure, or probe attach — must bump
-//     Epoch. Consumers that cache anything derived from port answers must
-//     revalidate against Epoch; the engines cache nothing and re-acquire the
-//     port each execution slice, but the epoch property test holds every
-//     implementation to the protocol.
+//   - A port answers from the system's live state on every call. The engine
+//     caches nothing derived from port answers and re-acquires the port each
+//     execution slice; a port that memoizes internally (NACHO's per-direction
+//     line memo) must drop the memo on every event that can change what it
+//     would serve — a miss, checkpoint, power failure, restore, or probe
+//     attach.
 //   - A nil LoadHit or StoreHit means that direction has no fast path (e.g. a
 //     write-through store always pays NVM latency).
 type FastPort struct {
@@ -158,8 +157,6 @@ type FastPort struct {
 	// StoreHit serves a plain write hit, or declines. Callers mask val to
 	// size first, exactly as the reference path does before System.Store.
 	StoreHit func(addr uint32, size int, val uint32) (ok bool)
-	// Epoch returns the port's invalidation epoch (see contract above).
-	Epoch func() uint64
 	// HitCycles is the fixed clock charge for every served hit.
 	HitCycles uint64
 }

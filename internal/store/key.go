@@ -2,9 +2,9 @@
 // structured in-process run-cache key promoted to a digest over the canonical
 // serialization of a run's full identity, mapping to an on-disk record of the
 // run's outcome. It is what lets the evaluation matrix survive process
-// restarts, be shared between worker processes and machines (see
-// internal/jobs), and regenerate the whole paper evaluation from a warm
-// store without executing a single simulation.
+// restarts, be shared between processes (entries are written by atomic
+// rename), and regenerate the whole paper evaluation from a warm store
+// without executing a single simulation.
 package store
 
 import (

@@ -147,11 +147,8 @@ func checksumSuffix(payload []byte) []byte {
 // torn entries — checksum mismatch, unparsable payload, digest/key
 // disagreement — are evicted from disk and reported as a miss, so the caller
 // transparently re-executes and re-stores them.
-func (s *Store) Get(k Key) (*Entry, bool) { return s.GetDigest(k.Digest()) }
-
-// GetDigest is Get addressed directly by digest (the fleet-wide dedupe path
-// of the job service, which carries digests, not keys).
-func (s *Store) GetDigest(digest string) (*Entry, bool) {
+func (s *Store) Get(k Key) (*Entry, bool) {
+	digest := k.Digest()
 	path := s.objectPath(digest)
 	raw, err := os.ReadFile(path)
 	if err != nil {

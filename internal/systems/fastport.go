@@ -5,6 +5,10 @@
 // full Load/Store, which is what keeps results, counters, and probe streams
 // byte-identical. Every port is withheld while a probe is attached.
 //
+// Volatile has no fast port: the AOT engine serves it through the cheaper
+// mem.DirectPort, which it takes before asking for a fast port and which is
+// refused under the same probe condition.
+//
 // Clank deliberately has no port: it is cacheless, so every access classifies
 // against its address-monitor hardware and pays a dynamic NVM cost — there is
 // no "plain hit" to devirtualize (its fast path in hardware, non-WAR
@@ -12,26 +16,6 @@
 package systems
 
 import "nacho/internal/sim"
-
-// FastPort implements sim.FastMemory for the volatile baseline: every access
-// is an SRAM hit, so both directions are servable unconditionally. (The AOT
-// engine prefers the even cheaper mem.DirectPort when available; this port is
-// what the batched fast-path engine uses.)
-func (v *Volatile) FastPort() (sim.FastPort, bool) {
-	return sim.FastPort{
-		LoadHit: func(addr uint32, size int) (uint32, bool) {
-			v.c.CacheHits++
-			return v.space.Read(addr, size), true
-		},
-		StoreHit: func(addr uint32, size int, val uint32) bool {
-			v.c.CacheHits++
-			v.space.Write(addr, size, val)
-			return true
-		},
-		Epoch:     func() uint64 { return v.epoch },
-		HitCycles: v.cost.HitCycles,
-	}, v.probe == nil
-}
 
 // FastPort implements sim.FastMemory for the write-through baseline: read
 // hits are servable; stores always pay the NVM write (and may trigger the
@@ -48,7 +32,6 @@ func (w *WriteThrough) FastPort() (sim.FastPort, bool) {
 			w.cache.Touch(line)
 			return line.ReadData(addr, size), true
 		},
-		Epoch:     func() uint64 { return w.epoch },
 		HitCycles: w.cost.HitCycles,
 	}, w.probe == nil
 }
@@ -68,7 +51,6 @@ func (r *ReplayCache) FastPort() (sim.FastPort, bool) {
 			r.cache.Touch(line)
 			return line.ReadData(addr, size), true
 		},
-		Epoch:     func() uint64 { return r.epoch },
 		HitCycles: r.cost.HitCycles,
 	}, r.probe == nil
 }
@@ -98,7 +80,6 @@ func (p *PROWL) FastPort() (sim.FastPort, bool) {
 			line.Dirty = true
 			return true
 		},
-		Epoch:     func() uint64 { return p.epoch },
 		HitCycles: p.cost.HitCycles,
 	}, p.probe == nil
 }

@@ -36,7 +36,6 @@ type PROWL struct {
 	regs  sim.RegSource
 	c     *metrics.Counters
 	probe sim.Probe
-	epoch uint64 // sim.FastPort invalidation epoch (see fastport.go)
 }
 
 // NewPROWL builds a 2-way skewed cache of sizeBytes data capacity.
@@ -69,7 +68,6 @@ func (p *PROWL) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) {
 // AttachProbe implements sim.System. PROWL owns its line storage directly
 // (skewed 2-way, no cache.Cache), so it emits its own fill events.
 func (p *PROWL) AttachProbe(probe sim.Probe) {
-	p.epoch++
 	p.probe = probe
 	p.nvm.AttachProbe(probe)
 	p.ckpt.AttachProbe(probe)
@@ -155,7 +153,6 @@ func (p *PROWL) access(addr uint32, isRead bool, size int) (*cache.Line, bool) {
 		p.touch(line)
 		return line, true
 	}
-	p.epoch++ // replacement (and possible relocation) changes the servable hit set
 	p.c.CacheMisses++
 	line := p.victim(addr)
 	if line.Valid && line.Dirty {
@@ -214,7 +211,6 @@ func (p *PROWL) relocate(addr uint32) *cache.Line {
 }
 
 func (p *PROWL) checkpoint(forced bool) {
-	p.epoch++
 	var lines []checkpoint.Line
 	p.forEach(func(l *cache.Line) {
 		if l.Valid && l.Dirty {
@@ -259,7 +255,6 @@ func (p *PROWL) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim
 		clk:     clk,
 		regs:    regs,
 		c:       c,
-		epoch:   p.epoch,
 	}
 	for w := 0; w < 2; w++ {
 		f.ways[w] = make([]cache.Line, len(p.ways[w]))
@@ -276,14 +271,12 @@ func (p *PROWL) ForceCheckpoint() { p.checkpoint(true) }
 
 // PowerFailure implements sim.System.
 func (p *PROWL) PowerFailure() {
-	p.epoch++
 	p.forEach(func(l *cache.Line) { *l = cache.Line{} })
 	p.stamp = 0
 }
 
 // Restore implements sim.System.
 func (p *PROWL) Restore() (sim.Snapshot, bool) {
-	p.epoch++
 	return p.ckpt.Restore()
 }
 

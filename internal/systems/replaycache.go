@@ -49,7 +49,6 @@ type ReplayCache struct {
 	regs  sim.RegSource
 	c     *metrics.Counters
 	probe sim.Probe
-	epoch uint64 // sim.FastPort invalidation epoch (see fastport.go)
 }
 
 // NewReplayCache builds the system with the given cache geometry.
@@ -81,7 +80,6 @@ func (r *ReplayCache) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Count
 
 // AttachProbe implements sim.System.
 func (r *ReplayCache) AttachProbe(p sim.Probe) {
-	r.epoch++
 	r.probe = p
 	r.cache.AttachProbe(p)
 	r.nvm.AttachProbe(p)
@@ -131,7 +129,6 @@ func (r *ReplayCache) access(addr uint32, isRead bool, size int) (*cache.Line, b
 		r.cache.Touch(line)
 		return line, true
 	}
-	r.epoch++ // replacement changes the servable hit set
 	r.c.CacheMisses++
 	line := r.cache.Victim(addr)
 	if line.Valid && line.Dirty {
@@ -186,7 +183,6 @@ func (r *ReplayCache) retire(now uint64) {
 // write-back queue, the CPU waits for the queue to drain (store persistence
 // ordering), and a one-word region marker is persisted.
 func (r *ReplayCache) endRegion() {
-	r.epoch++
 	r.cache.ForEach(func(l *cache.Line) {
 		if l.Valid && l.Dirty {
 			r.enqueue(l.Addr(), l.Data)
@@ -227,7 +223,6 @@ func (r *ReplayCache) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counter
 		clk:         clk,
 		regs:        regs,
 		c:           c,
-		epoch:       r.epoch,
 	}
 }
 
@@ -244,7 +239,6 @@ func (r *ReplayCache) ForceCheckpoint() { r.endRegion() }
 // persisted using reserve energy (the clock's failure window is already
 // open, so these writes are charged but cannot recursively fail).
 func (r *ReplayCache) PowerFailure() {
-	r.epoch++
 	r.cache.ForEach(func(l *cache.Line) {
 		if l.Valid && l.Dirty {
 			r.nvm.Write(l.Addr(), 4, l.Data)
@@ -264,7 +258,6 @@ func (r *ReplayCache) PowerFailure() {
 
 // Restore implements sim.System: resume from the JIT-saved state.
 func (r *ReplayCache) Restore() (sim.Snapshot, bool) {
-	r.epoch++
 	return r.ckpt.Restore()
 }
 

@@ -21,7 +21,6 @@ type Volatile struct {
 	clk   sim.Clock
 	c     *metrics.Counters
 	probe sim.Probe
-	epoch uint64 // sim.FastPort invalidation epoch (see fastport.go)
 }
 
 // NewVolatile builds the baseline over the given memory image.
@@ -62,7 +61,7 @@ func (v *Volatile) Store(addr uint32, size int, val uint32) {
 // Fork implements sim.Forkable: the baseline's entire state is its memory
 // space, forked copy-on-write.
 func (v *Volatile) Fork(clk sim.Clock, _ sim.RegSource, c *metrics.Counters) sim.System {
-	return &Volatile{space: v.space.Fork(), cost: v.cost, clk: clk, c: c, epoch: v.epoch}
+	return &Volatile{space: v.space.Fork(), cost: v.cost, clk: clk, c: c}
 }
 
 // NotifySP implements sim.System (no stack tracking).
@@ -92,6 +91,5 @@ func (v *Volatile) DirectPort() (mem.DirectPort, bool) {
 // AttachProbe implements sim.System: the baseline owns no cache, NVM, or
 // checkpoint store — only its own access events flow.
 func (v *Volatile) AttachProbe(p sim.Probe) {
-	v.epoch++
 	v.probe = p
 }

@@ -34,7 +34,6 @@ type WriteThrough struct {
 	regs  sim.RegSource
 	c     *metrics.Counters
 	probe sim.Probe
-	epoch uint64 // sim.FastPort invalidation epoch (see fastport.go)
 }
 
 // NewWriteThrough builds the system with the given read-cache geometry.
@@ -64,7 +63,6 @@ func (w *WriteThrough) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Coun
 
 // AttachProbe implements sim.System.
 func (w *WriteThrough) AttachProbe(p sim.Probe) {
-	w.epoch++
 	w.probe = p
 	w.cache.AttachProbe(p)
 	w.nvm.AttachProbe(p)
@@ -77,7 +75,6 @@ func (w *WriteThrough) Load(addr uint32, size int) uint32 {
 	line := w.cache.Probe(addr)
 	class := sim.AccessHit
 	if line == nil {
-		w.epoch++ // replacement changes the servable hit set
 		class = sim.AccessMiss
 		w.c.CacheMisses++
 		line = w.cache.Victim(addr)
@@ -121,7 +118,6 @@ func (w *WriteThrough) Store(addr uint32, size int, val uint32) {
 }
 
 func (w *WriteThrough) checkpoint(forced bool) {
-	w.epoch++
 	w.ckpt.Checkpoint(w.regs.RegSnapshot(), nil, func() {
 		w.c.Checkpoints++
 		if forced {
@@ -148,7 +144,6 @@ func (w *WriteThrough) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counte
 		clk:     clk,
 		regs:    regs,
 		c:       c,
-		epoch:   w.epoch,
 	}
 }
 
@@ -160,14 +155,12 @@ func (w *WriteThrough) ForceCheckpoint() { w.checkpoint(true) }
 
 // PowerFailure implements sim.System: the clean cache just vanishes.
 func (w *WriteThrough) PowerFailure() {
-	w.epoch++
 	w.cache.InvalidateAll()
 	w.tracker.Reset()
 }
 
 // Restore implements sim.System.
 func (w *WriteThrough) Restore() (sim.Snapshot, bool) {
-	w.epoch++
 	return w.ckpt.Restore()
 }
 

@@ -122,3 +122,37 @@ func TestHistogramQuantileMax(t *testing.T) {
 		t.Errorf("Quantile(1) after outlier = %v, want 5000", got)
 	}
 }
+
+// TestHistogramQuantileClampedToMax: interpolation inside a finite bucket
+// assumes observations spread up to the bucket's bound, which overshoots the
+// tracked max when they do not. A quantile can never exceed the largest
+// observation.
+func TestHistogramQuantileClampedToMax(t *testing.T) {
+	cases := []struct {
+		name   string
+		bounds []uint64
+		obs    []uint64
+		q      float64
+		want   float64
+	}{
+		// Interpolating to the middle of (100,1000] gave 550.
+		{"one observation far below a wide bucket's bound, p50", []uint64{100, 1000, 10000}, []uint64{150}, 0.5, 150},
+		{"one observation far below a wide bucket's bound, p95", []uint64{100, 1000, 10000}, []uint64{150}, 0.95, 150},
+		// The harness's 1-3-10 run wall-time ladder: p95 landed at
+		// 93000 µs, above the 60362 µs max.
+		{"run wall ladder", []uint64{1000, 3000, 10000, 30000, 100000, 300000}, []uint64{19167, 60362}, 0.95, 60362},
+		// Below the max, interpolation is unchanged.
+		{"interpolation below max", []uint64{10, 100}, []uint64{5, 50}, 0.5, 10},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := NewHistogram(c.bounds)
+			for _, v := range c.obs {
+				h.Observe(v)
+			}
+			if got := h.Quantile(c.q); got != c.want {
+				t.Errorf("Quantile(%v) over %v = %v, want %v", c.q, c.obs, got, c.want)
+			}
+		})
+	}
+}

@@ -83,15 +83,17 @@ func (h *Histogram) Observe(v uint64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
+	// Max first, so a concurrent Quantile never sees a bucket count whose
+	// observation its max clamp does not yet cover.
 	for {
 		old := h.max.Load()
 		if v <= old || h.max.CompareAndSwap(old, v) {
-			return
+			break
 		}
 	}
+	h.counts[i].Add(1)
+	h.sum.Add(v)
+	h.count.Add(1)
 }
 
 // Count returns the total number of observations.
@@ -104,9 +106,12 @@ func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 func (h *Histogram) Max() uint64 { return h.max.Load() }
 
 // Quantile estimates the q-th quantile (q in [0,1]) by linear interpolation
-// within the bucket that contains it, the standard Prometheus estimation. The
-// +Inf bucket is clamped to the exact tracked maximum, so Quantile(1) — and
-// any quantile landing beyond the last finite bound — is exact rather than
+// within the bucket that contains it, the standard Prometheus estimation,
+// clamped to the exact tracked maximum: interpolation assumes observations
+// spread up to the bucket's bound, so without the clamp a lone observation
+// low in a wide bucket would report a quantile above every observation. The
+// +Inf bucket answers with the maximum outright, so Quantile(1) — and any
+// quantile landing beyond the last finite bound — is exact rather than
 // unbounded. Returns 0 when nothing has been observed.
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.Count()
@@ -130,7 +135,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			}
 			hi := float64(bound)
 			frac := (rank - float64(cum)) / float64(c)
-			return lo + (hi-lo)*frac
+			return min(lo+(hi-lo)*frac, float64(h.Max()))
 		}
 		cum += c
 	}

@@ -27,7 +27,6 @@ type StatusFunc func() any
 type Server struct {
 	ln     net.Listener
 	srv    *http.Server
-	mux    *http.ServeMux
 	done   chan struct{}
 	reg    *Registry
 	status StatusFunc
@@ -54,7 +53,6 @@ func NewServer(addr string, reg *Registry, status StatusFunc) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/", s.handleIndex)
 
-	s.mux = mux
 	s.srv = &http.Server{Handler: mux}
 	go func() {
 		defer close(s.done)
@@ -65,12 +63,6 @@ func NewServer(addr string, reg *Registry, status StatusFunc) (*Server, error) {
 
 // Addr returns the bound listen address (resolving a requested ":0" port).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Handle mounts an additional handler on the server's mux — how subsystems
-// that must not be imported from here (the campaign job service in
-// internal/jobs) attach their endpoints. ServeMux registration is internally
-// locked, so mounting while the server is live is safe.
-func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // Close gracefully shuts the server down: in-flight scrapes complete (within
 // a short drain window), then the listener closes.

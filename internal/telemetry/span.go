@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -258,18 +257,17 @@ var spanKindTidBase = [numSpanKinds]int{
 }
 
 // WriteTrace renders the recorded spans as Chrome trace-event JSON — the
-// same format as the single-run TraceEventProbe, loadable at ui.perfetto.dev
-// — with one process, per-kind track groups, and each span's hierarchy
-// (id/parent), system, engine, and numeric payload in args. Timestamps are
-// wall-clock microseconds relative to the earliest span. Spans still open
-// are closed at the latest observed timestamp so a partial campaign still
-// loads. Call it after the campaign completes.
-func (t *Tracer) WriteTrace(w io.Writer) error {
-	spans := t.Spans()
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[` + "\n"); err != nil {
-		return err
-	}
+// same format, through the same writer, as the single-run TraceEventProbe,
+// loadable at ui.perfetto.dev — with one process, per-kind track groups,
+// and each span's hierarchy (id/parent), system, engine, and numeric
+// payload in args. Timestamps are wall-clock microseconds relative to the
+// earliest span. Spans still open are closed at the latest observed
+// timestamp so a partial campaign still loads. Call it after the campaign
+// completes.
+func (t *Tracer) WriteTrace(w io.Writer) error { return writeSpanTrace(w, t.Spans()) }
+
+// writeSpanTrace renders spans as WriteTrace documents it.
+func writeSpanTrace(w io.Writer, spans []Span) error {
 	var base, last int64
 	for _, s := range spans {
 		if base == 0 || s.Start < base {
@@ -326,15 +324,7 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 		}
 	}
 
-	n := 0
-	event := func(format string, args ...any) {
-		if n > 0 {
-			bw.WriteString(",\n")
-		}
-		fmt.Fprintf(bw, format, args...)
-		n++
-	}
-	event(`{"ph":"M","pid":1,"name":"process_name","args":{"name":"nacho campaign"}}`)
+	tw := newTraceWriter(w, "nacho campaign")
 	for kind := SpanKind(0); kind < numSpanKinds; kind++ {
 		for lane := 0; lane <= maxLane[kind]; lane++ {
 			if _, ok := laneEnds[kind]; !ok {
@@ -348,8 +338,7 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 			if len(laneEnds[kind]) > 1 {
 				name = fmt.Sprintf("%s %d", kind, lane)
 			}
-			event(`{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tid, name)
-			event(`{"ph":"M","pid":1,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, tid, tid)
+			tw.thread(tid, name)
 		}
 	}
 	for i, s := range spans {
@@ -366,11 +355,8 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 		if name == "" {
 			name = s.Kind.String()
 		}
-		event(`{"ph":"X","pid":1,"tid":%d,"name":%q,"cat":%q,"ts":%.3f,"dur":%.3f,"args":{"id":%d,"parent":%d,"system":%q,"engine":%q,"n1":%d,"n2":%d,"error":%t}}`,
+		tw.event(`{"ph":"X","pid":1,"tid":%d,"name":%q,"cat":%q,"ts":%.3f,"dur":%.3f,"args":{"id":%d,"parent":%d,"system":%q,"engine":%q,"n1":%d,"n2":%d,"error":%t}}`,
 			tids[i], name, s.Kind, ts, dur, s.ID, s.Parent, s.System, s.Engine, s.N1, s.N2, s.Err)
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return tw.close()
 }

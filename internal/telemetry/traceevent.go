@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -32,9 +31,7 @@ import (
 // bounded on arbitrarily long runs. Call Finish once after the run to close
 // the tail interval, terminate the JSON, and flush.
 type TraceEventProbe struct {
-	w   *bufio.Writer
-	err error
-	n   int // events emitted so far
+	tw *traceWriter
 
 	intervalStart uint64 // start cycle of the open checkpoint interval
 
@@ -65,38 +62,19 @@ const cyclesPerMicro = 50.0
 // Finish exactly once after the run; until then the written JSON is
 // incomplete.
 func NewTraceEventProbe(w io.Writer) *TraceEventProbe {
-	t := &TraceEventProbe{w: bufio.NewWriterSize(w, 1<<16)}
-	_, t.err = t.w.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
-	t.event(`{"ph":"M","pid":1,"name":"process_name","args":{"name":"nacho simulation"}}`)
-	for _, tr := range []struct {
-		tid  int
-		name string
-	}{
-		{tidIntervals, "checkpoint intervals"},
-		{tidFlush, "checkpoint flush"},
-		{tidPower, "power"},
-		{tidWriteBack, "write-backs"},
-	} {
-		t.event(`{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tr.tid, tr.name)
-		t.event(`{"ph":"M","pid":1,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, tr.tid, tr.tid)
-	}
+	t := &TraceEventProbe{tw: newTraceWriter(w, "nacho simulation")}
+	t.tw.thread(tidIntervals, "checkpoint intervals")
+	t.tw.thread(tidFlush, "checkpoint flush")
+	t.tw.thread(tidPower, "power")
+	t.tw.thread(tidWriteBack, "write-backs")
 	return t
 }
 
-// event appends one JSON object, comma-separating after the first.
+// event appends one JSON object; events after Finish are dropped.
 func (t *TraceEventProbe) event(format string, args ...any) {
-	if t.err != nil || t.finished {
-		return
+	if !t.finished {
+		t.tw.event(format, args...)
 	}
-	if t.n > 0 {
-		t.w.WriteByte(',')
-	}
-	t.w.WriteByte('\n')
-	if _, err := fmt.Fprintf(t.w, format, args...); err != nil {
-		t.err = err
-		return
-	}
-	t.n++
 }
 
 // ts renders a cycle count as trace microseconds.
@@ -194,17 +172,11 @@ func (t *TraceEventProbe) OnNVM(e sim.NVMEvent) {
 // in the stream. Events after Finish are dropped.
 func (t *TraceEventProbe) Finish(finalCycle uint64) error {
 	if t.finished {
-		return t.err
+		return t.tw.err
 	}
 	if finalCycle > t.intervalStart {
 		t.closeInterval("end-of-run", finalCycle, `"end_of_run":true`)
 	}
 	t.finished = true
-	if t.err == nil {
-		_, t.err = t.w.WriteString("\n]}\n")
-	}
-	if err := t.w.Flush(); t.err == nil {
-		t.err = err
-	}
-	return t.err
+	return t.tw.close()
 }

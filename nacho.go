@@ -123,24 +123,17 @@ type Config struct {
 	// Telemetry, when non-nil, feeds the run's event stream into the
 	// server's live nacho_sim_* metrics (see ServeTelemetry).
 	Telemetry *TelemetryServer
-	// NoFastPath forces the emulator's per-instruction reference interpreter
-	// even on un-instrumented runs.
-	//
-	// Deprecated: set Engine to "ref" instead. Consulted only while Engine is
-	// empty or "auto".
-	NoFastPath bool
 	// Engine selects the execution engine: "auto" (or empty) picks the
 	// fastest correct engine, "ref" the per-instruction reference
-	// interpreter, "fast" the batched ALU fast path, "aot" the compiled
-	// threaded-code engine. Results are identical on every engine; the knob
-	// exists for the engine-equivalence suite, for measuring engine speedups,
-	// and for isolating engine bugs. Unknown values fail the run with a named
-	// diagnostic.
+	// interpreter, "aot" the compiled threaded-code engine. Results are
+	// identical on both engines; the knob exists for the engine-equivalence
+	// suite, for measuring engine speedups, and for isolating engine bugs.
+	// Unknown values fail the run with a named diagnostic.
 	Engine string
-	// NoFastPort makes the fast and AOT engines route every data access
-	// through the full memory-system interface instead of the system's
-	// cached-hit fast port. Results are identical either way; the knob exists
-	// for the equivalence suite and for measuring the fast port's speedup.
+	// NoFastPort makes the AOT engine route every data access through the
+	// full memory-system interface instead of the system's cached-hit fast
+	// port. Results are identical either way; the knob exists for the
+	// equivalence suite and for measuring the fast port's speedup.
 	NoFastPort bool
 }
 
@@ -175,7 +168,6 @@ func (c Config) runConfig() (harness.RunConfig, error) {
 		DirtyThreshold:   c.DirtyThreshold,
 		EnergyPrediction: c.EnergyPrediction,
 		Trace:            c.Trace,
-		NoFastPath:       c.NoFastPath,
 		NoFastPort:       c.NoFastPort,
 		Engine:           engine,
 	}

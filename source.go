@@ -101,8 +101,8 @@ func SetParallelism(n int) int { return harness.SetWorkers(n) }
 func Parallelism() int { return harness.Workers() }
 
 // SetDefaultEngine selects the execution engine experiment regeneration
-// runs on ("auto", "ref", "fast", or "aot"; see Config.Engine) and returns
-// the previous setting. Every report is byte-identical regardless of the
+// runs on ("auto", "ref", or "aot"; see Config.Engine) and returns the
+// previous setting. Every report is byte-identical regardless of the
 // engine — the equivalence suite enforces it — so this is purely a
 // performance and debugging knob. Unknown names return a descriptive error
 // and leave the setting unchanged.

@@ -2,10 +2,8 @@ package nacho
 
 import (
 	"fmt"
-	"time"
 
 	"nacho/internal/harness"
-	"nacho/internal/jobs"
 	"nacho/internal/store"
 )
 
@@ -18,8 +16,7 @@ import (
 // real execution).
 //
 // The directory is shared safely between processes (writes are atomic
-// renames), which is how `nachobench -worker` fleets return results to their
-// coordinator.
+// renames), so concurrent invocations can read and fill one store.
 type RunStore struct {
 	s    *store.Store
 	prev *store.Store
@@ -70,64 +67,4 @@ func (rs *RunStore) Close() error {
 		return fmt.Errorf("nacho: %w", err)
 	}
 	return nil
-}
-
-// JobService is the campaign job queue mounted on a TelemetryServer: POST
-// /jobs accepts an experiment matrix or fuzz campaign, worker processes
-// (`nachobench -worker <url>`) lease cells and push results through the
-// shared RunStore, and the queue dedupes fleet-wide by content digest.
-type JobService struct {
-	js *jobs.Server
-}
-
-// ServeJobs mounts the campaign job API under /jobs on this telemetry server,
-// backed by the process's active RunStore (open it first — submit- and
-// lease-time dedupe need it, and without a shared store run results cannot
-// travel back from workers).
-func (t *TelemetryServer) ServeJobs() *JobService {
-	js := jobs.NewServer(harness.ActiveStore(), 0)
-	js.RegisterMetrics(t.reg)
-	t.srv.Handle("/jobs", js)
-	t.srv.Handle("/jobs/", js)
-	return &JobService{js: js}
-}
-
-// SubmitExperiment enqueues one named experiment's full run matrix (see
-// ExperimentNames; benchmarks narrows the set, nil means the paper default)
-// and returns the job ID. Cells whose results are already in the store are
-// deduplicated immediately.
-func (s *JobService) SubmitExperiment(name string, benchmarks []string) (string, error) {
-	id, err := s.js.Submit(jobs.JobRequest{Kind: "experiment", Experiment: name, Benchmarks: benchmarks})
-	if err != nil {
-		return "", fmt.Errorf("nacho: %w", err)
-	}
-	return id, nil
-}
-
-// Wait blocks until every cell of the job is done and reports how many cells
-// workers executed and how many were served by the store without running.
-func (s *JobService) Wait(id string) (executed, deduped int, err error) {
-	for {
-		st, ok := s.js.Status(id)
-		if !ok {
-			return 0, 0, fmt.Errorf("nacho: unknown job %q", id)
-		}
-		if st.State == "done" {
-			return st.Done - st.Deduped, st.Deduped, nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// Shutdown flips the queue into drain mode: once nothing is pending or
-// leased, workers polling for leases are told to exit.
-func (s *JobService) Shutdown() { s.js.Shutdown() }
-
-// AwaitShutdown blocks until a shutdown has been requested (via Shutdown or
-// POST /jobs/shutdown) and every submitted job has drained — the serve-only
-// coordinator's exit condition.
-func (s *JobService) AwaitShutdown() {
-	for !s.js.Drained() {
-		time.Sleep(50 * time.Millisecond)
-	}
 }
