@@ -30,14 +30,18 @@ go test ./...
 # produce byte-identical results, including Fork/RunUntil mid-run state and
 # the fuzzer-generated programs, under the race detector too. The
 # snapshot/mem pass exercises the copy-on-write fork machinery (refcounted
-# pages, concurrent fork workers) under the race detector; power rides along
-# for its schedule property tests.
+# leaves and pages, concurrent fork workers) under the race detector; power
+# rides along for its schedule property tests. Campaign workers fork each
+# image's frozen space concurrently, so the fuzzer runs here too, with the
+# tracker and verifier packages whose interval state shares the page-table
+# layout.
 go test -race ./internal/harness/... ./internal/core/ ./internal/systems/
 go test -race ./internal/snapshot/ ./internal/mem/ ./internal/power/
+go test -race ./internal/fuzzer/ ./internal/verify/ ./internal/track/
 
 # Benchmark smoke: the probe hot paths must at least run. One iteration is
 # enough to catch a broken benchmark; timing regressions are judged manually.
-go test -bench=. -benchtime=1x ./internal/cache/ ./internal/track/ ./internal/telemetry/
+go test -bench=. -benchtime=1x ./internal/cache/ ./internal/track/ ./internal/telemetry/ ./internal/mem/
 
 # Emulator-throughput smoke: one timed pass of the ALU-kernel benchmark
 # (default engine = AOT) and one of the memory-bound AOT benchmark,
@@ -48,10 +52,12 @@ go test -run xxx -bench 'BenchmarkEmulatorThroughputALU$|BenchmarkEmulatorThroug
 # Cached-system fast-path smoke: the memory-bound suite under NACHO with a
 # 1 ms periodic power schedule, sim-MIPS in the CI log (reference numbers in
 # BENCH_emu.json §cachedpath). The hit path itself must stay allocation-free:
-# the ZeroAlloc gates pin AllocsPerRun == 0 for FastPort LoadHit/StoreHit and
-# cache Probe/Touch (run without -race — the race allocator breaks the pin).
+# the ZeroAlloc gates pin AllocsPerRun == 0 for FastPort LoadHit/StoreHit,
+# cache Probe/Touch, the page table's word Read/Write and never-written Read,
+# the tracker's Observe/Reset and the verifier's OnAccess/IntervalBoundary
+# (run without -race — the race allocator breaks the pin).
 go test -run xxx -bench 'BenchmarkEmulatorThroughputNACHOIntermittent$' -benchtime 1x . | grep -E 'sim-MIPS|^Benchmark'
-go test -run 'ZeroAlloc' ./internal/core/ ./internal/cache/
+go test -run 'ZeroAlloc' ./internal/core/ ./internal/cache/ ./internal/mem/ ./internal/track/ ./internal/verify/
 
 # Telemetry end-to-end: serve, sweep, scrape mid-flight, validate every
 # exposition line, then check the Perfetto export loads as trace-event JSON.

@@ -200,7 +200,7 @@ func TestTornCheckpointFallsBackByteForByte(t *testing.T) {
 		st.Init(boot)
 		nvm.WriteRaw(homeAddr, 4, oldVal)
 		nvm.WriteRaw(homeAddr+4, 4, 0xB01D)
-		pre := nvm.Space().Clone()
+		pre := nvm.Space().Fork()
 
 		committed := false
 		func() {

@@ -46,9 +46,8 @@ import (
 // copy of Machine.Advance's failure check against a hoisted nextFailure
 // (legal because nextFailure and failEnabled only change in New/Fork/reboot
 // or transiently inside external calls, never between the inline
-// instructions of one dispatch loop), then a raw access through a loop-local
-// page cache (aotPages), so a same-page hit is a handful of inline byte
-// moves with no function call at all.
+// instructions of one dispatch loop), then one raw Space access: a single
+// page-table lookup, with no system dispatch and no clock call.
 
 // aotMaxWidth is the widest superinstruction in the IR: a fused op retires
 // up to this many architectural instructions (and charges this many base
@@ -204,100 +203,6 @@ func alignErr(pc, addr uint32, size int) error {
 	return fmt.Errorf("emu: pc 0x%08x: %w", pc, &mem.AlignmentError{Addr: addr, Size: size})
 }
 
-// noPage is an impossible page key (keys are addr>>PageBits, PageBits > 0):
-// the empty state of aotPages' cache entries. Cleared entries use it so the
-// zero page (key 0) can never match a stale slot.
-const noPage = ^uint32(0)
-
-// aotPageSlots sizes the direct-mapped page cache below. Power of two;
-// eight slots keep working sets that stride across a handful of pages
-// (adjacency matrices, decode tables) hitting without growing the
-// per-access index math.
-const aotPageSlots = 8
-
-// aotPages is the dispatch loop's own direct-mapped page cache over the
-// direct port's space: a cached access is a shift, a masked index, a
-// compare, and a few byte moves, all inline in execAOT (the Space-level
-// lookup cannot inline — its miss-path call alone busts the inliner
-// budget, which is also why the miss fills here are marked noinline: they
-// must not be costed into the hit path). Cached pointers are dropped after
-// every external call, because code behind the sim.System interface may
-// write the space and so copy-on-write pages out from under the cache; the
-// write-miss fill re-syncs the matching read slot for the same reason.
-type aotPages struct {
-	space *mem.Space
-	r     [aotPageSlots]aotPageEnt
-	w     [aotPageSlots]aotPageEnt
-}
-
-// aotPageEnt is one cache slot: a page key (addr >> PageBits; noPage when
-// empty) and that page's storage.
-type aotPageEnt struct {
-	key uint32
-	pg  *mem.PageData
-}
-
-// drop empties the cache; required at init (the zero value's keys would
-// alias page 0) and after any call that may have written or forked the
-// space.
-func (p *aotPages) drop() {
-	for i := range p.r {
-		p.r[i].key, p.w[i].key = noPage, noPage
-	}
-}
-
-// read returns the storage of the page holding addr for reading, or nil on
-// a cache miss — the caller then fills with readMiss. The miss call is kept
-// out of this function so the hit path fits the inliner budget; pairing the
-// two is the call sites' job (always the two-line pattern
-// `d := pages.read(addr); if d == nil { d = pages.readMiss(addr) }`).
-func (p *aotPages) read(addr uint32) *mem.PageData {
-	k := addr >> mem.PageBits
-	e := &p.r[k&(aotPageSlots-1)]
-	if e.key == k {
-		return e.pg
-	}
-	return nil
-}
-
-// readMiss fills the slot for addr's page and returns its storage.
-//
-//go:noinline
-func (p *aotPages) readMiss(addr uint32) *mem.PageData {
-	k := addr >> mem.PageBits
-	pg := p.space.ReadPage(addr)
-	p.r[k&(aotPageSlots-1)] = aotPageEnt{key: k, pg: pg}
-	return pg
-}
-
-// write returns exclusively owned storage of the page holding addr, or nil
-// on a cache miss — the caller then fills with writeMiss (same split as
-// read/readMiss).
-func (p *aotPages) write(addr uint32) *mem.PageData {
-	k := addr >> mem.PageBits
-	e := &p.w[k&(aotPageSlots-1)]
-	if e.key == k {
-		return e.pg
-	}
-	return nil
-}
-
-// writeMiss fills the slot for addr's page and returns its storage.
-//
-//go:noinline
-func (p *aotPages) writeMiss(addr uint32) *mem.PageData {
-	k := addr >> mem.PageBits
-	s := k & (aotPageSlots - 1)
-	pg := p.space.WritePage(addr)
-	p.w[s] = aotPageEnt{key: k, pg: pg}
-	if p.r[s].key == k {
-		// The copy-on-write inside WritePage may have replaced the page the
-		// read slot cached.
-		p.r[s].pg = pg
-	}
-	return pg
-}
-
 // execAOT is the inline dispatch loop. Entry contract: m.cycle < cycleGuard
 // and m.c.Instructions < instrGuard (so at least one instruction executes),
 // no probe is attached, and m.pc is the next instruction to execute. The
@@ -328,8 +233,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 	if m.failEnabled {
 		nf = m.nextFailure
 	}
-	pages := aotPages{space: port.Space}
-	pages.drop()
 	hitCyc := port.HitCycles
 	// Fast-port hoists (nil funcs when the system offers no port, or the
 	// direct port took precedence). A served hit charges fHitCyc locally —
@@ -458,7 +361,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 			}
 			m.sys.NotifySP(v)
 			cyc, ins = m.cycle, m.c.Instructions
-			pages.drop()
 			idx++
 			pc += 4
 			if m.stackFault {
@@ -626,12 +528,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 3
-				regs[op.Rd] = uint32(d[o]) | uint32(d[o+1])<<8 | uint32(d[o+2])<<16 | uint32(d[o+3])<<24
+				regs[op.Rd] = port.Space.Read(addr, 4)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -645,7 +542,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					regs[op.Rd] = m.aotLoad(addr, 4)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			idx++
@@ -669,12 +565,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 1
-				v = uint32(d[o]) | uint32(d[o+1])<<8
+				v = port.Space.Read(addr, 2)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -686,7 +577,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					v = m.aotLoad(addr, 2)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			regs[op.Rd] = uint32(int32(v<<16) >> 16)
@@ -707,11 +597,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				v = uint32(d[addr&mem.PageMask])
+				v = port.Space.Read(addr, 1)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -723,7 +609,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					v = m.aotLoad(addr, 1)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			regs[op.Rd] = uint32(int32(v<<24) >> 24)
@@ -747,12 +632,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 1
-				regs[op.Rd] = uint32(d[o]) | uint32(d[o+1])<<8
+				regs[op.Rd] = port.Space.Read(addr, 2)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -766,7 +646,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					regs[op.Rd] = m.aotLoad(addr, 2)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			idx++
@@ -785,11 +664,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				regs[op.Rd] = uint32(d[addr&mem.PageMask])
+				regs[op.Rd] = port.Space.Read(addr, 1)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -803,7 +678,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					regs[op.Rd] = m.aotLoad(addr, 1)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			idx++
@@ -826,13 +700,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.write(addr)
-				if d == nil {
-					d = pages.writeMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 3
-				v := regs[op.Rs2]
-				d[o], d[o+1], d[o+2], d[o+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+				port.Space.Write(addr, 4, regs[op.Rs2])
 			} else {
 				served := false
 				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -844,7 +712,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					m.aotStore(addr, 4, regs[op.Rs2])
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 					if m.halted {
 						m.pc = pc + 4
 						return nil
@@ -871,13 +738,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.write(addr)
-				if d == nil {
-					d = pages.writeMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 1
-				v := regs[op.Rs2]
-				d[o], d[o+1] = byte(v), byte(v>>8)
+				port.Space.Write(addr, 2, regs[op.Rs2])
 			} else {
 				served := false
 				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -889,7 +750,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					m.aotStore(addr, 2, regs[op.Rs2])
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 					if m.halted {
 						m.pc = pc + 4
 						return nil
@@ -912,11 +772,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.write(addr)
-				if d == nil {
-					d = pages.writeMiss(addr)
-				}
-				d[addr&mem.PageMask] = byte(regs[op.Rs2])
+				port.Space.Write(addr, 1, regs[op.Rs2])
 			} else {
 				served := false
 				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -928,7 +784,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					m.aotStore(addr, 1, regs[op.Rs2])
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 					if m.halted {
 						m.pc = pc + 4
 						return nil
@@ -964,12 +819,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 3
-				regs[op.Rd] = uint32(d[o]) | uint32(d[o+1])<<8 | uint32(d[o+2])<<16 | uint32(d[o+3])<<24
+				regs[op.Rd] = port.Space.Read(addr, 4)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -983,7 +833,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					regs[op.Rd] = m.aotLoad(addr, 4)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			idx += 2
@@ -1009,12 +858,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 1
-				v = uint32(d[o]) | uint32(d[o+1])<<8
+				v = port.Space.Read(addr, 2)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -1026,7 +870,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					v = m.aotLoad(addr, 2)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			regs[op.Rd] = uint32(int32(v<<16) >> 16)
@@ -1049,11 +892,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				v = uint32(d[addr&mem.PageMask])
+				v = port.Space.Read(addr, 1)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -1065,7 +904,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					v = m.aotLoad(addr, 1)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			regs[op.Rd] = uint32(int32(v<<24) >> 24)
@@ -1091,12 +929,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 1
-				regs[op.Rd] = uint32(d[o]) | uint32(d[o+1])<<8
+				regs[op.Rd] = port.Space.Read(addr, 2)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -1110,7 +943,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					regs[op.Rd] = m.aotLoad(addr, 2)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			idx += 2
@@ -1131,11 +963,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.read(addr)
-				if d == nil {
-					d = pages.readMiss(addr)
-				}
-				regs[op.Rd] = uint32(d[addr&mem.PageMask])
+				regs[op.Rd] = port.Space.Read(addr, 1)
 			} else {
 				served := false
 				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -1149,7 +977,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					regs[op.Rd] = m.aotLoad(addr, 1)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 				}
 			}
 			idx += 2
@@ -1175,12 +1002,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.write(addr)
-				if d == nil {
-					d = pages.writeMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 3
-				d[o], d[o+1], d[o+2], d[o+3] = byte(val), byte(val>>8), byte(val>>16), byte(val>>24)
+				port.Space.Write(addr, 4, val)
 			} else {
 				served := false
 				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -1192,7 +1014,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					m.aotStore(addr, 4, val)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 					if m.halted {
 						m.pc = pc + 8
 						return nil
@@ -1222,12 +1043,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.write(addr)
-				if d == nil {
-					d = pages.writeMiss(addr)
-				}
-				o := addr & mem.PageMask &^ 1
-				d[o], d[o+1] = byte(val), byte(val>>8)
+				port.Space.Write(addr, 2, val)
 			} else {
 				served := false
 				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -1239,7 +1055,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					m.aotStore(addr, 2, val)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 					if m.halted {
 						m.pc = pc + 8
 						return nil
@@ -1265,11 +1080,7 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = nf, ins
 					panic(sim.PowerFail{})
 				}
-				d := pages.write(addr)
-				if d == nil {
-					d = pages.writeMiss(addr)
-				}
-				d[addr&mem.PageMask] = byte(val)
+				port.Space.Write(addr, 1, val)
 			} else {
 				served := false
 				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
@@ -1281,7 +1092,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 					m.cycle, m.c.Instructions = cyc, ins
 					m.aotStore(addr, 1, val)
 					cyc, ins = m.cycle, m.c.Instructions
-					pages.drop()
 					if m.halted {
 						m.pc = pc + 8
 						return nil
@@ -1401,7 +1211,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 				return err
 			}
 			cyc, ins = m.cycle, m.c.Instructions
-			pages.drop()
 			if m.halted {
 				return nil
 			}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"nacho/internal/emu"
+	"nacho/internal/mem"
 	"nacho/internal/systems"
 )
 
@@ -296,5 +298,45 @@ func TestLoadArtifactRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadArtifact(vers); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("LoadArtifact on wrong version: %v", err)
+	}
+}
+
+// TestDiffAgainstGoldenNVMDetail pins the final-NVM comparison: it reports
+// the first differing byte, with the same detail string, wherever that byte
+// falls in a segment, including in a page the run never wrote.
+func TestDiffAgainstGoldenNVMDetail(t *testing.T) {
+	golden := make([]byte, 3000)
+	for i := range golden {
+		golden[i] = byte(i*7 + 1)
+	}
+	g := &goldenRun{data: []segBytes{{addr: 0x2_0000, bytes: golden}}}
+	for _, c := range []struct {
+		name string
+		off  int // first byte the run got wrong; -1 for none
+		want string
+	}{
+		{"match", -1, ""},
+		{"first byte", 0, "NVM byte 0x00020000 = 0xfe, golden 0x01"},
+		{"later page", 2100, "NVM byte 0x00020834 = 0x92, golden 0x6d"},
+	} {
+		s := mem.NewSpace()
+		s.LoadBytes(0x2_0000, golden)
+		if c.off >= 0 { // this byte and the next differ
+			for _, o := range []int{c.off, c.off + 1} {
+				s.Write(0x2_0000+uint32(o), 1, uint32(golden[o]^0xFF))
+			}
+		}
+		fc := diffAgainstGolden(emu.Result{}, nil, s, g, 0)
+		switch {
+		case c.want == "" && fc != nil:
+			t.Errorf("%s: unexpected finding %q", c.name, fc.detail)
+		case c.want != "" && (fc == nil || fc.kind != FindingNVM || fc.detail != c.want):
+			t.Errorf("%s: finding %+v, want %s %q", c.name, fc, FindingNVM, c.want)
+		}
+	}
+	// A segment over memory nothing wrote reads as zeros.
+	empty := &goldenRun{data: []segBytes{{addr: 0x5_0000, bytes: []byte{0, 0, 9}}}}
+	if fc := diffAgainstGolden(emu.Result{}, nil, mem.NewSpace(), empty, 0); fc == nil || fc.detail != "NVM byte 0x00050002 = 0x00, golden 0x09" {
+		t.Errorf("unwritten memory: finding %+v", fc)
 	}
 }

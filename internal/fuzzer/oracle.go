@@ -8,7 +8,6 @@ import (
 
 	"nacho/internal/emu"
 	"nacho/internal/harness"
-	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/sim"
@@ -152,16 +151,6 @@ func baseConfig(cfg Config) harness.RunConfig {
 	}
 }
 
-// imageSpace reconstructs the initial memory image, the starting point for
-// the verifier's shadow.
-func imageSpace(img *program.Image) *mem.Space {
-	s := mem.NewSpace()
-	for _, seg := range img.Segments {
-		s.LoadBytes(seg.Addr, seg.Data)
-	}
-	return s
-}
-
 // finalSegments reads the post-run bytes of every non-text segment out of
 // the system's memory. Only data segments are compared: the checkpoint area
 // and stack region legitimately differ between recovery models.
@@ -172,9 +161,7 @@ func finalSegments(img *program.Image, m sim.MemReaderWriter) []segBytes {
 			continue
 		}
 		b := make([]byte, len(seg.Data))
-		for i := range b {
-			b[i] = byte(m.ReadRaw(seg.Addr+uint32(i), 1))
-		}
+		m.ReadBytes(seg.Addr, b)
 		out = append(out, segBytes{addr: seg.Addr, bytes: b})
 	}
 	return out
@@ -204,7 +191,11 @@ func checkOne(img *program.Image, g *goldenRun, kind systems.Kind, sched power.S
 	rc := baseConfig(cfg)
 	rc.Schedule = sched
 	rc.MaxCycles = budget
-	ver := verify.New(imageSpace(img), systems.VerifyConfigFor(kind))
+	frozen, err := img.FrozenSpace()
+	if err != nil {
+		return &findingCore{FindingRunError, err.Error()}, 0
+	}
+	ver := verify.New(frozen, systems.VerifyConfigFor(kind))
 	rc.Probe = ver
 
 	res, sys, err := harness.RunImageSys(img, kind, rc, false)
@@ -246,10 +237,9 @@ func diffAgainstGolden(res emu.Result, err error, m sim.MemReaderWriter, g *gold
 		return &findingCore{FindingResult, regDiff(res.FinalRegs, g.res.FinalRegs)}
 	}
 	for _, seg := range g.data {
-		for i, want := range seg.bytes {
-			if got := byte(m.ReadRaw(seg.addr+uint32(i), 1)); got != want {
-				return &findingCore{FindingNVM, fmt.Sprintf("NVM byte 0x%08x = 0x%02x, golden 0x%02x", seg.addr+uint32(i), got, want)}
-			}
+		if i := m.FirstDiff(seg.addr, seg.bytes); i >= 0 {
+			a := seg.addr + uint32(i)
+			return &findingCore{FindingNVM, fmt.Sprintf("NVM byte 0x%08x = 0x%02x, golden 0x%02x", a, m.ReadRaw(a, 1), seg.bytes[i])}
 		}
 	}
 	return nil

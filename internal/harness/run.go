@@ -121,7 +121,7 @@ func RunImageSys(img *program.Image, kind systems.Kind, cfg RunConfig, checkGold
 		cfg.Cost = mem.DefaultCostModel()
 	}
 
-	space, err := buildSpace(img)
+	frozen, err := img.FrozenSpace()
 	if err != nil {
 		return emu.Result{}, nil, err
 	}
@@ -131,7 +131,7 @@ func RunImageSys(img *program.Image, kind systems.Kind, cfg RunConfig, checkGold
 	// no-instrumentation fast path emission-free (a nil probe everywhere).
 	var ver *verify.Verifier
 	if cfg.Verify {
-		ver = verify.New(space, systems.VerifyConfigFor(kind))
+		ver = verify.New(frozen, systems.VerifyConfigFor(kind))
 	}
 	var rec *trace.Recorder
 	if cfg.Trace != nil {
@@ -147,7 +147,7 @@ func RunImageSys(img *program.Image, kind systems.Kind, cfg RunConfig, checkGold
 	observers = append(observers, cfg.Probe)
 	probe := sim.Combine(observers...)
 
-	machine, sys, err := newMachineOn(space, img, kind, cfg, probe)
+	machine, sys, err := newMachineOn(frozen.Fork(), img, kind, cfg, probe)
 	if err != nil {
 		return emu.Result{}, nil, err
 	}
@@ -187,25 +187,6 @@ func RunImageSys(img *program.Image, kind systems.Kind, cfg RunConfig, checkGold
 	tr.End(span, res.Counters.Cycles, res.Counters.Instructions, err != nil)
 	appendLedger(name, kind, cfg, engine, res, err, wallMicros, outcomeExecuted)
 	return res, sys, err
-}
-
-// buildSpace loads an image's segments into a fresh address space, checking
-// them against the program memory map.
-func buildSpace(img *program.Image) (*mem.Space, error) {
-	space := mem.NewSpace()
-	for _, seg := range img.Segments {
-		end := seg.Addr + uint32(len(seg.Data))
-		// The image must stay clear of the stack guard band and the
-		// checkpoint area (see program's memory map).
-		if seg.Addr < program.StackTop && end > program.StackTop-0x8000 {
-			return nil, fmt.Errorf("%s: segment [%#x,%#x) overlaps the stack region", img.Program.Name, seg.Addr, end)
-		}
-		if end > program.CheckpointBase && seg.Addr < program.CheckpointBase+0x10000 {
-			return nil, fmt.Errorf("%s: segment [%#x,%#x) overlaps the checkpoint area", img.Program.Name, seg.Addr, end)
-		}
-		space.LoadBytes(seg.Addr, seg.Data)
-	}
-	return space, nil
 }
 
 // newMachineOn assembles the memory system and emulator over an
@@ -251,9 +232,9 @@ func BuildMachine(img *program.Image, kind systems.Kind, cfg RunConfig) (*emu.Ma
 	if cfg.Cost == (mem.CostModel{}) {
 		cfg.Cost = mem.DefaultCostModel()
 	}
-	space, err := buildSpace(img)
+	frozen, err := img.FrozenSpace()
 	if err != nil {
 		return nil, nil, err
 	}
-	return newMachineOn(space, img, kind, cfg, cfg.Probe)
+	return newMachineOn(frozen.Fork(), img, kind, cfg, cfg.Probe)
 }

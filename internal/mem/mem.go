@@ -4,6 +4,8 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -31,242 +33,266 @@ func (m CostModel) CyclesForMillis(ms float64) uint64 {
 	return uint64(ms * float64(m.ClockHz) / 1000)
 }
 
-const pageBits = 12 // 4 KiB pages
-const pageSize = 1 << pageBits
+// The page table. A Space maps every 32-bit address through two levels: a
+// root slice of leaves, each leaf covering 1<<leafBits pages (64 KiB). The
+// root grows only as far as the highest leaf written, so the program memory
+// map (everything below 1 MiB) keeps it to 16 entries, and Fork, which
+// copies the root, costs what is in use rather than the address range. A
+// space written in its top page carries the full 64 Ki-entry root.
+const (
+	pageBits  = 10 // 1 KiB pages, the unit a fork copies on first write (BENCH_mem.json §page_size)
+	pageSize  = 1 << pageBits
+	pageMask  = pageSize - 1
+	leafBits  = 6 // 64 pages per leaf: a 512 B leaf copy on first write
+	leafSize  = 1 << leafBits
+	rootShift = pageBits + leafBits
+)
 
-// page is one refcounted 4 KiB block. refs counts how many Spaces reference
-// the block; a Space may write a page in place only while it is the sole
-// owner (refs == 1) and must copy-on-write otherwise. The count is atomic
-// because forked Spaces run on separate goroutines: their only shared state
-// is pages with refs > 1, which are immutable until the release/acquire pair
-// of the copier's refs.Add(-1) and the next writer's refs.Load() hands
-// exclusive ownership over.
+// zeroPage stands in for every page no write has reached. It is never
+// written.
+var zeroPage [pageSize]byte
+
+// page is one refcounted block of memory. refs counts the leaves that
+// reference it; a leaf may write the page in place only while refs == 1
+// and must copy it otherwise. The count is atomic because forked Spaces run
+// on separate goroutines: their only shared state is pages and leaves with
+// refs > 1, which are immutable until the release/acquire pair of the
+// copier's refs.Add(-1) and the next writer's refs.Load() hands exclusive
+// ownership over.
 type page struct {
 	refs atomic.Int32
 	data [pageSize]byte
 }
 
-func newPage() *page {
-	p := new(page)
-	p.refs.Store(1)
-	return p
+// leaf is one refcounted block of page pointers, shared between Spaces on
+// the same terms as a page: refs counts the Spaces whose root holds it.
+type leaf struct {
+	refs  atomic.Int32
+	pages [leafSize]*page
+}
+
+// bytes returns the page's storage, or the zero page for a nil page.
+func (p *page) bytes() *[pageSize]byte {
+	if p == nil {
+		return &zeroPage
+	}
+	return &p.data
+}
+
+// at returns the leaf's j-th page; a nil leaf holds no pages.
+func (l *leaf) at(j uint32) *page {
+	if l == nil {
+		return nil
+	}
+	return l.pages[j]
 }
 
 // Space is a sparse 32-bit byte-addressable memory. The zero value is an
-// empty space; pages materialize zero-filled on first touch. Fork creates
-// copy-on-write descendants that share page storage until written.
+// empty space; reading memory that was never written yields zeros. Fork
+// creates copy-on-write descendants that share leaves and pages until
+// written.
 type Space struct {
-	pages map[uint32]*page
-
-	// One-entry page caches for the aligned unit accessors (LoadWord and
-	// friends): emulated data accesses are overwhelmingly same-page, so one
-	// key compare replaces the map lookup on the hot path. rPg is valid for
-	// reading whenever non-nil; wPg additionally implies exclusive ownership
-	// (refs == 1), so Fork must clear it. The per-byte ByteAt/SetByte path
-	// deliberately bypasses the caches — it is the reference substrate —
-	// but its copy-on-write must refresh any cached pointer it replaces
-	// (see writablePage).
-	rKey uint32
-	rPg  *page
-	wKey uint32
-	wPg  *page
+	root []*leaf // indexed by addr >> rootShift
 }
 
 // NewSpace returns an empty memory space.
-func NewSpace() *Space { return &Space{pages: make(map[uint32]*page)} }
+func NewSpace() *Space { return &Space{} }
 
-// readPage returns the page holding addr for reading, materializing a
-// zero-filled page on first touch.
-func (s *Space) readPage(addr uint32) *page {
-	key := addr >> pageBits
-	p, ok := s.pages[key]
-	if !ok {
-		p = newPage()
-		s.pages[key] = p
+// leafAt returns the i-th leaf of the root, nil past its end.
+func (s *Space) leafAt(i uint32) *leaf {
+	if i < uint32(len(s.root)) {
+		return s.root[i]
 	}
-	return p
+	return nil
 }
 
-// writablePage returns an exclusively owned page holding addr, copying a
-// shared one first. The copy completes before the shared page's refcount is
-// released, so a sibling that subsequently observes refs == 1 may write the
-// original in place without racing the copy.
-func (s *Space) writablePage(addr uint32) *page {
-	key := addr >> pageBits
-	p, ok := s.pages[key]
-	if !ok {
-		p = newPage()
-		s.pages[key] = p
-		return p
+// page returns the page holding addr, or nil when no write has reached it.
+func (s *Space) page(addr uint32) *page {
+	return s.leafAt(addr >> rootShift).at(addr >> pageBits & (leafSize - 1))
+}
+
+// writable returns an exclusively owned page holding addr, materializing or
+// copying its leaf and then the page itself. Each copy completes before the
+// shared original's refcount is released, so a sibling that subsequently
+// observes refs == 1 may write the original in place without racing the
+// copy.
+func (s *Space) writable(addr uint32) *page {
+	i := addr >> rootShift
+	if i >= uint32(len(s.root)) {
+		s.root = append(s.root, make([]*leaf, int(i)+1-len(s.root))...)
 	}
-	if p.refs.Load() > 1 {
-		np := newPage()
+	l := s.root[i]
+	switch {
+	case l == nil:
+		l = new(leaf)
+		l.refs.Store(1)
+		s.root[i] = l
+	case l.refs.Load() > 1:
+		nl := new(leaf)
+		nl.refs.Store(1)
+		for j, p := range l.pages {
+			if p != nil {
+				p.refs.Add(1)
+				nl.pages[j] = p
+			}
+		}
+		l.refs.Add(-1)
+		s.root[i] = nl
+		l = nl
+	}
+	j := addr >> pageBits & (leafSize - 1)
+	p := l.pages[j]
+	switch {
+	case p == nil:
+		p = new(page)
+		p.refs.Store(1)
+		l.pages[j] = p
+	case p.refs.Load() > 1:
+		np := new(page)
+		np.refs.Store(1)
 		np.data = p.data
 		p.refs.Add(-1)
-		s.pages[key] = np
-		// The mapping changed: any unit-accessor cache entry for this page
-		// must follow it, or subsequent cached reads would observe the old
-		// page after the fork that still references it starts writing.
-		if s.rPg != nil && s.rKey == key {
-			s.rPg = np
-		}
-		if s.wPg != nil && s.wKey == key {
-			s.wPg = np
-		}
-		return np
+		l.pages[j] = np
+		p = np
 	}
 	return p
 }
 
-// pageR returns the page holding addr for reading through the one-entry
-// read cache (the unit-accessor fast path).
-func (s *Space) pageR(addr uint32) *page {
-	key := addr >> pageBits
-	if p := s.rPg; p != nil && s.rKey == key {
-		return p
-	}
-	p := s.readPage(addr)
-	s.rKey, s.rPg = key, p
-	return p
-}
-
-// pageW returns an exclusively owned page holding addr through the one-entry
-// write cache. A hit must re-check the refcount: a Fork since the last miss
-// shares the cached page, and writing it in place would leak into the fork.
-// (Fork itself must stay read-only on the parent — sibling forks are taken
-// concurrently — so the staleness check lives here, on the owner's side.)
-func (s *Space) pageW(addr uint32) *page {
-	key := addr >> pageBits
-	if p := s.wPg; p != nil && s.wKey == key && p.refs.Load() == 1 {
-		return p
-	}
-	p := s.writablePage(addr)
-	s.wKey, s.wPg = key, p
-	if s.rKey == key {
-		s.rPg = p
-	}
-	return p
-}
-
-// Fork returns a copy-on-write descendant sharing every current page with
-// the parent. Either side's next write to a shared page copies it first, so
-// the two spaces diverge independently; an abandoned fork needs no explicit
-// release (unreferenced pages are garbage-collected, and the surviving side
-// simply pays one copy for pages whose count never dropped back to 1).
+// Fork returns a copy-on-write descendant sharing every current leaf (and
+// so every page) with the parent. Either side's next write to a shared leaf
+// or page copies it first, so the two spaces diverge independently; an
+// abandoned fork needs no explicit release (unreferenced pages are
+// garbage-collected, and the surviving side simply pays one copy for blocks
+// whose count never dropped back to 1). Fork writes nothing of the parent
+// but the atomic refcounts, so many goroutines may fork one quiescent
+// parent at once.
 func (s *Space) Fork() *Space {
-	// Fork must not write the parent (beyond the atomic refcounts): the
-	// snapshot explorer forks one frozen parent from many workers at once.
-	// The parent's write cache goes stale here — every page becomes shared —
-	// but pageW re-checks the refcount on hit, and the read cache stays
-	// valid because shared pages are immutable until writablePage hands
-	// ownership back (refreshing both caches).
-	f := &Space{pages: make(map[uint32]*page, len(s.pages))}
-	for k, p := range s.pages {
-		p.refs.Add(1)
-		f.pages[k] = p
+	root := make([]*leaf, len(s.root))
+	for i, l := range s.root {
+		if l != nil {
+			l.refs.Add(1)
+			root[i] = l
+		}
 	}
-	return f
-}
-
-// ByteAt returns the byte at addr.
-func (s *Space) ByteAt(addr uint32) byte {
-	return s.readPage(addr).data[addr&(pageSize-1)]
-}
-
-// SetByte sets the byte at addr.
-func (s *Space) SetByte(addr uint32, v byte) {
-	s.writablePage(addr).data[addr&(pageSize-1)] = v
+	return &Space{root: root}
 }
 
 // Read returns size bytes (1, 2 or 4) at addr, little-endian, zero-extended.
-// Accesses must be naturally aligned; crossing a page boundary is therefore
-// impossible for aligned accesses but handled correctly anyway.
+// An access inside one page is one table lookup; one that crosses a page
+// boundary (only a misaligned one can) is assembled byte by byte.
 func (s *Space) Read(addr uint32, size int) uint32 {
+	o := addr & pageMask
+	if int(o)+size <= pageSize {
+		d := s.page(addr).bytes()
+		switch size {
+		case 4:
+			return binary.LittleEndian.Uint32(d[o:])
+		case 2:
+			return uint32(binary.LittleEndian.Uint16(d[o:]))
+		case 1:
+			return uint32(d[o])
+		}
+	}
 	var v uint32
 	for i := 0; i < size; i++ {
-		v |= uint32(s.ByteAt(addr+uint32(i))) << (8 * i)
+		a := addr + uint32(i)
+		v |= uint32(s.page(a).bytes()[a&pageMask]) << (8 * i)
 	}
 	return v
 }
 
 // Write stores the low size bytes (1, 2 or 4) of val at addr, little-endian.
 func (s *Space) Write(addr uint32, size int, val uint32) {
+	o := addr & pageMask
+	if int(o)+size <= pageSize {
+		switch size {
+		case 4:
+			binary.LittleEndian.PutUint32(s.writable(addr).data[o:], val)
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(s.writable(addr).data[o:], uint16(val))
+			return
+		case 1:
+			s.writable(addr).data[o] = byte(val)
+			return
+		}
+	}
 	for i := 0; i < size; i++ {
-		s.SetByte(addr+uint32(i), byte(val>>(8*i)))
+		a := addr + uint32(i)
+		s.writable(a).data[a&pageMask] = byte(val >> (8 * i))
 	}
 }
 
-// The page-exposure API below is the direct-port fast path: the AOT
-// interpreter fetches a page's raw storage once through the cached
-// pageR/pageW lookup and then reads and writes it directly, with no call per
-// access (the Space-level accessors cannot inline — the miss-path call alone
-// busts the inliner budget — so the interpreter keeps its own one-entry
-// cache in loop-local state instead).
-
-// PageBits is the page-size exponent (pages are 1<<PageBits bytes); PageMask
-// masks an address down to its in-page offset.
-const (
-	PageBits = pageBits
-	PageMask = pageSize - 1
-)
-
-// PageData is the raw backing storage of one page, in address order.
-type PageData = [pageSize]byte
-
-// ReadPage returns the storage of the page holding addr for reading,
-// materializing a zero-filled page on first touch. The pointer is
-// invalidated by the next copy-on-write of the page (any write through a
-// forked sibling or through WritePage after a Fork): callers caching it must
-// drop the cache whenever code they do not control may write or fork the
-// space.
-func (s *Space) ReadPage(addr uint32) *PageData { return &s.pageR(addr).data }
-
-// WritePage returns exclusively owned storage of the page holding addr,
-// copying a shared page first. Writing through the pointer is sound under
-// the same regime as Space.Write until the next Fork; the caching caveat of
-// ReadPage applies, and a cached ReadPage pointer to the same page must be
-// re-fetched after WritePage (the copy-on-write may have replaced the
-// storage).
-func (s *Space) WritePage(addr uint32) *PageData { return &s.pageW(addr).data }
-
-// LoadBytes copies data into the space starting at addr (program loading).
+// LoadBytes copies data into the space starting at addr, a page at a time
+// (program loading). Past the top page the address wraps to 0.
 func (s *Space) LoadBytes(addr uint32, data []byte) {
-	for i, b := range data {
-		s.SetByte(addr+uint32(i), b)
+	for len(data) > 0 {
+		n := copy(s.writable(addr).data[addr&pageMask:], data)
+		data = data[n:]
+		addr += uint32(n)
 	}
 }
 
-// Clone returns an independent copy of the space (used by the shadow-memory
-// verifier to capture pristine initial state). It is a copy-on-write Fork:
-// contents are identical and divergence is isolated, the storage is just
-// shared until written.
-func (s *Space) Clone() *Space { return s.Fork() }
+// ReadBytes fills dst with the bytes starting at addr, a page at a time.
+func (s *Space) ReadBytes(addr uint32, dst []byte) {
+	for len(dst) > 0 {
+		n := copy(dst, s.page(addr).bytes()[addr&pageMask:])
+		dst = dst[n:]
+		addr += uint32(n)
+	}
+}
 
-// Equal reports whether two spaces hold identical contents, treating missing
-// pages as zero-filled, and returns the first differing address if not.
+// FirstDiff compares the bytes starting at addr with want, a page at a
+// time, and returns the offset of the first byte that differs, or -1 when
+// all match.
+func (s *Space) FirstDiff(addr uint32, want []byte) int {
+	for off := 0; off < len(want); {
+		o := addr & pageMask
+		n := min(pageSize-int(o), len(want)-off)
+		if i := firstDiff(s.page(addr).bytes()[o:int(o)+n], want[off:off+n]); i >= 0 {
+			return off + i
+		}
+		off += n
+		addr += uint32(n)
+	}
+	return -1
+}
+
+// firstDiff returns the first index at which two equal-length slices
+// differ, or -1.
+func firstDiff(a, b []byte) int {
+	if bytes.Equal(a, b) {
+		return -1
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// Equal reports whether two spaces hold identical contents, treating
+// never-written pages as zero-filled, and returns the lowest differing
+// address if not. Leaves and pages the two spaces share are skipped
+// unread.
 func (s *Space) Equal(o *Space) (uint32, bool) {
-	check := func(a, b *Space) (uint32, bool) {
-		for k, p := range a.pages {
-			q := b.pages[k]
-			if q == p {
-				continue // COW-shared page, trivially equal
+	for i := range uint32(max(len(s.root), len(o.root))) {
+		a, b := s.leafAt(i), o.leafAt(i)
+		if a == b {
+			continue
+		}
+		for j := range uint32(leafSize) {
+			p, q := a.at(j), b.at(j)
+			if p == q {
+				continue
 			}
-			for i := range p.data {
-				var bv byte
-				if q != nil {
-					bv = q.data[i]
-				}
-				if p.data[i] != bv {
-					return k<<pageBits | uint32(i), false
-				}
+			if k := firstDiff(p.bytes()[:], q.bytes()[:]); k >= 0 {
+				return i<<rootShift | j<<pageBits | uint32(k), false
 			}
 		}
-		return 0, true
 	}
-	if addr, ok := check(s, o); !ok {
-		return addr, false
-	}
-	return check(o, s)
+	return 0, true
 }
 
 // NVM models the non-volatile main memory: a Space whose every access is
@@ -339,6 +365,14 @@ func (n *NVM) ReadRaw(addr uint32, size int) uint32 { return n.space.Read(addr, 
 
 // WriteRaw writes without charging cycles or counters (loader/debug path).
 func (n *NVM) WriteRaw(addr uint32, size int, val uint32) { n.space.Write(addr, size, val) }
+
+// ReadBytes reads without charging cycles or counters, a page at a time
+// (final-state comparison).
+func (n *NVM) ReadBytes(addr uint32, dst []byte) { n.space.ReadBytes(addr, dst) }
+
+// FirstDiff compares without charging cycles or counters, a page at a time
+// (final-state comparison).
+func (n *NVM) FirstDiff(addr uint32, want []byte) int { return n.space.FirstDiff(addr, want) }
 
 // Space exposes the underlying space (verifier comparisons).
 func (n *NVM) Space() *Space { return n.space }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -58,29 +59,108 @@ func TestSpacePageBoundary(t *testing.T) {
 	}
 }
 
-// Property: Space behaves like a flat map of bytes under random accesses.
+// Property: Space behaves like a flat map of bytes under random accesses:
+// word, half and byte reads and writes, LoadBytes spans that cross page
+// boundaries (and wrap past the top page to 0), fork chains with abandoned
+// forks, and the page-wise ReadBytes, FirstDiff and Equal — all checked
+// against a byte map per space, at low addresses and in the top page.
 func TestSpaceVersusMapModel(t *testing.T) {
-	s := NewSpace()
-	model := map[uint32]byte{}
+	type pair struct {
+		s     *Space
+		model map[uint32]byte
+	}
+	get := func(m map[uint32]byte, a uint32) byte { return m[a] }
+	// lowestDiff is the model's Equal: the lowest address where two byte
+	// maps disagree, missing bytes reading as zero.
+	lowestDiff := func(x, y map[uint32]byte) (uint32, bool) {
+		best, found := uint32(0), false
+		for _, m := range []map[uint32]byte{x, y} {
+			for a := range m {
+				if x[a] != y[a] && (!found || a < best) {
+					best, found = a, true
+				}
+			}
+		}
+		return best, !found
+	}
 	r := rand.New(rand.NewSource(7))
+	addr := func(size int) uint32 {
+		var a uint32
+		switch r.Intn(4) {
+		case 0: // the top page, 0xFFFFF000-0xFFFFFFFF
+			a = 0xFFFF_F000 | uint32(r.Intn(pageSize))
+		case 1: // either side of a page boundary
+			a = uint32(r.Intn(8))<<pageBits + uint32(r.Intn(16)) - 8
+		default:
+			a = uint32(r.Intn(8 * pageSize))
+		}
+		return a &^ uint32(size-1)
+	}
+	spaces := []*pair{{NewSpace(), map[uint32]byte{}}}
 	sizes := []int{1, 2, 4}
 	for i := 0; i < 50000; i++ {
-		size := sizes[r.Intn(3)]
-		addr := uint32(r.Intn(1 << 16))
-		addr &^= uint32(size - 1)
-		if r.Intn(2) == 0 {
-			v := r.Uint32()
-			s.Write(addr, size, v)
+		p := spaces[r.Intn(len(spaces))]
+		switch op := r.Intn(1000); {
+		case op < 450:
+			size := sizes[r.Intn(3)]
+			a, v := addr(size), r.Uint32()
+			p.s.Write(a, size, v)
 			for j := 0; j < size; j++ {
-				model[addr+uint32(j)] = byte(v >> (8 * j))
+				p.model[a+uint32(j)] = byte(v >> (8 * j))
 			}
-		} else {
+		case op < 900:
+			size := sizes[r.Intn(3)]
+			a := addr(size)
 			var want uint32
 			for j := 0; j < size; j++ {
-				want |= uint32(model[addr+uint32(j)]) << (8 * j)
+				want |= uint32(get(p.model, a+uint32(j))) << (8 * j)
 			}
-			if got := s.Read(addr, size); got != want {
-				t.Fatalf("step %d: Read(%#x, %d) = %#x, want %#x", i, addr, size, got, want)
+			if got := p.s.Read(a, size); got != want {
+				t.Fatalf("step %d: Read(%#x, %d) = %#x, want %#x", i, a, size, got, want)
+			}
+		case op < 940: // LoadBytes across page boundaries
+			a := addr(1)
+			data := make([]byte, r.Intn(pageSize/2))
+			r.Read(data)
+			p.s.LoadBytes(a, data)
+			for j, b := range data {
+				p.model[a+uint32(j)] = b
+			}
+		case op < 995: // page-wise reads and compares of a span
+			a := addr(1)
+			want := make([]byte, r.Intn(pageSize/2))
+			for j := range want {
+				want[j] = get(p.model, a+uint32(j))
+			}
+			got := make([]byte, len(want))
+			p.s.ReadBytes(a, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("step %d: ReadBytes(%#x, %d) differs from the model", i, a, len(want))
+			}
+			wantDiff := -1
+			if len(want) > 0 && r.Intn(2) == 0 {
+				wantDiff = r.Intn(len(want))
+				want[wantDiff]++
+			}
+			if d := p.s.FirstDiff(a, want); d != wantDiff {
+				t.Fatalf("step %d: FirstDiff(%#x) = %d, want %d", i, a, d, wantDiff)
+			}
+		case op < 998: // fork; past six spaces a random one is abandoned
+			f := &pair{p.s.Fork(), make(map[uint32]byte, len(p.model))}
+			for a, b := range p.model {
+				f.model[a] = b
+			}
+			if len(spaces) < 6 {
+				spaces = append(spaces, f)
+			} else {
+				spaces[r.Intn(len(spaces))] = f
+			}
+		default: // Equal against another space
+			q := spaces[r.Intn(len(spaces))]
+			gotAddr, gotOK := p.s.Equal(q.s)
+			wantAddr, wantOK := lowestDiff(p.model, q.model)
+			if gotOK != wantOK || gotAddr != wantAddr {
+				t.Fatalf("step %d: Equal = (%#x, %v), want (%#x, %v)", i, gotAddr, gotOK, wantAddr, wantOK)
 			}
 		}
 	}
@@ -89,9 +169,9 @@ func TestSpaceVersusMapModel(t *testing.T) {
 func TestCloneAndEqual(t *testing.T) {
 	s := NewSpace()
 	s.Write(0x200, 4, 0xDEADBEEF)
-	c := s.Clone()
+	c := s.Fork()
 	if addr, ok := s.Equal(c); !ok {
-		t.Fatalf("clone differs at %#x", addr)
+		t.Fatalf("fork differs at %#x", addr)
 	}
 	c.Write(0x204, 1, 1)
 	addr, ok := s.Equal(c)
@@ -210,21 +290,6 @@ func TestCostModelCycles(t *testing.T) {
 	}
 }
 
-// Property: Clone is always equal to its source.
-func TestCloneEqualQuick(t *testing.T) {
-	f := func(writes []uint32) bool {
-		s := NewSpace()
-		for _, w := range writes {
-			s.Write(w&0xFFFF, 1, w>>16)
-		}
-		_, ok := s.Equal(s.Clone())
-		return ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestForkCopyOnWrite pins the COW discipline: forks see the parent's
 // contents, writes on either side are invisible to the other, and page
 // refcounts return to sole ownership once every sharer has diverged.
@@ -256,14 +321,25 @@ func TestForkCopyOnWrite(t *testing.T) {
 	// Untouched pages remain shared; every touched page is exclusively owned
 	// again by whoever kept it.
 	for _, sp := range []*Space{s, f} {
-		for k, p := range sp.pages {
-			if refs := p.refs.Load(); refs < 1 {
-				t.Fatalf("page %#x refcount %d < 1", k, refs)
+		for i, l := range sp.root {
+			if l == nil {
+				continue
+			}
+			if refs := l.refs.Load(); refs != 1 {
+				t.Fatalf("leaf %d refcount %d after both sides wrote it, want 1", i, refs)
+			}
+			for j, p := range l.pages {
+				if p != nil && p.refs.Load() < 1 {
+					t.Fatalf("page %d/%d refcount %d < 1", i, j, p.refs.Load())
+				}
 			}
 		}
 	}
-	if s.pages[0x1000>>pageBits] == f.pages[0x1000>>pageBits] {
+	if s.page(0x1000) == f.page(0x1000) {
 		t.Fatal("diverged page still shared")
+	}
+	if s.page(0x9000) != nil {
+		t.Fatal("a read of an unwritten page materialized it")
 	}
 }
 
@@ -286,39 +362,70 @@ func TestForkChainAndAbandon(t *testing.T) {
 	}
 }
 
-// TestForkConcurrentWriters drives many forks of one parent on separate
-// goroutines, all writing the same shared pages, and checks isolation. Run
-// under -race this also validates the refcount ordering argument in the page
-// doc comment.
+// TestForkConcurrentWriters drives forks of one parent, and the parent
+// itself, on separate goroutines writing shared leaves and pages, and checks
+// isolation. Whichever space ends up sole owner of a shared block writes it
+// in place while the others may still be copying it, so this validates the
+// copy-then-decrement order argued in the page doc comment: under -race for
+// pages (nine writers on the same pages), and by the values read back for
+// leaves (two writers in lockstep across many leaves, one on each leaf's
+// first page and one on its last, so one copies the leaf while the other,
+// once sole owner, writes a page the copy has yet to share).
 func TestForkConcurrentWriters(t *testing.T) {
+	const span = 4 * pageSize
 	s := NewSpace()
-	for a := uint32(0); a < 4*pageSize; a += 4 {
+	for a := uint32(0); a < span; a += 4 {
 		s.Write(a, 4, a)
 	}
-	const n = 8
-	var wg sync.WaitGroup
-	forks := make([]*Space, n)
-	for i := range forks {
-		forks[i] = s.Fork()
+	spaces := []*Space{s}
+	for i := 0; i < 8; i++ {
+		spaces = append(spaces, s.Fork())
 	}
-	for i, f := range forks {
+	var wg sync.WaitGroup
+	for i, f := range spaces {
 		wg.Add(1)
 		go func(i int, f *Space) {
 			defer wg.Done()
-			for a := uint32(0); a < 4*pageSize; a += 4 {
-				f.Write(a, 4, uint32(i)+1000)
+			for a := uint32(0); a < span; a += 4 {
+				f.Write(a, 4, a^uint32(i)<<24)
 			}
 		}(i, f)
 	}
 	wg.Wait()
-	for a := uint32(0); a < 4*pageSize; a += 4 {
-		if v := s.Read(a, 4); v != a {
-			t.Fatalf("parent corrupted at 0x%x: %d", a, v)
+	for i, f := range spaces {
+		for a := uint32(0); a < span; a += 4 {
+			if v := f.Read(a, 4); v != a^uint32(i)<<24 {
+				t.Fatalf("space %d (0 is the parent) at 0x%x: %#x, want %#x", i, a, v, a^uint32(i)<<24)
+			}
 		}
 	}
-	for i, f := range forks {
-		if v := f.Read(0, 4); v != uint32(i)+1000 {
-			t.Fatalf("fork %d lost its write: %d", i, v)
+
+	const leaves = 1024
+	first := func(l uint32) uint32 { return l << rootShift }
+	last := func(l uint32) uint32 { return l<<rootShift | (leafSize-1)<<pageBits }
+	p := NewSpace()
+	for l := uint32(0); l < leaves; l++ {
+		p.Write(first(l), 4, 1)
+		p.Write(last(l), 4, 2)
+	}
+	f := p.Fork()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for l := uint32(0); l < leaves; l++ {
+			p.Write(first(l), 4, 10)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for l := uint32(0); l < leaves; l++ {
+			f.Write(last(l), 4, 20)
+		}
+	}()
+	wg.Wait()
+	for l := uint32(0); l < leaves; l++ {
+		if p.Read(last(l), 4) != 2 || f.Read(first(l), 4) != 1 {
+			t.Fatalf("leaf %d: a write leaked across the fork", l)
 		}
 	}
 }
@@ -326,10 +433,10 @@ func TestForkConcurrentWriters(t *testing.T) {
 // TestForkConcurrentForkers takes many forks of one quiescent parent from
 // separate goroutines at once — the snapshot explorer's fan-out pattern.
 // Under -race this pins Fork as read-only on the parent (beyond the atomic
-// refcounts). The parent writes first so its one-entry write cache is warm
-// at fork time, then writes again after the forks: the stale cached page is
-// shared now, and the post-fork write must copy it rather than leak through
-// (the pageW refcount re-check).
+// refcounts). The parent writes first so it owns its pages at fork time,
+// then writes again after the forks: the page is shared now, and the
+// post-fork write must copy it rather than leak through (the refcount check
+// in writable).
 func TestForkConcurrentForkers(t *testing.T) {
 	s := NewSpace()
 	for a := uint32(0); a < 2*pageSize; a += 4 {
@@ -348,7 +455,7 @@ func TestForkConcurrentForkers(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	s.Write(0, 4, 999) // write-cache entry from before the forks is stale
+	s.Write(0, 4, 999) // the page was owned before the forks, shared after
 	for i, f := range forks {
 		if v := f.Read(0, 4); v != uint32(i)+77 {
 			t.Fatalf("fork %d lost its write: %d", i, v)

@@ -26,6 +26,7 @@ import (
 
 	"nacho/internal/asm"
 	"nacho/internal/emu"
+	"nacho/internal/mem"
 )
 
 // Memory layout shared by all benchmarks (see DESIGN.md).
@@ -97,6 +98,38 @@ type Image struct {
 	Text     *emu.Text
 	Entry    uint32
 	Expected uint32
+
+	// The initial memory, loaded on first use by FrozenSpace. It lives as
+	// long as the image does.
+	frozenOnce sync.Once
+	frozen     *mem.Space
+	frozenErr  error
+}
+
+// FrozenSpace returns the image's initial memory: every segment loaded once,
+// on first use, after checking it against the memory map. The space is
+// shared by every caller, concurrently too, and must never be written:
+// callers Fork it for each machine, shadow and golden run.
+func (img *Image) FrozenSpace() (*mem.Space, error) {
+	img.frozenOnce.Do(func() { img.frozen, img.frozenErr = img.load() })
+	return img.frozen, img.frozenErr
+}
+
+// load loads the segments into a fresh space. The image must stay clear of
+// the stack guard band and the checkpoint area (see the memory map above).
+func (img *Image) load() (*mem.Space, error) {
+	space := mem.NewSpace()
+	for _, seg := range img.Segments {
+		end := seg.Addr + uint32(len(seg.Data))
+		if seg.Addr < StackTop && end > StackTop-0x8000 {
+			return nil, fmt.Errorf("%s: segment [%#x,%#x) overlaps the stack region", img.Program.Name, seg.Addr, end)
+		}
+		if end > CheckpointBase && seg.Addr < CheckpointBase+0x10000 {
+			return nil, fmt.Errorf("%s: segment [%#x,%#x) overlaps the checkpoint area", img.Program.Name, seg.Addr, end)
+		}
+		space.LoadBytes(seg.Addr, seg.Data)
+	}
+	return space, nil
 }
 
 var (

@@ -120,9 +120,13 @@ type System interface {
 }
 
 // MemReaderWriter is the raw, cost-free debug/loader view of a memory space.
+// ReadBytes and FirstDiff read and compare whole spans, a page at a time;
+// FirstDiff returns the offset of the first byte differing from want, or -1.
 type MemReaderWriter interface {
 	ReadRaw(addr uint32, size int) uint32
 	WriteRaw(addr uint32, size int, val uint32)
+	ReadBytes(addr uint32, dst []byte)
+	FirstDiff(addr uint32, want []byte) int
 }
 
 // FastPort is the devirtualized cached-memory fast path: the hit-path

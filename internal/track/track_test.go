@@ -111,33 +111,80 @@ func (n *naiveTracker) dominated(addr uint32, size int) bool {
 	return false
 }
 
+func (n *naiveTracker) clone() *naiveTracker {
+	c := newNaive()
+	for a, v := range n.seen {
+		c.seen[a] = v
+	}
+	for a, v := range n.readDom {
+		c.readDom[a] = v
+	}
+	return c
+}
+
 // Property: the bitmask tracker matches the per-byte reference model over
-// random access streams with resets.
+// random access streams with interleaved resets and clones. Clones must
+// stay independent of their source on both sides, so several
+// (tracker, model) pairs evolve side by side.
 func TestTrackerVersusNaiveModel(t *testing.T) {
+	type pair struct {
+		tr  *Tracker
+		ref *naiveTracker
+	}
 	r := rand.New(rand.NewSource(23))
-	tr := New()
-	ref := newNaive()
+	pairs := []*pair{{New(), newNaive()}}
 	sizes := []int{1, 2, 4}
 	for i := 0; i < 200000; i++ {
+		p := pairs[r.Intn(len(pairs))]
 		size := sizes[r.Intn(3)]
 		addr := uint32(r.Intn(64)) * 2 // overlap-heavy address pool
+		switch r.Intn(4) {
+		case 0: // spread over pages, the top page included
+			addr = uint32(r.Intn(8))<<pageBits | addr
+		case 1:
+			addr |= 0xFFFF_FF00
+		}
 		addr &^= uint32(size - 1)
-		switch r.Intn(10) {
-		case 0: // occasional interval reset
-			tr.Reset()
-			ref = newNaive()
-		case 1, 2, 3, 4:
-			tr.ObserveRead(addr, size)
-			ref.read(addr, size)
+		switch op := r.Intn(100); {
+		case op < 10: // occasional interval reset
+			p.tr.Reset()
+			p.ref = newNaive()
+		case op == 10: // fork mid-interval; past four pairs a random one is dropped
+			c := &pair{p.tr.Clone(), p.ref.clone()}
+			if len(pairs) < 4 {
+				pairs = append(pairs, c)
+			} else {
+				pairs[r.Intn(len(pairs))] = c
+			}
+		case op < 51:
+			p.tr.ObserveRead(addr, size)
+			p.ref.read(addr, size)
 		default:
-			got := tr.ObserveWrite(addr, size)
-			want := ref.write(addr, size)
+			got := p.tr.ObserveWrite(addr, size)
+			want := p.ref.write(addr, size)
 			if got != want {
 				t.Fatalf("step %d: write(%#x,%d) violation=%v, want %v", i, addr, size, got, want)
 			}
 		}
-		if got, want := tr.ReadDominated(addr, size), ref.dominated(addr, size); got != want {
+		if got, want := p.tr.ReadDominated(addr, size), p.ref.dominated(addr, size); got != want {
 			t.Fatalf("step %d: dominated(%#x,%d)=%v, want %v", i, addr, size, got, want)
 		}
+	}
+
+	// The generation stamp wraps every 1<<16 resets. A mark from before the
+	// wrap, on a page nothing touches again, must never read as current.
+	tr := New()
+	tr.ObserveRead(0x4000, 4)
+	tr.ObserveWrite(0x8000, 4) // a second page, stamped one generation later
+	tr.Reset()
+	tr.ObserveRead(0x8000, 4)
+	for i := 0; i < 3<<16; i++ {
+		tr.Reset()
+		if tr.ReadDominated(0x4000, 4) || tr.ReadDominated(0x8000, 4) {
+			t.Fatalf("loop reset %d: a mark from before the loop reads as current", i+1)
+		}
+	}
+	if tr.ObserveWrite(0x4000, 4) {
+		t.Fatal("write after the wrap reported a WAR from before it")
 	}
 }

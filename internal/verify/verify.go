@@ -3,7 +3,7 @@
 //
 //  1. Shadow memory: every CPU data access is duplicated into an ideal flat
 //     memory; a load served by the system under test must return the shadow's
-//     value. The shadow keeps a byte-granular undo journal since the last
+//     value. The shadow keeps a word-granular undo journal since the last
 //     checkpoint so that it can be rolled back when a power failure rewinds
 //     the machine to the last committed checkpoint — re-execution then
 //     replays against the same shadow state.
@@ -85,24 +85,34 @@ type Config struct {
 // *Verifier is valid and disables all checking.
 type Verifier struct {
 	sim.NopProbe
-	cfg     Config
-	shadow  *mem.Space
-	journal map[uint32]byte // first pre-image of each byte since last boundary
-	tracker *track.Tracker
-	viols   []Violation
-	dropped int
+	cfg    Config
+	shadow *mem.Space
+	// The undo journal: journalled marks (non-zero) each word written since
+	// the last boundary, and undo holds those words' pre-images. A word's
+	// first write in an interval saves all four bytes, which are then still
+	// the boundary's, so rolling the words back restores the boundary state.
+	journalled track.Words
+	undo       []undoWord
+	tracker    *track.Tracker
+	viols      []Violation
+	dropped    int
 }
 
-// New builds a verifier whose shadow starts as a copy of the loaded program
-// image (the same initial state the system's NVM holds).
+// undoWord is the pre-image of one word at the last boundary.
+type undoWord struct {
+	addr uint32
+	old  uint32
+}
+
+// New builds a verifier whose shadow starts as a copy-on-write fork of the
+// loaded program image (the same initial state the system's NVM holds).
 func New(initial *mem.Space, cfg Config) *Verifier {
 	if cfg.MaxViolations == 0 {
 		cfg.MaxViolations = 64
 	}
 	return &Verifier{
 		cfg:     cfg,
-		shadow:  initial.Clone(),
-		journal: make(map[uint32]byte),
+		shadow:  initial.Fork(),
 		tracker: track.New(),
 	}
 }
@@ -128,19 +138,27 @@ func (v *Verifier) CPURead(addr uint32, size int, got uint32) {
 	}
 }
 
-// CPUWrite duplicates a store into the shadow, journalling pre-images.
+// CPUWrite duplicates a store into the shadow, journalling pre-images. The
+// store is naturally aligned, so it falls inside one word.
 func (v *Verifier) CPUWrite(addr uint32, size int, val uint32) {
 	if v == nil {
 		return
 	}
 	v.tracker.ObserveWrite(addr, size)
-	for i := 0; i < size; i++ {
-		a := addr + uint32(i)
-		if _, seen := v.journal[a]; !seen {
-			v.journal[a] = v.shadow.ByteAt(a)
-		}
+	if j := v.journalled.Ref(addr); *j == 0 {
+		*j = 1
+		w := addr &^ 3
+		v.undo = append(v.undo, undoWord{addr: w, old: v.shadow.Read(w, 4)})
 	}
 	v.shadow.Write(addr, size, val)
+}
+
+// resetInterval empties the journal and the dominance tracker: the
+// rollback point moves to now.
+func (v *Verifier) resetInterval() {
+	v.journalled.Reset()
+	v.undo = v.undo[:0]
+	v.tracker.Reset()
 }
 
 // NVMWriteBack checks a physical write-back (eviction) for the exact WAR
@@ -160,8 +178,7 @@ func (v *Verifier) IntervalBoundary() {
 	if v == nil {
 		return
 	}
-	clear(v.journal)
-	v.tracker.Reset()
+	v.resetInterval()
 }
 
 // PowerFailure rewinds the shadow to the last boundary for rollback systems.
@@ -170,11 +187,10 @@ func (v *Verifier) PowerFailure() {
 		return
 	}
 	if v.cfg.RollbackOnFailure {
-		for a, old := range v.journal {
-			v.shadow.SetByte(a, old)
+		for _, u := range v.undo {
+			v.shadow.Write(u.addr, 4, u.old)
 		}
-		clear(v.journal)
-		v.tracker.Reset()
+		v.resetInterval()
 	}
 }
 

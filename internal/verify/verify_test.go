@@ -123,6 +123,25 @@ func TestJournalKeepsFirstPreimage(t *testing.T) {
 	}
 }
 
+// TestJournalGenerationWrap drives the journal's generation stamp through
+// its wrap: a word journalled before the wrap, and not written again until
+// after it, must be journalled afresh, or the rollback would skip it.
+func TestJournalGenerationWrap(t *testing.T) {
+	for _, boundaries := range []int{1<<16 - 1, 1 << 16, 1<<16 + 1, 3 << 16} {
+		v := newVerifier(Config{RollbackOnFailure: true})
+		v.CPUWrite(0x100, 4, 1)
+		for i := 0; i < boundaries; i++ {
+			v.IntervalBoundary()
+		}
+		v.CPUWrite(0x100, 4, 2)
+		v.PowerFailure()
+		v.CPURead(0x100, 4, 1)
+		if err := v.Err(); err != nil {
+			t.Errorf("rollback after %d boundaries: %v", boundaries, err)
+		}
+	}
+}
+
 func TestMaxViolationsCap(t *testing.T) {
 	v := New(mem.NewSpace(), Config{MaxViolations: 3})
 	for i := uint32(0); i < 10; i++ {
