@@ -11,7 +11,8 @@ package nacho
 // Experiment regeneration inherits the harness default parallelism (one
 // worker per CPU); BenchmarkFig5Sequential pins the pool to one worker so
 // the parallel speedup is measurable as the ratio of the two Fig5
-// benchmarks.
+// benchmarks. Each iteration starts from an empty run cache, so it executes
+// its experiment's whole matrix.
 
 import (
 	"fmt"
@@ -46,7 +47,8 @@ func reportMeans(b *testing.B, rep *harness.Report, cols map[string]int) {
 // execution time of each system normalized to the fully volatile baseline.
 func BenchmarkFig5ExecutionTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := harness.Fig5(harness.AllBenchmarks())
+		harness.ResetRunCache()
+		rep, err := harness.RunNamedExperiment("fig5", harness.AllBenchmarks())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +69,8 @@ func BenchmarkFig5Sequential(b *testing.B) {
 	prev := SetParallelism(1)
 	defer SetParallelism(prev)
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.Fig5(harness.AllBenchmarks()); err != nil {
+		harness.ResetRunCache()
+		if _, err := harness.RunNamedExperiment("fig5", harness.AllBenchmarks()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +80,8 @@ func BenchmarkFig5Sequential(b *testing.B) {
 // counts normalized to Clank.
 func BenchmarkFig6Checkpoints(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := harness.Fig6(harness.Fig6Benchmarks())
+		harness.ResetRunCache()
+		rep, err := harness.RunNamedExperiment("fig6", harness.Fig6Benchmarks())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,7 +94,8 @@ func BenchmarkFig6Checkpoints(b *testing.B) {
 // corresponds to nacho/clank ~= 0.18).
 func BenchmarkFig7NVMTransfers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := harness.Fig7(harness.Fig6Benchmarks())
+		harness.ResetRunCache()
+		rep, err := harness.RunNamedExperiment("fig7", harness.Fig6Benchmarks())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +109,8 @@ func BenchmarkFig7NVMTransfers(b *testing.B) {
 // mean re-execution overhead (%) at the shortest and longest on-durations.
 func BenchmarkTable2ReexecutionOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := harness.Table2(harness.Table2Benchmarks())
+		harness.ResetRunCache()
+		rep, err := harness.RunNamedExperiment("table2", harness.Table2Benchmarks())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +133,8 @@ func BenchmarkTable2ReexecutionOverhead(b *testing.B) {
 // reduction of each NACHO component versus Naive NACHO.
 func BenchmarkTable3Ablation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := harness.Table3(harness.Table3Benchmarks())
+		harness.ResetRunCache()
+		rep, err := harness.RunNamedExperiment("table3", harness.Table3Benchmarks())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +165,8 @@ func BenchmarkTable3Ablation(b *testing.B) {
 // normalized execution time of the smallest and largest configurations.
 func BenchmarkFig8DesignSpace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := harness.Fig8(harness.AllBenchmarks())
+		harness.ResetRunCache()
+		rep, err := harness.RunNamedExperiment("fig8", harness.AllBenchmarks())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"nacho"
 	"nacho/internal/fuzzer"
+	"nacho/internal/harness"
 	"nacho/internal/systems"
 )
 
@@ -19,6 +21,7 @@ import (
 // importing the internal type.
 type ledgerRecord struct {
 	V             int    `json:"v"`
+	Key           string `json:"key"`
 	Program       string `json:"program"`
 	System        string `json:"system"`
 	Engine        string `json:"engine"`
@@ -151,6 +154,9 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The observed regeneration must execute its runs, not read the
+	// baseline's from the run cache.
+	harness.ResetRunCache()
 
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "campaign.json")
@@ -189,21 +195,24 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if uint64(len(recs)) != runs {
 		t.Fatalf("ledger has %d records, Campaign.Runs reported %d", len(recs), runs)
 	}
-	executed := map[string]ledgerRecord{} // identity key -> the executed record
+	hexKey := regexp.MustCompile(`^[0-9a-f]{64}$`)
+	executed := map[string]ledgerRecord{} // identity digest -> the executed record
 	for i, r := range recs {
-		if r.V != 1 || r.Program != "crc" || r.System == "" || r.Engine == "" {
+		if r.V != 2 || r.Program != "crc" || r.System == "" || r.Engine == "" {
 			t.Fatalf("ledger record %d malformed: %+v", i, r)
+		}
+		if !hexKey.MatchString(r.Key) {
+			t.Errorf("ledger record %d key %q is not 64 hex digits", i, r.Key)
 		}
 		if r.Cycles == 0 || r.Instructions == 0 {
 			t.Errorf("ledger record %d has zero counters: %+v", i, r)
 		}
-		key := fmt.Sprintf("%s/%s/%d/%d/%s", r.Program, r.System, r.Cache, r.Ways, r.Schedule)
 		switch r.Outcome {
 		case "ok":
-			if prev, dup := executed[key]; dup {
-				t.Errorf("config %s executed twice: %+v vs %+v", key, prev, r)
+			if prev, dup := executed[r.Key]; dup {
+				t.Errorf("identity %s executed twice: %+v vs %+v", r.Key, prev, r)
 			}
-			executed[key] = r
+			executed[r.Key] = r
 		case "cache-hit":
 			// Deduplicated by the run cache; counters must be the cached
 			// result's, verified against the executed record below.
@@ -215,20 +224,28 @@ func TestCampaignEndToEnd(t *testing.T) {
 		if r.Outcome != "cache-hit" {
 			continue
 		}
-		key := fmt.Sprintf("%s/%s/%d/%d/%s", r.Program, r.System, r.Cache, r.Ways, r.Schedule)
-		ex, ok := executed[key]
+		ex, ok := executed[r.Key]
 		if !ok {
-			t.Errorf("cache-hit record %d has no executed record for %s", i, key)
+			t.Errorf("cache-hit record %d has no executed record for %s", i, r.Key)
 			continue
 		}
 		if r.Cycles != ex.Cycles || r.Instructions != ex.Instructions || r.Checkpoints != ex.Checkpoints {
-			t.Errorf("cache-hit record %d counters differ from executed run %s", i, key)
+			t.Errorf("cache-hit record %d counters differ from executed run %s", i, r.Key)
 		}
+	}
+	// cell finds the executed run of one fig5 cell by its readable columns.
+	cell := func(system string, size int) (ledgerRecord, bool) {
+		for _, r := range executed {
+			if r.System == system && r.Cache == size && r.Ways == 2 && r.Schedule == "none" {
+				return r, true
+			}
+		}
+		return ledgerRecord{}, false
 	}
 
 	// The ledger's counters must reproduce the report: every fig5 cell is
 	// cycles(system, size) / cycles(volatile) formatted to three decimals.
-	base, ok := executed["crc/volatile/512/2/none"]
+	base, ok := cell("volatile", 512)
 	if !ok {
 		t.Fatal("ledger has no volatile baseline record")
 	}
@@ -244,7 +261,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 			continue
 		}
 		for i, sys := range cols {
-			r, ok := executed[fmt.Sprintf("crc/%s/%d/2/none", sys, size)]
+			r, ok := cell(sys, size)
 			if !ok {
 				t.Errorf("ledger has no record for %s at %dB", sys, size)
 				continue

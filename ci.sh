@@ -23,6 +23,10 @@ go test ./...
 # build and test above never compile it; a change that broke it would pass
 # them.
 (cd perfbench && go vet ./... && go test ./...)
+# Every experiment in a process shares one run cache, so a test that leans on
+# what an earlier test left in it passes only in file order. A shuffled pass
+# over the packages that regenerate experiments catches such a test.
+go test -shuffle=on ./internal/harness/ .
 # The harness race pass includes the engine-equivalence suite
 # (TestEngineEquivalence*) over the full engine matrix: the per-instruction
 # reference interpreter (ref), and the AOT threaded-code engine run both with
@@ -78,6 +82,12 @@ go build -o /tmp/nachobench.ci ./cmd/nachobench
 /tmp/nachobench.ci -exp fig5 -bench crc -trace-campaign /tmp/nachobench.ci.trace -ledger /tmp/nachobench.ci.ledger >/dev/null 2>&1
 test -s /tmp/nachobench.ci.trace
 test -s /tmp/nachobench.ci.ledger
+# Every ledger record names its run identity: a digest of 64 hex digits.
+if grep -qv '"key":"[0-9a-f]\{64\}"' /tmp/nachobench.ci.ledger; then
+	echo "ci.sh: a ledger record lacks a 64-hex-digit key:" >&2
+	grep -v '"key":"[0-9a-f]\{64\}"' /tmp/nachobench.ci.ledger >&2
+	exit 1
+fi
 rm -f /tmp/nachobench.ci /tmp/nachobench.ci.trace /tmp/nachobench.ci.ledger
 
 # Crash-consistency fuzzing smoke: a short coverage-guided run of the

@@ -64,7 +64,10 @@ var equivalenceVariants = []engineVariant{
 
 // runBoth executes the image under every engine variant and fails the test on
 // any observable difference from the reference interpreter. It returns the
-// reference result for callers that derive schedules from it.
+// reference result for callers that derive schedules from it. The suite runs
+// through the store-free RunImageSys: the engine is not part of a run's
+// identity, so a store would serve one engine's result to the other and the
+// comparison would test nothing.
 func runBoth(t *testing.T, label string, img *program.Image, kind systems.Kind, cfg harness.RunConfig) emu.Result {
 	t.Helper()
 	cfg.Verify = false // a verifier probe would force the reference engine
@@ -73,7 +76,7 @@ func runBoth(t *testing.T, label string, img *program.Image, kind systems.Kind, 
 	for i, v := range equivalenceVariants {
 		cfg.Engine = v.engine
 		cfg.NoFastPort = v.noPort
-		res, err := harness.RunImage(img, kind, cfg, false)
+		res, _, err := harness.RunImageSys(img, kind, cfg, false)
 		if i == 0 {
 			ref, refErr = res, err
 			continue
@@ -215,7 +218,7 @@ func TestEngineEquivalenceProbeStream(t *testing.T) {
 			cfg := base
 			cfg.Probe = log
 			cfg.Engine = engine
-			res, err := harness.RunImage(img, kind, cfg, false)
+			res, _, err := harness.RunImageSys(img, kind, cfg, false)
 			if err != nil {
 				t.Fatalf("%s probed (engine %q): %v", kind, engine, err)
 			}
@@ -248,7 +251,7 @@ func TestEngineEquivalenceProbeStream(t *testing.T) {
 			cfg := base
 			cfg.Engine = v.engine
 			cfg.NoFastPort = v.noPort
-			res, err := harness.RunImage(img, kind, cfg, false)
+			res, _, err := harness.RunImageSys(img, kind, cfg, false)
 			if err != nil {
 				t.Fatalf("%s %s: %v", kind, v, err)
 			}
@@ -277,7 +280,7 @@ func TestEngineEquivalenceForkRunUntil(t *testing.T) {
 	cfg := harness.RunConfig{CacheSize: 512, Ways: 2, MaxCycles: equivalenceBudget, Verify: false}
 	refCfg := cfg
 	refCfg.Engine = emu.EngineRef
-	free, err := harness.RunImage(img, systems.KindNACHO, refCfg, false)
+	free, _, err := harness.RunImageSys(img, systems.KindNACHO, refCfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,13 +101,9 @@ var fig5Systems = []systems.Kind{
 	systems.KindNACHO, systems.KindOracleNACHO,
 }
 
-// Fig5 regenerates Figure 5: execution time for every benchmark and system,
+// fig5 regenerates Figure 5: execution time for every benchmark and system,
 // 2-way caches of 256 B and 512 B, normalized to the fully volatile system.
-func Fig5(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return fig5(rc, benchmarks) })
-}
-
-func fig5(rc *runCache, benchmarks []string) (*Report, error) {
+func fig5(tl *tally, benchmarks []string) (*Report, error) {
 	rep := &Report{
 		Title:  "Figure 5: execution time normalized to a fully volatile system",
 		Note:   "2-way set-associative caches; Clank is cacheless and size-independent",
@@ -118,7 +114,7 @@ func fig5(rc *runCache, benchmarks []string) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		base, err := rc.get(p, systems.KindVolatile, DefaultRunConfig())
+		base, err := tl.get(p, systems.KindVolatile, DefaultRunConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +123,7 @@ func fig5(rc *runCache, benchmarks []string) (*Report, error) {
 			for _, kind := range fig5Systems {
 				cfg := DefaultRunConfig()
 				cfg.CacheSize = size
-				res, err := rc.get(p, kind, cfg)
+				res, err := tl.get(p, kind, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -146,14 +142,10 @@ func Fig6Benchmarks() []string {
 	return []string{"coremark", "crc", "sha", "dijkstra", "aes", "picojpeg"}
 }
 
-// Fig6 regenerates Figure 6: number of checkpoints normalized to Clank for
+// fig6 regenerates Figure 6: number of checkpoints normalized to Clank for
 // PROWL and NACHO at 256 B and 512 B (ReplayCache creates none without power
 // failures and is excluded, as in the paper).
-func Fig6(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return fig6(rc, benchmarks) })
-}
-
-func fig6(rc *runCache, benchmarks []string) (*Report, error) {
+func fig6(tl *tally, benchmarks []string) (*Report, error) {
 	rep := &Report{
 		Title:  "Figure 6: checkpoints created, normalized to Clank",
 		Note:   "ReplayCache excluded (no checkpoints without power failures)",
@@ -164,7 +156,7 @@ func fig6(rc *runCache, benchmarks []string) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		clank, err := rc.get(p, systems.KindClank, DefaultRunConfig())
+		clank, err := tl.get(p, systems.KindClank, DefaultRunConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +165,7 @@ func fig6(rc *runCache, benchmarks []string) (*Report, error) {
 			for _, kind := range []systems.Kind{systems.KindPROWL, systems.KindNACHO} {
 				cfg := DefaultRunConfig()
 				cfg.CacheSize = size
-				res, err := rc.get(p, kind, cfg)
+				res, err := tl.get(p, kind, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -189,13 +181,9 @@ func fig6(rc *runCache, benchmarks []string) (*Report, error) {
 	return rep, nil
 }
 
-// Fig7 regenerates Figure 7: NVM byte transfers (reads+writes) normalized to
+// fig7 regenerates Figure 7: NVM byte transfers (reads+writes) normalized to
 // Clank; PROWL, ReplayCache and NACHO use a 512 B data cache.
-func Fig7(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return fig7(rc, benchmarks) })
-}
-
-func fig7(rc *runCache, benchmarks []string) (*Report, error) {
+func fig7(tl *tally, benchmarks []string) (*Report, error) {
 	rep := &Report{
 		Title:  "Figure 7: NVM byte transfers normalized to Clank (512 B caches)",
 		Header: []string{"benchmark", "clank(bytes)", "prowl", "replaycache", "nacho"},
@@ -205,13 +193,13 @@ func fig7(rc *runCache, benchmarks []string) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		clank, err := rc.get(p, systems.KindClank, DefaultRunConfig())
+		clank, err := tl.get(p, systems.KindClank, DefaultRunConfig())
 		if err != nil {
 			return nil, err
 		}
 		row := []string{name, fmt.Sprintf("%d", clank.Counters.NVMBytes())}
 		for _, kind := range []systems.Kind{systems.KindPROWL, systems.KindReplayCache, systems.KindNACHO} {
-			res, err := rc.get(p, kind, DefaultRunConfig())
+			res, err := tl.get(p, kind, DefaultRunConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -230,14 +218,10 @@ func Table2Benchmarks() []string {
 // Table2OnDurationsMs are the paper's power-failure on-durations.
 var Table2OnDurationsMs = []float64{5, 10, 50, 100}
 
-// Table2 regenerates Table 2: NACHO's re-execution overhead under periodic
+// table2 regenerates Table 2: NACHO's re-execution overhead under periodic
 // power failures, relative to failure-free NACHO, with a forward-progress
 // checkpoint at half the on-duration.
-func Table2(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return table2(rc, benchmarks) })
-}
-
-func table2(rc *runCache, benchmarks []string) (*Report, error) {
+func table2(tl *tally, benchmarks []string) (*Report, error) {
 	rep := &Report{
 		Title:  "Table 2: NACHO re-execution overhead vs failure-free NACHO (512 B, 2-way, 50 MHz)",
 		Note:   "periodic power failures; forced checkpoint every on-duration/2",
@@ -251,7 +235,7 @@ func table2(rc *runCache, benchmarks []string) (*Report, error) {
 			if !ok {
 				return nil, fmt.Errorf("unknown benchmark %q", name)
 			}
-			base, err := rc.get(p, systems.KindNACHO, DefaultRunConfig())
+			base, err := tl.get(p, systems.KindNACHO, DefaultRunConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -259,7 +243,7 @@ func table2(rc *runCache, benchmarks []string) (*Report, error) {
 			period := cost.CyclesForMillis(ms)
 			cfg.Schedule = power.Periodic{Period: period}
 			cfg.ForcedCheckpointPeriod = period / 2
-			res, err := rc.get(p, systems.KindNACHO, cfg)
+			res, err := tl.get(p, systems.KindNACHO, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -279,15 +263,11 @@ func Table3Benchmarks() []string {
 	return []string{"coremark", "picojpeg", "aes", "crc", "dijkstra", "sha", "towers", "quicksort"}
 }
 
-// Table3 regenerates Table 3: percent reduction, relative to Naive NACHO, of
+// table3 regenerates Table 3: percent reduction, relative to Naive NACHO, of
 // intermittent-computing overhead, checkpoints, NVM reads and NVM writes for
 // the possible-WAR detector alone (PW), stack tracking alone (ST), and the
 // complete system (N).
-func Table3(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return table3(rc, benchmarks) })
-}
-
-func table3(rc *runCache, benchmarks []string) (*Report, error) {
+func table3(tl *tally, benchmarks []string) (*Report, error) {
 	rep := &Report{
 		Title:  "Table 3: reduction vs Naive NACHO (512 B, 2-way)",
 		Note:   "PW = possible-WAR detection only, ST = stack tracking only, N = NACHO",
@@ -299,17 +279,17 @@ func table3(rc *runCache, benchmarks []string) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		volatileRes, err := rc.get(p, systems.KindVolatile, DefaultRunConfig())
+		volatileRes, err := tl.get(p, systems.KindVolatile, DefaultRunConfig())
 		if err != nil {
 			return nil, err
 		}
-		naive, err := rc.get(p, systems.KindNaiveNACHO, DefaultRunConfig())
+		naive, err := tl.get(p, systems.KindNaiveNACHO, DefaultRunConfig())
 		if err != nil {
 			return nil, err
 		}
 		var results []emu.Result
 		for _, kind := range variants {
-			res, err := rc.get(p, kind, DefaultRunConfig())
+			res, err := tl.get(p, kind, DefaultRunConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -344,13 +324,9 @@ func table3(rc *runCache, benchmarks []string) (*Report, error) {
 	return rep, nil
 }
 
-// Fig8 regenerates Figure 8: NACHO's design space — cache sizes 256/512/1024
+// fig8 regenerates Figure 8: NACHO's design space — cache sizes 256/512/1024
 // bytes and 2/4 ways — normalized to the volatile system.
-func Fig8(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return fig8(rc, benchmarks) })
-}
-
-func fig8(rc *runCache, benchmarks []string) (*Report, error) {
+func fig8(tl *tally, benchmarks []string) (*Report, error) {
 	rep := &Report{
 		Title:  "Figure 8: NACHO cache design space, normalized to a fully volatile system",
 		Header: []string{"benchmark", "256B/2w", "512B/2w", "1024B/2w", "256B/4w", "512B/4w", "1024B/4w"},
@@ -360,7 +336,7 @@ func fig8(rc *runCache, benchmarks []string) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		base, err := rc.get(p, systems.KindVolatile, DefaultRunConfig())
+		base, err := tl.get(p, systems.KindVolatile, DefaultRunConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +346,7 @@ func fig8(rc *runCache, benchmarks []string) (*Report, error) {
 				cfg := DefaultRunConfig()
 				cfg.CacheSize = size
 				cfg.Ways = ways
-				res, err := rc.get(p, systems.KindNACHO, cfg)
+				res, err := tl.get(p, systems.KindNACHO, cfg)
 				if err != nil {
 					return nil, err
 				}

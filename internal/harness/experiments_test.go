@@ -50,7 +50,7 @@ func TestReportRaggedRows(t *testing.T) {
 func TestFig5ShapeProperties(t *testing.T) {
 	// One benchmark keeps the test fast; the shape assertions are the
 	// paper's headline claims.
-	rep, err := harness.Fig5([]string{"aes"})
+	rep, err := harness.RunNamedExperiment("fig5", []string{"aes"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFig5ShapeProperties(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	rep, err := harness.Fig7([]string{"aes"})
+	rep, err := harness.RunNamedExperiment("fig7", []string{"aes"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestTable2OverheadDecreasesWithOnDuration(t *testing.T) {
-	rep, err := harness.Table2([]string{"crc"})
+	rep, err := harness.RunNamedExperiment("table2", []string{"crc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTable2OverheadDecreasesWithOnDuration(t *testing.T) {
 }
 
 func TestTable3Runs(t *testing.T) {
-	rep, err := harness.Table3([]string{"quicksort"})
+	rep, err := harness.RunNamedExperiment("table3", []string{"quicksort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestTable3Runs(t *testing.T) {
 }
 
 func TestFig6AndFig8Run(t *testing.T) {
-	if _, err := harness.Fig6([]string{"sha"}); err != nil {
+	if _, err := harness.RunNamedExperiment("fig6", []string{"sha"}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := harness.Fig8([]string{"sha"})
+	rep, err := harness.RunNamedExperiment("fig8", []string{"sha"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,26 +149,26 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestUnknownBenchmarkErrors(t *testing.T) {
-	if _, err := harness.Fig5([]string{"nope"}); err == nil {
+	if _, err := harness.RunNamedExperiment("fig5", []string{"nope"}); err == nil {
 		t.Error("fig5 accepted unknown benchmark")
 	}
-	if _, err := harness.Table2([]string{"nope"}); err == nil {
+	if _, err := harness.RunNamedExperiment("table2", []string{"nope"}); err == nil {
 		t.Error("table2 accepted unknown benchmark")
 	}
 }
 
 func TestExtensionExperimentsRun(t *testing.T) {
-	rep, err := harness.ExtAdaptive([]string{"quicksort"})
+	rep, err := harness.RunNamedExperiment("ext-adaptive", []string{"quicksort"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Rows) != 5 { // 5 thresholds
 		t.Errorf("ext-adaptive rows = %d, want 5", len(rep.Rows))
 	}
-	if _, err := harness.ExtEnergy([]string{"aes"}); err != nil {
+	if _, err := harness.RunNamedExperiment("ext-energy", []string{"aes"}); err != nil {
 		t.Fatal(err)
 	}
-	wt, err := harness.ExtWriteThrough([]string{"aes"})
+	wt, err := harness.RunNamedExperiment("ext-wt", []string{"aes"})
 	if err != nil {
 		t.Fatal(err)
 	}

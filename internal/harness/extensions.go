@@ -17,15 +17,11 @@ import (
 // extThresholds is the adaptive-policy sweep (0 = policy off).
 var extThresholds = []int{0, 8, 16, 32, 64}
 
-// ExtAdaptive sweeps the Section 8 adaptive checkpointing policy: NACHO
+// extAdaptive sweeps the Section 8 adaptive checkpointing policy: NACHO
 // checkpoints proactively once more than N lines are dirty, trading extra
 // checkpoints for a bound on any single checkpoint's size (capacitor
 // sizing).
-func ExtAdaptive(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return extAdaptive(rc, benchmarks) })
-}
-
-func extAdaptive(rc *runCache, benchmarks []string) (*Report, error) {
+func extAdaptive(tl *tally, benchmarks []string) (*Report, error) {
 	rep := &Report{
 		Title:  "Extension (Section 8): adaptive checkpointing — dirty-line threshold sweep (NACHO, 512 B, 2-way)",
 		Note:   "threshold 0 = policy off; max-ckpt bounds the energy any one checkpoint needs",
@@ -39,7 +35,7 @@ func extAdaptive(rc *runCache, benchmarks []string) (*Report, error) {
 		for _, th := range extThresholds {
 			cfg := DefaultRunConfig()
 			cfg.DirtyThreshold = th
-			res, err := rc.get(p, systems.KindNACHO, cfg)
+			res, err := tl.get(p, systems.KindNACHO, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -55,14 +51,10 @@ func extAdaptive(rc *runCache, benchmarks []string) (*Report, error) {
 	return rep, nil
 }
 
-// ExtEnergy applies the Section 8 rough energy model to every system,
+// extEnergy applies the Section 8 rough energy model to every system,
 // including NACHO under energy prediction (single-buffered checkpoints,
 // halving checkpoint NVM writes).
-func ExtEnergy(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return extEnergy(rc, benchmarks) })
-}
-
-func extEnergy(rc *runCache, benchmarks []string) (*Report, error) {
+func extEnergy(tl *tally, benchmarks []string) (*Report, error) {
 	model := energy.DefaultModel()
 	rep := &Report{
 		Title: "Extension (Section 8): rough energy model (uJ per run; normalized to volatile)",
@@ -76,14 +68,14 @@ func extEnergy(rc *runCache, benchmarks []string) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		base, err := rc.get(p, systems.KindVolatile, DefaultRunConfig())
+		base, err := tl.get(p, systems.KindVolatile, DefaultRunConfig())
 		if err != nil {
 			return nil, err
 		}
 		baseUJ := model.Estimate(base.Counters).TotalUJ()
 		row := []string{name, fmt.Sprintf("%.1f", baseUJ)}
 		for _, kind := range kinds {
-			res, err := rc.get(p, kind, DefaultRunConfig())
+			res, err := tl.get(p, kind, DefaultRunConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -91,7 +83,7 @@ func extEnergy(rc *runCache, benchmarks []string) (*Report, error) {
 		}
 		cfg := DefaultRunConfig()
 		cfg.EnergyPrediction = true
-		res, err := rc.get(p, systems.KindNACHO, cfg)
+		res, err := tl.get(p, systems.KindNACHO, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -101,13 +93,9 @@ func extEnergy(rc *runCache, benchmarks []string) (*Report, error) {
 	return rep, nil
 }
 
-// ExtWriteThrough compares NACHO's write-back design against the
+// extWriteThrough compares NACHO's write-back design against the
 // write-through cache model of Section 8's limitations discussion.
-func ExtWriteThrough(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return extWriteThrough(rc, benchmarks) })
-}
-
-func extWriteThrough(rc *runCache, benchmarks []string) (*Report, error) {
+func extWriteThrough(tl *tally, benchmarks []string) (*Report, error) {
 	rep := &Report{
 		Title:  "Extension (Section 8): write-back NACHO vs a write-through cache with exact WAR tracking (512 B, 2-way)",
 		Header: []string{"benchmark", "system", "cycles", "checkpoints", "nvm-writes(B)", "hit-rate"},
@@ -118,7 +106,7 @@ func extWriteThrough(rc *runCache, benchmarks []string) (*Report, error) {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
 		for _, kind := range []systems.Kind{systems.KindNACHO, systems.KindWriteThrough} {
-			res, err := rc.get(p, kind, DefaultRunConfig())
+			res, err := tl.get(p, kind, DefaultRunConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -134,15 +122,12 @@ func extWriteThrough(rc *runCache, benchmarks []string) (*Report, error) {
 	return rep, nil
 }
 
-// ExtTable2Long re-runs the Table 2 re-execution-overhead experiment on the
+// extTable2Long re-runs the Table 2 re-execution-overhead experiment on the
 // scaled-up (-long) benchmark variants, whose 100-400 ms runtimes give the
 // paper's 50 ms and 100 ms on-durations a meaningful number of failures (the
-// standard benchmarks finish in 10-40 ms — see EXPERIMENTS.md).
-func ExtTable2Long() (*Report, error) {
-	return regenerate(extTable2Long)
-}
-
-func extTable2Long(rc *runCache) (*Report, error) {
+// standard benchmarks finish in 10-40 ms — see EXPERIMENTS.md). Its
+// benchmark set is fixed.
+func extTable2Long(tl *tally, _ []string) (*Report, error) {
 	benchmarks := []string{"coremark-long", "picojpeg-long", "aes-long", "sha-long", "adpcm-long"}
 	rep := &Report{
 		Title:  "Extension: Table 2 on the scaled -long benchmarks (NACHO, 512 B, 2-way)",
@@ -156,7 +141,7 @@ func extTable2Long(rc *runCache) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		res, err := rc.get(p, systems.KindNACHO, DefaultRunConfig())
+		res, err := tl.get(p, systems.KindNACHO, DefaultRunConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +155,7 @@ func extTable2Long(rc *runCache) (*Report, error) {
 			period := cost.CyclesForMillis(ms)
 			cfg.Schedule = power.Periodic{Period: period}
 			cfg.ForcedCheckpointPeriod = period / 2
-			res, err := rc.get(p, systems.KindNACHO, cfg)
+			res, err := tl.get(p, systems.KindNACHO, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -181,16 +166,12 @@ func extTable2Long(rc *runCache) (*Report, error) {
 	return rep, nil
 }
 
-// ExtFalsePositives quantifies Section 3.2's claim that hashing-induced
+// extFalsePositives quantifies Section 3.2's claim that hashing-induced
 // false positives in NACHO's WAR detection are "mostly negligible": it
 // compares NACHO's unsafe-eviction count against Oracle NACHO's (a perfect
 // exact-address detector — every extra unsafe eviction is a false positive)
 // and reports the execution-time cost of the difference.
-func ExtFalsePositives(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return extFalsePositives(rc, benchmarks) })
-}
-
-func extFalsePositives(rc *runCache, benchmarks []string) (*Report, error) {
+func extFalsePositives(tl *tally, benchmarks []string) (*Report, error) {
 	rep := &Report{
 		Title:  "Extension: WAR-detection false positives — NACHO vs Oracle NACHO (2-way)",
 		Note:   "false positives = NACHO's unsafe evictions beyond the perfect detector's",
@@ -204,11 +185,11 @@ func extFalsePositives(rc *runCache, benchmarks []string) (*Report, error) {
 		for _, size := range []int{256, 512} {
 			cfg := DefaultRunConfig()
 			cfg.CacheSize = size
-			oracle, err := rc.get(p, systems.KindOracleNACHO, cfg)
+			oracle, err := tl.get(p, systems.KindOracleNACHO, cfg)
 			if err != nil {
 				return nil, err
 			}
-			nacho, err := rc.get(p, systems.KindNACHO, cfg)
+			nacho, err := tl.get(p, systems.KindNACHO, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -225,16 +206,12 @@ func extFalsePositives(rc *runCache, benchmarks []string) (*Report, error) {
 	return rep, nil
 }
 
-// ExtSeedVariance measures run-to-run variability of the re-execution
+// extSeedVariance measures run-to-run variability of the re-execution
 // overhead under *random* (seeded-uniform) power schedules — the statistics
 // the paper's single periodic run cannot show. For each benchmark it runs
 // nSeeds schedules with mean on-duration 5 ms and reports min/mean/max
 // overhead versus the failure-free run.
-func ExtSeedVariance(benchmarks []string) (*Report, error) {
-	return regenerate(func(rc *runCache) (*Report, error) { return extSeedVariance(rc, benchmarks) })
-}
-
-func extSeedVariance(rc *runCache, benchmarks []string) (*Report, error) {
+func extSeedVariance(tl *tally, benchmarks []string) (*Report, error) {
 	const nSeeds = 8
 	rep := &Report{
 		Title:  "Extension: overhead variability over random power schedules (NACHO, 512 B, mean 5 ms on-duration)",
@@ -248,7 +225,7 @@ func extSeedVariance(rc *runCache, benchmarks []string) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		base, err := rc.get(p, systems.KindNACHO, DefaultRunConfig())
+		base, err := tl.get(p, systems.KindNACHO, DefaultRunConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +234,7 @@ func extSeedVariance(rc *runCache, benchmarks []string) (*Report, error) {
 			cfg := DefaultRunConfig()
 			cfg.Schedule = power.NewUniform(period/2, period*3/2, seed)
 			cfg.ForcedCheckpointPeriod = period / 2
-			res, err := rc.get(p, systems.KindNACHO, cfg)
+			res, err := tl.get(p, systems.KindNACHO, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -12,19 +12,21 @@ import (
 
 // TestParallelMatchesSequential is the harness determinism contract: a
 // Figure 5 + Table 3 regeneration fanned across eight workers must be
-// byte-identical — text and CSV — to the single-worker run. ci.sh runs this
-// package under -race, which additionally exercises the worker pool and the
-// singleflight cache for data races.
+// byte-identical — text and CSV — to the single-worker run. Both start from
+// an empty run cache, so both execute. ci.sh runs this package under -race,
+// which additionally exercises the worker pool and the singleflight cache
+// for data races.
 func TestParallelMatchesSequential(t *testing.T) {
 	benches := []string{"crc", "sha"}
 	regen := func(workers int) (fig5, table3 *harness.Report) {
 		prev := harness.SetWorkers(workers)
 		defer harness.SetWorkers(prev)
-		fig5, err := harness.Fig5(benches)
+		harness.ResetRunCache()
+		fig5, err := harness.RunNamedExperiment("fig5", benches)
 		if err != nil {
 			t.Fatal(err)
 		}
-		table3, err = harness.Table3(benches)
+		table3, err = harness.RunNamedExperiment("table3", benches)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,19 +51,23 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTimingCountsWorkerInvariant pins the Timing line's run and hit counts
-// to the same values at every worker count: a hit is a repeat request, never
-// the assembly pass's first read of a prewarmed cell. Table 2 requests its
-// failure-free baselines repeatedly, so it must report hits; Figure 5
-// requests every cell once.
+// TestTimingCountsWorkerInvariant pins the Timing line's counts to the same
+// values at every worker count, across experiments that share one run cache:
+// a hit is a repeat request, never the assembly pass's first read of a
+// prewarmed cell. Figures 6 and 7 plot subsets of Figure 5's matrix, so after
+// it they execute nothing and serve every request from its runs; Table 2
+// requests its failure-free baselines, which Figure 5 ran, once per
+// on-duration.
 func TestTimingCountsWorkerInvariant(t *testing.T) {
 	counts := regexp.MustCompile(`^timing: (\d+) runs \((\d+) cache hits\)`)
+	earlier := regexp.MustCompile(`; (\d+) cache hits served by runs of earlier experiments`)
 	regen := func(workers int) map[string]string {
 		prev := harness.SetWorkers(workers)
 		defer harness.SetWorkers(prev)
+		harness.ResetRunCache()
 		out := map[string]string{}
-		for _, exp := range []string{"fig5", "table2"} {
-			rep, err := harness.RunNamedExperiment(exp, []string{"crc"})
+		for _, exp := range []string{"fig5", "fig6", "fig7", "table2"} {
+			rep, err := harness.RunNamedExperiment(exp, []string{"crc", "sha"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,9 +75,16 @@ func TestTimingCountsWorkerInvariant(t *testing.T) {
 			if m == nil {
 				t.Fatalf("%s: timing line %q lacks the runs/hits prefix", exp, rep.Timing)
 			}
-			out[exp] = m[0]
-			if exp == "table2" && m[2] == "0" {
-				t.Errorf("table2 reported no cache hits: %q", rep.Timing)
+			out[exp] = m[0] + earlier.FindString(rep.Timing)
+			switch exp {
+			case "fig6", "fig7":
+				if m[1] != "0" || !earlier.MatchString(rep.Timing) {
+					t.Errorf("%s executed runs or served none from fig5's: %q", exp, rep.Timing)
+				}
+			case "table2":
+				if m[2] == "0" {
+					t.Errorf("table2 reported no cache hits: %q", rep.Timing)
+				}
 			}
 		}
 		return out

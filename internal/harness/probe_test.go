@@ -28,12 +28,14 @@ func goldenBytes(t *testing.T, name string) string {
 // pre-probe wiring produced (goldens generated at commit time with one
 // worker). The experiment runs execute with the verifier attached — as a
 // probe now, as a hardwired observer then — so any drift in event routing,
-// emission order, or cycle accounting shows up here.
+// emission order, or cycle accounting shows up here. The run cache starts
+// empty so the reports come from execution.
 func TestReportsMatchPreRefactorGoldens(t *testing.T) {
 	prev := harness.SetWorkers(1)
 	defer harness.SetWorkers(prev)
+	harness.ResetRunCache()
 
-	fig5, err := harness.Fig5([]string{"crc", "sha", "towers"})
+	fig5, err := harness.RunNamedExperiment("fig5", []string{"crc", "sha", "towers"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func TestReportsMatchPreRefactorGoldens(t *testing.T) {
 		t.Errorf("Fig5 output drifted from pre-refactor golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
-	table3, err := harness.Table3([]string{"crc", "towers", "quicksort"})
+	table3, err := harness.RunNamedExperiment("table3", []string{"crc", "towers", "quicksort"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/sim"
+	"nacho/internal/store"
 	"nacho/internal/systems"
 	"nacho/internal/telemetry"
 	"nacho/internal/trace"
@@ -44,7 +45,7 @@ type RunConfig struct {
 	Trace io.Writer
 	// Probe, when non-nil, observes the run's full event stream alongside
 	// the verifier and trace recorder (see sim.Probe). Probed runs bypass
-	// the parallel harness's run cache.
+	// the run cache and the store.
 	Probe sim.Probe
 	// ForcedCheckpointMargin is passed to the emulator (see emu.Config).
 	ForcedCheckpointMargin uint64
@@ -58,17 +59,18 @@ type RunConfig struct {
 	FinalFlush bool
 	// Engine selects the execution engine (see emu.Engine). The zero value
 	// picks the fastest correct engine; the equivalence suite sets concrete
-	// engines to obtain each side of its comparison. Validate external input
-	// with emu.ParseEngine before setting it here.
+	// engines to obtain each side of its comparison, and because it holds
+	// them equal the engine is not part of the run identity. Validate
+	// external input with emu.ParseEngine before setting it here.
 	Engine emu.Engine
 	// NoFastPort disables the AOT engine's sim.FastPort cached-hit path (see
 	// emu.Config.NoFastPort). Result-invariant — the equivalence suite runs
 	// both sides of this axis — so, like Probe and Trace, it is not part of
-	// the run-cache identity.
+	// the run identity.
 	NoFastPort bool
 	// Span, when non-zero, parents the run span this run emits on the
 	// campaign tracer; zero attaches it to the tracer's ambient span. Purely
-	// observational: it is not part of the run-cache identity.
+	// observational: it is not part of the run identity.
 	Span telemetry.SpanID
 }
 
@@ -93,13 +95,81 @@ func DefaultRunConfig() RunConfig {
 	return RunConfig{CacheSize: 512, Ways: 2, Verify: true, Cost: mem.DefaultCostModel(), Engine: defaultEngine}
 }
 
+// observed reports whether the run carries a trace or a probe. The caller
+// wants their side effects, which a cached or stored result would swallow,
+// so an observed run always executes: it bypasses the run cache and the
+// store.
+func (cfg RunConfig) observed() bool { return cfg.Trace != nil || cfg.Probe != nil }
+
+// identity is the one description of a run's identity: every RunConfig field
+// that can change the result, with the zero Cost read as the default model
+// the run executes under, plus the image, the system and the golden check.
+// The fields that cannot change results — Trace, Probe, Engine, NoFastPort
+// and Span — stay out (TestIdentityCoversResultAffectingFields). It keys the
+// in-process run cache, its digest names the run's store object, and it
+// fills the ledger's identity columns.
+func identity(img *program.Image, kind systems.Kind, cfg RunConfig, checkGolden bool) store.Key {
+	if cfg.Cost == (mem.CostModel{}) {
+		cfg.Cost = mem.DefaultCostModel()
+	}
+	schedule := "none"
+	if cfg.Schedule != nil {
+		schedule = cfg.Schedule.Key()
+	}
+	return store.Key{
+		Program:                img.Program.Name,
+		ImageHash:              img.Hash(),
+		System:                 string(kind),
+		CacheSize:              cfg.CacheSize,
+		Ways:                   cfg.Ways,
+		Schedule:               schedule,
+		ForcedCheckpointPeriod: cfg.ForcedCheckpointPeriod,
+		ForcedCheckpointMargin: cfg.ForcedCheckpointMargin,
+		MaxInstructions:        cfg.MaxInstructions,
+		MaxCycles:              cfg.MaxCycles,
+		FinalFlush:             cfg.FinalFlush,
+		Verify:                 cfg.Verify,
+		CheckGolden:            checkGolden,
+		ClockHz:                cfg.Cost.ClockHz,
+		HitCycles:              cfg.Cost.HitCycles,
+		NVMCycles:              cfg.Cost.NVMCycles,
+		DirtyThreshold:         cfg.DirtyThreshold,
+		EnergyPrediction:       cfg.EnergyPrediction,
+	}
+}
+
+// request is one run on its way down the run path — the run cache, then the
+// store, then the ledger — carrying its identity once the first of them has
+// computed it. A run that meets none of them (no regeneration, no store, no
+// ledger) computes none.
+type request struct {
+	img         *program.Image
+	kind        systems.Kind
+	cfg         RunConfig
+	checkGolden bool
+	key         *store.Key // nil until computed
+}
+
+// identity returns the request's identity, computing it on first use.
+func (r *request) identity() *store.Key {
+	if r.key == nil {
+		k := identity(r.img, r.kind, r.cfg, r.checkGolden)
+		r.key = &k
+	}
+	return r.key
+}
+
 // Run executes one benchmark under one system and returns the emulator
 // result. With cfg.Verify set it fails on any shadow/WAR violation or on a
 // checksum mismatch against the Go reference implementation. When a
 // persistent run store is installed (SetStore), the result may be served from
 // it without executing.
 func Run(p *program.Program, kind systems.Kind, cfg RunConfig) (emu.Result, error) {
-	res, err, _ := runStored(p, kind, cfg)
+	img, err := p.Build()
+	if err != nil {
+		return emu.Result{}, err
+	}
+	res, err, _ := runImageStored(&request{img: img, kind: kind, cfg: cfg, checkGolden: true})
 	return res, err
 }
 
@@ -108,19 +178,25 @@ func Run(p *program.Program, kind systems.Kind, cfg RunConfig) (emu.Result, erro
 // program's reported result word against the image's expected checksum. Like
 // Run, it reads and writes through the installed persistent run store.
 func RunImage(img *program.Image, kind systems.Kind, cfg RunConfig, checkGolden bool) (emu.Result, error) {
-	res, err, _ := runImageStored(img, kind, cfg, checkGolden)
+	res, err, _ := runImageStored(&request{img: img, kind: kind, cfg: cfg, checkGolden: checkGolden})
 	return res, err
 }
 
 // RunImageSys is RunImage, additionally returning the memory system the run
 // executed on. Callers that compare post-run NVM state (the differential
 // fuzzer, the metamorphic tests) read it through sys.Mem(); everyone else
-// should use RunImage, which discards it.
+// should use RunImage, which discards it. It never touches the run store.
 func RunImageSys(img *program.Image, kind systems.Kind, cfg RunConfig, checkGolden bool) (emu.Result, sim.System, error) {
+	r := request{img: img, kind: kind, cfg: cfg, checkGolden: checkGolden}
+	return r.execute()
+}
+
+// execute runs the request's simulation and appends its ledger record.
+func (r *request) execute() (emu.Result, sim.System, error) {
+	img, kind, cfg := r.img, r.kind, r.cfg
 	if cfg.Cost == (mem.CostModel{}) {
 		cfg.Cost = mem.DefaultCostModel()
 	}
-
 	frozen, err := img.FrozenSpace()
 	if err != nil {
 		return emu.Result{}, nil, err
@@ -176,7 +252,7 @@ func RunImageSys(img *program.Image, kind systems.Kind, cfg RunConfig, checkGold
 		err = fmt.Errorf("%s on %s: %w", name, kind, err)
 	} else if verr := ver.Err(); verr != nil {
 		err = fmt.Errorf("%s on %s: %w", name, kind, verr)
-	} else if cfg.Verify && checkGolden {
+	} else if cfg.Verify && r.checkGolden {
 		if res.ExitCode != 0 {
 			err = fmt.Errorf("%s on %s: exit code %d", name, kind, res.ExitCode)
 		} else if res.Result != img.Expected {
@@ -185,7 +261,7 @@ func RunImageSys(img *program.Image, kind systems.Kind, cfg RunConfig, checkGold
 		}
 	}
 	tr.End(span, res.Counters.Cycles, res.Counters.Instructions, err != nil)
-	appendLedger(name, kind, cfg, engine, res, err, wallMicros, outcomeExecuted)
+	appendLedger(r, engine, res, err, wallMicros, outcomeExecuted)
 	return res, sys, err
 }
 

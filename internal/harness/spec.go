@@ -6,7 +6,7 @@ import "fmt"
 // plus its paper-default benchmark set (nil for experiments with a fixed
 // internal set).
 type experimentDef struct {
-	build    func(rc *runCache, benchmarks []string) (*Report, error)
+	build    func(tl *tally, benchmarks []string) (*Report, error)
 	defaults func() []string
 }
 
@@ -20,7 +20,7 @@ var (
 	}
 	experimentRegistry = map[string]experimentDef{
 		"table1": {
-			build:    func(*runCache, []string) (*Report, error) { return Table1(), nil },
+			build:    func(*tally, []string) (*Report, error) { return Table1(), nil },
 			defaults: func() []string { return nil },
 		},
 		"fig5":   {build: fig5, defaults: AllBenchmarks},
@@ -33,14 +33,11 @@ var (
 			build:    extAdaptive,
 			defaults: func() []string { return []string{"coremark", "quicksort", "picojpeg", "dijkstra"} },
 		},
-		"ext-energy": {build: extEnergy, defaults: AllBenchmarks},
-		"ext-wt":     {build: extWriteThrough, defaults: AllBenchmarks},
-		"ext-table2-long": {
-			build:    func(rc *runCache, _ []string) (*Report, error) { return extTable2Long(rc) },
-			defaults: func() []string { return nil },
-		},
-		"ext-fp":    {build: extFalsePositives, defaults: AllBenchmarks},
-		"ext-seeds": {build: extSeedVariance, defaults: Table2Benchmarks},
+		"ext-energy":      {build: extEnergy, defaults: AllBenchmarks},
+		"ext-wt":          {build: extWriteThrough, defaults: AllBenchmarks},
+		"ext-table2-long": {build: extTable2Long, defaults: func() []string { return nil }},
+		"ext-fp":          {build: extFalsePositives, defaults: AllBenchmarks},
+		"ext-seeds":       {build: extSeedVariance, defaults: Table2Benchmarks},
 	}
 )
 
@@ -52,7 +49,9 @@ func ExperimentNames() []string {
 }
 
 // RunNamedExperiment regenerates one experiment by name, with benchmarks
-// narrowing the set (nil or empty means the paper default).
+// narrowing the set (nil or empty means the paper default). It is the one
+// entry point for regenerating an experiment; every regeneration in the
+// process shares one run cache.
 func RunNamedExperiment(name string, benchmarks []string) (*Report, error) {
 	def, ok := experimentRegistry[name]
 	if !ok {
@@ -61,5 +60,5 @@ func RunNamedExperiment(name string, benchmarks []string) (*Report, error) {
 	if len(benchmarks) == 0 {
 		benchmarks = def.defaults()
 	}
-	return regenerate(func(rc *runCache) (*Report, error) { return def.build(rc, benchmarks) })
+	return regenerate(func(tl *tally) (*Report, error) { return def.build(tl, benchmarks) })
 }

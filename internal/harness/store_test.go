@@ -3,8 +3,12 @@ package harness
 import (
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"nacho/internal/emu"
+	"nacho/internal/program"
 	"nacho/internal/sim"
 	"nacho/internal/store"
 	"nacho/internal/systems"
@@ -86,20 +90,23 @@ func TestStoreCachesErrorOutcome(t *testing.T) {
 
 // TestWarmStoreRegeneration is the tentpole property: regenerating fig5
 // against a populated store executes zero simulations and renders a report
-// byte-identical to the cold one.
+// byte-identical to the cold one. Each pass starts from an empty run cache,
+// as a fresh process would, so the warm pass reads the store.
 func TestWarmStoreRegeneration(t *testing.T) {
 	s := withStore(t)
 	benchmarks := []string{"crc", "aes"}
 
-	cold, err := Fig5(benchmarks)
+	ResetRunCache()
+	cold, err := RunNamedExperiment("fig5", benchmarks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	ResetRunCache()
 	before := Status()
-	warm, err := Fig5(benchmarks)
+	warm, err := RunNamedExperiment("fig5", benchmarks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +203,7 @@ func TestCorruptStoreEntryReexecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := storeKeyFor(img, systems.KindNACHO, cfg, true)
+	key := identity(img, systems.KindNACHO, cfg, true)
 	path := s.Dir() + "/objects/" + key.Digest()[:2] + "/" + key.Digest()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -233,4 +240,68 @@ func TestCorruptStoreEntryReexecutes(t *testing.T) {
 	if got := Status().RunsStarted - before.RunsStarted; got != 0 {
 		t.Error("healed entry was not served from the store")
 	}
+}
+
+// TestStoreServesAcrossEngines pins the sharing the engine-free identity
+// intends: a cell stored by a run on the reference interpreter is served to
+// an AOT request without executing.
+func TestStoreServesAcrossEngines(t *testing.T) {
+	s := withStore(t)
+	p := mustProgram(t, "crc")
+	cfg := DefaultRunConfig()
+	cfg.Verify = false // a verified run executes on ref whatever the engine
+	cfg.Engine = emu.EngineRef
+
+	ref, err := Run(p, systems.KindNACHO, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine = emu.EngineAOT
+	before := Status()
+	aot, err := Run(p, systems.KindNACHO, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := Status()
+	if got := after.RunsStarted - before.RunsStarted; got != 0 {
+		t.Errorf("aot request executed %d simulations, want 0 (served from the ref cell)", got)
+	}
+	if got := after.StoreHits - before.StoreHits; got != 1 {
+		t.Errorf("store hit delta = %d, want 1", got)
+	}
+	if !reflect.DeepEqual(ref, aot) {
+		t.Errorf("served result differs:\nref %+v\naot %+v", ref, aot)
+	}
+}
+
+// TestStoreDoesNotPinImage runs a caller-supplied image through the store
+// path and requires the image to be collectable afterwards: the run's
+// identity hashes the image, and a process-wide memo of that hash keyed by
+// the image would keep every image, its frozen space and its compiled text
+// alive for the life of the process.
+func TestStoreDoesNotPinImage(t *testing.T) {
+	withStore(t)
+	freed := make(chan struct{})
+	func() {
+		img, err := program.FromSource("pinned", "_start:\n li t0, 7\n li t1, 0x000F0004\n sw t0, (t1)\n ebreak\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(img, func(*program.Image) { close(freed) })
+		if _, err := RunImage(img, systems.KindNACHO, DefaultRunConfig(), false); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("the image outlived its run through the store")
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nacho/internal/emu"
-	"nacho/internal/systems"
 	"nacho/internal/telemetry"
 )
 
@@ -64,13 +63,13 @@ func endExperiment() {
 }
 
 // workerStarted/workerDone bracket one prewarm job on one worker.
-func workerStarted(worker int, j job) {
+func workerStarted(worker int, r *request) {
 	pool.workersBusy.Add(1)
 	pool.mu.Lock()
 	if pool.activeJobs == nil {
 		pool.activeJobs = make(map[int]WorkerJob)
 	}
-	pool.activeJobs[worker] = WorkerJob{Worker: worker, Program: j.p.Name, System: string(j.kind)}
+	pool.activeJobs[worker] = WorkerJob{Worker: worker, Program: r.img.Program.Name, System: string(r.kind)}
 	pool.mu.Unlock()
 }
 
@@ -110,7 +109,7 @@ var engineStats = func() map[emu.Engine]*engineStat {
 // per-instruction reference interpreter (the sole emitter of per-instruction
 // events; see emu.Machine); otherwise the resolved configured engine runs.
 func executedEngine(cfg RunConfig) emu.Engine {
-	if cfg.Verify || cfg.Trace != nil || cfg.Probe != nil {
+	if cfg.Verify || cfg.observed() {
 		return emu.EngineRef
 	}
 	return cfg.Engine.Resolve()
@@ -127,16 +126,6 @@ func runObserved(engine emu.Engine, wallMicros int64, instructions uint64) {
 	st.wall.Observe(uint64(wallMicros))
 }
 
-// scheduleKey renders a RunConfig's power schedule identity ("none" when
-// always-on); it is the schedule component of both the run-cache key and the
-// ledger record.
-func scheduleKey(cfg RunConfig) string {
-	if cfg.Schedule != nil {
-		return cfg.Schedule.Key()
-	}
-	return "none"
-}
-
 // Served-outcome labels for appendLedger: a run record is either an actual
 // execution (outcomeExecuted), a result served from the in-process run cache
 // (outcomeCacheHit), or one served from the persistent store
@@ -148,27 +137,29 @@ const (
 )
 
 // appendLedger writes one run record to the installed campaign ledger; a
-// no-op when none is installed. served marks a result that was not executed:
-// outcomeCacheHit (in-process run cache) or outcomeStoreHit (persistent
-// store); counters are the original run's, wall time 0. A run error takes
-// precedence over the served outcome so failures are always greppable as
-// "error".
-func appendLedger(name string, kind systems.Kind, cfg RunConfig, engine emu.Engine,
-	res emu.Result, err error, wallMicros int64, served string) {
+// no-op when none is installed. The identity columns come from the request's
+// identity, whose digest fills the key column. served marks a result that was
+// not executed: outcomeCacheHit (in-process run cache) or outcomeStoreHit
+// (persistent store); counters are the original run's, wall time 0. A run
+// error takes precedence over the served outcome so failures are always
+// greppable as "error".
+func appendLedger(r *request, engine emu.Engine, res emu.Result, err error, wallMicros int64, served string) {
 	l := telemetry.ActiveLedger()
 	if l == nil {
 		return
 	}
+	key := r.identity()
 	rec := telemetry.Record{
 		V:             telemetry.LedgerVersion,
-		Program:       name,
-		System:        string(kind),
+		Key:           key.Digest(),
+		Program:       key.Program,
+		System:        key.System,
 		Engine:        string(engine),
-		Cache:         cfg.CacheSize,
-		Ways:          cfg.Ways,
-		Schedule:      scheduleKey(cfg),
+		Cache:         key.CacheSize,
+		Ways:          key.Ways,
+		Schedule:      key.Schedule,
 		Outcome:       "ok",
-		Bypass:        served == outcomeExecuted && (cfg.Trace != nil || cfg.Probe != nil),
+		Bypass:        served == outcomeExecuted && r.cfg.observed(),
 		Cycles:        res.Counters.Cycles,
 		Instructions:  res.Counters.Instructions,
 		Checkpoints:   res.Counters.Checkpoints,

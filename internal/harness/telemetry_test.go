@@ -50,27 +50,28 @@ func TestRunCacheCountsBypassAndHits(t *testing.T) {
 	beforeBypass := pool.cacheBypassed.Load()
 	beforeHits := pool.cacheHits.Load()
 
-	rc := newRunCache()
+	ResetRunCache()
+	tl := newTally()
 	probed := cfg
 	probed.Probe = sim.NewCounterProbe()
-	if _, err := rc.get(p, systems.KindNACHO, probed); err != nil {
+	if _, err := tl.get(p, systems.KindNACHO, probed); err != nil {
 		t.Fatal(err)
 	}
-	if rc.bypassed != 1 {
-		t.Errorf("rc.bypassed = %d, want 1", rc.bypassed)
+	if tl.bypassed != 1 {
+		t.Errorf("tl.bypassed = %d, want 1", tl.bypassed)
 	}
 	if got := pool.cacheBypassed.Load() - beforeBypass; got != 1 {
 		t.Errorf("pool bypass delta = %d, want 1", got)
 	}
 
-	if _, err := rc.get(p, systems.KindNACHO, cfg); err != nil {
+	if _, err := tl.get(p, systems.KindNACHO, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.get(p, systems.KindNACHO, cfg); err != nil {
+	if _, err := tl.get(p, systems.KindNACHO, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if rc.runs != 1 || rc.hits != 1 {
-		t.Errorf("runs=%d hits=%d, want 1/1", rc.runs, rc.hits)
+	if tl.runs != 1 || tl.hits != 1 {
+		t.Errorf("runs=%d hits=%d, want 1/1", tl.runs, tl.hits)
 	}
 	if got := pool.cacheHits.Load() - beforeHits; got != 1 {
 		t.Errorf("pool hit delta = %d, want 1", got)
@@ -85,11 +86,11 @@ func TestTimingReportsBypassedRuns(t *testing.T) {
 	p := mustProgram(t, "crc")
 	probed := DefaultRunConfig()
 	probed.Probe = sim.NewCounterProbe()
-	rep, err := regenerate(func(rc *runCache) (*Report, error) {
-		if _, err := rc.get(p, systems.KindNACHO, probed); err != nil {
+	rep, err := regenerate(func(tl *tally) (*Report, error) {
+		if _, err := tl.get(p, systems.KindNACHO, probed); err != nil {
 			return nil, err
 		}
-		if _, err := rc.get(p, systems.KindNACHO, DefaultRunConfig()); err != nil {
+		if _, err := tl.get(p, systems.KindNACHO, DefaultRunConfig()); err != nil {
 			return nil, err
 		}
 		return &Report{Title: "bypass probe"}, nil
@@ -101,8 +102,8 @@ func TestTimingReportsBypassedRuns(t *testing.T) {
 		t.Errorf("Timing does not surface the bypass: %q", rep.Timing)
 	}
 
-	plain, err := regenerate(func(rc *runCache) (*Report, error) {
-		if _, err := rc.get(p, systems.KindNACHO, DefaultRunConfig()); err != nil {
+	plain, err := regenerate(func(tl *tally) (*Report, error) {
+		if _, err := tl.get(p, systems.KindNACHO, DefaultRunConfig()); err != nil {
 			return nil, err
 		}
 		return &Report{Title: "no bypass"}, nil

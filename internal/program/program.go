@@ -18,6 +18,9 @@
 package program
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strconv"
@@ -104,6 +107,35 @@ type Image struct {
 	frozenOnce sync.Once
 	frozen     *mem.Space
 	frozenErr  error
+
+	// The content hash, computed on first use by Hash.
+	hashOnce sync.Once
+	hash     string
+}
+
+// Hash returns the hex SHA-256 of the image's content: the entry point, the
+// expected checksum, and every segment (address, length, then contents) in
+// load order. It identifies the program in a run's identity; computed once,
+// on first use, and kept on the image so it lives exactly as long as the
+// image does.
+func (img *Image) Hash() string {
+	img.hashOnce.Do(func() {
+		h := sha256.New()
+		var w [4]byte
+		word := func(v uint32) {
+			binary.LittleEndian.PutUint32(w[:], v)
+			h.Write(w[:])
+		}
+		word(img.Entry)
+		word(img.Expected)
+		for _, seg := range img.Segments {
+			word(seg.Addr)
+			word(uint32(len(seg.Data)))
+			h.Write(seg.Data)
+		}
+		img.hash = hex.EncodeToString(h.Sum(nil))
+	})
+	return img.hash
 }
 
 // FrozenSpace returns the image's initial memory: every segment loaded once,

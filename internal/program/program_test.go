@@ -36,6 +36,31 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// crcImageHash pins crc's image hash. The hash is the program's part of every
+// run identity, so a drift silently turns every stored crc cell into a miss.
+// If this test fails, the crc image or the hash derivation changed: bump
+// store.KeyVersion if the derivation did, then regenerate the constant.
+const crcImageHash = "83b16671538a291d537bb112c9d9ecf95212ce0985966f7e0b2b2f4f3a9b6ce9"
+
+func TestImageHashPinned(t *testing.T) {
+	p, _ := ByName("crc")
+	img, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := img.Hash(); got != crcImageHash {
+		t.Fatalf("crc image hash = %s, want %s", got, crcImageHash)
+	}
+	other, _ := ByName("sha")
+	shaImg, err := other.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shaImg.Hash() == img.Hash() {
+		t.Fatal("distinct images share a hash")
+	}
+}
+
 func TestBuildCachesImages(t *testing.T) {
 	p, _ := ByName("crc")
 	a, err := p.Build()

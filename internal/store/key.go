@@ -1,10 +1,9 @@
-// Package store is the persistent, content-addressed run-result store: the
-// structured in-process run-cache key promoted to a digest over the canonical
-// serialization of a run's full identity, mapping to an on-disk record of the
-// run's outcome. It is what lets the evaluation matrix survive process
-// restarts, be shared between processes (entries are written by atomic
-// rename), and regenerate the whole paper evaluation from a warm store
-// without executing a single simulation.
+// Package store is the persistent, content-addressed run-result store: a
+// digest over the canonical serialization of a run's identity (Key), mapping
+// to an on-disk record of the run's outcome. It is what lets the evaluation
+// matrix survive process restarts, be shared between processes (entries are
+// written by atomic rename), and regenerate the whole paper evaluation from a
+// warm store without executing a single simulation.
 package store
 
 import (
@@ -17,18 +16,21 @@ import (
 // the key serialization — or anything about the simulation that the key
 // cannot see — changes meaning, so stale stores turn into clean misses
 // instead of serving results computed under different semantics.
-const KeyVersion = 1
+const KeyVersion = 2
 
 // Key is the complete, serializable identity of one run: everything that can
-// influence the simulation result. It mirrors the harness's in-process
-// run-cache key with one strengthening — the program is identified by the
-// content hash of its assembled image, not by name, so two builds of a repo
-// with different benchmark source never alias in a shared store.
+// influence the simulation result, and nothing that cannot. The harness
+// builds it once per run request; it keys the in-process run cache, its
+// digest names the run's store object, and it fills the run ledger's identity
+// columns. The program is identified by the content hash of its assembled
+// image, not only by name, so two builds of a repo with different benchmark
+// source never alias in a shared store. The key names no engine: the engines
+// are result-invariant (the harness's equivalence suite), so a result stored
+// under one serves the other.
 type Key struct {
 	Program   string `json:"program"`    // benchmark/program name (diagnostic; ImageHash is authoritative)
-	ImageHash string `json:"image_hash"` // hex SHA-256 of the canonical image serialization
+	ImageHash string `json:"image_hash"` // program.Image.Hash
 	System    string `json:"system"`
-	Engine    string `json:"engine"` // resolved engine (never "auto")
 
 	CacheSize int    `json:"cache"`
 	Ways      int    `json:"ways"`
@@ -85,7 +87,6 @@ func (k *Key) appendCanonical(buf []byte) []byte {
 	str("program", k.Program)
 	str("image_hash", k.ImageHash)
 	str("system", k.System)
-	str("engine", k.Engine)
 	sint("cache", k.CacheSize)
 	sint("ways", k.Ways)
 	str("schedule", k.Schedule)
@@ -112,33 +113,10 @@ func (k *Key) Canonical() string { return string(k.appendCanonical(nil)) }
 // digest (pinned field by field in TestDigestSensitivity); identical
 // identities collide by construction.
 func (k *Key) Digest() string {
-	sum := sha256.Sum256(k.appendCanonical(nil))
+	// A digest is taken per store lookup and per ledger record; the
+	// canonical form fits this stack buffer (a longer one spills to the
+	// heap), so only the hex encoding allocates.
+	var buf [512]byte
+	sum := sha256.Sum256(k.appendCanonical(buf[:0]))
 	return hex.EncodeToString(sum[:])
-}
-
-// HashImage digests an assembled program image: entry point, expected
-// checksum, and every segment (address, then contents) in load order. It is
-// the ImageHash component of a Key.
-func HashImage(entry, expected uint32, segments []Segment) string {
-	h := sha256.New()
-	var w [8]byte
-	word := func(v uint32) {
-		w[0], w[1], w[2], w[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(w[:4])
-	}
-	word(entry)
-	word(expected)
-	for _, seg := range segments {
-		word(seg.Addr)
-		word(uint32(len(seg.Data)))
-		h.Write(seg.Data)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Segment is one loadable image segment, as HashImage consumes it. It
-// mirrors asm.Segment without importing the assembler.
-type Segment struct {
-	Addr uint32
-	Data []byte
 }

@@ -16,7 +16,6 @@ func testKey() Key {
 		Program:                "aes",
 		ImageHash:              "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
 		System:                 "nacho",
-		Engine:                 "aot",
 		CacheSize:              512,
 		Ways:                   2,
 		Schedule:               "none",
@@ -56,7 +55,7 @@ func testEntry(k Key) *Entry {
 // serialization, and therefore every existing store, silently drifting is
 // exactly what this constant is here to catch. If this test fails you have
 // changed the store format — bump KeyVersion and regenerate the constant.
-const goldenDigest = "ac53b15a36c375867cee9d7def45f9d3ff4d84b736456d720f51bfc7780bda5b"
+const goldenDigest = "3483c277d768d38c888ead5fc8fae71f732ae3b7f3ea19f97be1c9334c3e7b84"
 
 func TestGoldenDigest(t *testing.T) {
 	k := testKey()
@@ -83,7 +82,6 @@ func TestDigestSensitivity(t *testing.T) {
 		"Program":                func(k *Key) { k.Program = "sha" },
 		"ImageHash":              func(k *Key) { k.ImageHash = strings.Repeat("f", 64) },
 		"System":                 func(k *Key) { k.System = "clank" },
-		"Engine":                 func(k *Key) { k.Engine = "ref" },
 		"CacheSize":              func(k *Key) { k.CacheSize = 256 },
 		"Ways":                   func(k *Key) { k.Ways = 4 },
 		"Schedule":               func(k *Key) { k.Schedule = "periodic(250000)" },
@@ -340,7 +338,7 @@ func TestConcurrentPutGet(t *testing.T) {
 
 func TestCanonicalFormStable(t *testing.T) {
 	k := testKey()
-	want := fmt.Sprintf(`{"v":%d,"program":"aes","image_hash":"%s","system":"nacho","engine":"aot",`+
+	want := fmt.Sprintf(`{"v":%d,"program":"aes","image_hash":"%s","system":"nacho",`+
 		`"cache":512,"ways":2,"schedule":"none","forced_period":0,"forced_margin":0,`+
 		`"max_instructions":0,"max_cycles":0,"final_flush":false,"verify":true,"check_golden":true,`+
 		`"clock_hz":50000000,"hit_cycles":2,"nvm_cycles":6,"dirty_threshold":0,"energy_prediction":false}`,

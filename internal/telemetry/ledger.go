@@ -13,9 +13,10 @@ import (
 // process. Where the metrics registry answers "how is the campaign doing
 // right now" and the span tracer "where did the time go", the ledger answers
 // "what exactly ran" — a replay-loadable record of every simulation's
-// identity (the structured runKey fields), outcome, counters and timing.
-// It is the stepping stone to a content-addressed run cache: the record key
-// fields are exactly the fields the harness's singleflight cache keys on.
+// identity, outcome, counters and timing. The record's key is the digest of
+// the run's full identity (the harness's store.Key, which also keys its run
+// cache and names the run's store object); the program, system, cache, ways
+// and schedule columns are a readable subset of that identity.
 //
 // Append renders into a buffer retained across calls and takes one lock, so
 // the steady-state hot path performs no allocation (pinned by
@@ -25,12 +26,14 @@ import (
 // (the round-trip property the ledger tests pin).
 
 // LedgerVersion is the schema version stamped on every record.
-const LedgerVersion = 1
+const LedgerVersion = 2
 
-// Record is one run in the ledger. The identity fields mirror the harness
-// runKey; the counter fields mirror the report inputs (metrics.Counters).
+// Record is one run in the ledger. Key, Program, System, Cache, Ways and
+// Schedule come from the run's identity; Engine is the engine that executed;
+// the counter fields mirror the report inputs (metrics.Counters).
 type Record struct {
-	V        int    `json:"v"` // schema version (LedgerVersion)
+	V        int    `json:"v"`   // schema version (LedgerVersion)
+	Key      string `json:"key"` // hex digest of the run's identity, its store object's name
 	Program  string `json:"program"`
 	System   string `json:"system"`
 	Engine   string `json:"engine"` // resolved engine the run executed on
@@ -38,8 +41,9 @@ type Record struct {
 	Ways     int    `json:"ways"`
 	Schedule string `json:"schedule"` // power.Schedule.Key(); "none" when always-on
 
-	// Outcome is "ok", "error", or "cache-hit" (served from the in-process
-	// run cache without executing; counters are the cached result's).
+	// Outcome is "ok", "error", "cache-hit" (served from the in-process run
+	// cache without executing; counters are the cached result's) or
+	// "store-hit" (served from the persistent run store).
 	Outcome string `json:"outcome"`
 	// Error is the run error string (only when Outcome is "error").
 	Error string `json:"error,omitempty"`
@@ -120,6 +124,7 @@ func (l *Ledger) Flush() error {
 func appendRecord(buf []byte, rec *Record) []byte {
 	buf = append(buf, `{"v":`...)
 	buf = strconv.AppendInt(buf, int64(rec.V), 10)
+	buf = appendField(buf, "key", rec.Key)
 	buf = appendField(buf, "program", rec.Program)
 	buf = appendField(buf, "system", rec.System)
 	buf = appendField(buf, "engine", rec.Engine)

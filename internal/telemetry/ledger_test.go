@@ -10,7 +10,8 @@ import (
 func sampleRecords() []Record {
 	return []Record{
 		{
-			V: LedgerVersion, Program: "crc32", System: "wb", Engine: "aot",
+			V: LedgerVersion, Key: "5f0c2a7e9b3d41c6a8e2f7d0b9c4a3e1f6d8b2c7a0e9f4d3c1b8a7e6f5d4c3b2",
+			Program: "crc32", System: "wb", Engine: "aot",
 			Cache: 1024, Ways: 4, Schedule: "none", Outcome: "ok",
 			Cycles: 123456, Instructions: 10000, Checkpoints: 7,
 			NVMReadBytes: 4096, NVMWriteBytes: 2048,
@@ -18,13 +19,15 @@ func sampleRecords() []Record {
 			WallMicros: 1534,
 		},
 		{
-			V: LedgerVersion, Program: "dijkstra", System: "jit", Engine: "ref",
+			V: LedgerVersion, Key: "0e1d2c3b4a5968778695a4b3c2d1e0f00f1e2d3c4b5a69788796a5b4c3d2e1f0",
+			Program: "dijkstra", System: "jit", Engine: "ref",
 			Cache: 2048, Ways: 8, Schedule: "fixed:5ms", Outcome: "error",
 			Error: "exit code 3\twith \"tabs\" and\nnewline", Bypass: true,
 			Cycles: 99, WallMicros: 12,
 		},
 		{
-			V: LedgerVersion, Program: "crc32", System: "wb", Engine: "aot",
+			V: LedgerVersion, Key: "5f0c2a7e9b3d41c6a8e2f7d0b9c4a3e1f6d8b2c7a0e9f4d3c1b8a7e6f5d4c3b2",
+			Program: "crc32", System: "wb", Engine: "aot",
 			Cache: 1024, Ways: 4, Schedule: "none", Outcome: "cache-hit",
 			Cycles: 123456, Instructions: 10000, Checkpoints: 7,
 			NVMReadBytes: 4096, NVMWriteBytes: 2048,
@@ -100,7 +103,7 @@ func TestLedgerNilSafe(t *testing.T) {
 	}
 }
 
-const goodLedgerLine = `{"v":1,"program":"a","system":"wb","engine":"ref","cache":1,"ways":1,"schedule":"none","outcome":"ok","cycles":1,"instructions":1,"checkpoints":0,"nvm_read_bytes":0,"nvm_write_bytes":0,"cache_hits":0,"cache_misses":0,"power_failures":0,"wall_micros":5}`
+const goodLedgerLine = `{"v":2,"key":"3483c277d768d38c888ead5fc8fae71f732ae3b7f3ea19f97be1c9334c3e7b84","program":"a","system":"wb","engine":"ref","cache":1,"ways":1,"schedule":"none","outcome":"ok","cycles":1,"instructions":1,"checkpoints":0,"nvm_read_bytes":0,"nvm_write_bytes":0,"cache_hits":0,"cache_misses":0,"power_failures":0,"wall_micros":5}`
 
 // A malformed FINAL line is crash truncation (process killed mid-append): the
 // load succeeds, the line is counted as skipped, and the good prefix is kept.

@@ -82,7 +82,9 @@ type ExperimentOutput struct {
 // RunExperiment regenerates one of the paper's tables or figures, fanning
 // the run matrix across Parallelism() workers. Valid names are listed by
 // ExperimentNames. benchmarks narrows the benchmark set; nil means the
-// experiment's paper-default set.
+// experiment's paper-default set. Experiments in one process share one run
+// cache, so a run an earlier experiment executed is served, not executed
+// again.
 func RunExperiment(name string, benchmarks []string) (*ExperimentOutput, error) {
 	rep, err := experimentReport(name, benchmarks)
 	if err != nil {

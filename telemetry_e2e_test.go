@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nacho"
+	"nacho/internal/harness"
 )
 
 // promLineRe matches one sample line of the Prometheus text exposition.
@@ -70,8 +71,10 @@ func TestServeTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An experiment sweep in the background; scrape concurrently until it
-	// finishes, validating every line of every mid-sweep exposition.
+	// An experiment sweep in the background, from an empty run cache so it
+	// executes; scrape concurrently until it finishes, validating every line
+	// of every mid-sweep exposition.
+	harness.ResetRunCache()
 	done := make(chan error, 1)
 	go func() {
 		_, err := nacho.RunExperiment("fig5", []string{"crc", "sha"})
@@ -157,6 +160,7 @@ func TestDashboardEndToEnd(t *testing.T) {
 	}
 	defer ts.Close()
 
+	harness.ResetRunCache()
 	if _, err := nacho.RunExperiment("fig6", []string{"crc"}); err != nil {
 		t.Fatal(err)
 	}
