@@ -306,18 +306,16 @@ func BenchmarkEmulatorThroughputALUIntermittent(b *testing.B) {
 }
 
 // benchmarkCachedThroughput measures simulated-instruction throughput on a
-// cache-based system over the memory-bound suite — the workload class the
-// sim.FastPort cached-hit path exists for. noPort disables the port, giving
-// the pre-fast-path baseline; the ratio of the paired benchmarks is the fast
-// path's speedup (recorded in BENCH_emu.json under "cachedpath").
-func benchmarkCachedThroughput(b *testing.B, system System, onMs float64, noPort bool) {
+// cache-based system over the memory-bound suite: every data access calls
+// the system's full Load/Store, so the cache model's hit path dominates.
+func benchmarkCachedThroughput(b *testing.B, system System, onMs float64) {
 	for _, name := range memBoundBenchmarks {
 		b.Run(name, func(b *testing.B) {
 			var instructions uint64
 			for i := 0; i < b.N; i++ {
 				res, err := Run(Config{
 					Benchmark: name, System: system, DisableVerify: true,
-					OnDurationMs: onMs, NoFastPort: noPort,
+					OnDurationMs: onMs,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -333,39 +331,20 @@ func benchmarkCachedThroughput(b *testing.B, system System, onMs float64, noPort
 // memory-bound suite under NACHO, failure-free: every data access runs the
 // full cache controller, so cached-hit dispatch dominates.
 func BenchmarkEmulatorThroughputNACHO(b *testing.B) {
-	benchmarkCachedThroughput(b, NACHO, 0, false)
-}
-
-// BenchmarkEmulatorThroughputNACHONoPort is the same workload with the
-// fast port disabled — the pre-fast-path AOT baseline.
-func BenchmarkEmulatorThroughputNACHONoPort(b *testing.B) {
-	benchmarkCachedThroughput(b, NACHO, 0, true)
+	benchmarkCachedThroughput(b, NACHO, 0)
 }
 
 // BenchmarkEmulatorThroughputNACHOIntermittent measures the memory-bound
 // suite under NACHO with the paper's periodic 1 ms power failures and
-// forward-progress checkpoints — the acceptance workload for the fast path.
+// forward-progress checkpoints.
 func BenchmarkEmulatorThroughputNACHOIntermittent(b *testing.B) {
-	benchmarkCachedThroughput(b, NACHO, 1, false)
+	benchmarkCachedThroughput(b, NACHO, 1)
 }
 
-// BenchmarkEmulatorThroughputNACHOIntermittentNoPort is the intermittent
-// workload with the fast port disabled.
-func BenchmarkEmulatorThroughputNACHOIntermittentNoPort(b *testing.B) {
-	benchmarkCachedThroughput(b, NACHO, 1, true)
-}
-
-// BenchmarkEmulatorThroughputPROWL measures the cache-baseline variant:
-// PROWL's skewed-associative cache serves both port directions, so the fast
-// path applies to a compared baseline too, not just NACHO.
+// BenchmarkEmulatorThroughputPROWL measures the memory-bound suite on a
+// compared cache baseline: PROWL's skewed-associative cache.
 func BenchmarkEmulatorThroughputPROWL(b *testing.B) {
-	benchmarkCachedThroughput(b, PROWL, 0, false)
-}
-
-// BenchmarkEmulatorThroughputPROWLNoPort is the PROWL workload with the fast
-// port disabled.
-func BenchmarkEmulatorThroughputPROWLNoPort(b *testing.B) {
-	benchmarkCachedThroughput(b, PROWL, 0, true)
+	benchmarkCachedThroughput(b, PROWL, 0)
 }
 
 // BenchmarkNACHOSimulation measures full NACHO simulation speed including

@@ -28,11 +28,11 @@ go test ./...
 # over the packages that regenerate experiments catches such a test.
 go test -shuffle=on ./internal/harness/ .
 # The harness race pass includes the engine-equivalence suite
-# (TestEngineEquivalence*) over the full engine matrix: the per-instruction
-# reference interpreter (ref), and the AOT threaded-code engine run both with
-# and without the sim.FastPort cached-hit path (aot, aot/noport) — all must
-# produce byte-identical results, including Fork/RunUntil mid-run state and
-# the fuzzer-generated programs, under the race detector too. The
+# (TestEngineEquivalence*) over both engines: the per-instruction reference
+# interpreter (ref) and the AOT threaded-code engine (aot) must produce
+# byte-identical results, including Fork/RunUntil mid-run state and the
+# fuzzer-generated programs, and, with a recording probe attached, the same
+# event stream, under the race detector too. The
 # snapshot/mem pass exercises the copy-on-write fork machinery (refcounted
 # leaves and pages, concurrent fork workers) under the race detector; power
 # rides along for its schedule property tests. Campaign workers fork each
@@ -53,13 +53,14 @@ go test -bench=. -benchtime=1x ./internal/cache/ ./internal/track/ ./internal/te
 # (reference numbers live in BENCH_emu.json).
 go test -run xxx -bench 'BenchmarkEmulatorThroughputALU$|BenchmarkEmulatorThroughputMemAOT' -benchtime 1x . | grep -E 'sim-MIPS|^Benchmark'
 
-# Cached-system fast-path smoke: the memory-bound suite under NACHO with a
-# 1 ms periodic power schedule, sim-MIPS in the CI log (reference numbers in
-# BENCH_emu.json §cachedpath). The hit path itself must stay allocation-free:
-# the ZeroAlloc gates pin AllocsPerRun == 0 for FastPort LoadHit/StoreHit,
-# cache Probe/Touch, the page table's word Read/Write and never-written Read,
-# the tracker's Observe/Reset and the verifier's OnAccess/IntervalBoundary
-# (run without -race — the race allocator breaks the pin).
+# Cached-system smoke: the memory-bound suite under NACHO with a 1 ms
+# periodic power schedule, sim-MIPS in the CI log. Both engines reach the
+# memory system through Controller.Load/Store, so its hit path must stay
+# allocation-free: the ZeroAlloc gates pin AllocsPerRun == 0 for a warm
+# controller load and store hit, cache Probe/Touch, the page table's word
+# Read/Write and never-written Read, the tracker's Observe/Reset and the
+# verifier's OnAccess/IntervalBoundary (run without -race — the race
+# allocator breaks the pin).
 go test -run xxx -bench 'BenchmarkEmulatorThroughputNACHOIntermittent$' -benchtime 1x . | grep -E 'sim-MIPS|^Benchmark'
 go test -run 'ZeroAlloc' ./internal/core/ ./internal/cache/ ./internal/mem/ ./internal/track/ ./internal/verify/
 
@@ -79,7 +80,7 @@ go test -race -run 'TestCampaignEndToEnd|TestCampaignExhaustiveWindows|TestDashb
 # Campaign CLI smoke: a small sweep with -trace-campaign and -ledger must
 # exit clean and leave a non-empty Perfetto trace and run ledger behind.
 go build -o /tmp/nachobench.ci ./cmd/nachobench
-/tmp/nachobench.ci -exp fig5 -bench crc -trace-campaign /tmp/nachobench.ci.trace -ledger /tmp/nachobench.ci.ledger >/dev/null 2>&1
+/tmp/nachobench.ci -exp fig5 -bench crc -trace-campaign /tmp/nachobench.ci.trace -ledger /tmp/nachobench.ci.ledger >/dev/null 2>/tmp/nachobench.ci.err
 test -s /tmp/nachobench.ci.trace
 test -s /tmp/nachobench.ci.ledger
 # Every ledger record names its run identity: a digest of 64 hex digits.
@@ -88,7 +89,30 @@ if grep -qv '"key":"[0-9a-f]\{64\}"' /tmp/nachobench.ci.ledger; then
 	grep -v '"key":"[0-9a-f]\{64\}"' /tmp/nachobench.ci.ledger >&2
 	exit 1
 fi
-rm -f /tmp/nachobench.ci /tmp/nachobench.ci.trace /tmp/nachobench.ci.ledger
+# The engine rule (emu.Engine.Executed): only Engine ref or a trace selects
+# the reference interpreter, so the verified fig5 runs execute on AOT. The
+# timing line and every ledger record must say so, and a traced nachosim
+# run must record the reference interpreter.
+if ! grep -q 'engine runs: aot=' /tmp/nachobench.ci.err || grep -q 'ref=' /tmp/nachobench.ci.err; then
+	echo "ci.sh: verified fig5 runs did not all execute on the AOT engine:" >&2
+	cat /tmp/nachobench.ci.err >&2
+	exit 1
+fi
+if grep -qv '"engine":"aot"' /tmp/nachobench.ci.ledger; then
+	echo "ci.sh: a verified run's ledger record names another engine than aot:" >&2
+	grep -v '"engine":"aot"' /tmp/nachobench.ci.ledger >&2
+	exit 1
+fi
+go build -o /tmp/nachosim.ci ./cmd/nachosim
+/tmp/nachosim.ci -bench crc -trace /tmp/nachosim.ci.trace -ledger /tmp/nachosim.ci.ledger >/dev/null
+test -s /tmp/nachosim.ci.trace
+if ! grep -q '"engine":"ref"' /tmp/nachosim.ci.ledger; then
+	echo "ci.sh: a traced run did not execute on the reference interpreter:" >&2
+	cat /tmp/nachosim.ci.ledger >&2
+	exit 1
+fi
+rm -f /tmp/nachobench.ci /tmp/nachobench.ci.trace /tmp/nachobench.ci.ledger /tmp/nachobench.ci.err
+rm -f /tmp/nachosim.ci /tmp/nachosim.ci.trace /tmp/nachosim.ci.ledger
 
 # Crash-consistency fuzzing smoke: a short coverage-guided run of the
 # differential oracle (any reported input is a real consistency bug), then

@@ -109,20 +109,6 @@ type Controller struct {
 	spMin      uint32
 	dirtyCount int    // maintained only when DirtyThreshold > 0
 	lastCommit uint64 // cycle of the previous checkpoint commit
-
-	// portLoadLine/portStoreLine memoize the line of the last port-served hit
-	// in each direction (see fastport.go); dropPortMemo clears them. A memo
-	// stays valid until the next drop: Install (the only Tag mutation) and
-	// InvalidateAll are reachable only through paths that drop it first.
-	portLoadLine  *cache.Line
-	portStoreLine *cache.Line
-}
-
-// dropPortMemo records a fast-port invalidation event: the memoized hit
-// lines may have been replaced, cleared, or metadata-reset.
-func (k *Controller) dropPortMemo() {
-	k.portLoadLine = nil
-	k.portStoreLine = nil
 }
 
 // New builds a controller over the given NVM space. name is the system label
@@ -191,7 +177,6 @@ func (k *Controller) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters
 // access, write-back, and checkpoint events plus the events of the components
 // it owns (cache fills, NVM traffic, checkpoint staging). nil detaches.
 func (k *Controller) AttachProbe(p sim.Probe) {
-	k.dropPortMemo()
 	k.probe = p
 	k.cache.AttachProbe(p)
 	k.nvm.AttachProbe(p)
@@ -271,9 +256,6 @@ func (k *Controller) access(addr uint32, t accessType, size int) (*cache.Line, b
 
 // miss is Algorithm 1's CacheMiss procedure.
 func (k *Controller) miss(addr uint32, t accessType, size int) *cache.Line {
-	// Every miss replaces a line (and may evict or checkpoint): whatever the
-	// fast port would have answered before is no longer guaranteed.
-	k.dropPortMemo()
 	line := k.cache.Victim(addr)
 	if line.Valid && line.Dirty {
 		victimAddr := line.Addr()
@@ -401,7 +383,6 @@ const (
 // checkpoint is Algorithm 1's Checkpoint procedure: double-buffered flush of
 // all live dirty lines plus the register file, then clear every WAR bit.
 func (k *Controller) checkpoint(cause ckptCause) {
-	k.dropPortMemo()
 	var lines []checkpoint.Line
 	k.cache.ForEach(func(l *cache.Line) {
 		if l.Valid && l.Dirty {
@@ -476,7 +457,6 @@ func (k *Controller) NotifySP(sp uint32) {
 
 // PowerFailure implements sim.System: all volatile state evaporates.
 func (k *Controller) PowerFailure() {
-	k.dropPortMemo()
 	k.cache.InvalidateAll()
 	if k.tracker != nil {
 		k.tracker.Reset()
@@ -487,7 +467,6 @@ func (k *Controller) PowerFailure() {
 
 // Restore implements sim.System: recover the newest committed checkpoint.
 func (k *Controller) Restore() (sim.Snapshot, bool) {
-	k.dropPortMemo()
 	snap, ok := k.ckpt.Restore()
 	if !ok {
 		return snap, false

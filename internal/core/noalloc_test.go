@@ -2,33 +2,28 @@
 
 // Allocation gates are meaningless under the race detector's instrumented
 // allocator, so this file is excluded from -race runs; ci.sh runs it
-// explicitly without -race as the fast-path allocation gate.
+// explicitly without -race as the hit-path allocation gate.
 
 package core
 
 import "testing"
 
-// TestFastPortHitPathZeroAlloc gates the execution engines' inner loop: a
-// served fast-port hit — probe, WAR observation, LRU touch, data access —
-// must not allocate, or every cached load in the AOT engine would churn the
-// garbage collector.
-func TestFastPortHitPathZeroAlloc(t *testing.T) {
+// TestControllerHitPathZeroAlloc gates the execution engines' inner loop:
+// both engines call Controller.Load/Store for every data access, so a warm
+// hit — cache probe, WAR-bit update, LRU touch, data access — must not
+// allocate, or every cached load would churn the garbage collector.
+func TestControllerHitPathZeroAlloc(t *testing.T) {
 	r := newRig(t, 512, 2, WARCacheBits, false)
-	port, ok := r.k.FastPort()
-	if !ok {
-		t.Fatal("fast port refused")
-	}
 	const addr = 0x1000
-	r.k.Store(addr, 4, 0xABCD) // warm: valid and dirty, so both directions serve
-	served := true
+	r.k.Store(addr, 4, 0xABCD) // warm: the line is resident and dirty
+	misses := r.c.CacheMisses
 	if n := testing.AllocsPerRun(200, func() {
-		_, okL := port.LoadHit(addr, 4)
-		okS := port.StoreHit(addr, 4, 0x1234)
-		served = served && okL && okS
+		r.k.Load(addr, 4)
+		r.k.Store(addr, 4, 0x1234)
 	}); n != 0 {
-		t.Fatalf("fast-port hit path allocates: %v allocs/op", n)
+		t.Fatalf("controller hit path allocates: %v allocs/op", n)
 	}
-	if !served {
-		t.Fatal("warm hit declined; the gate measured the decline path")
+	if r.c.CacheMisses != misses {
+		t.Fatal("warm access missed; the gate measured the miss path")
 	}
 }

@@ -4,18 +4,17 @@ import (
 	"fmt"
 
 	"nacho/internal/compile"
-	"nacho/internal/mem"
 	"nacho/internal/power"
-	"nacho/internal/sim"
 )
 
 // This file is the AOT execution engine: the interpreter half of the
 // compile/interpret split. internal/compile lowers the text segment once —
 // at DecodeText time — into a threaded-code IR (pre-decoded operands,
 // pre-resolved branch targets, fused superinstructions, per-slot ALU run
-// lengths); this loop executes that IR with no per-step decode, no fetch
-// bounds check on sequential flow, and direct-port memory access where the
-// system offers one.
+// lengths); this loop executes that IR with no per-step decode and no fetch
+// bounds check on sequential flow. Memory accesses take the reference
+// interpreter's own path (Machine.load and Machine.store), so both engines
+// reach the memory system, and emit MMIO events, the same way.
 //
 // Correctness rests on a safe-horizon argument, which the cost model's
 // determinism makes possible. The outer loop (runSliceAOT) runs the exact
@@ -42,12 +41,8 @@ import (
 // call, return, and power-failure panic, and reloaded after every call that
 // can advance the clock — external code and post-slice inspection only ever
 // see the authoritative fields in a consistent, reference-identical state.
-// The direct-port tier of every memory case is likewise inlined: an exact
-// copy of Machine.Advance's failure check against a hoisted nextFailure
-// (legal because nextFailure and failEnabled only change in New/Fork/reboot
-// or transiently inside external calls, never between the inline
-// instructions of one dispatch loop), then one raw Space access: a single
-// page-table lookup, with no system dispatch and no clock call.
+// Every memory case is one such call: commit the mirrors, call the shared
+// load or store, reload the mirrors.
 
 // aotMaxWidth is the widest superinstruction in the IR: a fused op retires
 // up to this many architectural instructions (and charges this many base
@@ -128,28 +123,6 @@ func (m *Machine) runSliceAOT() error {
 		margin    = m.cfg.ForcedCheckpointMargin
 		code      = prog.Code
 	)
-	// The direct memory port, when the system offers one (volatile baseline,
-	// unprobed): loads and stores bypass the sim.System interface for a
-	// fixed-latency space access. Re-acquired each slice — forks bind to the
-	// forked system, and probes attached at setup disable it.
-	var port mem.DirectPort
-	portOK := false
-	if dm, ok := m.sys.(mem.DirectMemory); ok {
-		port, portOK = dm.DirectPort()
-	}
-	// The cached-system fast port (NACHO and the cache-based baselines,
-	// unprobed): plain hits bypass the sim.System interface below the safe
-	// horizon; misses, metadata transitions, and near-horizon accesses fall
-	// back to the full call. Also re-acquired each slice, and skipped
-	// entirely when the cheaper direct port is available.
-	var fport sim.FastPort
-	if !portOK && !m.cfg.NoFastPort {
-		if fm, ok := m.sys.(sim.FastMemory); ok {
-			if p, pok := fm.FastPort(); pok {
-				fport = p
-			}
-		}
-	}
 	for !m.halted {
 		if m.stopAt != 0 && m.cycle >= m.stopAt {
 			return nil
@@ -190,29 +163,23 @@ func (m *Machine) runSliceAOT() error {
 			}
 			continue
 		}
-		if err := m.execAOT(code, port, fport, portOK, cycleGuard, instrGuard); err != nil {
+		if err := m.execAOT(code, cycleGuard, instrGuard); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// alignErr reconstructs the reference interpreter's alignment error
-// byte for byte (emu: pc ...: mem: misaligned ...).
-func alignErr(pc, addr uint32, size int) error {
-	return fmt.Errorf("emu: pc 0x%08x: %w", pc, &mem.AlignmentError{Addr: addr, Size: size})
-}
-
 // execAOT is the inline dispatch loop. Entry contract: m.cycle < cycleGuard
 // and m.c.Instructions < instrGuard (so at least one instruction executes),
-// no probe is attached, and m.pc is the next instruction to execute. The
+// no trace is attached, and m.pc is the next instruction to execute. The
 // loop keeps pc, the cycle counter, and the instruction counter in locals
 // and commits them to the machine before anything that can observe it
 // (memory systems, NotifySP, the reference step, the PowerFail panic) and
 // at every exit. It returns nil when the guard trips, control leaves the
 // text segment (the outer loop's reference step then reports the identical
 // fetch error), or the program halts.
-func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.FastPort, portOK bool, cycleGuard, instrGuard uint64) error {
+func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) error {
 	var (
 		regs     = &m.regs
 		textBase = m.textBase
@@ -226,20 +193,6 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 	idx := off >> 2
 	cyc := m.cycle
 	ins := m.c.Instructions
-	// nextFailure hoisted for the inline copy of Advance in the direct-port
-	// memory tier; NoFailure when failures are deferred, so the check below
-	// can never fire spuriously.
-	nf := uint64(power.NoFailure)
-	if m.failEnabled {
-		nf = m.nextFailure
-	}
-	hitCyc := port.HitCycles
-	// Fast-port hoists (nil funcs when the system offers no port, or the
-	// direct port took precedence). A served hit charges fHitCyc locally —
-	// the port never touches the clock — and the nf > cyc+fHitCyc pre-check
-	// declines any access whose Advance would raise the power failure, so the
-	// full call reproduces the failure at the byte-identical instant.
-	fLoad, fStore, fHitCyc := fport.LoadHit, fport.StoreHit, fport.HitCycles
 	for {
 		// idx == nCode when sequential flow ran off the end of the text
 		// segment; the outer loop's reference step reports the fetch error.
@@ -512,283 +465,119 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 			}
 
 		case compile.Lw:
-			addr := regs[op.Rs1] + op.Imm
 			cyc++
 			ins++
 			m.c.Loads++
-			if addr%4 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-				return alignErr(pc, addr, 4)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
+			v, err := m.load(regs[op.Rs1]+op.Imm, 4)
+			if err != nil {
+				return err
 			}
-			m.pc = pc
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				regs[op.Rd] = port.Space.Read(addr, 4)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					var fv uint32
-					if fv, served = fLoad(addr, 4); served {
-						cyc += fHitCyc
-						regs[op.Rd] = fv
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					regs[op.Rd] = m.aotLoad(addr, 4)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
-			}
+			cyc, ins = m.cycle, m.c.Instructions
+			regs[op.Rd] = v
 			idx++
 			pc += 4
 
 		case compile.Lh:
-			addr := regs[op.Rs1] + op.Imm
 			cyc++
 			ins++
 			m.c.Loads++
-			if addr%2 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-				return alignErr(pc, addr, 2)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
+			v, err := m.load(regs[op.Rs1]+op.Imm, 2)
+			if err != nil {
+				return err
 			}
-			m.pc = pc
-			var v uint32
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				v = port.Space.Read(addr, 2)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if v, served = fLoad(addr, 2); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					v = m.aotLoad(addr, 2)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
-			}
+			cyc, ins = m.cycle, m.c.Instructions
 			regs[op.Rd] = uint32(int32(v<<16) >> 16)
 			idx++
 			pc += 4
 
 		case compile.Lb:
-			addr := regs[op.Rs1] + op.Imm
 			cyc++
 			ins++
 			m.c.Loads++
-			m.pc = pc
-			var v uint32
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				v = port.Space.Read(addr, 1)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if v, served = fLoad(addr, 1); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					v = m.aotLoad(addr, 1)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
+			v, err := m.load(regs[op.Rs1]+op.Imm, 1)
+			if err != nil {
+				return err
 			}
+			cyc, ins = m.cycle, m.c.Instructions
 			regs[op.Rd] = uint32(int32(v<<24) >> 24)
 			idx++
 			pc += 4
 
 		case compile.Lhu:
-			addr := regs[op.Rs1] + op.Imm
 			cyc++
 			ins++
 			m.c.Loads++
-			if addr%2 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-				return alignErr(pc, addr, 2)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
+			v, err := m.load(regs[op.Rs1]+op.Imm, 2)
+			if err != nil {
+				return err
 			}
-			m.pc = pc
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				regs[op.Rd] = port.Space.Read(addr, 2)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					var fv uint32
-					if fv, served = fLoad(addr, 2); served {
-						cyc += fHitCyc
-						regs[op.Rd] = fv
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					regs[op.Rd] = m.aotLoad(addr, 2)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
-			}
+			cyc, ins = m.cycle, m.c.Instructions
+			regs[op.Rd] = v
 			idx++
 			pc += 4
 
 		case compile.Lbu:
-			addr := regs[op.Rs1] + op.Imm
 			cyc++
 			ins++
 			m.c.Loads++
-			m.pc = pc
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				regs[op.Rd] = port.Space.Read(addr, 1)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					var fv uint32
-					if fv, served = fLoad(addr, 1); served {
-						cyc += fHitCyc
-						regs[op.Rd] = fv
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					regs[op.Rd] = m.aotLoad(addr, 1)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
+			v, err := m.load(regs[op.Rs1]+op.Imm, 1)
+			if err != nil {
+				return err
 			}
+			cyc, ins = m.cycle, m.c.Instructions
+			regs[op.Rd] = v
 			idx++
 			pc += 4
 
 		case compile.Sw:
-			addr := regs[op.Rs1] + op.Imm
 			cyc++
 			ins++
 			m.c.Stores++
-			if addr%4 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-				return alignErr(pc, addr, 4)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
+			if err := m.store(regs[op.Rs1]+op.Imm, 4, regs[op.Rs2]); err != nil {
+				return err
 			}
-			m.pc = pc
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				port.Space.Write(addr, 4, regs[op.Rs2])
-			} else {
-				served := false
-				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if served = fStore(addr, 4, regs[op.Rs2]); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					m.aotStore(addr, 4, regs[op.Rs2])
-					cyc, ins = m.cycle, m.c.Instructions
-					if m.halted {
-						m.pc = pc + 4
-						return nil
-					}
-				}
+			cyc, ins = m.cycle, m.c.Instructions
+			if m.halted {
+				m.pc = pc + 4
+				return nil
 			}
 			idx++
 			pc += 4
 
 		case compile.Sh:
-			addr := regs[op.Rs1] + op.Imm
 			cyc++
 			ins++
 			m.c.Stores++
-			if addr%2 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-				return alignErr(pc, addr, 2)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
+			if err := m.store(regs[op.Rs1]+op.Imm, 2, regs[op.Rs2]); err != nil {
+				return err
 			}
-			m.pc = pc
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				port.Space.Write(addr, 2, regs[op.Rs2])
-			} else {
-				served := false
-				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if served = fStore(addr, 2, regs[op.Rs2]&0xFFFF); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					m.aotStore(addr, 2, regs[op.Rs2])
-					cyc, ins = m.cycle, m.c.Instructions
-					if m.halted {
-						m.pc = pc + 4
-						return nil
-					}
-				}
+			cyc, ins = m.cycle, m.c.Instructions
+			if m.halted {
+				m.pc = pc + 4
+				return nil
 			}
 			idx++
 			pc += 4
 
 		case compile.Sb:
-			addr := regs[op.Rs1] + op.Imm
 			cyc++
 			ins++
 			m.c.Stores++
-			m.pc = pc
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				port.Space.Write(addr, 1, regs[op.Rs2])
-			} else {
-				served := false
-				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if served = fStore(addr, 1, regs[op.Rs2]&0xFF); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					m.aotStore(addr, 1, regs[op.Rs2])
-					cyc, ins = m.cycle, m.c.Instructions
-					if m.halted {
-						m.pc = pc + 4
-						return nil
-					}
-				}
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
+			if err := m.store(regs[op.Rs1]+op.Imm, 1, regs[op.Rs2]); err != nil {
+				return err
+			}
+			cyc, ins = m.cycle, m.c.Instructions
+			if m.halted {
+				m.pc = pc + 4
+				return nil
 			}
 			idx++
 			pc += 4
@@ -803,75 +592,31 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 		case compile.AddiLw:
 			t := regs[op.Rs1] + op.Imm
 			regs[op.Rs2] = t
-			addr := t + op.Target
 			cyc += 2
 			ins += 2
 			m.c.Loads++
-			if addr%4 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-				return alignErr(pc+4, addr, 4)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
+			v, err := m.load(t+op.Target, 4)
+			if err != nil {
+				return err
 			}
-			m.pc = pc + 4
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				regs[op.Rd] = port.Space.Read(addr, 4)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					var fv uint32
-					if fv, served = fLoad(addr, 4); served {
-						cyc += fHitCyc
-						regs[op.Rd] = fv
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					regs[op.Rd] = m.aotLoad(addr, 4)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
-			}
+			cyc, ins = m.cycle, m.c.Instructions
+			regs[op.Rd] = v
 			idx += 2
 			pc += 8
 
 		case compile.AddiLh:
 			t := regs[op.Rs1] + op.Imm
 			regs[op.Rs2] = t
-			addr := t + op.Target
 			cyc += 2
 			ins += 2
 			m.c.Loads++
-			if addr%2 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-				return alignErr(pc+4, addr, 2)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
+			v, err := m.load(t+op.Target, 2)
+			if err != nil {
+				return err
 			}
-			m.pc = pc + 4
-			var v uint32
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				v = port.Space.Read(addr, 2)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if v, served = fLoad(addr, 2); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					v = m.aotLoad(addr, 2)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
-			}
+			cyc, ins = m.cycle, m.c.Instructions
 			regs[op.Rd] = uint32(int32(v<<16) >> 16)
 			idx += 2
 			pc += 8
@@ -879,33 +624,15 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 		case compile.AddiLb:
 			t := regs[op.Rs1] + op.Imm
 			regs[op.Rs2] = t
-			addr := t + op.Target
 			cyc += 2
 			ins += 2
 			m.c.Loads++
-			m.pc = pc + 4
-			var v uint32
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				v = port.Space.Read(addr, 1)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if v, served = fLoad(addr, 1); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					v = m.aotLoad(addr, 1)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
+			v, err := m.load(t+op.Target, 1)
+			if err != nil {
+				return err
 			}
+			cyc, ins = m.cycle, m.c.Instructions
 			regs[op.Rd] = uint32(int32(v<<24) >> 24)
 			idx += 2
 			pc += 8
@@ -913,112 +640,49 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 		case compile.AddiLhu:
 			t := regs[op.Rs1] + op.Imm
 			regs[op.Rs2] = t
-			addr := t + op.Target
 			cyc += 2
 			ins += 2
 			m.c.Loads++
-			if addr%2 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-				return alignErr(pc+4, addr, 2)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
+			v, err := m.load(t+op.Target, 2)
+			if err != nil {
+				return err
 			}
-			m.pc = pc + 4
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				regs[op.Rd] = port.Space.Read(addr, 2)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					var fv uint32
-					if fv, served = fLoad(addr, 2); served {
-						cyc += fHitCyc
-						regs[op.Rd] = fv
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					regs[op.Rd] = m.aotLoad(addr, 2)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
-			}
+			cyc, ins = m.cycle, m.c.Instructions
+			regs[op.Rd] = v
 			idx += 2
 			pc += 8
 
 		case compile.AddiLbu:
 			t := regs[op.Rs1] + op.Imm
 			regs[op.Rs2] = t
-			addr := t + op.Target
 			cyc += 2
 			ins += 2
 			m.c.Loads++
-			m.pc = pc + 4
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				regs[op.Rd] = port.Space.Read(addr, 1)
-			} else {
-				served := false
-				if fLoad != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					var fv uint32
-					if fv, served = fLoad(addr, 1); served {
-						cyc += fHitCyc
-						regs[op.Rd] = fv
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					regs[op.Rd] = m.aotLoad(addr, 1)
-					cyc, ins = m.cycle, m.c.Instructions
-				}
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
+			v, err := m.load(t+op.Target, 1)
+			if err != nil {
+				return err
 			}
+			cyc, ins = m.cycle, m.c.Instructions
+			regs[op.Rd] = v
 			idx += 2
 			pc += 8
 
 		case compile.AddiSw:
 			t := regs[op.Rs1] + op.Imm
 			regs[op.Rs2] = t
-			addr := t + op.Target
-			val := regs[op.Rd]
 			cyc += 2
 			ins += 2
 			m.c.Stores++
-			if addr%4 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-				return alignErr(pc+4, addr, 4)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
+			if err := m.store(t+op.Target, 4, regs[op.Rd]); err != nil {
+				return err
 			}
-			m.pc = pc + 4
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				port.Space.Write(addr, 4, val)
-			} else {
-				served := false
-				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if served = fStore(addr, 4, val); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					m.aotStore(addr, 4, val)
-					cyc, ins = m.cycle, m.c.Instructions
-					if m.halted {
-						m.pc = pc + 8
-						return nil
-					}
-				}
+			cyc, ins = m.cycle, m.c.Instructions
+			if m.halted {
+				m.pc = pc + 8
+				return nil
 			}
 			idx += 2
 			pc += 8
@@ -1026,40 +690,17 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 		case compile.AddiSh:
 			t := regs[op.Rs1] + op.Imm
 			regs[op.Rs2] = t
-			addr := t + op.Target
-			val := regs[op.Rd]
 			cyc += 2
 			ins += 2
 			m.c.Stores++
-			if addr%2 != 0 {
-				m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-				return alignErr(pc+4, addr, 2)
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
+			if err := m.store(t+op.Target, 2, regs[op.Rd]); err != nil {
+				return err
 			}
-			m.pc = pc + 4
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				port.Space.Write(addr, 2, val)
-			} else {
-				served := false
-				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if served = fStore(addr, 2, val&0xFFFF); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					m.aotStore(addr, 2, val)
-					cyc, ins = m.cycle, m.c.Instructions
-					if m.halted {
-						m.pc = pc + 8
-						return nil
-					}
-				}
+			cyc, ins = m.cycle, m.c.Instructions
+			if m.halted {
+				m.pc = pc + 8
+				return nil
 			}
 			idx += 2
 			pc += 8
@@ -1067,36 +708,17 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 		case compile.AddiSb:
 			t := regs[op.Rs1] + op.Imm
 			regs[op.Rs2] = t
-			addr := t + op.Target
-			val := regs[op.Rd]
 			cyc += 2
 			ins += 2
 			m.c.Stores++
-			m.pc = pc + 4
-			if portOK && addr-MMIOBase >= 0x1000 {
-				m.c.CacheHits++
-				cyc += hitCyc
-				if nf <= cyc {
-					m.cycle, m.c.Instructions = nf, ins
-					panic(sim.PowerFail{})
-				}
-				port.Space.Write(addr, 1, val)
-			} else {
-				served := false
-				if fStore != nil && addr-MMIOBase >= 0x1000 && nf > cyc+fHitCyc {
-					if served = fStore(addr, 1, val&0xFF); served {
-						cyc += fHitCyc
-					}
-				}
-				if !served {
-					m.cycle, m.c.Instructions = cyc, ins
-					m.aotStore(addr, 1, val)
-					cyc, ins = m.cycle, m.c.Instructions
-					if m.halted {
-						m.pc = pc + 8
-						return nil
-					}
-				}
+			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
+			if err := m.store(t+op.Target, 1, regs[op.Rd]); err != nil {
+				return err
+			}
+			cyc, ins = m.cycle, m.c.Instructions
+			if m.halted {
+				m.pc = pc + 8
+				return nil
 			}
 			idx += 2
 			pc += 8
@@ -1222,45 +844,4 @@ func (m *Machine) execAOT(code []compile.Inst, port mem.DirectPort, fport sim.Fa
 			}
 		}
 	}
-}
-
-// aotLoad serves the slow tier of one data read — an MMIO address, or a
-// system without a direct port — with the pc and counters already committed
-// and the base cycle, instruction, and load counters already charged. It
-// reproduces the reference interpreter's load path exactly: MMIO reads
-// advance one cycle and return zero; everything else goes through the
-// pre-bound system func. Either Advance may raise the scheduled power
-// failure, exactly as on the reference path.
-func (m *Machine) aotLoad(addr uint32, size int) uint32 {
-	if addr >= MMIOBase && addr < MMIOBase+0x1000 {
-		m.Advance(1)
-		return 0
-	}
-	return m.sysLoad(addr, size)
-}
-
-// aotStore is aotLoad's store counterpart, including the MMIO side effects
-// (halt, result, output) and the sub-word value masking the reference path
-// applies before handing stores to the system.
-func (m *Machine) aotStore(addr uint32, size int, val uint32) {
-	if addr >= MMIOBase && addr < MMIOBase+0x1000 {
-		m.Advance(1)
-		switch addr {
-		case ExitAddr:
-			m.halted = true
-			m.exitCode = val
-		case ResultAddr:
-			m.results = append(m.results, val)
-		case PutcharAddr:
-			m.output = append(m.output, byte(val))
-		}
-		return
-	}
-	switch size {
-	case 1:
-		val &= 0xFF
-	case 2:
-		val &= 0xFFFF
-	}
-	m.sysStore(addr, size, val)
 }

@@ -1,9 +1,10 @@
 // Package emu implements the RV32IM processor emulator: the role ICEmu plays
 // in the paper (Section 5.1). It executes programs instruction by
 // instruction against a pluggable memory system (sim.System), owns the
-// simulation clock and the power-failure schedule, reports retired
-// instructions, MMIO accesses, power failures, and restores to the attached
-// sim.Probe, and runs the reboot/restore path after each power failure.
+// simulation clock and the power-failure schedule, reports MMIO accesses,
+// power failures, and restores to the attached sim.Probe, feeds the
+// per-instruction trace recorder, and runs the reboot/restore path after
+// each power failure.
 //
 // Cost model (Section 5.2): every instruction retires in one base cycle —
 // the in-order single-issue E21-style pipeline — and data accesses add the
@@ -22,6 +23,7 @@ import (
 	"nacho/internal/metrics"
 	"nacho/internal/power"
 	"nacho/internal/sim"
+	"nacho/internal/trace"
 )
 
 // Memory-mapped I/O registers. Stores to these bypass the memory system.
@@ -60,24 +62,20 @@ type Config struct {
 	// performs when its job completes, and guarantees that every surviving
 	// store is visible in NVM — the state the differential oracle compares.
 	FinalFlush bool
-	// Probe, when non-nil, receives the emulator's own events: instruction
-	// retirement, MMIO accesses, power failures, and restores. Attach the
-	// same probe to the memory system (sim.System.AttachProbe) to observe
-	// the full event stream of a run. Attaching a probe also selects the
-	// per-instruction reference interpreter, so the event stream stays
-	// event-for-event identical to the historical trace format.
+	// Probe, when non-nil, receives the emulator's own events: MMIO
+	// accesses, power failures, and restores. Attach the same probe to the
+	// memory system (sim.System.AttachProbe) to observe the full event
+	// stream of a run. A probe does not choose the engine: both engines emit
+	// the same event stream, event for event.
 	Probe sim.Probe
+	// Trace, when non-nil, receives one line per retired instruction and a
+	// marker per power failure. Only the reference interpreter retires
+	// instructions one at a time, so a trace selects it (see
+	// Engine.Executed).
+	Trace *trace.Recorder
 	// Engine selects the execution engine (see Engine). All engines produce
 	// byte-identical results; EngineAuto (the zero value) picks the fastest.
-	// A probe overrides the selection with EngineRef — the reference
-	// interpreter is the sole emitter of per-instruction events.
 	Engine Engine
-	// NoFastPort makes the AOT engine route every data access through the
-	// full sim.System interface instead of consulting the system's
-	// sim.FastPort hit path. Results are byte-identical either way (the
-	// equivalence suite runs both sides of this axis); the knob exists for
-	// debugging, for that suite, and for measuring the fast port's gain.
-	NoFastPort bool
 }
 
 const defaultMaxInstructions = 2_000_000_000
@@ -103,7 +101,7 @@ type Machine struct {
 
 	text      []isa.Instr
 	prog      *compile.Program // AOT threaded-code IR (see Text)
-	engine    Engine           // resolved engine (never EngineAuto)
+	engine    Engine           // the engine that runs (see Engine.Executed)
 	textBase  uint32
 	entry     uint32
 	initialSP uint32
@@ -111,13 +109,8 @@ type Machine struct {
 	sys   sim.System
 	sched power.Schedule
 	probe sim.Probe
+	trace *trace.Recorder
 	cfg   Config
-
-	// sysLoad/sysStore are sys.Load and sys.Store pre-bound at construction:
-	// the AOT engine's generic memory tier calls them without re-resolving
-	// the interface method per access.
-	sysLoad  func(addr uint32, size int) uint32
-	sysStore func(addr uint32, size int, val uint32)
 
 	cycle       uint64
 	nextFailure uint64
@@ -181,16 +174,15 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 	m := &Machine{
 		text:      text.Instrs,
 		prog:      text.prog,
-		engine:    cfg.Engine.Resolve(),
+		engine:    cfg.Engine.Executed(cfg.Trace != nil),
 		textBase:  textBase,
 		entry:     entry,
 		initialSP: initialSP,
 		sys:       sys,
 		sched:     cfg.Schedule,
 		probe:     cfg.Probe,
+		trace:     cfg.Trace,
 		cfg:       cfg,
-		sysLoad:   sys.Load,
-		sysStore:  sys.Store,
 	}
 	m.resetToEntry()
 	m.failEnabled = true
@@ -339,9 +331,10 @@ func (m *Machine) RunUntil(target uint64) (halted bool, err error) {
 // state), and the fork's next failure instant is sched.NextFailureAfter(now)
 // — so a fork of a failure-free prefix at cycle c under power.At(t), t > c,
 // is state-identical to a from-boot run under the same schedule at cycle c.
-// Forks are probe-free (they run on the configured engine, never forced
-// onto the reference interpreter) and safe to run on another goroutine.
-// The parent must be paused (between RunUntil calls).
+// Forks are probe-free and trace-free (so they run on the configured
+// engine, never forced onto the reference interpreter by the parent's
+// trace) and safe to run on another goroutine. The parent must be paused
+// (between RunUntil calls).
 func (m *Machine) Fork(sched power.Schedule) (*Machine, error) {
 	fsys, ok := m.sys.(sim.Forkable)
 	if !ok {
@@ -354,16 +347,13 @@ func (m *Machine) Fork(sched power.Schedule) (*Machine, error) {
 	*f = *m
 	f.sched = sched.Clone()
 	f.cfg.Schedule = f.sched
-	f.probe = nil
-	f.cfg.Probe = nil
+	f.probe, f.cfg.Probe = nil, nil
+	f.trace, f.cfg.Trace = nil, nil
+	f.engine = f.cfg.Engine.Executed(false)
 	f.stopAt = 0
 	f.results = append([]uint32(nil), m.results...)
 	f.output = append([]byte(nil), m.output...)
 	f.sys = fsys.Fork(f, f, &f.c)
-	// Rebind the pre-bound memory funcs to the forked system: the copied
-	// closures still point at the parent's.
-	f.sysLoad = f.sys.Load
-	f.sysStore = f.sys.Store
 	f.nextFailure = f.sched.NextFailureAfter(f.cycle)
 	return f, nil
 }
@@ -374,11 +364,9 @@ func (m *Machine) System() sim.System { return m.sys }
 // Halted reports whether the program has halted.
 func (m *Machine) Halted() bool { return m.halted }
 
-// runSlice executes instructions until halt or the next power failure. The
-// engine is selected once per slice: a probed run always takes the
-// per-instruction reference path (the sole emitter of per-instruction
-// events); otherwise the resolved Config.Engine picks the AOT IR
-// interpreter or the reference loop. Both produce byte-identical results.
+// runSlice executes instructions until halt or the next power failure on
+// the engine New resolved (Engine.Executed): the AOT IR interpreter or the
+// reference loop. Both produce byte-identical results and probe streams.
 func (m *Machine) runSlice() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -389,7 +377,7 @@ func (m *Machine) runSlice() (err error) {
 			panic(r)
 		}
 	}()
-	if m.probe == nil && m.engine == EngineAOT {
+	if m.engine == EngineAOT {
 		return m.runSliceAOT()
 	}
 	return m.runSliceRef()
@@ -398,7 +386,7 @@ func (m *Machine) runSlice() (err error) {
 // runSliceRef is the per-instruction reference loop: every instruction pays
 // the limit, budget, and forced-checkpoint checks individually. It is the
 // behavioral specification the AOT engine is tested against, and the only
-// loop that emits per-instruction probe events.
+// loop that feeds the per-instruction trace.
 func (m *Machine) runSliceRef() error {
 	for !m.halted {
 		if m.stopAt != 0 && m.cycle >= m.stopAt {
@@ -445,6 +433,9 @@ func (m *Machine) stepChecked() error {
 // enough energy for the restore sequence (the paper's forward-progress
 // assumption).
 func (m *Machine) reboot() {
+	if m.trace != nil {
+		m.trace.PowerFailure(m.cycle)
+	}
 	if m.probe != nil {
 		m.probe.OnPowerFailure(sim.PowerEvent{Cycle: m.cycle})
 	}
@@ -495,8 +486,11 @@ func (m *Machine) setReg(r isa.Reg, v uint32) {
 	}
 }
 
-// load issues a data read through the memory system (or MMIO). Cacheable
-// accesses are reported by the serving system; only MMIO is emitted here.
+// load issues a data read through the memory system (or MMIO) for both
+// engines; the caller has charged the instruction's base cycle and
+// committed m.pc. Cacheable accesses are reported by the serving system;
+// only MMIO is emitted here. The MMIO Advance and the system's own clock
+// charges may raise the scheduled power failure.
 func (m *Machine) load(addr uint32, size int) (uint32, error) {
 	if err := mem.CheckAligned(addr, size); err != nil {
 		return 0, fmt.Errorf("emu: pc 0x%08x: %w", m.pc, err)
@@ -511,6 +505,9 @@ func (m *Machine) load(addr uint32, size int) (uint32, error) {
 	return m.sys.Load(addr, size), nil
 }
 
+// store is load's store counterpart, including the MMIO side effects (halt,
+// result, output) and the sub-word masking of the value handed to the
+// system.
 func (m *Machine) store(addr uint32, size int, val uint32) error {
 	if err := mem.CheckAligned(addr, size); err != nil {
 		return fmt.Errorf("emu: pc 0x%08x: %w", m.pc, err)

@@ -3,25 +3,25 @@ package emu
 import "fmt"
 
 // Engine selects the execution engine for a run. Both engines are required
-// to produce byte-identical results, error strings, cycle counts, and final
-// state — the engine-equivalence suite in internal/harness enforces it — so
-// the selector is a performance and debugging knob, never a semantics knob.
-// Probed runs always execute on the reference interpreter regardless of the
-// selection: it is the sole emitter of per-instruction events.
+// to produce byte-identical results, error strings, cycle counts, final
+// state and probe event streams — the engine-equivalence suite in
+// internal/harness enforces it — so the selector is a performance and
+// debugging knob, never a semantics knob. Both engines reach the memory
+// system through the same load/store path. Engine.Executed states which
+// engine a machine actually runs on.
 type Engine string
 
 const (
 	// EngineAuto (the zero value) picks the fastest correct engine for the
-	// run: the AOT engine, unless a probe forces the reference interpreter.
+	// run: the AOT engine, unless a trace needs the reference interpreter.
 	EngineAuto Engine = ""
 	// EngineRef is the per-instruction reference interpreter: the behavioral
-	// specification, the differential oracle, and the only engine that emits
-	// per-instruction probe events.
+	// specification, the differential oracle, and the only engine that feeds
+	// the per-instruction trace.
 	EngineRef Engine = "ref"
 	// EngineAOT executes the ahead-of-time compiled threaded-code IR
 	// (internal/compile): pre-decoded operands, pre-resolved branch targets,
-	// fused superinstructions, batched ALU runs below the safe horizon, and
-	// direct-port or fast-port memory access.
+	// fused superinstructions, and batched ALU runs below the safe horizon.
 	EngineAOT Engine = "aot"
 )
 
@@ -45,8 +45,7 @@ func ParseEngine(s string) (Engine, error) {
 // Resolve returns the concrete engine e selects: EngineAuto resolves to
 // EngineAOT. An unrecognized value degrades to the reference interpreter —
 // always correct — rather than guessing; config layers that accept user
-// input validate with ParseEngine first and report the error. The harness
-// keys its run cache on the resolved value.
+// input validate with ParseEngine first and report the error.
 func (e Engine) Resolve() Engine {
 	switch e {
 	case EngineAuto, EngineAOT:
@@ -54,4 +53,17 @@ func (e Engine) Resolve() Engine {
 	default:
 		return EngineRef
 	}
+}
+
+// Executed is the one engine rule: the engine a machine configured with e
+// runs on. The reference interpreter runs when e resolves to it or when a
+// trace is attached, because only its per-instruction step feeds the trace;
+// every other run, probed and verified runs included, executes on the
+// resolved engine. emu.New applies the rule once per machine, and the
+// harness reports the same answer in its run span, ledger and timing line.
+func (e Engine) Executed(traced bool) Engine {
+	if traced {
+		return EngineRef
+	}
+	return e.Resolve()
 }

@@ -61,6 +61,28 @@ func TestResolveEngine(t *testing.T) {
 	}
 }
 
+// TestExecutedEngine pins the one engine rule: only Engine ref or a trace
+// selects the reference interpreter; nothing else does.
+func TestExecutedEngine(t *testing.T) {
+	cases := []struct {
+		engine emu.Engine
+		traced bool
+		want   emu.Engine
+	}{
+		{emu.EngineAuto, false, emu.EngineAOT},
+		{emu.EngineAOT, false, emu.EngineAOT},
+		{emu.EngineRef, false, emu.EngineRef},
+		{emu.EngineAuto, true, emu.EngineRef},
+		{emu.EngineAOT, true, emu.EngineRef},
+		{emu.EngineRef, true, emu.EngineRef},
+	}
+	for _, tc := range cases {
+		if got := tc.engine.Executed(tc.traced); got != tc.want {
+			t.Errorf("Engine(%q).Executed(%v) = %q, want %q", tc.engine, tc.traced, got, tc.want)
+		}
+	}
+}
+
 // TestNoDecodeInHotLoop pins the pre-decode contract: isa.Decode runs only at
 // DecodeText time, never per executed instruction, on any engine. The program
 // retires far more instructions than its static instruction count, so a

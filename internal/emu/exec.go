@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nacho/internal/isa"
-	"nacho/internal/sim"
 )
 
 // step executes one instruction. Effects are ordered so that a power failure
@@ -18,11 +17,11 @@ func (m *Machine) step() error {
 	issue := m.cycle
 	m.Advance(1) // base cycle (in-order single-issue pipeline)
 	m.c.Instructions++
-	if m.probe != nil {
-		// Cycle is the issue instant, matching the historical trace format;
-		// emission waits until the base cycle is charged so an instruction
+	if m.trace != nil {
+		// The line carries the issue instant, matching the historical trace
+		// format; it waits until the base cycle is charged so an instruction
 		// killed by a power failure in that cycle never appears retired.
-		m.probe.OnRetire(sim.RetireEvent{Cycle: issue, PC: m.pc, Instr: in})
+		m.trace.Retire(issue, m.pc, in)
 	}
 
 	rs1 := m.regs[in.Rs1]

@@ -11,10 +11,7 @@
 // value is comparing systems under identical coefficients.
 package energy
 
-import (
-	"nacho/internal/metrics"
-	"nacho/internal/sim"
-)
+import "nacho/internal/metrics"
 
 // Model holds per-event energy coefficients in picojoules.
 type Model struct {
@@ -63,41 +60,3 @@ func (m Model) Estimate(c metrics.Counters) Breakdown {
 		NVMWritePJ: m.NVMWritePJByte * float64(c.NVMWriteBytes),
 	}
 }
-
-// Meter is the live counterpart of Estimate: a sim.Probe that accumulates
-// the same energy breakdown directly from the event stream, with no counters
-// in between. On a failure-free run Meter and Estimate agree exactly (the
-// coefficients and event counts are integer-valued in float64).
-type Meter struct {
-	sim.NopProbe
-	m Model
-	b Breakdown
-}
-
-// NewMeter builds a meter with the given coefficients (zero Model fields are
-// NOT defaulted; pass DefaultModel() for the reference coefficients).
-func NewMeter(m Model) *Meter { return &Meter{m: m} }
-
-// OnRetire implements sim.Probe.
-func (e *Meter) OnRetire(sim.RetireEvent) { e.b.CorePJ += e.m.InstructionPJ }
-
-// OnAccess implements sim.Probe: hit- and miss-class accesses touched the
-// cache SRAM; direct-NVM and MMIO accesses did not.
-func (e *Meter) OnAccess(ev sim.AccessEvent) {
-	switch ev.Class {
-	case sim.AccessHit, sim.AccessMiss:
-		e.b.CachePJ += e.m.CacheAccessPJ
-	}
-}
-
-// OnNVM implements sim.Probe.
-func (e *Meter) OnNVM(ev sim.NVMEvent) {
-	if ev.Write {
-		e.b.NVMWritePJ += e.m.NVMWritePJByte * float64(ev.Bytes)
-	} else {
-		e.b.NVMReadPJ += e.m.NVMReadPJByte * float64(ev.Bytes)
-	}
-}
-
-// Breakdown returns the energy accumulated so far.
-func (e *Meter) Breakdown() Breakdown { return e.b }

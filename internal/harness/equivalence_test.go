@@ -17,10 +17,10 @@ import (
 // The engine-equivalence suite is the enforcement behind the execution
 // engines' correctness claim: for every program, system, and failure
 // schedule, both engines — the per-instruction reference interpreter and the
-// AOT threaded-code engine, the latter with and without the sim.FastPort
-// cached-hit path — must produce byte-identical results: exit code, result
-// words, output, every counter including the cycle count, and the final
-// register file.
+// AOT threaded-code engine — must produce byte-identical results: exit code,
+// result words, output, every counter including the cycle count, and the
+// final register file. With a probe attached they must also emit the same
+// event stream, event for event.
 // Errors (cycle-budget aborts, stack faults) must also be identical, message
 // and all, because they encode the instant and pc at which the run died.
 
@@ -38,54 +38,37 @@ func scheduledBudget(freeCycles uint64) uint64 {
 	return freeCycles*8 + 200_000
 }
 
-// engineVariant is one cell of the engine × fast-port equivalence matrix.
-type engineVariant struct {
-	engine emu.Engine
-	noPort bool // disable the sim.FastPort cached-hit path
+// equivalenceVariants are the engines under test; the reference interpreter
+// comes first so the other diffs against the specification.
+var equivalenceVariants = []emu.Engine{emu.EngineRef, emu.EngineAOT}
+
+// sameError reports whether two run errors are identical, message and all.
+func sameError(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
 }
 
-func (v engineVariant) String() string {
-	if v.noPort {
-		return string(v.engine) + "/noport"
-	}
-	return string(v.engine)
-}
-
-// equivalenceVariants is the full engine × fast-port matrix; the reference
-// interpreter comes first so every other variant diffs against the
-// specification. The AOT engine runs both with and without the system's
-// sim.FastPort cached-hit path, making NoFastPort a fourth equivalence axis
-// alongside program, system, and schedule.
-var equivalenceVariants = []engineVariant{
-	{engine: emu.EngineRef},
-	{engine: emu.EngineAOT},
-	{engine: emu.EngineAOT, noPort: true},
-}
-
-// runBoth executes the image under every engine variant and fails the test on
-// any observable difference from the reference interpreter. It returns the
+// runBoth executes the image under every engine and fails the test on any
+// observable difference from the reference interpreter. It returns the
 // reference result for callers that derive schedules from it. The suite runs
 // through the store-free RunImageSys: the engine is not part of a run's
 // identity, so a store would serve one engine's result to the other and the
 // comparison would test nothing.
 func runBoth(t *testing.T, label string, img *program.Image, kind systems.Kind, cfg harness.RunConfig) emu.Result {
 	t.Helper()
-	cfg.Verify = false // a verifier probe would force the reference engine
 	var ref emu.Result
 	var refErr error
-	for i, v := range equivalenceVariants {
-		cfg.Engine = v.engine
-		cfg.NoFastPort = v.noPort
+	for i, engine := range equivalenceVariants {
+		cfg.Engine = engine
 		res, _, err := harness.RunImageSys(img, kind, cfg, false)
 		if i == 0 {
 			ref, refErr = res, err
 			continue
 		}
-		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
-			t.Fatalf("%s: %s diverges from ref on error:\n  %s: %v\n  ref: %v", label, v, v, err, refErr)
+		if !sameError(err, refErr) {
+			t.Fatalf("%s: %s diverges from ref on error:\n  %s: %v\n  ref: %v", label, engine, engine, err, refErr)
 		}
 		if !reflect.DeepEqual(res, ref) {
-			t.Fatalf("%s: %s diverges from ref:\n  %s: %+v\n  ref: %+v", label, v, v, res, ref)
+			t.Fatalf("%s: %s diverges from ref:\n  %s: %+v\n  ref: %+v", label, engine, engine, res, ref)
 		}
 	}
 	return ref
@@ -106,7 +89,12 @@ func schedulesFor(cycles uint64) []power.Schedule {
 	}
 }
 
-func TestEngineEquivalenceFuzzed(t *testing.T) {
+// equivalenceFuzzed runs check over the fuzzed programs: each seed's
+// program failure-free, then under every schedule of schedulesFor with a
+// final flush and, on every other schedule, forced checkpoints. It rotates
+// through the system list so the suite covers every system without running
+// the full cross product on every seed.
+func equivalenceFuzzed(t *testing.T, check func(t *testing.T, label string, img *program.Image, kind systems.Kind, cfg harness.RunConfig) emu.Result) {
 	kinds := systems.AllKinds()
 	seeds := 24
 	if testing.Short() {
@@ -118,11 +106,9 @@ func TestEngineEquivalenceFuzzed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: render: %v", seed, err)
 		}
-		// Rotate through the system list so the suite covers every system
-		// without running the full cross product on every seed.
 		kind := kinds[int(seed)%len(kinds)]
 		cfg := harness.RunConfig{CacheSize: 512, Ways: 2, MaxCycles: equivalenceBudget}
-		free := runBoth(t, fmt.Sprintf("seed %d %s failure-free", seed, kind), img, kind, cfg)
+		free := check(t, fmt.Sprintf("seed %d %s failure-free", seed, kind), img, kind, cfg)
 		for i, sched := range schedulesFor(free.Counters.Cycles) {
 			if sched == nil {
 				continue
@@ -134,10 +120,12 @@ func TestEngineEquivalenceFuzzed(t *testing.T) {
 			if i%2 == 1 {
 				c.ForcedCheckpointPeriod = free.Counters.Cycles/11 + 97
 			}
-			runBoth(t, fmt.Sprintf("seed %d %s sched %s", seed, kind, sched.Key()), img, kind, c)
+			check(t, fmt.Sprintf("seed %d %s sched %s", seed, kind, sched.Key()), img, kind, c)
 		}
 	}
 }
+
+func TestEngineEquivalenceFuzzed(t *testing.T) { equivalenceFuzzed(t, runBoth) }
 
 func TestEngineEquivalenceBenchmarks(t *testing.T) {
 	if testing.Short() {
@@ -184,17 +172,67 @@ func (l *eventLog) OnCheckpointCommit(e sim.CheckpointEvent) {
 }
 func (l *eventLog) OnPowerFailure(e sim.PowerEvent) { l.add("powerfail", e) }
 func (l *eventLog) OnRestore(e sim.RestoreEvent)    { l.add("restore", e) }
-func (l *eventLog) OnRetire(e sim.RetireEvent)      { l.add("retire", e) }
 func (l *eventLog) OnNVM(e sim.NVMEvent)            { l.add("nvm", e) }
 
-// TestEngineEquivalenceProbeStream pins two guarantees around instrumented
-// runs. First, attaching a probe always selects the reference engine, so a
-// probed run emits the reference event stream whatever Engine says — the
-// historical trace and probe formats cannot change under the AOT engine.
-// Second, the AOT engine's un-instrumented result, with and without the fast
-// port, is identical to the instrumented reference run's result:
-// instrumentation observes the simulation without perturbing it, and the AOT
-// engine reproduces it exactly.
+// probeBoth runs the image on every engine twice, with a recording probe
+// attached and without, and fails the test unless the probed streams are
+// identical across engines on every hook, event for event, and each
+// engine's probed result and error equal its unprobed ones. It returns the
+// reference engine's result.
+func probeBoth(t *testing.T, label string, img *program.Image, kind systems.Kind, cfg harness.RunConfig) emu.Result {
+	t.Helper()
+	var ref *eventLog
+	var refRes emu.Result
+	var refErr error
+	for i, engine := range equivalenceVariants {
+		c := cfg
+		c.Engine = engine
+		plain, _, plainErr := harness.RunImageSys(img, kind, c, false)
+		log := &eventLog{}
+		c.Probe = log
+		res, _, err := harness.RunImageSys(img, kind, c, false)
+		if !sameError(err, plainErr) || !reflect.DeepEqual(res, plain) {
+			t.Fatalf("%s: %s probed run differs from unprobed:\n  probed:   %+v (err %v)\n  unprobed: %+v (err %v)",
+				label, engine, res, err, plain, plainErr)
+		}
+		if i == 0 {
+			ref, refRes, refErr = log, res, err
+			if len(ref.events) == 0 {
+				t.Fatalf("%s: probe recorded no events", label)
+			}
+			continue
+		}
+		if !sameError(err, refErr) || !reflect.DeepEqual(res, refRes) {
+			t.Fatalf("%s: probed %s result differs from probed ref:\n  %s: %+v (err %v)\n  ref: %+v (err %v)",
+				label, engine, engine, res, err, refRes, refErr)
+		}
+		for j, want := range ref.events {
+			got := "<end of stream>"
+			if j < len(log.events) {
+				got = log.events[j]
+			}
+			if got != want {
+				t.Fatalf("%s: probe stream under %s diverges from ref at event %d:\n  %s\n  ref: %s",
+					label, engine, j, got, want)
+			}
+		}
+		if len(log.events) != len(ref.events) {
+			t.Fatalf("%s: probe stream under %s has %d events, ref %d", label, engine, len(log.events), len(ref.events))
+		}
+	}
+	return refRes
+}
+
+// TestEngineEquivalenceProbeStream pins that a probe observes the same run
+// on either engine. A recording probe attached under ref and under aot must
+// see the same stream on every hook, event for event — the verifier, the
+// telemetry feed and the snapshot scout (which finds the halt instant
+// through the MMIO exit store's access event) rely on it — and on each
+// engine the probed result must equal the unprobed one: instrumentation
+// observes the simulation without perturbing it. The cases are crc on NACHO
+// and Clank under periodic failures, then the fuzzed programs of
+// TestEngineEquivalenceFuzzed under its failure schedules and forced
+// checkpoints.
 func TestEngineEquivalenceProbeStream(t *testing.T) {
 	p, ok := program.ByName("crc")
 	if !ok {
@@ -204,62 +242,16 @@ func TestEngineEquivalenceProbeStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := harness.RunConfig{
+	cfg := harness.RunConfig{
 		CacheSize: 512,
 		Ways:      2,
 		MaxCycles: equivalenceBudget,
 		Schedule:  power.Periodic{Period: 300_000},
 	}
 	for _, kind := range []systems.Kind{systems.KindNACHO, systems.KindClank} {
-		var ref *eventLog
-		var probed emu.Result
-		for i, engine := range []emu.Engine{emu.EngineRef, emu.EngineAuto, emu.EngineAOT} {
-			log := &eventLog{}
-			cfg := base
-			cfg.Probe = log
-			cfg.Engine = engine
-			res, _, err := harness.RunImageSys(img, kind, cfg, false)
-			if err != nil {
-				t.Fatalf("%s probed (engine %q): %v", kind, engine, err)
-			}
-			if i == 0 {
-				ref, probed = log, res
-				if len(ref.events) == 0 {
-					t.Fatalf("%s: probe recorded no events", kind)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(res, probed) {
-				t.Fatalf("%s: probed result under engine %q differs from the reference", kind, engine)
-			}
-			for j, want := range ref.events {
-				got := "<end of stream>"
-				if j < len(log.events) {
-					got = log.events[j]
-				}
-				if got != want {
-					t.Fatalf("%s: probe stream under engine %q diverges from the reference at event %d:\n  %s\n  ref: %s",
-						kind, engine, j, got, want)
-				}
-			}
-			if len(log.events) != len(ref.events) {
-				t.Fatalf("%s: probe stream under engine %q has %d events, reference %d", kind, engine, len(log.events), len(ref.events))
-			}
-		}
-
-		for _, v := range equivalenceVariants[1:] {
-			cfg := base
-			cfg.Engine = v.engine
-			cfg.NoFastPort = v.noPort
-			res, _, err := harness.RunImageSys(img, kind, cfg, false)
-			if err != nil {
-				t.Fatalf("%s %s: %v", kind, v, err)
-			}
-			if !reflect.DeepEqual(res, probed) {
-				t.Fatalf("%s: %s un-instrumented result differs from instrumented reference:\n  %s:     %+v\n  probed: %+v", kind, v, v, res, probed)
-			}
-		}
+		probeBoth(t, "crc on "+string(kind), img, kind, cfg)
 	}
+	equivalenceFuzzed(t, probeBoth)
 }
 
 // TestEngineEquivalenceForkRunUntil pins the mid-run surface the snapshot
@@ -298,8 +290,7 @@ func TestEngineEquivalenceForkRunUntil(t *testing.T) {
 	var refSnaps []snap
 	for i, v := range equivalenceVariants {
 		c := cfg
-		c.Engine = v.engine
-		c.NoFastPort = v.noPort
+		c.Engine = v
 		var snaps []snap
 		for _, target := range targets {
 			m, _, err := harness.BuildMachine(img, systems.KindNACHO, c)

@@ -45,14 +45,13 @@ func TestIdentityCoversResultAffectingFields(t *testing.T) {
 		"MaxCycles":              func(c *RunConfig) { c.MaxCycles = 1 << 21 },
 		"FinalFlush":             func(c *RunConfig) { c.FinalFlush = true },
 	}
-	// Observation, the engine and its fast path (the equivalence suite) and
-	// the span a run reports under cannot change a result.
+	// Observation, the engine (the equivalence suite) and the span a run
+	// reports under cannot change a result.
 	invariant := map[string]func(*RunConfig){
-		"Trace":      func(c *RunConfig) { c.Trace = io.Discard },
-		"Probe":      func(c *RunConfig) { c.Probe = sim.NewCounterProbe() },
-		"Engine":     func(c *RunConfig) { c.Engine = emu.EngineRef },
-		"NoFastPort": func(c *RunConfig) { c.NoFastPort = true },
-		"Span":       func(c *RunConfig) { c.Span = 7 },
+		"Trace":  func(c *RunConfig) { c.Trace = io.Discard },
+		"Probe":  func(c *RunConfig) { c.Probe = sim.NewCounterProbe() },
+		"Engine": func(c *RunConfig) { c.Engine = emu.EngineRef },
+		"Span":   func(c *RunConfig) { c.Span = 7 },
 	}
 	typ := reflect.TypeOf(RunConfig{})
 	for i := 0; i < typ.NumField(); i++ {

@@ -41,11 +41,13 @@ type RunConfig struct {
 	EnergyPrediction bool
 
 	// Trace receives a per-instruction execution trace when non-nil
-	// (rendered through the buffered trace.Recorder probe).
+	// (rendered through the buffered trace.Recorder, which the emulator
+	// feeds directly). A traced run executes on the reference interpreter
+	// (emu.Engine.Executed) and bypasses the run cache and the store.
 	Trace io.Writer
 	// Probe, when non-nil, observes the run's full event stream alongside
-	// the verifier and trace recorder (see sim.Probe). Probed runs bypass
-	// the run cache and the store.
+	// the verifier (see sim.Probe). Probed runs bypass the run cache and
+	// the store.
 	Probe sim.Probe
 	// ForcedCheckpointMargin is passed to the emulator (see emu.Config).
 	ForcedCheckpointMargin uint64
@@ -63,11 +65,6 @@ type RunConfig struct {
 	// them equal the engine is not part of the run identity. Validate
 	// external input with emu.ParseEngine before setting it here.
 	Engine emu.Engine
-	// NoFastPort disables the AOT engine's sim.FastPort cached-hit path (see
-	// emu.Config.NoFastPort). Result-invariant — the equivalence suite runs
-	// both sides of this axis — so, like Probe and Trace, it is not part of
-	// the run identity.
-	NoFastPort bool
 	// Span, when non-zero, parents the run span this run emits on the
 	// campaign tracer; zero attaches it to the tracer's ambient span. Purely
 	// observational: it is not part of the run identity.
@@ -104,8 +101,8 @@ func (cfg RunConfig) observed() bool { return cfg.Trace != nil || cfg.Probe != n
 // identity is the one description of a run's identity: every RunConfig field
 // that can change the result, with the zero Cost read as the default model
 // the run executes under, plus the image, the system and the golden check.
-// The fields that cannot change results — Trace, Probe, Engine, NoFastPort
-// and Span — stay out (TestIdentityCoversResultAffectingFields). It keys the
+// The fields that cannot change results — Trace, Probe, Engine and Span —
+// stay out (TestIdentityCoversResultAffectingFields). It keys the
 // in-process run cache, its digest names the run's store object, and it
 // fills the ledger's identity columns.
 func identity(img *program.Image, kind systems.Kind, cfg RunConfig, checkGolden bool) store.Key {
@@ -202,28 +199,26 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 		return emu.Result{}, nil, err
 	}
 
-	// Instrumentation is one probe pipeline: verifier, trace recorder, and
-	// caller probe all observe the same event stream. Combine keeps the
+	// Instrumentation is one probe pipeline: the verifier and the caller
+	// probe observe the same event stream. Combine keeps the
 	// no-instrumentation fast path emission-free (a nil probe everywhere).
+	// The trace recorder is no probe: the emulator feeds it directly.
 	var ver *verify.Verifier
 	if cfg.Verify {
 		ver = verify.New(frozen, systems.VerifyConfigFor(kind))
-	}
-	var rec *trace.Recorder
-	if cfg.Trace != nil {
-		rec = trace.NewRecorder(cfg.Trace)
 	}
 	var observers []sim.Probe
 	if ver != nil {
 		observers = append(observers, ver)
 	}
-	if rec != nil {
-		observers = append(observers, rec)
-	}
 	observers = append(observers, cfg.Probe)
 	probe := sim.Combine(observers...)
+	var rec *trace.Recorder
+	if cfg.Trace != nil {
+		rec = trace.NewRecorder(cfg.Trace)
+	}
 
-	machine, sys, err := newMachineOn(frozen.Fork(), img, kind, cfg, probe)
+	machine, sys, err := newMachineOn(frozen.Fork(), img, kind, cfg, probe, rec)
 	if err != nil {
 		return emu.Result{}, nil, err
 	}
@@ -231,8 +226,8 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 	// Campaign observability brackets the run: a span on the installed tracer
 	// (no-ops when tracing is off), per-engine wall-time accounting, and — at
 	// the single exit below, once the final verdict is known — one ledger
-	// record. engine is the engine that actually executes, which for any
-	// probed run (probe != nil) is the reference interpreter.
+	// record. engine is the engine that actually executes (see
+	// executedEngine).
 	engine := executedEngine(cfg)
 	name := img.Program.Name
 	tr := telemetry.ActiveTracer()
@@ -267,9 +262,10 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 
 // newMachineOn assembles the memory system and emulator over an
 // already-loaded space. probe (nil for none) is attached to both the system
-// and the machine; the emulator clones cfg.Schedule itself, so one RunConfig
-// value can be shared freely across machines and goroutines.
-func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg RunConfig, probe sim.Probe) (*emu.Machine, sim.System, error) {
+// and the machine, and rec (nil for none) receives the machine's trace; the
+// emulator clones cfg.Schedule itself, so one RunConfig value can be shared
+// freely across machines and goroutines.
+func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg RunConfig, probe sim.Probe, rec *trace.Recorder) (*emu.Machine, sim.System, error) {
 	sys, err := systems.Build(kind, space, systems.Config{
 		CacheSize:        cfg.CacheSize,
 		Ways:             cfg.Ways,
@@ -293,7 +289,7 @@ func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg R
 		MaxCycles:              cfg.MaxCycles,
 		FinalFlush:             cfg.FinalFlush,
 		Probe:                  probe,
-		NoFastPort:             cfg.NoFastPort,
+		Trace:                  rec,
 		Engine:                 cfg.Engine,
 	})
 	return machine, sys, nil
@@ -312,5 +308,5 @@ func BuildMachine(img *program.Image, kind systems.Kind, cfg RunConfig) (*emu.Ma
 	if err != nil {
 		return nil, nil, err
 	}
-	return newMachineOn(frozen.Fork(), img, kind, cfg, cfg.Probe)
+	return newMachineOn(frozen.Fork(), img, kind, cfg, cfg.Probe, nil)
 }

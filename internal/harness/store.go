@@ -15,9 +15,9 @@ import (
 // funnels through (runImageStored): a verified store entry short-circuits the
 // simulation entirely, a miss executes and queues the result for write-behind
 // persistence. Probed and traced runs bypass the store on BOTH read and write
-// — their results are perturbed by instrumentation side effects (and forced
-// onto the reference engine), so a probe-perturbed record must never be
-// served to, or recorded for, an unprobed request (see
+// — the caller wants their instrumentation side effects, which a stored
+// record cannot replay, so an observed run must never be served a stored
+// record, nor record one for an unobserved request (see
 // TestProbedRunsBypassStore).
 
 // activeStore is the installed persistent store, nil when disabled.

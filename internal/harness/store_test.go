@@ -145,7 +145,7 @@ func TestProbedRunsBypassStore(t *testing.T) {
 	if n, err := s.Count(); err != nil || n != 0 {
 		t.Fatalf("probed run wrote %d store entries (err %v), want 0", n, err)
 	}
-	if probe.Counters().Instructions == 0 {
+	if probe.Counters().Loads == 0 {
 		t.Fatal("probe observed no events: the probed run did not execute")
 	}
 
@@ -168,7 +168,7 @@ func TestProbedRunsBypassStore(t *testing.T) {
 	if _, err := Run(p, systems.KindNACHO, probed); err != nil {
 		t.Fatal(err)
 	}
-	if probe2.Counters().Instructions == 0 {
+	if probe2.Counters().Loads == 0 {
 		t.Fatal("probed run was served from the store: probe observed nothing")
 	}
 	if got := Status().StoreHits - storeHitsBefore; got != 0 {

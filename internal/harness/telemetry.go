@@ -104,15 +104,14 @@ var engineStats = func() map[emu.Engine]*engineStat {
 	return m
 }()
 
-// executedEngine reports the engine a run actually executes on. Any attached
-// probe — the verifier, the trace recorder, a caller probe — forces the
-// per-instruction reference interpreter (the sole emitter of per-instruction
-// events; see emu.Machine); otherwise the resolved configured engine runs.
+// executedEngine reports the engine a run actually executes on, by the
+// emulator's own rule (emu.Engine.Executed): the reference interpreter for
+// Engine ref or a traced run, the resolved configured engine otherwise.
+// Verified and probed runs execute on the configured engine like any other.
+// The run span, the ledger's engine column, Report.Timing's engine clause
+// and the nacho_harness_engine_* series all name this engine.
 func executedEngine(cfg RunConfig) emu.Engine {
-	if cfg.Verify || cfg.observed() {
-		return emu.EngineRef
-	}
-	return cfg.Engine.Resolve()
+	return cfg.Engine.Executed(cfg.Trace != nil)
 }
 
 // runObserved accounts one executed simulation against its engine's stats.

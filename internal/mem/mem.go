@@ -380,27 +380,6 @@ func (n *NVM) Space() *Space { return n.space }
 // Cost returns the NVM's cost model.
 func (n *NVM) Cost() CostModel { return n.cost }
 
-// DirectPort is a devirtualized fast path into a system's data memory: the
-// AOT execution engine uses it to serve loads and stores with a fixed cycle
-// charge and a direct Space access, skipping the sim.System interface
-// dispatch. A system may only expose a port when the port-served access is
-// observably identical to its Load/Store — fixed latency, hit-counter-only
-// accounting, and no probe to notify — so today only the volatile baseline
-// qualifies (and only while unprobed). The caller still owns alignment
-// checking, MMIO routing, clock advancement (Advance(HitCycles), which may
-// raise the power failure), and the CacheHits counter.
-type DirectPort struct {
-	Space     *Space
-	HitCycles uint64
-}
-
-// DirectMemory is the capability interface systems implement to offer a
-// DirectPort. The second result gates it dynamically: a probed system must
-// return false so every access flows through Load/Store and emits events.
-type DirectMemory interface {
-	DirectPort() (DirectPort, bool)
-}
-
 // AlignmentError reports a misaligned or invalid-size access; the emulator
 // treats it as a program bug and aborts the run.
 type AlignmentError struct {

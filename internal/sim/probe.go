@@ -1,14 +1,16 @@
 package sim
 
-import "nacho/internal/isa"
-
 // This file defines the instrumentation seam of the simulator: a typed
 // observer interface (Probe) that every event producer — the emulator, the
 // generic cache, the NACHO controller, the checkpoint store, and each
-// comparison system — emits through. The correctness verifier, the execution
-// trace recorder, the energy meter, and the per-interval statistics collector
-// are all Probe implementations; production counters stay directly updated
-// for the no-probe fast path.
+// comparison system — emits through. The correctness verifier, the
+// per-interval statistics collector, the live telemetry feed and the
+// Perfetto exporter are all Probe implementations; production counters stay
+// directly updated for the no-probe fast path. Every event is a memory-system,
+// checkpoint or power event, so both execution engines emit the same stream.
+// Retired instructions are not events: the per-instruction trace recorder
+// is fed by the emulator directly (see emu.Config.Trace), and the run's
+// counters carry the instruction count.
 //
 // Emission contract: every producer holds a Probe field that is nil when no
 // observer is attached, and guards each emission with a plain nil check
@@ -183,15 +185,6 @@ type RestoreEvent struct {
 	OK     bool
 }
 
-// RetireEvent is one retired instruction. Cycle is the cycle the instruction
-// issued at (before its base cycle was charged), so a trace renders it at
-// the same timestamp the instruction began.
-type RetireEvent struct {
-	Cycle uint64
-	PC    uint32
-	Instr isa.Instr
-}
-
 // NVMEvent is one charged (or asynchronously counted) NVM transfer. Raw
 // loader/debug accesses do not emit.
 type NVMEvent struct {
@@ -212,7 +205,6 @@ type Probe interface {
 	OnCheckpointCommit(CheckpointEvent)
 	OnPowerFailure(PowerEvent)
 	OnRestore(RestoreEvent)
-	OnRetire(RetireEvent)
 	OnNVM(NVMEvent)
 }
 
@@ -240,9 +232,6 @@ func (NopProbe) OnPowerFailure(PowerEvent) {}
 
 // OnRestore implements Probe.
 func (NopProbe) OnRestore(RestoreEvent) {}
-
-// OnRetire implements Probe.
-func (NopProbe) OnRetire(RetireEvent) {}
 
 // OnNVM implements Probe.
 func (NopProbe) OnNVM(NVMEvent) {}
@@ -303,13 +292,6 @@ func (ps Probes) OnPowerFailure(e PowerEvent) {
 func (ps Probes) OnRestore(e RestoreEvent) {
 	for _, p := range ps {
 		p.OnRestore(e)
-	}
-}
-
-// OnRetire implements Probe.
-func (ps Probes) OnRetire(e RetireEvent) {
-	for _, p := range ps {
-		p.OnRetire(e)
 	}
 }
 

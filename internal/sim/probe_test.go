@@ -7,7 +7,7 @@ import (
 
 // eventCounter records how many times each hook fired.
 type eventCounter struct {
-	access, fill, writeBack, begin, commit, power, restore, retire, nvm int
+	access, fill, writeBack, begin, commit, power, restore, nvm int
 }
 
 func (c *eventCounter) OnAccess(AccessEvent)               { c.access++ }
@@ -17,7 +17,6 @@ func (c *eventCounter) OnCheckpointBegin(CheckpointEvent)  { c.begin++ }
 func (c *eventCounter) OnCheckpointCommit(CheckpointEvent) { c.commit++ }
 func (c *eventCounter) OnPowerFailure(PowerEvent)          { c.power++ }
 func (c *eventCounter) OnRestore(RestoreEvent)             { c.restore++ }
-func (c *eventCounter) OnRetire(RetireEvent)               { c.retire++ }
 func (c *eventCounter) OnNVM(NVMEvent)                     { c.nvm++ }
 
 // emitOneOfEach fires every hook exactly once.
@@ -29,7 +28,6 @@ func emitOneOfEach(p Probe) {
 	p.OnCheckpointCommit(CheckpointEvent{})
 	p.OnPowerFailure(PowerEvent{})
 	p.OnRestore(RestoreEvent{})
-	p.OnRetire(RetireEvent{})
 	p.OnNVM(NVMEvent{})
 }
 
@@ -62,7 +60,7 @@ func TestProbesFanOut(t *testing.T) {
 		t.Fatalf("Add kept %d probes, want 2 (nil must be dropped)", len(ps))
 	}
 	emitOneOfEach(ps)
-	want := eventCounter{1, 1, 1, 1, 1, 1, 1, 1, 1}
+	want := eventCounter{1, 1, 1, 1, 1, 1, 1, 1}
 	if *a != want || *b != want {
 		t.Errorf("fan-out mismatch: a=%+v b=%+v, want every hook fired once", *a, *b)
 	}
@@ -96,7 +94,6 @@ func TestCounterProbeDerivations(t *testing.T) {
 
 	cp.OnPowerFailure(PowerEvent{})
 	cp.OnRestore(RestoreEvent{Cycles: 42})
-	cp.OnRetire(RetireEvent{})
 	cp.OnNVM(NVMEvent{Bytes: 16, Write: false})
 	cp.OnNVM(NVMEvent{Bytes: 8, Write: true})
 
@@ -122,7 +119,6 @@ func TestCounterProbeDerivations(t *testing.T) {
 		{"Regions", c.Regions, 1},
 		{"PowerFailures", c.PowerFailures, 1},
 		{"RestoreCycles", c.RestoreCycles, 42},
-		{"Instructions", c.Instructions, 1},
 		{"NVMReads", c.NVMReads, 1},
 		{"NVMReadBytes", c.NVMReadBytes, 16},
 		{"NVMWrites", c.NVMWrites, 1},

@@ -11,8 +11,9 @@ import "nacho/internal/metrics"
 // stream. It exists to prove the stream is complete: a run observed through a
 // CounterProbe must reproduce every directly-maintained counter except Cycles
 // (which the emulator stamps from its clock at end of run, not from an
-// event). The property tests in internal/harness assert exactly that for
-// every system.
+// event) and Instructions (retired instructions are not probe events; the
+// trace recorder's line count checks them instead). The property tests in
+// internal/harness assert exactly that for every system.
 type CounterProbe struct {
 	NopProbe
 	c metrics.Counters
@@ -84,9 +85,6 @@ func (cp *CounterProbe) OnPowerFailure(PowerEvent) { cp.c.PowerFailures++ }
 
 // OnRestore implements Probe.
 func (cp *CounterProbe) OnRestore(e RestoreEvent) { cp.c.RestoreCycles += e.Cycles }
-
-// OnRetire implements Probe.
-func (cp *CounterProbe) OnRetire(RetireEvent) { cp.c.Instructions++ }
 
 // OnNVM implements Probe.
 func (cp *CounterProbe) OnNVM(e NVMEvent) {

@@ -129,49 +129,6 @@ type MemReaderWriter interface {
 	FirstDiff(addr uint32, want []byte) int
 }
 
-// FastPort is the devirtualized cached-memory fast path: the hit-path
-// analogue of the paper's own argument (Section 4: hits in the volatile data
-// cache are the common, cheap case) applied to the simulator itself. A system
-// that can serve *plain* cache hits — valid line, no RD/PW metadata
-// transition, no eviction, no checkpoint pressure, no clock read — without
-// touching the simulation clock exposes one, and the AOT engine calls the hit
-// functions directly instead of the sim.System interface.
-//
-// Contract, enforced by the engine-equivalence suite:
-//
-//   - LoadHit/StoreHit must either decline (ok=false) with NO observable side
-//     effects, or perform exactly the state mutations of the corresponding
-//     Load/Store hit path (hit counter, LRU touch, WAR-tracker observation,
-//     line data) except advancing the clock. The caller charges HitCycles
-//     itself — every servable hit costs the same fixed latency, which is also
-//     what lets the caller pre-check the power-failure horizon and decline
-//     near it (the full call then raises PowerFail at the byte-identical
-//     instant with byte-identical state).
-//   - A port answers from the system's live state on every call. The engine
-//     caches nothing derived from port answers and re-acquires the port each
-//     execution slice; a port that memoizes internally (NACHO's per-direction
-//     line memo) must drop the memo on every event that can change what it
-//     would serve — a miss, checkpoint, power failure, restore, or probe
-//     attach.
-//   - A nil LoadHit or StoreHit means that direction has no fast path (e.g. a
-//     write-through store always pays NVM latency).
-type FastPort struct {
-	// LoadHit serves a plain read hit of size bytes at addr, or declines.
-	LoadHit func(addr uint32, size int) (val uint32, ok bool)
-	// StoreHit serves a plain write hit, or declines. Callers mask val to
-	// size first, exactly as the reference path does before System.Store.
-	StoreHit func(addr uint32, size int, val uint32) (ok bool)
-	// HitCycles is the fixed clock charge for every served hit.
-	HitCycles uint64
-}
-
-// FastMemory is the capability interface systems implement to offer a
-// FastPort. The second result gates it dynamically: a probed system must
-// return false so every access flows through the event-emitting path.
-type FastMemory interface {
-	FastPort() (FastPort, bool)
-}
-
 // Forkable is implemented by systems that support copy-on-write machine
 // forking (the snapshot-fork exploration mode). Fork returns an independent
 // replica of the system's complete state — volatile (cache lines, trackers,

@@ -80,14 +80,6 @@ func (v *Volatile) Restore() (sim.Snapshot, bool) { return sim.Snapshot{}, false
 // Mem implements sim.System.
 func (v *Volatile) Mem() sim.MemReaderWriter { return v.space }
 
-// DirectPort implements mem.DirectMemory: the baseline's Load/Store are a
-// fixed HitCycles charge, a CacheHits tick, and a raw space access, so the
-// AOT engine may serve them directly — but only while no probe is attached,
-// since port-served accesses emit no events.
-func (v *Volatile) DirectPort() (mem.DirectPort, bool) {
-	return mem.DirectPort{Space: v.space, HitCycles: v.cost.HitCycles}, v.probe == nil
-}
-
 // AttachProbe implements sim.System: the baseline owns no cache, NVM, or
 // checkpoint store — only its own access events flow.
 func (v *Volatile) AttachProbe(p sim.Probe) {

@@ -157,8 +157,10 @@ func (p *Probe) OnRestore(e sim.RestoreEvent) {
 	p.restoreCycles.Add(e.Cycles)
 }
 
-// OnRetire implements sim.Probe.
-func (p *Probe) OnRetire(sim.RetireEvent) { p.instructions.Inc() }
+// Retired adds n retired instructions to nacho_sim_instructions_total.
+// Retired instructions are not probe events, so the caller feeds the run's
+// instruction counter here once the run returns.
+func (p *Probe) Retired(n uint64) { p.instructions.Add(n) }
 
 // OnNVM implements sim.Probe.
 func (p *Probe) OnNVM(e sim.NVMEvent) {

@@ -25,7 +25,6 @@ func feedOneOfEach(p sim.Probe) {
 	p.OnPowerFailure(sim.PowerEvent{Cycle: 100})
 	p.OnRestore(sim.RestoreEvent{Cycle: 160, Cycles: 60, OK: true})
 	p.OnRestore(sim.RestoreEvent{Cycle: 170, Cycles: 5, OK: false})
-	p.OnRetire(sim.RetireEvent{Cycle: 10, PC: 0x40})
 	p.OnNVM(sim.NVMEvent{Cycle: 30, Addr: 0x108, Bytes: 4, Write: false})
 	p.OnNVM(sim.NVMEvent{Cycle: 80, Addr: 0x200, Bytes: 48, Write: true})
 }
@@ -34,6 +33,7 @@ func TestProbeFeedsRegistry(t *testing.T) {
 	r := NewRegistry()
 	p := NewProbe(r)
 	feedOneOfEach(p)
+	p.Retired(1)
 
 	want := map[string]uint64{
 		"nacho_sim_loads_total":                        2,

@@ -23,9 +23,9 @@ import (
 //   - "nvm traffic": a counter track of cumulative NVM bytes, sampled at
 //     every persistence point (not per transfer, which would bloat the file).
 //
-// High-rate families (accesses, retires, fills) are deliberately not
-// rendered: a trace viewer cannot usefully display tens of millions of
-// instants, and the cycle-exact record already exists via trace.Recorder.
+// High-rate families (accesses, fills) are deliberately not rendered: a
+// trace viewer cannot usefully display tens of millions of instants, and the
+// cycle-exact per-instruction record already exists via trace.Recorder.
 //
 // Events stream through a buffered writer as they happen, so memory stays
 // bounded on arbitrarily long runs. Call Finish once after the run to close
@@ -108,9 +108,6 @@ func (t *TraceEventProbe) OnAccess(sim.AccessEvent) {}
 
 // OnLineFill implements sim.Probe (not rendered).
 func (t *TraceEventProbe) OnLineFill(sim.FillEvent) {}
-
-// OnRetire implements sim.Probe (not rendered).
-func (t *TraceEventProbe) OnRetire(sim.RetireEvent) {}
 
 // OnWriteBack implements sim.Probe.
 func (t *TraceEventProbe) OnWriteBack(e sim.WriteBackEvent) {

@@ -1,8 +1,9 @@
-// Package trace renders the per-instruction execution trace from the probe
-// event stream. It replaces the emulator's old hot-loop fmt.Fprintf — which
-// paid one unbuffered Write per retired instruction — with a fixed-capacity
-// entry buffer that is formatted and written in chunks. Output is
-// byte-identical to the old format:
+// Package trace renders the per-instruction execution trace. The emulator
+// feeds the recorder directly (emu.Config.Trace): one entry per retired
+// instruction and one per power failure. It replaces the emulator's old
+// hot-loop fmt.Fprintf — which paid one unbuffered Write per retired
+// instruction — with a fixed-capacity entry buffer that is formatted and
+// written in chunks. Output is byte-identical to the old format:
 //
 //	     cycle  pc        disassembly
 //	%10d  %08x  %v\n
@@ -16,7 +17,6 @@ import (
 	"io"
 
 	"nacho/internal/isa"
-	"nacho/internal/sim"
 )
 
 // bufEntries is the number of events buffered between writes. At ~30 bytes a
@@ -32,10 +32,9 @@ type entry struct {
 	marker bool // power-failure marker instead of an instruction
 }
 
-// Recorder is the trace probe. Attach it through the run's probe pipeline
-// and Flush it once the run completes.
+// Recorder buffers and renders the trace. Hand it to the emulator through
+// emu.Config.Trace and Flush it once the run completes.
 type Recorder struct {
-	sim.NopProbe
 	w      io.Writer
 	buf    []entry
 	render bytes.Buffer
@@ -47,14 +46,16 @@ func NewRecorder(w io.Writer) *Recorder {
 	return &Recorder{w: w, buf: make([]entry, 0, bufEntries)}
 }
 
-// OnRetire implements sim.Probe: one line per retired instruction.
-func (r *Recorder) OnRetire(e sim.RetireEvent) {
-	r.append(entry{cycle: e.Cycle, pc: e.PC, in: e.Instr})
+// Retire records one line for a retired instruction. cycle is the cycle the
+// instruction issued at (before its base cycle was charged), so the line
+// carries the timestamp the instruction began.
+func (r *Recorder) Retire(cycle uint64, pc uint32, in isa.Instr) {
+	r.append(entry{cycle: cycle, pc: pc, in: in})
 }
 
-// OnPowerFailure implements sim.Probe: the reboot marker line.
-func (r *Recorder) OnPowerFailure(e sim.PowerEvent) {
-	r.append(entry{cycle: e.Cycle, marker: true})
+// PowerFailure records the reboot marker line of a power failure at cycle.
+func (r *Recorder) PowerFailure(cycle uint64) {
+	r.append(entry{cycle: cycle, marker: true})
 }
 
 func (r *Recorder) append(e entry) {

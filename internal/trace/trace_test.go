@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"nacho/internal/isa"
-	"nacho/internal/sim"
 )
 
 var testInstrs = []isa.Instr{
@@ -26,11 +25,11 @@ func TestRecorderFormat(t *testing.T) {
 	cycle := uint64(1)
 	for i, in := range testInstrs {
 		pc := 0x1000 + uint32(4*i)
-		r.OnRetire(sim.RetireEvent{Cycle: cycle, PC: pc, Instr: in})
+		r.Retire(cycle, pc, in)
 		fmt.Fprintf(&want, "%10d  %08x  %v\n", cycle, pc, in)
 		cycle += 3
 	}
-	r.OnPowerFailure(sim.PowerEvent{Cycle: cycle})
+	r.PowerFailure(cycle)
 	fmt.Fprintf(&want, "%10d  -- power failure, rebooting --\n", cycle)
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func TestRecorderBuffers(t *testing.T) {
 	cw := &countingWriter{Writer: io.Discard}
 	r := NewRecorder(cw)
 	for i := 0; i < n; i++ {
-		r.OnRetire(sim.RetireEvent{Cycle: uint64(i), PC: 0x1000, Instr: testInstrs[0]})
+		r.Retire(uint64(i), 0x1000, testInstrs[0])
 	}
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
@@ -77,12 +76,12 @@ func (w errWriter) Write([]byte) (int, error) { return 0, w.err }
 func TestRecorderSurfacesWriteError(t *testing.T) {
 	sentinel := errors.New("disk full")
 	r := NewRecorder(errWriter{sentinel})
-	r.OnRetire(sim.RetireEvent{Instr: testInstrs[0]})
+	r.Retire(0, 0, testInstrs[0])
 	if err := r.Flush(); !errors.Is(err, sentinel) {
 		t.Errorf("Flush() = %v, want %v", err, sentinel)
 	}
 	// Later flushes keep reporting the first error and must not panic.
-	r.OnRetire(sim.RetireEvent{Instr: testInstrs[0]})
+	r.Retire(0, 0, testInstrs[0])
 	if err := r.Flush(); !errors.Is(err, sentinel) {
 		t.Errorf("second Flush() = %v, want %v", err, sentinel)
 	}
@@ -92,18 +91,18 @@ func TestRecorderSurfacesWriteError(t *testing.T) {
 // win: the old trace path formatted and wrote each instruction individually.
 func BenchmarkRecorder(b *testing.B) {
 	r := NewRecorder(io.Discard)
-	ev := sim.RetireEvent{Cycle: 123456, PC: 0x1040, Instr: testInstrs[0]}
+	cycle, pc, in := uint64(123456), uint32(0x1040), testInstrs[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.OnRetire(ev)
+		r.Retire(cycle, pc, in)
 	}
 	r.Flush()
 }
 
 func BenchmarkUnbufferedFprintf(b *testing.B) {
-	ev := sim.RetireEvent{Cycle: 123456, PC: 0x1040, Instr: testInstrs[0]}
+	cycle, pc, in := uint64(123456), uint32(0x1040), testInstrs[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fmt.Fprintf(io.Discard, "%10d  %08x  %v\n", ev.Cycle, ev.PC, ev.Instr)
+		fmt.Fprintf(io.Discard, "%10d  %08x  %v\n", cycle, pc, in)
 	}
 }

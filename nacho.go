@@ -108,7 +108,9 @@ type Config struct {
 	// EnergyPrediction runs NACHO-family checkpoints single-buffered under a
 	// guaranteed-energy window, halving checkpoint NVM writes (Section 8).
 	EnergyPrediction bool
-	// Trace, when non-nil, receives a per-instruction execution trace.
+	// Trace, when non-nil, receives a per-instruction execution trace. A
+	// traced run executes on the reference interpreter, the one engine that
+	// retires instructions one at a time.
 	Trace io.Writer
 	// ProbeStats collects per-checkpoint-interval statistics through the
 	// probe event pipeline (NVM traffic and write-back verdicts between
@@ -120,8 +122,9 @@ type Config struct {
 	// checkpoint intervals as duration slices, power outages and write-back
 	// verdicts on their own tracks, and an NVM-traffic counter track.
 	Perfetto io.Writer
-	// Telemetry, when non-nil, feeds the run's event stream into the
-	// server's live nacho_sim_* metrics (see ServeTelemetry).
+	// Telemetry, when non-nil, feeds the run's event stream, and its
+	// instruction count once it returns, into the server's live nacho_sim_*
+	// metrics (see ServeTelemetry).
 	Telemetry *TelemetryServer
 	// Engine selects the execution engine: "auto" (or empty) picks the
 	// fastest correct engine, "ref" the per-instruction reference
@@ -130,11 +133,6 @@ type Config struct {
 	// suite, for measuring engine speedups, and for isolating engine bugs.
 	// Unknown values fail the run with a named diagnostic.
 	Engine string
-	// NoFastPort makes the AOT engine route every data access through the
-	// full memory-system interface instead of the system's cached-hit fast
-	// port. Results are identical either way; the knob exists for the
-	// equivalence suite and for measuring the fast port's speedup.
-	NoFastPort bool
 }
 
 func (c Config) withDefaults() Config {
@@ -168,7 +166,6 @@ func (c Config) runConfig() (harness.RunConfig, error) {
 		DirtyThreshold:   c.DirtyThreshold,
 		EnergyPrediction: c.EnergyPrediction,
 		Trace:            c.Trace,
-		NoFastPort:       c.NoFastPort,
 		Engine:           engine,
 	}
 	if c.OnDurationMs > 0 {
@@ -320,7 +317,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	stats, tep := cfg.observers(&rc)
 	res, err := harness.Run(p, systems.Kind(cfg.System), rc)
-	if err := finishTrace(tep, res.Counters.Cycles, err); err != nil {
+	if err := cfg.finishObservers(tep, res, err); err != nil {
 		return nil, err
 	}
 	return newResult(res, stats), nil
@@ -350,13 +347,19 @@ func (c Config) observers(rc *harness.RunConfig) (*sim.IntervalStats, *telemetry
 	return stats, tep
 }
 
-// finishTrace terminates a Perfetto export (so the document is loadable even
-// after a failed run) and folds its write error into the run error.
-func finishTrace(tep *telemetry.TraceEventProbe, cycles uint64, runErr error) error {
+// finishObservers completes the observers once the run returns: it feeds
+// the run's instruction count to the live telemetry (retired instructions
+// are not probe events), terminates a Perfetto export (so the document is
+// loadable even after a failed run) and folds its write error into the run
+// error.
+func (c Config) finishObservers(tep *telemetry.TraceEventProbe, res emu.Result, runErr error) error {
+	if c.Telemetry != nil {
+		c.Telemetry.probe.Retired(res.Counters.Instructions)
+	}
 	if tep == nil {
 		return runErr
 	}
-	if err := tep.Finish(cycles); err != nil && runErr == nil {
+	if err := tep.Finish(res.Counters.Cycles); err != nil && runErr == nil {
 		return fmt.Errorf("nacho: perfetto export: %w", err)
 	}
 	return runErr

@@ -66,8 +66,21 @@ func TestServeTelemetryEndToEnd(t *testing.T) {
 	defer ts.Close()
 	base := "http://" + ts.Addr()
 
-	// A run feeding the sim-event series.
-	if _, err := nacho.Run(nacho.Config{Benchmark: "crc", OnDurationMs: 1, Telemetry: ts}); err != nil {
+	// Runs feeding the sim-event series: a benchmark and a caller-supplied
+	// program.
+	run, err := nacho.Run(nacho.Config{Benchmark: "crc", OnDurationMs: 1, Telemetry: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := nacho.RunSource("answer", `
+_start:
+	li   t0, 42
+	li   t1, 0x000F0004
+	sw   t0, (t1)
+	li   t1, 0x000F0000
+	sw   zero, (t1)
+`, nacho.Config{Telemetry: ts})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,8 +112,10 @@ func TestServeTelemetryEndToEnd(t *testing.T) {
 	if samples["nacho_harness_simulated_cycles_total"] <= 0 {
 		t.Errorf("simulated_cycles = %g, want > 0", samples["nacho_harness_simulated_cycles_total"])
 	}
-	if samples["nacho_sim_instructions_total"] <= 0 {
-		t.Errorf("sim instructions = %g, want > 0 (telemetry-attached run)", samples["nacho_sim_instructions_total"])
+	// Only the telemetry-attached runs feed the sim series: the sweep's runs
+	// carry no telemetry probe.
+	if got, want := samples["nacho_sim_instructions_total"], float64(run.Instructions+src.Instructions); got != want {
+		t.Errorf("sim instructions = %g, want %g (the telemetry-attached runs' Result.Instructions)", got, want)
 	}
 	if samples["nacho_sim_power_failures_total"] <= 0 {
 		t.Errorf("sim power failures = %g, want > 0 (1 ms on-duration run)", samples["nacho_sim_power_failures_total"])
