@@ -49,7 +49,8 @@ quartiles='def q($p): sort as $s | ($p * (($s | length) - 1)) as $i
 def stats: {q1: q(0.25), median: q(0.5), q3: q(0.75), runs: .};'
 layers='["wall_s", "mem.self_s", "verify.self_s", "track.self_s", "emu.self_s",
 	"runtime.gc_s", "profile.total_s", "runtime.alloc_mb", "runtime.gc_cycles",
-	"harness.runs", "harness.cache_hits", "harness.unique_cells", "emu.runs_ref", "emu.runs_aot"]'
+	"harness.runs", "harness.cache_hits", "harness.unique_cells", "emu.runs_ref", "emu.runs_aot",
+	"emu.instr_ref", "emu.instr_aot"]'
 
 results=()
 for w in $workloads; do

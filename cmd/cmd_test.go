@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -303,6 +304,8 @@ func TestCLIErrorPaths(t *testing.T) {
 			[]string{"nachosim:", "/nonexistent-dir/t.out"}},
 		{"nachosim unwritable -perfetto", sim, []string{"-bench", "crc", "-perfetto", "/nonexistent-dir/p.json"},
 			[]string{"nachosim:", "/nonexistent-dir/p.json"}},
+		{"nachosim -trace write error", sim, []string{"-bench", "crc", "-trace", "/dev/full"},
+			[]string{"nachosim:", "trace: write /dev/full"}},
 		{"nachobench unknown flag", bench, []string{"-definitely-not-a-flag"},
 			[]string{"flag provided but not defined", "Usage"}},
 		{"nachobench unknown experiment", bench, []string{"-exp", "no-such-exp"},
@@ -355,6 +358,12 @@ func TestCLIErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// /dev/full, which fails every write, is not on every system.
+			if slices.Contains(tc.args, "/dev/full") {
+				if _, err := os.Stat("/dev/full"); err != nil {
+					t.Skip("no /dev/full on this system")
+				}
+			}
 			out, err := run(t, tc.bin, tc.args...)
 			if err == nil {
 				t.Fatalf("exit 0, want failure:\n%s", out)

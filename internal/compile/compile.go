@@ -3,22 +3,13 @@
 // shape as starlark-go's internal/compile bytecode feeding its interp loop).
 //
 // The IR is slot-for-slot parallel to the instruction stream: IR index i
-// describes the architectural instruction at textBase + 4*i. Lowering
+// executes exactly the architectural instruction at textBase + 4*i. Lowering
 // specializes each instruction once — operands pre-decoded into flat uint8
 // register numbers, immediates pre-sign-extended into uint32, static branch
 // and jump targets pre-resolved to IR indices, x0/sp destination handling
 // baked into distinct opcodes — so the interpreter loop in internal/emu pays
 // no per-step decode, no operand extraction, and no destination-register
 // special-casing.
-//
-// A fusion pass additionally forms two-instruction superinstructions
-// (lui+addi constant synthesis, addi+load/store address generation, and
-// slt-family compare-and-branch). A fused opcode occupies the slot of its
-// first instruction and performs the architectural work of both; the second
-// slot keeps its plain lowering so control flow may still enter there
-// directly. Because every executed slot performs exactly the architectural
-// instruction(s) it covers and then transfers to the correct successor slot,
-// overlapping fusion opportunities need no conflict resolution.
 //
 // The package is deliberately free of execution semantics: it imports only
 // internal/isa and never touches the clock, the memory system, or the
@@ -101,8 +92,9 @@ const (
 	Bltu
 	Bgeu
 
-	// Memory operations, specialized by width and (for loads) sign
-	// extension, with Rd ∉ {x0, sp} for loads. Imm is the address offset.
+	// Memory operations, one opcode per isa load and store, with Rd ∉ {x0, sp}
+	// for loads. Imm is the address offset; AccessSize and SignShift give the
+	// width and sign extension.
 	Lb
 	Lh
 	Lw
@@ -112,41 +104,6 @@ const (
 	Sh
 	Sw
 
-	// Fused superinstructions: each covers the architectural instructions of
-	// its own slot and the next (Width == 2).
-
-	// LuiAddi is "lui rd, hi" + "addi rd, rd, lo" — constant synthesis. Imm
-	// holds the final constant, computed at compile time.
-	LuiAddi
-
-	// AddiL*/AddiS* fuse address generation into the memory access:
-	// "addi rt, rb, imm1" + a load/store whose base is rt. The addi still
-	// commits rt (it is architecturally visible). Field layout: Rs1 = rb,
-	// Rs2 = rt, Imm = imm1, Target = the memory op's offset (imm2), and
-	// Rd = the load destination / the store value register.
-	AddiLb
-	AddiLh
-	AddiLw
-	AddiLbu
-	AddiLhu
-	AddiSb
-	AddiSh
-	AddiSw
-
-	// Slt*B* fuse a compare into the following branch-on-zero:
-	// "slt/sltu/slti/sltiu rd, ..." + "bne/beq rd, x0" (either operand
-	// order). The compare still commits rd. Target is always a valid IR
-	// index — fusion is skipped otherwise. Immediate forms carry the compare
-	// immediate in Imm.
-	SltBne
-	SltuBne
-	SltBeq
-	SltuBeq
-	SltiBne
-	SltiuBne
-	SltiBeq
-	SltiuBeq
-
 	numOps
 )
 
@@ -154,41 +111,24 @@ const (
 // segment (or misaligned): taking it must produce the reference fetch error.
 const InvalidTarget = ^uint32(0)
 
-// Width is the number of architectural instructions the opcode covers: 2 for
-// fused superinstructions, 1 otherwise.
-func (o Op) Width() uint32 {
-	if o >= LuiAddi {
-		return 2
-	}
-	return 1
-}
-
 // isSimpleALU reports whether the opcode is a specialized register-only ALU
 // operation (batchable: no memory, no control, Rd ∉ {x0, sp}).
 func isSimpleALU(o Op) bool { return o >= Lui && o <= Remu }
 
-// Inst is one IR slot: a fully pre-decoded instruction (or superinstruction)
-// the interpreter executes without consulting the original encoding.
+// Inst is one IR slot: a fully pre-decoded instruction the interpreter
+// executes without consulting the original encoding.
 type Inst struct {
 	Op           Op
 	Rd, Rs1, Rs2 uint8
 	Imm          uint32 // pre-sign-extended immediate (meaning per opcode)
-	Target       uint32 // pre-resolved IR index for static control flow / second immediate for fused memory ops
+	Target       uint32 // pre-resolved IR index for static control flow
 	Run          uint32 // length of the simple-ALU run starting here (0 if this slot is not simple ALU)
-}
-
-// Stats summarizes one compilation, for tests and tooling.
-type Stats struct {
-	Fused     int // slots holding a two-instruction superinstruction
-	Batchable int // slots eligible for batched ALU execution
-	RefSteps  int // slots delegated to the reference interpreter
 }
 
 // Program is a compiled text segment. Code is slot-for-slot parallel to the
 // instruction stream: Code[i] executes the instruction at textBase + 4*i.
 type Program struct {
-	Code  []Inst
-	Stats Stats
+	Code []Inst
 }
 
 // aluOp maps an isa ALU opcode to its specialized IR opcode.
@@ -205,17 +145,15 @@ var aluOp = [...]Op{
 var loadOp = [...]Op{isa.LB: Lb, isa.LH: Lh, isa.LW: Lw, isa.LBU: Lbu, isa.LHU: Lhu}
 var storeOp = [...]Op{isa.SB: Sb, isa.SH: Sh, isa.SW: Sw}
 var branchOp = [...]Op{isa.BEQ: Beq, isa.BNE: Bne, isa.BLT: Blt, isa.BGE: Bge, isa.BLTU: Bltu, isa.BGEU: Bgeu}
-var fusedLoadOp = [...]Op{isa.LB: AddiLb, isa.LH: AddiLh, isa.LW: AddiLw, isa.LBU: AddiLbu, isa.LHU: AddiLhu}
-var fusedStoreOp = [...]Op{isa.SB: AddiSb, isa.SH: AddiSh, isa.SW: AddiSw}
 
-// cmpBranchOp[cmp][branch] maps a fusible compare × branch pair; cmp indexed
-// 0..3 = SLT, SLTU, SLTI, SLTIU and branch 0..1 = BNE, BEQ.
-var cmpBranchOp = [4][2]Op{
-	{SltBne, SltBeq},
-	{SltuBne, SltuBeq},
-	{SltiBne, SltiBeq},
-	{SltiuBne, SltiuBeq},
-}
+// AccessSize is each memory opcode's access width in bytes. The AOT engine
+// runs every load through one case and every store through another, and
+// reads the width from here.
+var AccessSize = [numOps]uint8{Lb: 1, Lh: 2, Lw: 4, Lbu: 1, Lhu: 2, Sb: 1, Sh: 2, Sw: 4}
+
+// SignShift is the shift that sign-extends a loaded value (v<<s, then an
+// arithmetic >>s): 24 for Lb, 16 for Lh, and 0 for every other opcode.
+var SignShift = [numOps]uint8{Lb: 24, Lh: 16}
 
 // Compile lowers a decoded instruction sequence into its IR program. The
 // input is not retained.
@@ -225,27 +163,14 @@ func Compile(instrs []isa.Instr) *Program {
 	for i := range instrs {
 		p.Code[i] = lower(&instrs[i], i, n)
 	}
-	for i := 0; i+1 < n; i++ {
-		if f, ok := fuse(&instrs[i], &instrs[i+1], i, n); ok {
-			p.Code[i] = f
-			p.Stats.Fused++
-		}
-	}
 	// ALU run lengths, right to left, so each slot is O(1): Run counts
-	// the consecutive simple-ALU slots starting at i. Fused slots are never
-	// simple ALU, so runs neither include nor jump over them, and a slot
-	// shadowed by a preceding fused op still carries its own run for direct
-	// branch entry.
+	// the consecutive simple-ALU slots starting at i.
 	for i := n - 1; i >= 0; i-- {
-		switch {
-		case isSimpleALU(p.Code[i].Op):
+		if isSimpleALU(p.Code[i].Op) {
 			p.Code[i].Run = 1
 			if i+1 < n {
 				p.Code[i].Run += p.Code[i+1].Run
 			}
-			p.Stats.Batchable++
-		case p.Code[i].Op == RefStep:
-			p.Stats.RefSteps++
 		}
 	}
 	return p
@@ -316,63 +241,4 @@ func lower(in *isa.Instr, i, n int) Inst {
 	default: // ECALL, OpInvalid, and anything unrecognized
 		return Inst{Op: RefStep}
 	}
-}
-
-// gpr reports whether r is a general-purpose destination the specialized ops
-// may write directly (not x0, whose writes are discarded, and not sp, whose
-// writes run the stack guard).
-func gpr(r isa.Reg) bool { return r != isa.Zero && r != isa.SP }
-
-// fuse recognizes a two-instruction superinstruction at slots (i, i+1).
-func fuse(a, b *isa.Instr, i, n int) (Inst, bool) {
-	switch {
-	case a.Op == isa.LUI && gpr(a.Rd) &&
-		b.Op == isa.ADDI && b.Rd == a.Rd && b.Rs1 == a.Rd:
-		return Inst{Op: LuiAddi, Rd: uint8(a.Rd), Imm: uint32(a.Imm) + uint32(b.Imm)}, true
-
-	case a.Op == isa.ADDI && gpr(a.Rd) && b.Rs1 == a.Rd:
-		switch {
-		case b.Op.IsLoad() && gpr(b.Rd):
-			return Inst{Op: fusedLoadOp[b.Op], Rd: uint8(b.Rd),
-				Rs1: uint8(a.Rs1), Rs2: uint8(a.Rd),
-				Imm: uint32(a.Imm), Target: uint32(b.Imm)}, true
-		case b.Op.IsStore():
-			return Inst{Op: fusedStoreOp[b.Op], Rd: uint8(b.Rs2),
-				Rs1: uint8(a.Rs1), Rs2: uint8(a.Rd),
-				Imm: uint32(a.Imm), Target: uint32(b.Imm)}, true
-		}
-
-	case (a.Op == isa.SLT || a.Op == isa.SLTU || a.Op == isa.SLTI || a.Op == isa.SLTIU) &&
-		gpr(a.Rd) && (b.Op == isa.BEQ || b.Op == isa.BNE):
-		// bnez/beqz on the compare result, either operand order. Fuse only
-		// when the branch target resolves: the InvalidTarget fallback needs
-		// the plain branch's byte offset, which the fused encoding spends on
-		// the compare immediate.
-		if !((b.Rs1 == a.Rd && b.Rs2 == isa.Zero) || (b.Rs2 == a.Rd && b.Rs1 == isa.Zero)) {
-			return Inst{}, false
-		}
-		tgt := target(i+1, b.Imm, n)
-		if tgt == InvalidTarget {
-			return Inst{}, false
-		}
-		var ci int
-		switch a.Op {
-		case isa.SLT:
-			ci = 0
-		case isa.SLTU:
-			ci = 1
-		case isa.SLTI:
-			ci = 2
-		default:
-			ci = 3
-		}
-		bi := 0
-		if b.Op == isa.BEQ {
-			bi = 1
-		}
-		return Inst{Op: cmpBranchOp[ci][bi], Rd: uint8(a.Rd),
-			Rs1: uint8(a.Rs1), Rs2: uint8(a.Rs2),
-			Imm: uint32(a.Imm), Target: tgt}, true
-	}
-	return Inst{}, false
 }

@@ -10,9 +10,9 @@ import (
 // This file is the AOT execution engine: the interpreter half of the
 // compile/interpret split. internal/compile lowers the text segment once —
 // at DecodeText time — into a threaded-code IR (pre-decoded operands,
-// pre-resolved branch targets, fused superinstructions, per-slot ALU run
-// lengths); this loop executes that IR with no per-step decode and no fetch
-// bounds check on sequential flow. Memory accesses take the reference
+// pre-resolved branch targets, per-slot ALU run lengths), one slot per
+// instruction; this loop executes that IR with no per-step decode and no
+// fetch bounds check on sequential flow. Memory accesses take the reference
 // interpreter's own path (Machine.load and Machine.store), so both engines
 // reach the memory system, and emit MMIO events, the same way.
 //
@@ -21,19 +21,18 @@ import (
 // per-boundary checks of runSliceRef. Before entering the inline dispatch
 // loop it computes a guard (aotGuard): the smallest cycle at which any
 // boundary event — power failure, cycle budget, forced-checkpoint trigger,
-// RunUntil stop-point — could fire, pulled back by the width of the
-// largest superinstruction. Below the guard
-// every boundary check is statically false, so the inline loop may charge
-// base cycles with a bare increment and skip the checks entirely; the moment
-// the guard trips (including after a memory access whose dynamic cost jumped
-// the clock), the loop commits the pc and returns to the outer checks, which
-// fire the event at the byte-identical instant with byte-identical state.
-// Anything the IR does not specialize executes through the reference step
-// (stepChecked), and the machine commits m.pc before every call that can
-// advance the clock, so checkpoint register snapshots and mid-access power
-// failures observe exactly the reference interpreter's in-flight state.
-// The engine-equivalence suite in internal/harness enforces all of this
-// rather than trusting the argument.
+// RunUntil stop-point — could fire. Below the guard every boundary check is
+// statically false, so the inline loop may charge base cycles with a bare
+// increment and skip the checks entirely; the moment the guard trips
+// (including after a memory access whose dynamic cost jumped the clock), the
+// loop commits the pc and returns to the outer checks, which fire the event
+// at the byte-identical instant with byte-identical state. Anything the IR
+// does not specialize executes through the reference step (stepChecked), and
+// the machine commits m.pc before every call that can advance the clock, so
+// checkpoint register snapshots and mid-access power failures observe
+// exactly the reference interpreter's in-flight state. The engine-equivalence
+// suite in internal/harness enforces all of this rather than trusting the
+// argument.
 //
 // For speed the dispatch loop mirrors the cycle and instruction counters in
 // local variables (registers), so guard checks and base-cycle charging never
@@ -41,13 +40,8 @@ import (
 // call, return, and power-failure panic, and reloaded after every call that
 // can advance the clock — external code and post-slice inspection only ever
 // see the authoritative fields in a consistent, reference-identical state.
-// Every memory case is one such call: commit the mirrors, call the shared
-// load or store, reload the mirrors.
-
-// aotMaxWidth is the widest superinstruction in the IR: a fused op retires
-// up to this many architectural instructions (and charges this many base
-// cycles) between guard checks, so the guard is pulled back by width-1.
-const aotMaxWidth = 2
+// The load case and the store case are each one such call: commit the
+// mirrors, call the shared load or store, reload the mirrors.
 
 // guardInputs is the machine state aotGuard reads, so the safe-horizon
 // arithmetic is a pure function pinned by table-driven tests.
@@ -65,16 +59,16 @@ type guardInputs struct {
 
 // aotGuard returns the inline window's bounds: while the cycle counter stays
 // strictly below cycleGuard and the instruction counter strictly below
-// instrGuard, no per-boundary event can fire even across a full
-// superinstruction. A cycleGuard at or below the current cycle means the
-// window is empty and the next instruction must take the reference step,
-// which raises the power failure, forced checkpoint, or error at the exact
-// same instant with the exact same state. Each bound mirrors one
-// runSliceRef check. All cycle arithmetic saturates: near-2^64 inputs
-// (NoFailure-adjacent cycles, margin exceeding nextForced) must shrink the
-// window, never wrap to a huge bogus one.
+// instrGuard, no per-boundary event can fire before the next instruction
+// retires. A cycleGuard at or below the current cycle means the window is
+// empty and the next instruction must take the reference step, which raises
+// the power failure, forced checkpoint, or error at the exact same instant
+// with the exact same state. Each bound mirrors one runSliceRef check. All
+// cycle arithmetic saturates: near-2^64 inputs (NoFailure-adjacent cycles,
+// margin exceeding nextForced) must shrink the window, never wrap to a huge
+// bogus one.
 func aotGuard(in guardInputs) (cycleGuard, instrGuard uint64) {
-	instrGuard = in.maxInstr - (aotMaxWidth - 1)
+	instrGuard = in.maxInstr
 	u := uint64(power.NoFailure)
 	if in.failEnabled {
 		if in.nextFailure <= in.cycle {
@@ -102,10 +96,7 @@ func aotGuard(in guardInputs) (cycleGuard, instrGuard uint64) {
 	if in.stopAt != 0 && in.stopAt < u {
 		u = in.stopAt
 	}
-	if u < aotMaxWidth-1 {
-		return 0, instrGuard
-	}
-	return u - (aotMaxWidth - 1), instrGuard
+	return u, instrGuard
 }
 
 // runSliceAOT executes the compiled IR until halt or the next power failure.
@@ -120,7 +111,7 @@ func (m *Machine) runSliceAOT() error {
 		maxInstr  = m.cfg.MaxInstructions
 		maxCycles = m.cfg.MaxCycles
 		period    = m.cfg.ForcedCheckpointPeriod
-		margin    = m.cfg.ForcedCheckpointMargin
+		margin    = m.forcedMargin
 		code      = prog.Code
 	)
 	for !m.halted {
@@ -464,82 +455,27 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 				pc += 4
 			}
 
-		case compile.Lw:
+		case compile.Lb, compile.Lh, compile.Lw, compile.Lbu, compile.Lhu:
 			cyc++
 			ins++
 			m.c.Loads++
 			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-			v, err := m.load(regs[op.Rs1]+op.Imm, 4)
+			v, err := m.load(regs[op.Rs1]+op.Imm, int(compile.AccessSize[op.Op]))
 			if err != nil {
 				return err
 			}
 			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = v
+			s := compile.SignShift[op.Op]
+			regs[op.Rd] = uint32(int32(v<<s) >> s)
 			idx++
 			pc += 4
 
-		case compile.Lh:
-			cyc++
-			ins++
-			m.c.Loads++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-			v, err := m.load(regs[op.Rs1]+op.Imm, 2)
-			if err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = uint32(int32(v<<16) >> 16)
-			idx++
-			pc += 4
-
-		case compile.Lb:
-			cyc++
-			ins++
-			m.c.Loads++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-			v, err := m.load(regs[op.Rs1]+op.Imm, 1)
-			if err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = uint32(int32(v<<24) >> 24)
-			idx++
-			pc += 4
-
-		case compile.Lhu:
-			cyc++
-			ins++
-			m.c.Loads++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-			v, err := m.load(regs[op.Rs1]+op.Imm, 2)
-			if err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = v
-			idx++
-			pc += 4
-
-		case compile.Lbu:
-			cyc++
-			ins++
-			m.c.Loads++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-			v, err := m.load(regs[op.Rs1]+op.Imm, 1)
-			if err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = v
-			idx++
-			pc += 4
-
-		case compile.Sw:
+		case compile.Sb, compile.Sh, compile.Sw:
 			cyc++
 			ins++
 			m.c.Stores++
 			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-			if err := m.store(regs[op.Rs1]+op.Imm, 4, regs[op.Rs2]); err != nil {
+			if err := m.store(regs[op.Rs1]+op.Imm, int(compile.AccessSize[op.Op]), regs[op.Rs2]); err != nil {
 				return err
 			}
 			cyc, ins = m.cycle, m.c.Instructions
@@ -549,283 +485,6 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 			}
 			idx++
 			pc += 4
-
-		case compile.Sh:
-			cyc++
-			ins++
-			m.c.Stores++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-			if err := m.store(regs[op.Rs1]+op.Imm, 2, regs[op.Rs2]); err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			if m.halted {
-				m.pc = pc + 4
-				return nil
-			}
-			idx++
-			pc += 4
-
-		case compile.Sb:
-			cyc++
-			ins++
-			m.c.Stores++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
-			if err := m.store(regs[op.Rs1]+op.Imm, 1, regs[op.Rs2]); err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			if m.halted {
-				m.pc = pc + 4
-				return nil
-			}
-			idx++
-			pc += 4
-
-		case compile.LuiAddi:
-			regs[op.Rd] = op.Imm
-			cyc += 2
-			ins += 2
-			idx += 2
-			pc += 8
-
-		case compile.AddiLw:
-			t := regs[op.Rs1] + op.Imm
-			regs[op.Rs2] = t
-			cyc += 2
-			ins += 2
-			m.c.Loads++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-			v, err := m.load(t+op.Target, 4)
-			if err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = v
-			idx += 2
-			pc += 8
-
-		case compile.AddiLh:
-			t := regs[op.Rs1] + op.Imm
-			regs[op.Rs2] = t
-			cyc += 2
-			ins += 2
-			m.c.Loads++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-			v, err := m.load(t+op.Target, 2)
-			if err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = uint32(int32(v<<16) >> 16)
-			idx += 2
-			pc += 8
-
-		case compile.AddiLb:
-			t := regs[op.Rs1] + op.Imm
-			regs[op.Rs2] = t
-			cyc += 2
-			ins += 2
-			m.c.Loads++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-			v, err := m.load(t+op.Target, 1)
-			if err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = uint32(int32(v<<24) >> 24)
-			idx += 2
-			pc += 8
-
-		case compile.AddiLhu:
-			t := regs[op.Rs1] + op.Imm
-			regs[op.Rs2] = t
-			cyc += 2
-			ins += 2
-			m.c.Loads++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-			v, err := m.load(t+op.Target, 2)
-			if err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = v
-			idx += 2
-			pc += 8
-
-		case compile.AddiLbu:
-			t := regs[op.Rs1] + op.Imm
-			regs[op.Rs2] = t
-			cyc += 2
-			ins += 2
-			m.c.Loads++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-			v, err := m.load(t+op.Target, 1)
-			if err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			regs[op.Rd] = v
-			idx += 2
-			pc += 8
-
-		case compile.AddiSw:
-			t := regs[op.Rs1] + op.Imm
-			regs[op.Rs2] = t
-			cyc += 2
-			ins += 2
-			m.c.Stores++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-			if err := m.store(t+op.Target, 4, regs[op.Rd]); err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			if m.halted {
-				m.pc = pc + 8
-				return nil
-			}
-			idx += 2
-			pc += 8
-
-		case compile.AddiSh:
-			t := regs[op.Rs1] + op.Imm
-			regs[op.Rs2] = t
-			cyc += 2
-			ins += 2
-			m.c.Stores++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-			if err := m.store(t+op.Target, 2, regs[op.Rd]); err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			if m.halted {
-				m.pc = pc + 8
-				return nil
-			}
-			idx += 2
-			pc += 8
-
-		case compile.AddiSb:
-			t := regs[op.Rs1] + op.Imm
-			regs[op.Rs2] = t
-			cyc += 2
-			ins += 2
-			m.c.Stores++
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc+4
-			if err := m.store(t+op.Target, 1, regs[op.Rd]); err != nil {
-				return err
-			}
-			cyc, ins = m.cycle, m.c.Instructions
-			if m.halted {
-				m.pc = pc + 8
-				return nil
-			}
-			idx += 2
-			pc += 8
-
-		case compile.SltBne:
-			v := boolToU32(int32(regs[op.Rs1]) < int32(regs[op.Rs2]))
-			regs[op.Rd] = v
-			cyc += 2
-			ins += 2
-			if v != 0 {
-				idx = op.Target
-				pc = textBase + op.Target*4
-			} else {
-				idx += 2
-				pc += 8
-			}
-
-		case compile.SltuBne:
-			v := boolToU32(regs[op.Rs1] < regs[op.Rs2])
-			regs[op.Rd] = v
-			cyc += 2
-			ins += 2
-			if v != 0 {
-				idx = op.Target
-				pc = textBase + op.Target*4
-			} else {
-				idx += 2
-				pc += 8
-			}
-
-		case compile.SltBeq:
-			v := boolToU32(int32(regs[op.Rs1]) < int32(regs[op.Rs2]))
-			regs[op.Rd] = v
-			cyc += 2
-			ins += 2
-			if v == 0 {
-				idx = op.Target
-				pc = textBase + op.Target*4
-			} else {
-				idx += 2
-				pc += 8
-			}
-
-		case compile.SltuBeq:
-			v := boolToU32(regs[op.Rs1] < regs[op.Rs2])
-			regs[op.Rd] = v
-			cyc += 2
-			ins += 2
-			if v == 0 {
-				idx = op.Target
-				pc = textBase + op.Target*4
-			} else {
-				idx += 2
-				pc += 8
-			}
-
-		case compile.SltiBne:
-			v := boolToU32(int32(regs[op.Rs1]) < int32(op.Imm))
-			regs[op.Rd] = v
-			cyc += 2
-			ins += 2
-			if v != 0 {
-				idx = op.Target
-				pc = textBase + op.Target*4
-			} else {
-				idx += 2
-				pc += 8
-			}
-
-		case compile.SltiuBne:
-			v := boolToU32(regs[op.Rs1] < op.Imm)
-			regs[op.Rd] = v
-			cyc += 2
-			ins += 2
-			if v != 0 {
-				idx = op.Target
-				pc = textBase + op.Target*4
-			} else {
-				idx += 2
-				pc += 8
-			}
-
-		case compile.SltiBeq:
-			v := boolToU32(int32(regs[op.Rs1]) < int32(op.Imm))
-			regs[op.Rd] = v
-			cyc += 2
-			ins += 2
-			if v == 0 {
-				idx = op.Target
-				pc = textBase + op.Target*4
-			} else {
-				idx += 2
-				pc += 8
-			}
-
-		case compile.SltiuBeq:
-			v := boolToU32(regs[op.Rs1] < op.Imm)
-			regs[op.Rd] = v
-			cyc += 2
-			ins += 2
-			if v == 0 {
-				idx = op.Target
-				pc = textBase + op.Target*4
-			} else {
-				idx += 2
-				pc += 8
-			}
 
 		default: // compile.RefStep
 			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc

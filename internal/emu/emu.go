@@ -40,15 +40,8 @@ type Config struct {
 	Schedule power.Schedule
 	// ForcedCheckpointPeriod, when non-zero, creates a checkpoint every this
 	// many cycles after each boot (the paper's n/2 forward-progress rule).
+	// Each starts early by a margin New derives from the period.
 	ForcedCheckpointPeriod uint64
-	// ForcedCheckpointMargin starts each forced checkpoint this many cycles
-	// early so it *completes* inside the on-window when the failure schedule
-	// is periodic and known (the Table 2 setup): a checkpoint that collides
-	// with the failure instant would otherwise never commit and a
-	// checkpoint-free workload would lose half of every window. Defaults to
-	// 4096 cycles (a generous bound on one checkpoint), clamped to a quarter
-	// of the period.
-	ForcedCheckpointMargin uint64
 	// MaxInstructions aborts runaway programs; 0 means a generous default.
 	MaxInstructions uint64
 	// MaxCycles is a hard cycle budget for the whole run, restores included;
@@ -112,11 +105,12 @@ type Machine struct {
 	trace *trace.Recorder
 	cfg   Config
 
-	cycle       uint64
-	nextFailure uint64
-	failEnabled bool
-	nextForced  uint64
-	stopAt      uint64 // RunUntil bound; 0 = run to completion
+	cycle        uint64
+	nextFailure  uint64
+	failEnabled  bool
+	nextForced   uint64
+	forcedMargin uint64 // cycles each forced checkpoint starts early
+	stopAt       uint64 // RunUntil bound; 0 = run to completion
 
 	c metrics.Counters
 
@@ -163,14 +157,6 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 	if cfg.MaxInstructions == 0 {
 		cfg.MaxInstructions = defaultMaxInstructions
 	}
-	if cfg.ForcedCheckpointPeriod > 0 {
-		if cfg.ForcedCheckpointMargin == 0 {
-			cfg.ForcedCheckpointMargin = 4096
-		}
-		if max := cfg.ForcedCheckpointPeriod / 4; cfg.ForcedCheckpointMargin > max {
-			cfg.ForcedCheckpointMargin = max
-		}
-	}
 	m := &Machine{
 		text:      text.Instrs,
 		prog:      text.prog,
@@ -188,6 +174,13 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 	m.failEnabled = true
 	m.nextFailure = m.sched.NextFailureAfter(0)
 	m.nextForced = cfg.ForcedCheckpointPeriod
+	// Each forced checkpoint starts early so it *completes* inside the
+	// on-window when the failure schedule is periodic and known (the Table 2
+	// setup): a checkpoint that collides with the failure instant would
+	// otherwise never commit, and a checkpoint-free workload would lose half
+	// of every window. 4096 cycles is a generous bound on one checkpoint; a
+	// quarter of the period caps it for short periods.
+	m.forcedMargin = min(4096, cfg.ForcedCheckpointPeriod/4)
 	sys.Attach(m, m, &m.c)
 	return m
 }
@@ -399,9 +392,9 @@ func (m *Machine) runSliceRef() error {
 			return fmt.Errorf("emu: %w (%d cycles) at pc=0x%08x", ErrCycleBudget, m.cfg.MaxCycles, m.pc)
 		}
 		if m.cfg.ForcedCheckpointPeriod > 0 && m.nextForced != power.NoFailure &&
-			satAdd(m.cycle, m.cfg.ForcedCheckpointMargin) >= m.nextForced {
+			satAdd(m.cycle, m.forcedMargin) >= m.nextForced {
 			m.sys.ForceCheckpoint()
-			for m.nextForced != power.NoFailure && m.nextForced <= satAdd(m.cycle, m.cfg.ForcedCheckpointMargin) {
+			for m.nextForced != power.NoFailure && m.nextForced <= satAdd(m.cycle, m.forcedMargin) {
 				m.nextForced = satAdd(m.nextForced, m.cfg.ForcedCheckpointPeriod)
 			}
 		}

@@ -20,8 +20,9 @@ const (
 	// the per-instruction trace.
 	EngineRef Engine = "ref"
 	// EngineAOT executes the ahead-of-time compiled threaded-code IR
-	// (internal/compile): pre-decoded operands, pre-resolved branch targets,
-	// fused superinstructions, and batched ALU runs below the safe horizon.
+	// (internal/compile), one slot per instruction: pre-decoded operands,
+	// pre-resolved branch targets, and batched ALU runs below the safe
+	// horizon.
 	EngineAOT Engine = "aot"
 )
 

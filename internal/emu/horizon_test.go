@@ -11,6 +11,7 @@ import (
 
 	"nacho/internal/isa"
 	"nacho/internal/mem"
+	"nacho/internal/metrics"
 	"nacho/internal/power"
 	"nacho/internal/systems"
 )
@@ -35,9 +36,10 @@ func TestSatAdd(t *testing.T) {
 // TestBatchHorizonTable pins the safe-horizon computation that bounds the
 // AOT engine's inline batches, most importantly the overflow family: each
 // "pre-fix" comment states what the unguarded arithmetic used to produce.
-// The guard is pulled back by aotMaxWidth-1 from the first instant at which a
-// boundary event could fire; a cycle guard at or below the current cycle
-// means an empty window (the reference step runs next).
+// The cycle guard is the first instant at which a boundary event could fire
+// (for a power failure, the last cycle an instruction can issue without
+// reaching it); a cycle guard at or below the current cycle means an empty
+// window (the reference step runs next).
 func TestBatchHorizonTable(t *testing.T) {
 	const inf = power.NoFailure
 	base := guardInputs{
@@ -45,28 +47,28 @@ func TestBatchHorizonTable(t *testing.T) {
 		nextFailure: inf,
 		maxInstr:    1 << 40,
 	}
-	const b = 1<<40 - 1 // the base instruction guard
+	const b = 1 << 40 // the base instruction guard
 	cases := []struct {
 		name  string
 		mod   func(*guardInputs)
 		cycle uint64 // want cycleGuard
 		instr uint64 // want instrGuard
 	}{
-		{"unbounded", func(in *guardInputs) {}, inf - 2, b},
-		{"failure-bound", func(in *guardInputs) { in.cycle = 10; in.nextFailure = 50 }, 48, b},
+		{"unbounded", func(in *guardInputs) {}, inf - 1, b},
+		{"failure-bound", func(in *guardInputs) { in.cycle = 10; in.nextFailure = 50 }, 49, b},
 		{"failure-now", func(in *guardInputs) { in.cycle = 50; in.nextFailure = 50 }, 0, b},
-		// Guard 48 is below the cycle: an instruction issued at 49 reaches
-		// the failure instant at 50, so the window is empty.
-		{"failure-next-cycle", func(in *guardInputs) { in.cycle = 49; in.nextFailure = 50 }, 48, b},
-		{"failure-deferred", func(in *guardInputs) { in.failEnabled = false; in.cycle = 60; in.nextFailure = 50 }, inf - 1, b},
-		{"cycle-budget-bound", func(in *guardInputs) { in.cycle = 90; in.maxCycles = 120 }, 119, b},
-		{"instruction-bound", func(in *guardInputs) { in.maxInstr = 7 }, inf - 2, 6},
+		// Guard 49 is the cycle: an instruction issued at 49 reaches the
+		// failure instant at 50, so the window is empty.
+		{"failure-next-cycle", func(in *guardInputs) { in.cycle = 49; in.nextFailure = 50 }, 49, b},
+		{"failure-deferred", func(in *guardInputs) { in.failEnabled = false; in.cycle = 60; in.nextFailure = 50 }, inf, b},
+		{"cycle-budget-bound", func(in *guardInputs) { in.cycle = 90; in.maxCycles = 120 }, 120, b},
+		{"instruction-bound", func(in *guardInputs) { in.maxInstr = 7 }, inf - 1, 7},
 		{"forced-bound", func(in *guardInputs) {
 			in.period = 1000
 			in.margin = 100
 			in.nextForced = 1000
 			in.cycle = 500
-		}, 899, b},
+		}, 900, b},
 		// Pre-fix: nextForced-margin-cycle = 50-100-0 wrapped to ~2^64,
 		// so the batch ran straight past the forced-checkpoint trigger.
 		{"margin-exceeds-nextForced", func(in *guardInputs) {
@@ -81,7 +83,7 @@ func TestBatchHorizonTable(t *testing.T) {
 			in.period = 100
 			in.margin = 4096
 			in.nextForced = inf - 5
-		}, inf - 4102, b},
+		}, inf - 4101, b},
 		// A saturated nextForced disables the forced bound entirely (the
 		// trigger in both run loops skips it the same way).
 		{"forced-saturated", func(in *guardInputs) {
@@ -91,9 +93,9 @@ func TestBatchHorizonTable(t *testing.T) {
 			in.nextForced = inf
 			in.nextFailure = inf
 			in.failEnabled = false
-		}, inf - 1, b},
-		{"stopAt-bound", func(in *guardInputs) { in.cycle = 10; in.stopAt = 25 }, 24, b},
-		{"stopAt-loose", func(in *guardInputs) { in.stopAt = 1 << 30 }, 1<<30 - 1, b},
+		}, inf, b},
+		{"stopAt-bound", func(in *guardInputs) { in.cycle = 10; in.stopAt = 25 }, 25, b},
+		{"stopAt-loose", func(in *guardInputs) { in.stopAt = 1 << 30 }, 1 << 30, b},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -107,20 +109,65 @@ func TestBatchHorizonTable(t *testing.T) {
 	}
 }
 
-// horizonTestMachine builds a machine over the given kind running count ADDI
-// instructions followed by EBREAK.
-func horizonTestMachine(t *testing.T, kind systems.Kind, count int, cfg Config) *Machine {
+// mixedProgram exercises every kind of AOT slot: ALU runs, each load and
+// store width (sign-extending loads included), a taken and a not-taken
+// branch, a jal/jalr call, and an addi sp pair around a stack access. It
+// halts with x5 = 64, and each load leaves its value in its own register.
+func mixedProgram() []isa.Instr {
+	x := func(n int) isa.Reg { return isa.Reg(n) }
+	inc := isa.Instr{Op: isa.ADDI, Rd: x(5), Rs1: x(5), Imm: 1}
+	incs := func(n int) []isa.Instr {
+		out := make([]isa.Instr, n)
+		for i := range out {
+			out[i] = inc
+		}
+		return out
+	}
+	var p []isa.Instr
+	p = append(p,
+		isa.Instr{Op: isa.LUI, Rd: x(6), Imm: 0x0002_0000},        // data base
+		isa.Instr{Op: isa.ADDI, Rd: x(7), Rs1: isa.Zero, Imm: -3}, // 0xFFFFFFFD
+	)
+	p = append(p, incs(8)...)
+	p = append(p,
+		isa.Instr{Op: isa.SW, Rs1: x(6), Rs2: x(7), Imm: 0},
+		isa.Instr{Op: isa.SH, Rs1: x(6), Rs2: x(7), Imm: 4},
+		isa.Instr{Op: isa.SB, Rs1: x(6), Rs2: x(7), Imm: 8},
+		isa.Instr{Op: isa.LW, Rd: x(8), Rs1: x(6), Imm: 0},
+		isa.Instr{Op: isa.LH, Rd: x(9), Rs1: x(6), Imm: 4},
+		isa.Instr{Op: isa.LHU, Rd: x(10), Rs1: x(6), Imm: 4},
+		isa.Instr{Op: isa.LB, Rd: x(11), Rs1: x(6), Imm: 8},
+		isa.Instr{Op: isa.LBU, Rd: x(12), Rs1: x(6), Imm: 8},
+	)
+	p = append(p, incs(8)...)
+	p = append(p,
+		isa.Instr{Op: isa.BEQ, Rs1: x(5), Rs2: isa.Zero, Imm: 8}, // not taken
+		isa.Instr{Op: isa.BNE, Rs1: x(5), Rs2: isa.Zero, Imm: 8}, // taken
+		isa.Instr{Op: isa.ADDI, Rd: x(5), Rs1: x(5), Imm: 100},   // skipped
+	)
+	call := len(p)
+	p = append(p,
+		isa.Instr{}, // jal ra, fn: patched below
+		isa.Instr{Op: isa.ADDI, Rd: isa.SP, Rs1: isa.SP, Imm: -16},
+		isa.Instr{Op: isa.SW, Rs1: isa.SP, Rs2: x(5), Imm: 0},
+		isa.Instr{Op: isa.LW, Rd: x(13), Rs1: isa.SP, Imm: 0},
+		isa.Instr{Op: isa.ADDI, Rd: isa.SP, Rs1: isa.SP, Imm: 16},
+	)
+	p = append(p, incs(47)...)
+	p = append(p, isa.Instr{Op: isa.EBREAK})
+	p[call] = isa.Instr{Op: isa.JAL, Rd: isa.RA, Imm: int32(4 * (len(p) - call))}
+	return append(p, inc, isa.Instr{Op: isa.JALR, Rd: isa.Zero, Rs1: isa.RA})
+}
+
+// horizonTestMachine builds a machine over the given kind running
+// mixedProgram.
+func horizonTestMachine(t *testing.T, kind systems.Kind, cfg Config) *Machine {
 	t.Helper()
 	const (
 		textBase = 0x0001_0000
 		stackTop = 0x000A_0000
 		ckptBase = 0x000E_0000
 	)
-	instrs := make([]isa.Instr, 0, count+1)
-	for i := 0; i < count; i++ {
-		instrs = append(instrs, isa.Instr{Op: isa.ADDI, Rd: isa.Reg(5), Rs1: isa.Reg(5), Imm: 1})
-	}
-	instrs = append(instrs, isa.Instr{Op: isa.EBREAK})
 	sys, err := systems.Build(kind, mem.NewSpace(), systems.Config{
 		CacheSize: 64, Ways: 2, StackTop: stackTop, CheckpointBase: ckptBase,
 		Cost: mem.DefaultCostModel(),
@@ -128,7 +175,7 @@ func horizonTestMachine(t *testing.T, kind systems.Kind, count int, cfg Config) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(sys, NewText(instrs), textBase, textBase, stackTop, cfg)
+	return New(sys, NewText(mixedProgram()), textBase, textBase, stackTop, cfg)
 }
 
 // TestForcedCheckpointArithmeticNearOverflow runs both engines with the
@@ -146,7 +193,7 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 	}
 	run := func(engine Engine) outcome {
 		cfg := Config{ForcedCheckpointPeriod: 4000, Engine: engine}
-		m := horizonTestMachine(t, systems.KindClank, 64, cfg)
+		m := horizonTestMachine(t, systems.KindClank, cfg)
 		// Park the clock near the top of the domain, mid-interval: the next
 		// forced checkpoint saturates.
 		m.cycle = power.NoFailure - 2000
@@ -176,34 +223,75 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 	}
 }
 
-// TestRunUntilEngineBoundaryEquivalence checks that RunUntil stops both
-// engines at the identical instruction boundary with identical state for a
-// sweep of targets — the property the snapshot-fork prefix machine relies on.
+// TestRunUntilEngineBoundaryEquivalence puts each guard bound on every
+// cycle of mixedProgram, so that a memory access, a branch, a call and an
+// addi sp each meet every boundary. For each cycle t of the run on Volatile
+// and on NACHO, the engines must agree on the state (cycle, pc, registers,
+// counters and error) after RunUntil(t) and after resuming, and after runs
+// from boot that fail at t, exceed a cycle budget of t, or exceed an
+// instruction limit of t. With forced checkpoints the run is longer, and the
+// failure instant sweeps all of it.
 func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
-	for target := uint64(0); target <= 70; target += 7 {
-		ref := horizonTestMachine(t, systems.KindVolatile, 64, Config{Engine: EngineRef})
-		aot := horizonTestMachine(t, systems.KindVolatile, 64, Config{Engine: EngineAOT})
-		rh, rerr := ref.RunUntil(target)
-		ah, aerr := aot.RunUntil(target)
-		if rerr != nil || aerr != nil {
-			t.Fatalf("target %d: errors ref=%v aot=%v", target, rerr, aerr)
+	type state struct {
+		halted bool
+		cycle  uint64
+		pc     uint32
+		regs   [32]uint32
+		c      metrics.Counters
+		err    string
+	}
+	snap := func(m *Machine, err error) state {
+		s := state{halted: m.halted, cycle: m.cycle, pc: m.pc, regs: m.regs, c: m.c}
+		if err != nil {
+			s.err = err.Error()
 		}
-		if rh != ah || ref.cycle != aot.cycle || ref.pc != aot.pc || ref.regs != aot.regs {
-			t.Fatalf("target %d: boundary diverged: ref(halted=%v cycle=%d pc=%#x) aot(halted=%v cycle=%d pc=%#x)",
-				target, rh, ref.cycle, ref.pc, ah, aot.cycle, aot.pc)
+		return s
+	}
+	for _, kind := range []systems.Kind{systems.KindVolatile, systems.KindNACHO} {
+		// length is the failure-free run's cycle count under cfg.
+		length := func(cfg Config) uint64 {
+			res, err := horizonTestMachine(t, kind, cfg).Run()
+			if err != nil || res.FinalRegs.Regs[4] != 64 {
+				t.Fatalf("%s %+v: failure-free run: x5=%d err=%v", kind, cfg, res.FinalRegs.Regs[4], err)
+			}
+			return res.Counters.Cycles
 		}
-		if !rh && ref.cycle < target {
-			t.Fatalf("target %d: stopped early at %d without halting", target, ref.cycle)
+		// compare runs cfg from boot on both engines.
+		compare := func(name string, target uint64, cfg Config) {
+			run := func(engine Engine) state {
+				cfg.Engine = engine
+				m := horizonTestMachine(t, kind, cfg)
+				_, err := m.Run()
+				return snap(m, err)
+			}
+			if ref, aot := run(EngineRef), run(EngineAOT); ref != aot {
+				t.Fatalf("%s %s at %d: engines diverged:\nref %+v\naot %+v", kind, name, target, ref, aot)
+			}
 		}
-		// Resuming after a bounded run must finish exactly like an unbounded one.
-		if _, err := ref.Run(); err != nil {
-			t.Fatalf("resume ref: %v", err)
+		for target, end := uint64(0), length(Config{}); target <= end+1; target++ {
+			stopped := func(engine Engine) [2]state {
+				m := horizonTestMachine(t, kind, Config{Engine: engine})
+				_, err := m.RunUntil(target)
+				at := snap(m, err)
+				if !at.halted && at.cycle < target && err == nil {
+					t.Fatalf("%s target %d: %s stopped early at %d without halting", kind, target, engine, at.cycle)
+				}
+				// Resuming after a bounded run must finish exactly like an
+				// unbounded one.
+				_, err = m.Run()
+				return [2]state{at, snap(m, err)}
+			}
+			if ref, aot := stopped(EngineRef), stopped(EngineAOT); ref != aot {
+				t.Fatalf("%s RunUntil(%d): engines diverged:\nref %+v\naot %+v", kind, target, ref, aot)
+			}
+			compare("failure", target, Config{Schedule: power.NewAt(target)})
+			compare("cycle budget", target, Config{MaxCycles: target})
+			compare("instruction limit", target, Config{MaxInstructions: target})
 		}
-		if _, err := aot.Run(); err != nil {
-			t.Fatalf("resume aot: %v", err)
-		}
-		if ref.cycle != aot.cycle || ref.regs != aot.regs {
-			t.Fatalf("target %d: post-resume state diverged", target)
+		const period = 16
+		for target, end := uint64(0), length(Config{ForcedCheckpointPeriod: period}); target <= end+1; target++ {
+			compare("failure with forced checkpoints", target,
+				Config{Schedule: power.NewAt(target), ForcedCheckpointPeriod: period})
 		}
 	}
 }

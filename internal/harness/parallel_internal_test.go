@@ -41,7 +41,6 @@ func TestIdentityCoversResultAffectingFields(t *testing.T) {
 		"Cost":                   func(c *RunConfig) { c.Cost.NVMCycles = 9 },
 		"DirtyThreshold":         func(c *RunConfig) { c.DirtyThreshold = 8 },
 		"EnergyPrediction":       func(c *RunConfig) { c.EnergyPrediction = true },
-		"ForcedCheckpointMargin": func(c *RunConfig) { c.ForcedCheckpointMargin = 64 },
 		"MaxCycles":              func(c *RunConfig) { c.MaxCycles = 1 << 21 },
 		"FinalFlush":             func(c *RunConfig) { c.FinalFlush = true },
 	}

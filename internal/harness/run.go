@@ -49,8 +49,6 @@ type RunConfig struct {
 	// the verifier (see sim.Probe). Probed runs bypass the run cache and
 	// the store.
 	Probe sim.Probe
-	// ForcedCheckpointMargin is passed to the emulator (see emu.Config).
-	ForcedCheckpointMargin uint64
 	// MaxCycles is a hard cycle budget passed to the emulator (see
 	// emu.Config.MaxCycles); 0 means no budget. The crash-consistency fuzzer
 	// uses it as its non-termination oracle.
@@ -121,7 +119,6 @@ func identity(img *program.Image, kind systems.Kind, cfg RunConfig, checkGolden 
 		Ways:                   cfg.Ways,
 		Schedule:               schedule,
 		ForcedCheckpointPeriod: cfg.ForcedCheckpointPeriod,
-		ForcedCheckpointMargin: cfg.ForcedCheckpointMargin,
 		MaxInstructions:        cfg.MaxInstructions,
 		MaxCycles:              cfg.MaxCycles,
 		FinalFlush:             cfg.FinalFlush,
@@ -238,11 +235,6 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 	wallMicros := time.Since(startWall).Microseconds()
 	runCompleted(res.Counters.Cycles)
 	runObserved(engine, wallMicros, res.Counters.Instructions)
-	if rec != nil {
-		// Flush errors mirror the old unbuffered Fprintf path, whose write
-		// errors were likewise not fatal to the run.
-		rec.Flush()
-	}
 	if err != nil {
 		err = fmt.Errorf("%s on %s: %w", name, kind, err)
 	} else if verr := ver.Err(); verr != nil {
@@ -253,6 +245,14 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 		} else if res.Result != img.Expected {
 			err = fmt.Errorf("%s on %s: result 0x%08x, reference 0x%08x",
 				name, kind, res.Result, img.Expected)
+		}
+	}
+	if rec != nil {
+		// A run that succeeded but whose trace was not written fails: the
+		// trace is the output the caller asked for. Traced runs bypass the
+		// run cache and the store, so the error is never cached.
+		if ferr := rec.Flush(); ferr != nil && err == nil {
+			err = fmt.Errorf("%s on %s: trace: %w", name, kind, ferr)
 		}
 	}
 	tr.End(span, res.Counters.Cycles, res.Counters.Instructions, err != nil)
@@ -284,7 +284,6 @@ func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg R
 	machine := emu.New(sys, img.Text, program.TextBase, img.Entry, program.StackTop, emu.Config{
 		Schedule:               cfg.Schedule,
 		ForcedCheckpointPeriod: cfg.ForcedCheckpointPeriod,
-		ForcedCheckpointMargin: cfg.ForcedCheckpointMargin,
 		MaxInstructions:        cfg.MaxInstructions,
 		MaxCycles:              cfg.MaxCycles,
 		FinalFlush:             cfg.FinalFlush,

@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -74,5 +75,31 @@ func TestTraceCompleteness(t *testing.T) {
 				t.Errorf("%s on %s: traced result differs from untraced:\n  traced: %+v\n  plain:  %+v", name, kind, traced, plain)
 			}
 		}
+	}
+}
+
+// fullDisk refuses every write.
+type fullDisk struct{}
+
+var errFullDisk = errors.New("no space left on device")
+
+func (fullDisk) Write([]byte) (int, error) { return 0, errFullDisk }
+
+// TestTraceWriteError checks that a run whose trace cannot be written fails
+// with the write error, and that the failure is not cached: the same run
+// untraced succeeds.
+func TestTraceWriteError(t *testing.T) {
+	p, ok := program.ByName("crc")
+	if !ok {
+		t.Fatal("crc benchmark missing")
+	}
+	cfg := harness.DefaultRunConfig()
+	cfg.Trace = fullDisk{}
+	if _, err := harness.Run(p, systems.KindNACHO, cfg); !errors.Is(err, errFullDisk) {
+		t.Fatalf("traced run: err = %v, want %v", err, errFullDisk)
+	}
+	cfg.Trace = nil
+	if _, err := harness.Run(p, systems.KindNACHO, cfg); err != nil {
+		t.Fatalf("untraced run: %v", err)
 	}
 }

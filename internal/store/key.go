@@ -16,7 +16,7 @@ import (
 // the key serialization — or anything about the simulation that the key
 // cannot see — changes meaning, so stale stores turn into clean misses
 // instead of serving results computed under different semantics.
-const KeyVersion = 2
+const KeyVersion = 3
 
 // Key is the complete, serializable identity of one run: everything that can
 // influence the simulation result, and nothing that cannot. The harness
@@ -37,7 +37,6 @@ type Key struct {
 	Schedule  string `json:"schedule"` // power.Schedule.Key(); "none" when always-on
 
 	ForcedCheckpointPeriod uint64 `json:"forced_period"`
-	ForcedCheckpointMargin uint64 `json:"forced_margin"`
 	MaxInstructions        uint64 `json:"max_instructions"`
 	MaxCycles              uint64 `json:"max_cycles"`
 	FinalFlush             bool   `json:"final_flush"`
@@ -91,7 +90,6 @@ func (k *Key) appendCanonical(buf []byte) []byte {
 	sint("ways", k.Ways)
 	str("schedule", k.Schedule)
 	num("forced_period", k.ForcedCheckpointPeriod)
-	num("forced_margin", k.ForcedCheckpointMargin)
 	num("max_instructions", k.MaxInstructions)
 	num("max_cycles", k.MaxCycles)
 	boolean("final_flush", k.FinalFlush)

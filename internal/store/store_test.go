@@ -20,7 +20,6 @@ func testKey() Key {
 		Ways:                   2,
 		Schedule:               "none",
 		ForcedCheckpointPeriod: 0,
-		ForcedCheckpointMargin: 0,
 		MaxInstructions:        0,
 		MaxCycles:              0,
 		FinalFlush:             false,
@@ -55,7 +54,7 @@ func testEntry(k Key) *Entry {
 // serialization, and therefore every existing store, silently drifting is
 // exactly what this constant is here to catch. If this test fails you have
 // changed the store format — bump KeyVersion and regenerate the constant.
-const goldenDigest = "3483c277d768d38c888ead5fc8fae71f732ae3b7f3ea19f97be1c9334c3e7b84"
+const goldenDigest = "d24a630fa30da7534c3e36b80820bda7c440f3bb438d2a702337656d62541de8"
 
 func TestGoldenDigest(t *testing.T) {
 	k := testKey()
@@ -86,7 +85,6 @@ func TestDigestSensitivity(t *testing.T) {
 		"Ways":                   func(k *Key) { k.Ways = 4 },
 		"Schedule":               func(k *Key) { k.Schedule = "periodic(250000)" },
 		"ForcedCheckpointPeriod": func(k *Key) { k.ForcedCheckpointPeriod = 125000 },
-		"ForcedCheckpointMargin": func(k *Key) { k.ForcedCheckpointMargin = 64 },
 		"MaxInstructions":        func(k *Key) { k.MaxInstructions = 1 << 20 },
 		"MaxCycles":              func(k *Key) { k.MaxCycles = 1 << 21 },
 		"FinalFlush":             func(k *Key) { k.FinalFlush = true },
@@ -339,7 +337,7 @@ func TestConcurrentPutGet(t *testing.T) {
 func TestCanonicalFormStable(t *testing.T) {
 	k := testKey()
 	want := fmt.Sprintf(`{"v":%d,"program":"aes","image_hash":"%s","system":"nacho",`+
-		`"cache":512,"ways":2,"schedule":"none","forced_period":0,"forced_margin":0,`+
+		`"cache":512,"ways":2,"schedule":"none","forced_period":0,`+
 		`"max_instructions":0,"max_cycles":0,"final_flush":false,"verify":true,"check_golden":true,`+
 		`"clock_hz":50000000,"hit_cycles":2,"nvm_cycles":6,"dirty_threshold":0,"energy_prediction":false}`,
 		KeyVersion, k.ImageHash)

@@ -54,8 +54,7 @@ func RunSource(name, source string, cfg Config) (*Result, error) {
 }
 
 // experimentReport resolves an experiment name to its regenerated report via
-// the harness experiment registry (the same registry the campaign job service
-// enumerates run matrices from).
+// the harness experiment registry.
 func experimentReport(name string, benchmarks []string) (*harness.Report, error) {
 	rep, err := harness.RunNamedExperiment(name, benchmarks)
 	if err != nil {
