@@ -34,11 +34,11 @@ go test -shuffle=on ./internal/harness/ .
 # fuzzer-generated programs, and, with a recording probe attached, the same
 # event stream, under the race detector too. The
 # snapshot/mem pass exercises the copy-on-write fork machinery (refcounted
-# leaves and pages, concurrent fork workers) under the race detector; power
-# rides along for its schedule property tests. Campaign workers fork each
-# image's frozen space concurrently, so the fuzzer runs here too, with the
-# tracker and verifier packages whose interval state shares the page-table
-# layout.
+# leaves and pages; mem's TestForkConcurrentWriters writes concurrent forks
+# of one space) under the race detector; power rides along for its schedule
+# property tests. Harness and campaign workers fork each image's frozen
+# space concurrently, so the fuzzer runs here too, with the tracker and
+# verifier packages whose interval state shares the page-table layout.
 go test -race ./internal/harness/... ./internal/core/ ./internal/systems/
 go test -race ./internal/snapshot/ ./internal/mem/ ./internal/power/
 go test -race ./internal/fuzzer/ ./internal/verify/ ./internal/track/
@@ -125,12 +125,14 @@ go build -o /tmp/nachofuzz.ci ./cmd/nachofuzz
 diff /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2
 
 # Exhaustive-mode smoke: snapshot-fork enumeration of every 3rd crash
-# instant in the first two checkpoint intervals. A fork/boot divergence is
-# an infrastructure ERROR (exit 2) and a finding a real bug (exit 1) — both
-# fail the gate. The stderr progress stream prints the measured speedup
-# into the CI log.
-/tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex
-rm -f /tmp/nachofuzz.ci /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2 /tmp/nachofuzz.ci.ex
+# instant in the first two checkpoint intervals, run twice — the report must
+# be byte-identical. A fork/boot divergence is an infrastructure ERROR
+# (exit 2) and a finding a real bug (exit 1) — both fail the gate. The
+# stderr progress stream prints the measured speedup into the CI log.
+/tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex.1
+/tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex.2
+diff /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
+rm -f /tmp/nachofuzz.ci /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2 /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
 
 # Persistent run store gate: the full fig5 matrix regenerated twice against
 # one store — the warm pass must execute zero simulations, serve every cell

@@ -296,15 +296,11 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 			cyc++
 			ins++
 			v := regs[op.Rs1] + op.Imm
-			// NotifySP may observe the machine (and, on tracking systems,
-			// advance the clock): flush the mirrors around the call.
-			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
 			regs[op.Rd] = v
 			if v < m.initialSP-stackGuard || v > m.initialSP {
 				m.stackFault = true
 			}
 			m.sys.NotifySP(v)
-			cyc, ins = m.cycle, m.c.Instructions
 			idx++
 			pc += 4
 			if m.stackFault {

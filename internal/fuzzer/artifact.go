@@ -10,7 +10,6 @@ import (
 
 	"nacho/internal/asm"
 	"nacho/internal/emu"
-	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/systems"
 )
@@ -121,11 +120,8 @@ func (a *Artifact) Replay() (*Finding, error) {
 		return nil, fmt.Errorf("fuzzer: artifact golden run: %w", err)
 	}
 	kind := systems.Kind(a.System)
-	fc, sysCycles := checkOne(img, g, kind, nil, failFreeMaxCycles, cfg)
 	sched := append([]uint64(nil), a.Schedule...)
-	if fc == nil && len(sched) > 0 {
-		fc, _ = checkOne(img, g, kind, power.NewAt(sched...), failureBudget(sysCycles, len(sched)), cfg)
-	}
+	fc, _ := differential(img, g, kind, cfg, only(sched))
 	if fc == nil {
 		return nil, nil
 	}

@@ -135,7 +135,7 @@ func RunCampaign(cfg CampaignConfig) *CampaignReport {
 				)
 				if cfg.Exhaustive {
 					fs, st, err = CheckExhaustive(prog, cfg.Kinds, ExhaustiveConfig{
-						Oracle: oracle, Intervals: cfg.Intervals, Stride: cfg.Stride, Span: cell,
+						Oracle: oracle, Intervals: cfg.Intervals, Stride: cfg.Stride,
 					})
 				} else {
 					fs, err = Check(prog, cfg.Kinds, oracle)

@@ -10,7 +10,6 @@ import (
 	"nacho/internal/sim"
 	"nacho/internal/snapshot"
 	"nacho/internal/systems"
-	"nacho/internal/telemetry"
 )
 
 // Exhaustive mode replaces the randomized failure schedules with exhaustive
@@ -32,12 +31,6 @@ type ExhaustiveConfig struct {
 	// Stride enumerates every Stride-th crash instant (default 1: all of
 	// them).
 	Stride uint64
-	// Workers is the fork parallelism within one exploration (default 1;
-	// the campaign already fans seeds across the harness pool).
-	Workers int
-	// Span, when non-zero, parents the exploration's window spans on the
-	// campaign tracer (the campaign sets it to the seed's cell span).
-	Span telemetry.SpanID
 }
 
 func (c ExhaustiveConfig) normalized() ExhaustiveConfig {
@@ -47,9 +40,6 @@ func (c ExhaustiveConfig) normalized() ExhaustiveConfig {
 	}
 	if c.Stride == 0 {
 		c.Stride = 1
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
 	}
 	return c
 }
@@ -90,13 +80,9 @@ func (s ExhaustiveStats) Speedup() float64 {
 func CheckExhaustive(prog *Prog, kinds []systems.Kind, cfg ExhaustiveConfig) ([]Finding, ExhaustiveStats, error) {
 	cfg = cfg.normalized()
 	var stats ExhaustiveStats
-	img, err := prog.Render()
+	img, g, err := prepare(prog, cfg.Oracle)
 	if err != nil {
 		return nil, stats, err
-	}
-	g, err := golden(img, cfg.Oracle)
-	if err != nil {
-		return nil, stats, fmt.Errorf("fuzzer: seed %d golden run: %w", prog.Seed, err)
 	}
 	var out []Finding
 	for _, kind := range kinds {
@@ -113,32 +99,24 @@ func CheckExhaustive(prog *Prog, kinds []systems.Kind, cfg ExhaustiveConfig) ([]
 }
 
 // checkSystemExhaustive enumerates one system's crash instants off a shared
-// snapshot-forked prefix, stopping at the first confirmed divergence.
+// snapshot-forked prefix, stopping at the first confirmed divergence. The
+// window spans parent to the oracle's span, the seed's cell span in a
+// campaign.
 func checkSystemExhaustive(img *program.Image, g *goldenRun, prog *Prog, kind systems.Kind, cfg ExhaustiveConfig, stats *ExhaustiveStats) (*Finding, error) {
-	fc, sysCycles := checkOne(img, g, kind, nil, failFreeMaxCycles, cfg.Oracle)
+	fc, sysCycles := differential(img, g, kind, cfg.Oracle, nil)
 	if fc != nil {
-		return &Finding{Seed: prog.Seed, System: kind, Kind: fc.kind, Detail: fc.detail, Prog: prog}, nil
+		return fc.finding(prog, kind), nil
 	}
 	budget := failureBudget(sysCycles, 1)
-	rcBase := baseConfig(cfg.Oracle)
-	rcBase.MaxCycles = budget
-	newMachine := func(sched power.Schedule, probe sim.Probe) (*emu.Machine, error) {
-		rc := rcBase
-		rc.Schedule = sched
-		rc.Probe = probe
-		m, _, err := harness.BuildMachine(img, kind, rc)
-		return m, err
-	}
 
 	var (
 		finding *Finding
 		vErr    error
 	)
-	st, err := snapshot.Explore(newMachine, snapshot.Options{
+	st, err := snapshot.Explore(forkMachines(img, kind, cfg.Oracle, budget), snapshot.Options{
 		Windows: cfg.Intervals,
 		Stride:  cfg.Stride,
-		Workers: cfg.Workers,
-		Span:    cfg.Span,
+		Span:    cfg.Oracle.Span,
 	}, func(o snapshot.Outcome) bool {
 		if diffAgainstGolden(o.Res, o.Err, o.Sys.Mem(), g, budget) == nil {
 			return true
@@ -163,4 +141,19 @@ func checkSystemExhaustive(img *program.Image, g *goldenRun, prog *Prog, kind sy
 		return nil, vErr
 	}
 	return finding, nil
+}
+
+// forkMachines is the explorer's machine factory for kind: the oracle's run
+// configuration under the given cycle budget, without a verifier (forked
+// outcomes are compared differentially), observed by the explorer's probe.
+func forkMachines(img *program.Image, kind systems.Kind, cfg Config, budget uint64) snapshot.NewMachine {
+	base := baseConfig(cfg)
+	base.MaxCycles = budget
+	return func(sched power.Schedule, probe sim.Probe) (*emu.Machine, error) {
+		rc := base
+		rc.Schedule = sched
+		rc.Probe = probe
+		m, _, err := harness.BuildMachine(img, kind, rc)
+		return m, err
+	}
 }

@@ -5,10 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"nacho/internal/emu"
-	"nacho/internal/harness"
 	"nacho/internal/power"
-	"nacho/internal/sim"
 	"nacho/internal/snapshot"
 	"nacho/internal/systems"
 )
@@ -32,29 +29,15 @@ func TestExhaustiveFullDensityForkBootEquivalence(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		prog := tinyProg(seed)
-		img, err := prog.Render()
+		img, g, err := prepare(tinyProg(seed), cfg)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		g, err := golden(img, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatal(err)
 		}
 		for _, kind := range kinds {
-			_, sysCycles := checkOne(img, g, kind, nil, failFreeMaxCycles, cfg)
-			budget := failureBudget(sysCycles, 1)
-			rcBase := baseConfig(cfg)
-			rcBase.MaxCycles = budget
-			nm := func(sched power.Schedule, probe sim.Probe) (*emu.Machine, error) {
-				rc := rcBase
-				rc.Schedule = sched
-				rc.Probe = probe
-				m, _, err := harness.BuildMachine(img, kind, rc)
-				return m, err
-			}
+			_, sysCycles := differential(img, g, kind, cfg, nil)
+			nm := forkMachines(img, kind, cfg, failureBudget(sysCycles, 1))
 			n := 0
-			stats, err := snapshot.Explore(nm, snapshot.Options{Windows: 2, Stride: 1, Workers: 4},
+			stats, err := snapshot.Explore(nm, snapshot.Options{Windows: 2, Stride: 1},
 				func(o snapshot.Outcome) bool {
 					n++
 					bm, err := nm(power.NewAt(o.Instant), nil)
@@ -97,27 +80,14 @@ func findBrokenPWByEnumeration(t *testing.T, cfg Config, intervals int) Finding 
 	kind := systems.KindNACHOBrokenPW
 	for seed := int64(1); seed <= 60; seed++ {
 		prog := Generate(seed)
-		img, err := prog.Render()
+		img, g, err := prepare(prog, cfg)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatal(err)
 		}
-		g, err := golden(img, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		_, sysCycles := checkOne(img, g, kind, nil, failFreeMaxCycles, cfg)
+		_, sysCycles := differential(img, g, kind, cfg, nil)
 		budget := failureBudget(sysCycles, 1)
-		rcBase := baseConfig(cfg)
-		rcBase.MaxCycles = budget
-		nm := func(sched power.Schedule, probe sim.Probe) (*emu.Machine, error) {
-			rc := rcBase
-			rc.Schedule = sched
-			rc.Probe = probe
-			m, _, err := harness.BuildMachine(img, kind, rc)
-			return m, err
-		}
 		var finding *Finding
-		_, err = snapshot.Explore(nm, snapshot.Options{Windows: intervals, Workers: 4},
+		_, err = snapshot.Explore(forkMachines(img, kind, cfg, budget), snapshot.Options{Windows: intervals},
 			func(o snapshot.Outcome) bool {
 				if diffAgainstGolden(o.Res, o.Err, o.Sys.Mem(), g, budget) == nil {
 					return true

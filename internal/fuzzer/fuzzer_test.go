@@ -46,14 +46,9 @@ func TestGenerateDeterministic(t *testing.T) {
 // differential oracle rests on.
 func TestRenderedProgramsWellFormed(t *testing.T) {
 	for seed := int64(1); seed <= int64(2*matrixSeeds(t)); seed++ {
-		prog := Generate(seed)
-		img, err := prog.Render()
+		_, g, err := prepare(Generate(seed), Config{}.normalized())
 		if err != nil {
-			t.Fatalf("seed %d render: %v", seed, err)
-		}
-		g, err := golden(img, Config{}.normalized())
-		if err != nil {
-			t.Fatalf("seed %d golden: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if g.res.ExitCode != 0 {
 			t.Errorf("seed %d: exit code %d, want 0", seed, g.res.ExitCode)

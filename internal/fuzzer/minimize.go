@@ -1,9 +1,6 @@
 package fuzzer
 
-import (
-	"nacho/internal/power"
-	"nacho/internal/systems"
-)
+import "nacho/internal/systems"
 
 // The minimizer is a greedy delta-debugger over the structured program
 // (the op tree, not raw instructions — every candidate renders to a
@@ -13,8 +10,9 @@ import (
 // budget, so minimizing the same finding twice yields the same artifact.
 
 // minimizeBudget caps oracle invocations per Minimize call. Each candidate
-// costs two runs (a failure-free run to re-measure the budget plus the
-// scheduled run), so this bounds minimization at ~800 simulations.
+// costs up to three runs (its golden run, a failure-free run to re-measure
+// the budget and the scheduled run), so this bounds minimization at ~1200
+// simulations.
 const minimizeBudget = 400
 
 type minimizer struct {
@@ -30,33 +28,20 @@ type minimizer struct {
 // reproduces reports whether the candidate (ops, sched) still triggers a
 // finding of the wanted kind. Candidates that fail to render or to run on
 // the Volatile baseline are rejected — minimization must preserve
-// well-formedness, not trade one failure for another.
+// well-formedness, not trade one failure for another. A candidate that
+// diverges with no failures at all counts when it is the same bug (schedule
+// minimization will then drop to nil).
 func (m *minimizer) reproduces(ops []Op, sched []uint64) bool {
 	if m.remain <= 0 {
 		return false
 	}
 	m.remain--
 	m.checked++
-	p := &Prog{Seed: m.seed, Params: m.params, Ops: ops}
-	img, err := p.Render()
+	img, g, err := prepare(&Prog{Seed: m.seed, Params: m.params, Ops: ops}, m.cfg)
 	if err != nil {
 		return false
 	}
-	g, err := golden(img, m.cfg)
-	if err != nil {
-		return false
-	}
-	fc, sysCycles := checkOne(img, g, m.system, nil, failFreeMaxCycles, m.cfg)
-	if fc != nil {
-		// The candidate diverges with no failures at all; that counts when
-		// it is the same bug (schedule minimization will then drop to nil).
-		return fc.kind == m.want
-	}
-	if len(sched) == 0 {
-		return false
-	}
-	budget := failureBudget(sysCycles, len(sched))
-	fc, _ = checkOne(img, g, m.system, power.NewAt(sched...), budget, m.cfg)
+	fc, _ := differential(img, g, m.system, m.cfg, only(sched))
 	return fc != nil && fc.kind == m.want
 }
 
@@ -188,17 +173,11 @@ func Minimize(f Finding, cfg Config) Finding {
 
 	// Re-derive the detail (and instruction count) from the minimized
 	// program so the artifact describes what it actually contains.
-	if img, err := out.Prog.Render(); err == nil {
+	if img, g, err := prepare(out.Prog, cfg); err == nil {
 		out.Instructions = img.Text.Len()
-		if g, err := golden(img, cfg); err == nil {
-			fc, sysCycles := checkOne(img, g, f.System, nil, failFreeMaxCycles, cfg)
-			if fc == nil && len(sched) > 0 {
-				fc, _ = checkOne(img, g, f.System, power.NewAt(sched...), failureBudget(sysCycles, len(sched)), cfg)
-			}
-			if fc != nil {
-				out.Kind = fc.kind
-				out.Detail = fc.detail
-			}
+		if fc, _ := differential(img, g, f.System, cfg, only(sched)); fc != nil {
+			out.Kind = fc.kind
+			out.Detail = fc.detail
 		}
 	}
 	return out

@@ -65,8 +65,7 @@ type FindingKind string
 
 // The oracle's finding taxonomy.
 const (
-	// FindingRunError: the run aborted (trap, stack-guard hit, verifier
-	// error surfaced by the harness, ...).
+	// FindingRunError: the run aborted (trap, stack-guard hit, ...).
 	FindingRunError FindingKind = "run-error"
 	// FindingBudget: the run exceeded its cycle budget — forward progress
 	// lost under a finite failure schedule.
@@ -177,36 +176,50 @@ func golden(img *program.Image, cfg Config) (*goldenRun, error) {
 	return &goldenRun{res: res, data: finalSegments(img, sys.Mem())}, nil
 }
 
+// prepare renders prog and runs its golden Volatile run, the start of every
+// check of a generated program.
+func prepare(prog *Prog, cfg Config) (*program.Image, *goldenRun, error) {
+	img, err := prog.Render()
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := golden(img, cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fuzzer: seed %d golden run: %w", prog.Seed, err)
+	}
+	return img, g, nil
+}
+
 // findingCore is the classification of one divergent run.
 type findingCore struct {
-	kind   FindingKind
-	detail string
+	kind     FindingKind
+	detail   string
+	schedule []uint64 // failure instants of the divergent run; nil = failure-free
+}
+
+// finding reports fc as prog's finding on kind.
+func (fc *findingCore) finding(prog *Prog, kind systems.Kind) *Finding {
+	return &Finding{Seed: prog.Seed, System: kind, Kind: fc.kind, Detail: fc.detail, Prog: prog, Schedule: fc.schedule}
 }
 
 // checkOne runs img on kind under sched (nil = failure-free) with the given
-// cycle budget, comparing the outcome against the golden run. It returns
-// the first divergence (nil if none) and the run's cycle count.
+// cycle budget and the harness's verifier on, comparing the outcome against
+// the golden run. It returns the first divergence (nil if none) and the
+// run's cycle count.
 func checkOne(img *program.Image, g *goldenRun, kind systems.Kind, sched power.Schedule, budget uint64, cfg Config) (*findingCore, uint64) {
 	oracleRuns.Add(1)
 	rc := baseConfig(cfg)
 	rc.Schedule = sched
 	rc.MaxCycles = budget
-	frozen, err := img.FrozenSpace()
-	if err != nil {
-		return &findingCore{FindingRunError, err.Error()}, 0
-	}
-	ver := verify.New(frozen, systems.VerifyConfigFor(kind))
-	rc.Probe = ver
-
+	rc.Verify = true
 	res, sys, err := harness.RunImageSys(img, kind, rc, false)
-	if err == nil {
-		if v := ver.Violations(); len(v) > 0 {
-			k := FindingShadow
-			if v[0].Kind == verify.WARViolation {
-				k = FindingWAR
-			}
-			return &findingCore{k, v[0].String()}, res.Counters.Cycles
+	var v verify.Violation
+	if errors.As(err, &v) {
+		k := FindingShadow
+		if v.Kind == verify.WARViolation {
+			k = FindingWAR
 		}
+		return &findingCore{kind: k, detail: v.Error()}, res.Counters.Cycles
 	}
 	var m sim.MemReaderWriter
 	if sys != nil {
@@ -223,23 +236,23 @@ func checkOne(img *program.Image, g *goldenRun, kind systems.Kind, sched power.S
 func diffAgainstGolden(res emu.Result, err error, m sim.MemReaderWriter, g *goldenRun, budget uint64) *findingCore {
 	if err != nil {
 		if errors.Is(err, emu.ErrCycleBudget) {
-			return &findingCore{FindingBudget, fmt.Sprintf("no termination within %d cycles", budget)}
+			return &findingCore{kind: FindingBudget, detail: fmt.Sprintf("no termination within %d cycles", budget)}
 		}
-		return &findingCore{FindingRunError, err.Error()}
+		return &findingCore{kind: FindingRunError, detail: err.Error()}
 	}
 	if res.ExitCode != g.res.ExitCode {
-		return &findingCore{FindingResult, fmt.Sprintf("exit code %d, golden %d", res.ExitCode, g.res.ExitCode)}
+		return &findingCore{kind: FindingResult, detail: fmt.Sprintf("exit code %d, golden %d", res.ExitCode, g.res.ExitCode)}
 	}
 	if res.Result != g.res.Result {
-		return &findingCore{FindingResult, fmt.Sprintf("result 0x%08x, golden 0x%08x", res.Result, g.res.Result)}
+		return &findingCore{kind: FindingResult, detail: fmt.Sprintf("result 0x%08x, golden 0x%08x", res.Result, g.res.Result)}
 	}
 	if res.FinalRegs != g.res.FinalRegs {
-		return &findingCore{FindingResult, regDiff(res.FinalRegs, g.res.FinalRegs)}
+		return &findingCore{kind: FindingResult, detail: regDiff(res.FinalRegs, g.res.FinalRegs)}
 	}
 	for _, seg := range g.data {
 		if i := m.FirstDiff(seg.addr, seg.bytes); i >= 0 {
 			a := seg.addr + uint32(i)
-			return &findingCore{FindingNVM, fmt.Sprintf("NVM byte 0x%08x = 0x%02x, golden 0x%02x", a, m.ReadRaw(a, 1), seg.bytes[i])}
+			return &findingCore{kind: FindingNVM, detail: fmt.Sprintf("NVM byte 0x%08x = 0x%02x, golden 0x%02x", a, m.ReadRaw(a, 1), seg.bytes[i])}
 		}
 	}
 	return nil
@@ -257,70 +270,81 @@ func regDiff(got, want sim.Snapshot) string {
 	return "final registers diverged"
 }
 
-// kindSalt folds a system name into the schedule RNG seed so each system
-// sees different failure instants for the same program.
-func kindSalt(kind systems.Kind) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(kind))
-	return int64(h.Sum64())
+// failureWindow is the cycle range failure instants are drawn from: the
+// system's measured failure-free runtime plus a 25% tail, so late failures
+// (during the halt sequence and final flush) are exercised too.
+func failureWindow(sysCycles uint64) uint64 {
+	return max(sysCycles+sysCycles/4, 16)
 }
 
-// randomSchedule draws 1-6 failure instants inside the system's measured
-// failure-free runtime (plus a 25% tail so late failures — during the halt
-// sequence and final flush — are exercised too). Finite instants guarantee
-// termination: after the last one the run is failure-free.
-func randomSchedule(rng *rand.Rand, sysCycles uint64) power.At {
-	span := sysCycles + sysCycles/4
-	if span < 16 {
-		span = 16
-	}
-	n := 1 + rng.Intn(6)
-	instants := make([]uint64, n)
-	for i := range instants {
-		instants[i] = 1 + uint64(rng.Int63n(int64(span)))
-	}
-	return power.NewAt(instants...)
-}
-
-// checkSystem runs the full per-system oracle: the failure-free
-// differential first (which also measures the runtime that scales the
-// schedules and budgets), then cfg.Schedules randomized failure schedules.
-// At most one finding per system is reported — the first divergence.
-func checkSystem(img *program.Image, g *goldenRun, prog *Prog, kind systems.Kind, cfg Config) *Finding {
+// differential is the oracle's one check of a program on one system: the
+// failure-free differential first, which also measures the runtime that
+// sets the failure window and budgets, then, while the runs still agree,
+// each failure schedule that schedules (nil for none) draws from the
+// window, under the failure budget of its instant count. An empty schedule
+// is the failure-free run again and is skipped. It returns the first
+// divergence (nil if none) and the failure-free run's cycle count.
+func differential(img *program.Image, g *goldenRun, kind systems.Kind, cfg Config, schedules func(window uint64) [][]uint64) (*findingCore, uint64) {
 	fc, sysCycles := checkOne(img, g, kind, nil, failFreeMaxCycles, cfg)
-	if fc != nil {
-		return &Finding{Seed: prog.Seed, System: kind, Kind: fc.kind, Detail: fc.detail, Prog: prog}
+	if fc != nil || schedules == nil {
+		return fc, sysCycles
 	}
-	rng := rand.New(rand.NewSource(prog.Seed ^ kindSalt(kind)))
-	for i := 0; i < cfg.Schedules; i++ {
-		sched := randomSchedule(rng, sysCycles)
-		budget := failureBudget(sysCycles, len(sched.Instants()))
-		if fc, _ := checkOne(img, g, kind, sched, budget, cfg); fc != nil {
-			return &Finding{Seed: prog.Seed, System: kind, Kind: fc.kind, Detail: fc.detail, Prog: prog, Schedule: sched.Instants()}
+	for _, instants := range schedules(failureWindow(sysCycles)) {
+		if len(instants) == 0 {
+			continue
+		}
+		sched := power.NewAt(instants...)
+		if fc, _ := checkOne(img, g, kind, sched, failureBudget(sysCycles, len(instants)), cfg); fc != nil {
+			fc.schedule = sched.Instants()
+			return fc, sysCycles
 		}
 	}
-	return nil
+	return nil, sysCycles
+}
+
+// only is the schedules of a check that replays one recorded schedule.
+func only(instants []uint64) func(uint64) [][]uint64 {
+	return func(uint64) [][]uint64 { return [][]uint64{instants} }
+}
+
+// randomSchedules draws n schedules of 1-6 failure instants inside the
+// failure window. The RNG folds the system name into the program seed, so
+// each system sees different failure instants for the same program. Finite
+// instants guarantee termination: after the last one the run is
+// failure-free.
+func randomSchedules(seed int64, kind systems.Kind, n int) func(uint64) [][]uint64 {
+	return func(window uint64) [][]uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(kind))
+		rng := rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
+		scheds := make([][]uint64, n)
+		for i := range scheds {
+			scheds[i] = make([]uint64, 1+rng.Intn(6))
+			for j := range scheds[i] {
+				scheds[i][j] = 1 + uint64(rng.Int63n(int64(window)))
+			}
+		}
+		return scheds
+	}
 }
 
 // Check runs the differential oracle for one generated program across the
-// given systems. The returned error reports infrastructure problems (the
-// program failed to render or to run on the Volatile baseline); findings
-// report genuine divergences, at most one per system.
+// given systems: per system, the failure-free differential, then
+// cfg.Schedules randomized failure schedules. The returned error reports
+// infrastructure problems (the program failed to render or to run on the
+// Volatile baseline); findings report genuine divergences, at most one per
+// system (its first).
 func Check(prog *Prog, kinds []systems.Kind, cfg Config) ([]Finding, error) {
 	cfg = cfg.normalized()
-	img, err := prog.Render()
+	img, g, err := prepare(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	g, err := golden(img, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fuzzer: seed %d golden run: %w", prog.Seed, err)
-	}
 	var out []Finding
 	for _, kind := range kinds {
-		if f := checkSystem(img, g, prog, kind, cfg); f != nil {
+		if fc, _ := differential(img, g, kind, cfg, randomSchedules(prog.Seed, kind, cfg.Schedules)); fc != nil {
 			findingsTotal.Add(1)
-			out = append(out, *f)
+			out = append(out, *fc.finding(prog, kind))
 		}
 	}
 	return out, nil
@@ -328,40 +352,25 @@ func Check(prog *Prog, kinds []systems.Kind, cfg Config) ([]Finding, error) {
 
 // CheckRawSchedule runs the oracle for one program on one system under a
 // failure schedule decoded from raw fuzz-engine bytes (power.FromBytes),
-// with each instant folded into the system's measured runtime window. The
-// native fuzz harnesses use it so the engine controls both the program
-// shape and the failure instants.
+// with each instant folded into the failure window. The native fuzz
+// harnesses use it so the engine controls both the program shape and the
+// failure instants.
 func CheckRawSchedule(prog *Prog, kind systems.Kind, cfg Config, raw []byte) (*Finding, error) {
 	cfg = cfg.normalized()
-	img, err := prog.Render()
+	img, g, err := prepare(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	g, err := golden(img, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fuzzer: seed %d golden run: %w", prog.Seed, err)
-	}
-	fc, sysCycles := checkOne(img, g, kind, nil, failFreeMaxCycles, cfg)
-	if fc != nil {
-		findingsTotal.Add(1)
-		return &Finding{Seed: prog.Seed, System: kind, Kind: fc.kind, Detail: fc.detail, Prog: prog}, nil
-	}
-	span := sysCycles + sysCycles/4
-	if span < 16 {
-		span = 16
-	}
-	var instants []uint64
-	for _, inst := range power.FromBytes(raw).Instants() {
-		instants = append(instants, 1+inst%span)
-	}
-	if len(instants) == 0 {
+	fc, _ := differential(img, g, kind, cfg, func(window uint64) [][]uint64 {
+		var instants []uint64
+		for _, inst := range power.FromBytes(raw).Instants() {
+			instants = append(instants, 1+inst%window)
+		}
+		return [][]uint64{instants}
+	})
+	if fc == nil {
 		return nil, nil
 	}
-	sched := power.NewAt(instants...)
-	budget := failureBudget(sysCycles, len(sched.Instants()))
-	if fc, _ := checkOne(img, g, kind, sched, budget, cfg); fc != nil {
-		findingsTotal.Add(1)
-		return &Finding{Seed: prog.Seed, System: kind, Kind: fc.kind, Detail: fc.detail, Prog: prog, Schedule: sched.Instants()}, nil
-	}
-	return nil, nil
+	findingsTotal.Add(1)
+	return fc.finding(prog, kind), nil
 }

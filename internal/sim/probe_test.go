@@ -184,19 +184,20 @@ func TestIntervalStatsFinishIdleTail(t *testing.T) {
 }
 
 func TestIntervalStatsOverflow(t *testing.T) {
-	s := IntervalStats{Max: 2}
-	for i := uint64(1); i <= 5; i++ {
+	var s IntervalStats
+	const n = maxIntervals + 3
+	for i := uint64(1); i <= n; i++ {
 		s.OnNVM(NVMEvent{Bytes: 1, Write: true})
 		s.OnCheckpointCommit(CheckpointEvent{Cycle: i * 100, Kind: CheckpointCommit})
 	}
-	if len(s.Intervals) != 2 || s.Dropped != 3 {
-		t.Errorf("stored %d, dropped %d, want 2 stored and 3 dropped", len(s.Intervals), s.Dropped)
+	if len(s.Intervals) != maxIntervals || s.Dropped != 3 {
+		t.Errorf("stored %d, dropped %d, want %d stored and 3 dropped", len(s.Intervals), s.Dropped, maxIntervals)
 	}
-	if s.Count() != 5 {
-		t.Errorf("Count = %d, want 5", s.Count())
+	if s.Count() != n {
+		t.Errorf("Count = %d, want %d", s.Count(), n)
 	}
-	if s.TotalNVMWriteBytes != 5 {
-		t.Errorf("TotalNVMWriteBytes = %d, want 5 (totals must keep counting past Max)", s.TotalNVMWriteBytes)
+	if s.TotalNVMWriteBytes != n {
+		t.Errorf("TotalNVMWriteBytes = %d, want %d (totals must keep counting past the cap)", s.TotalNVMWriteBytes, n)
 	}
 }
 

@@ -117,9 +117,9 @@ type IntervalStat struct {
 	EndOfRun     bool
 }
 
-// defaultMaxIntervals bounds stored per-interval records; runs with more
+// maxIntervals bounds stored per-interval records; runs with more
 // intervals keep aggregate totals and count the overflow in Dropped.
-const defaultMaxIntervals = 4096
+const maxIntervals = 4096
 
 // IntervalStats collects per-checkpoint-interval statistics from the probe
 // stream — the capability behind `nachosim -probe-stats`. It is the kind of
@@ -128,11 +128,8 @@ const defaultMaxIntervals = 4096
 // correlated on one timeline.
 type IntervalStats struct {
 	NopProbe
-	// Max caps stored intervals (0 = 4096); totals keep counting past it.
-	Max int
-
 	Intervals []IntervalStat
-	Dropped   int // intervals beyond Max (still in the totals)
+	Dropped   int // intervals beyond the first 4096 (still in the totals)
 
 	TotalNVMReadBytes  uint64
 	TotalNVMWriteBytes uint64
@@ -184,11 +181,7 @@ func (s *IntervalStats) close(now uint64) {
 	for i, n := range s.cur.WriteBacks {
 		s.TotalWriteBacks[i] += n
 	}
-	max := s.Max
-	if max == 0 {
-		max = defaultMaxIntervals
-	}
-	if len(s.Intervals) < max {
+	if len(s.Intervals) < maxIntervals {
 		s.Intervals = append(s.Intervals, s.cur)
 	} else {
 		s.Dropped++

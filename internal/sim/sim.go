@@ -98,6 +98,9 @@ type System interface {
 
 	// NotifySP reports stack-pointer updates for stack tracking
 	// (paper Section 4.2.4). Systems without stack tracking ignore it.
+	// Implementations only record sp: they must not advance the clock or
+	// read the machine, because the AOT engine calls NotifySP with its
+	// cycle, instruction and pc mirrors uncommitted.
 	NotifySP(sp uint32)
 
 	// ForceCheckpoint creates a checkpoint now (used for the periodic

@@ -66,7 +66,7 @@ func benchSetup(b *testing.B) (snapshot.NewMachine, snapshot.Options) {
 	if st.Windows < 3 {
 		b.Fatalf("only %d checkpoint windows; cannot pick deep ones", st.Windows)
 	}
-	return nm, snapshot.Options{SkipWindows: st.Windows - 2, Windows: 2, Stride: 250, Workers: 1}
+	return nm, snapshot.Options{SkipWindows: st.Windows - 2, Windows: 2, Stride: 250}
 }
 
 func BenchmarkExhaustiveForked(b *testing.B) {

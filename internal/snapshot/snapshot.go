@@ -25,7 +25,6 @@ package snapshot
 
 import (
 	"fmt"
-	"sync"
 
 	"nacho/internal/emu"
 	"nacho/internal/power"
@@ -52,9 +51,6 @@ type Options struct {
 	// Stride enumerates every Stride-th crash instant within a window
 	// (default 1: every instruction-granular instant).
 	Stride uint64
-	// Workers is the fork-execution parallelism (default 1). Exploration is
-	// deterministic regardless: outcomes are visited in instant order.
-	Workers int
 	// Span, when non-zero, parents the SpanWindow spans this exploration
 	// emits on the campaign tracer (one per enumerated window); zero attaches
 	// them to the tracer's ambient span.
@@ -138,9 +134,6 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 	if opts.Stride == 0 {
 		opts.Stride = 1
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
 
 	// Scout: one failure-free probed run finds every boundary and the halt
 	// instant. Instants past the halting store cannot fire (the final flush
@@ -208,7 +201,7 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 
 		before := stats.Instants
 		ws := telemetry.ActiveTracer().Begin(opts.Span, telemetry.SpanWindow, "", "", "")
-		more, err := exploreWindow(base, cur, stop, opts, &stats, visit)
+		more, err := exploreWindow(base, cur, stop, opts.Stride, &stats, visit)
 		fanOut := uint64(stats.Instants - before)
 		windowInstants.Observe(fanOut)
 		telemetry.ActiveTracer().End(ws, fanOut, cur+1, err != nil)
@@ -221,62 +214,21 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 	return stats, nil
 }
 
-// exploreWindow forks and runs every Stride-th instant in (from, to] off
-// base, visiting outcomes in instant order. Forks execute on opts.Workers
-// goroutines in bounded chunks so a large window does not hold every
-// outcome's memory system live at once.
-func exploreWindow(base *emu.Machine, from, to uint64, opts Options, stats *Stats, visit func(Outcome) bool) (bool, error) {
-	var instants []uint64
-	for t := from + 1; t <= to; t += opts.Stride {
-		instants = append(instants, t)
-	}
-	chunk := opts.Workers * 16
-	if chunk < 64 {
-		chunk = 64
-	}
-	for start := 0; start < len(instants); start += chunk {
-		endIdx := start + chunk
-		if endIdx > len(instants) {
-			endIdx = len(instants)
+// exploreWindow forks and runs every stride-th instant in (from, to] off
+// base on the caller's goroutine, visiting each outcome before the next fork
+// runs. A campaign fans out across seeds, not instants.
+func exploreWindow(base *emu.Machine, from, to, stride uint64, stats *Stats, visit func(Outcome) bool) (bool, error) {
+	for t := from + 1; t <= to; t += stride {
+		f, err := base.Fork(power.NewAt(t))
+		if err != nil {
+			return false, fmt.Errorf("snapshot: fork at %d: %w", t, err)
 		}
-		batch := instants[start:endIdx]
-		outs := make([]Outcome, len(batch))
-		errs := make([]error, len(batch))
-
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idxCh {
-					t := batch[i]
-					f, err := base.Fork(power.NewAt(t))
-					if err != nil {
-						errs[i] = err
-						continue
-					}
-					res, rerr := f.Run()
-					outs[i] = Outcome{Instant: t, Res: res, Err: rerr, Sys: f.System()}
-				}
-			}()
-		}
-		for i := range batch {
-			idxCh <- i
-		}
-		close(idxCh)
-		wg.Wait()
-
-		for i := range batch {
-			if errs[i] != nil {
-				return false, fmt.Errorf("snapshot: fork at %d: %w", batch[i], errs[i])
-			}
-			stats.Instants++
-			stats.BootCycles += outs[i].Res.Counters.Cycles
-			stats.ForkCycles += outs[i].Res.Counters.Cycles - from
-			if !visit(outs[i]) {
-				return false, nil
-			}
+		res, rerr := f.Run()
+		stats.Instants++
+		stats.BootCycles += res.Counters.Cycles
+		stats.ForkCycles += res.Counters.Cycles - from
+		if !visit(Outcome{Instant: t, Res: res, Err: rerr, Sys: f.System()}) {
+			return false, nil
 		}
 	}
 	return true, nil

@@ -91,7 +91,6 @@ func TestForkVsBootMatrix(t *testing.T) {
 					stats, err := snapshot.Explore(nm, snapshot.Options{
 						Windows: 2,
 						Stride:  stride,
-						Workers: 2,
 					}, func(o snapshot.Outcome) bool {
 						n++
 						// The referee: a fresh machine booted under the same
@@ -137,7 +136,6 @@ func TestExploreSharesPrefix(t *testing.T) {
 		Windows:     2,
 		SkipWindows: 4,
 		Stride:      17,
-		Workers:     4,
 	}, func(snapshot.Outcome) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +168,7 @@ func TestDeepWindowSpeedupGate(t *testing.T) {
 		t.Fatalf("only %d checkpoint windows", st.Windows)
 	}
 	deep, err := snapshot.Explore(nm, snapshot.Options{
-		SkipWindows: st.Windows - 2, Windows: 2, Stride: 500, Workers: 4,
+		SkipWindows: st.Windows - 2, Windows: 2, Stride: 500,
 	}, func(snapshot.Outcome) bool { return true })
 	if err != nil {
 		t.Fatal(err)

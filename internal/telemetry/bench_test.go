@@ -12,7 +12,6 @@ import (
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("c_total", "x")
-	g := r.NewGauge("g", "x")
 	h := r.NewHistogram("h", "x", CheckpointLineBuckets)
 	p := NewProbe(NewRegistry())
 	access := sim.AccessEvent{Cycle: 1, Addr: 0x100, Size: 4, Class: sim.AccessHit}
@@ -20,7 +19,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 
 	for name, fn := range map[string]func(){
 		"Counter.Add":       func() { c.Add(3) },
-		"Gauge.Set":         func() { g.Set(1.5) },
 		"Histogram.Observe": func() { h.Observe(17) },
 		"Probe.OnAccess":    func() { p.OnAccess(access) },
 		"Probe.OnNVM":       func() { p.OnNVM(nvm) },
@@ -36,14 +34,6 @@ func BenchmarkCounterAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Add(1)
-	}
-}
-
-func BenchmarkGaugeSet(b *testing.B) {
-	g := NewRegistry().NewGauge("g", "x")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
 	}
 }
 

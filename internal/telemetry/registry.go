@@ -4,16 +4,15 @@
 // stream, a Chrome-trace-event/Perfetto renderer for visual timelines, and an
 // HTTP server exposing all of it live (/metrics, /status, /debug/pprof).
 //
-// The registry hot path — Counter.Add, Gauge.Set, Histogram.Observe — is a
-// handful of atomic operations and performs no allocation (pinned by the
-// benchmarks in bench_test.go), so a telemetry probe can observe a simulation
-// without perturbing it and one registry can be shared by every worker of a
-// parallel sweep.
+// The registry hot path — Counter.Add, Histogram.Observe — is a handful of
+// atomic operations and performs no allocation (pinned by the benchmarks in
+// bench_test.go), so a telemetry probe can observe a simulation without
+// perturbing it and one registry can be shared by every worker of a parallel
+// sweep. Gauges are read from caller state at scrape time (NewGaugeFunc).
 package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -32,25 +31,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down, stored as a float64.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by d (d may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts integer observations into fixed buckets. Bounds are
 // inclusive upper limits (Prometheus `le` semantics); an implicit +Inf bucket
@@ -175,7 +155,6 @@ type series struct {
 	labelsStr string // pre-rendered {k="v",...}, "" when unlabelled
 
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() float64
@@ -187,8 +166,6 @@ func (s *series) value() float64 {
 	switch {
 	case s.counter != nil:
 		return float64(s.counter.Value())
-	case s.gauge != nil:
-		return s.gauge.Value()
 	case s.counterFn != nil:
 		return float64(s.counterFn())
 	case s.gaugeFn != nil:
@@ -226,13 +203,6 @@ func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
 	r.register(name, help, kindCounter, &series{labels: labels, counter: c})
 	return c
-}
-
-// NewGauge registers and returns a gauge.
-func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, &series{labels: labels, gauge: g})
-	return g
 }
 
 // NewHistogram registers and returns a histogram with the given inclusive

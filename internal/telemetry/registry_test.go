@@ -17,11 +17,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Errorf("counter = %d, want 42", c.Value())
 	}
 
-	g := r.NewGauge("g", "a gauge")
-	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Errorf("gauge = %g, want 1.5", g.Value())
+	r.NewGaugeFunc("g", "a gauge", func() float64 { return 1.5 })
+	if v := r.byName["g"].series[0].value(); v != 1.5 {
+		t.Errorf("gauge = %g, want 1.5", v)
 	}
 
 	h := r.NewHistogram("h", "a histogram", []uint64{10, 100})
@@ -75,7 +73,7 @@ func TestRegistryPanics(t *testing.T) {
 	mustPanic("bad metric name", func() { r.NewCounter("0bad", "x") })
 	mustPanic("bad label name", func() { r.NewCounter("ok2_total", "x", Label{"0l", "v"}) })
 	mustPanic("duplicate series", func() { r.NewCounter("ok_total", "fine", Label{"l", "a"}) })
-	mustPanic("kind conflict", func() { r.NewGauge("ok_total", "fine") })
+	mustPanic("kind conflict", func() { r.NewGaugeFunc("ok_total", "fine", func() float64 { return 0 }) })
 	mustPanic("help conflict", func() { r.NewCounter("ok_total", "different") })
 	mustPanic("unsorted bounds", func() { r.NewHistogram("h", "x", []uint64{10, 5}) })
 
@@ -115,8 +113,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("runs_total", "Total runs.", Label{"kind", "nacho"})
 	c.Add(3)
-	g := r.NewGauge("busy", "Busy workers.")
-	g.Set(2)
+	r.NewGaugeFunc("busy", "Busy workers.", func() float64 { return 2 })
 	h := r.NewHistogram("lines", "Checkpoint lines.", []uint64{1, 8})
 	h.Observe(1)
 	h.Observe(5)
@@ -192,7 +189,6 @@ func TestConcurrentHotPath(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("c_total", "x")
 	h := r.NewHistogram("h", "x", []uint64{100})
-	g := r.NewGauge("g", "x")
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func() {
@@ -200,15 +196,13 @@ func TestConcurrentHotPath(t *testing.T) {
 			for j := 0; j < 10_000; j++ {
 				c.Inc()
 				h.Observe(uint64(j % 200))
-				g.Add(1)
 			}
 		}()
 	}
 	for i := 0; i < 4; i++ {
 		<-done
 	}
-	if c.Value() != 40_000 || h.Count() != 40_000 || g.Value() != 40_000 {
-		t.Errorf("lost updates: counter=%d hist=%d gauge=%g, want 40000 each",
-			c.Value(), h.Count(), g.Value())
+	if c.Value() != 40_000 || h.Count() != 40_000 {
+		t.Errorf("lost updates: counter=%d hist=%d, want 40000 each", c.Value(), h.Count())
 	}
 }

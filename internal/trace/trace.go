@@ -59,6 +59,9 @@ func (r *Recorder) PowerFailure(cycle uint64) {
 }
 
 func (r *Recorder) append(e entry) {
+	if r.err != nil {
+		return // a write failed: later output is dropped unrendered
+	}
 	r.buf = append(r.buf, e)
 	if len(r.buf) == cap(r.buf) {
 		r.flushBuf()
@@ -79,9 +82,6 @@ func (r *Recorder) flushBuf() {
 		}
 	}
 	r.buf = r.buf[:0]
-	if r.err != nil {
-		return
-	}
 	_, r.err = r.w.Write(r.render.Bytes())
 }
 

@@ -87,6 +87,25 @@ func TestRecorderSurfacesWriteError(t *testing.T) {
 	}
 }
 
+// TestRecorderDropsAfterWriteError: once a write has failed, the recorder
+// drops later entries without rendering them, so a run tracing to a failed
+// writer does not pay for formatting output nobody receives.
+func TestRecorderDropsAfterWriteError(t *testing.T) {
+	r := NewRecorder(errWriter{errors.New("disk full")})
+	r.Retire(0, 0, testInstrs[0])
+	if r.Flush() == nil {
+		t.Fatal("Flush() = nil after a failed write")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < bufEntries; i++ {
+			r.Retire(uint64(1000+i), 0x1000, testInstrs[i%len(testInstrs)])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a full buffer of entries after a write error costs %.0f allocations, want 0", allocs)
+	}
+}
+
 // BenchmarkRecorder vs BenchmarkUnbufferedFprintf quantifies the refactor's
 // win: the old trace path formatted and wrote each instruction individually.
 func BenchmarkRecorder(b *testing.B) {

@@ -45,7 +45,9 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Violation is one detected correctness failure.
+// Violation is one detected correctness failure. It is an error, so a
+// caller handed the verifier's error (Err, possibly wrapped by the harness)
+// recovers the first violation with errors.As.
 type Violation struct {
 	Kind Kind
 	Addr uint32
@@ -54,8 +56,8 @@ type Violation struct {
 	Want uint32 // value the shadow holds
 }
 
-// String renders the violation with its address and values.
-func (v Violation) String() string {
+// Error renders the violation with its address and values.
+func (v Violation) Error() string {
 	if v.Kind == ShadowMismatch {
 		return fmt.Sprintf("%v at 0x%08x size %d: got 0x%x, want 0x%x", v.Kind, v.Addr, v.Size, v.Got, v.Want)
 	}
@@ -74,9 +76,11 @@ type Config struct {
 	// write-backs legal, so it runs with CheckWAR disabled and relies on the
 	// shadow check.
 	CheckWAR bool
-	// MaxViolations caps recorded violations to bound memory; 0 means 64.
-	MaxViolations int
 }
+
+// maxViolations caps recorded violations to bound memory; later ones are
+// only counted.
+const maxViolations = 64
 
 // Verifier implements the safety checks as a sim.Probe: attach it to the
 // system under test (and the emulator) through AttachProbe and it consumes
@@ -107,9 +111,6 @@ type undoWord struct {
 // New builds a verifier whose shadow starts as a copy-on-write fork of the
 // loaded program image (the same initial state the system's NVM holds).
 func New(initial *mem.Space, cfg Config) *Verifier {
-	if cfg.MaxViolations == 0 {
-		cfg.MaxViolations = 64
-	}
 	return &Verifier{
 		cfg:     cfg,
 		shadow:  initial.Fork(),
@@ -118,7 +119,7 @@ func New(initial *mem.Space, cfg Config) *Verifier {
 }
 
 func (v *Verifier) record(viol Violation) {
-	if len(v.viols) >= v.cfg.MaxViolations {
+	if len(v.viols) >= maxViolations {
 		v.dropped++
 		return
 	}
@@ -247,12 +248,13 @@ func (v *Verifier) Violations() []Violation {
 	return v.viols
 }
 
-// Err returns a summarizing error if any violation was recorded.
+// Err returns a summarizing error if any violation was recorded. It wraps
+// the first Violation.
 func (v *Verifier) Err() error {
 	if v == nil || len(v.viols) == 0 {
 		return nil
 	}
-	return fmt.Errorf("verify: %d violation(s) (%d dropped), first: %v",
+	return fmt.Errorf("verify: %d violation(s) (%d dropped), first: %w",
 		len(v.viols)+v.dropped, v.dropped, v.viols[0])
 }
 

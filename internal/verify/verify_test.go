@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -143,15 +144,19 @@ func TestJournalGenerationWrap(t *testing.T) {
 }
 
 func TestMaxViolationsCap(t *testing.T) {
-	v := New(mem.NewSpace(), Config{MaxViolations: 3})
-	for i := uint32(0); i < 10; i++ {
+	v := New(mem.NewSpace(), Config{})
+	for i := uint32(0); i < maxViolations+10; i++ {
 		v.CPURead(i*4, 4, 999) // shadow has zeros
 	}
-	if len(v.Violations()) != 3 {
-		t.Errorf("recorded %d violations, want 3", len(v.Violations()))
+	if len(v.Violations()) != maxViolations {
+		t.Errorf("recorded %d violations, want %d", len(v.Violations()), maxViolations)
 	}
-	if err := v.Err(); err == nil || !strings.Contains(err.Error(), "dropped") {
-		t.Errorf("Err should mention dropped count: %v", err)
+	if err := v.Err(); err == nil || !strings.Contains(err.Error(), "74 violation(s) (10 dropped)") {
+		t.Errorf("Err should count the dropped violations: %v", err)
+	}
+	var first Violation
+	if !errors.As(v.Err(), &first) || first != v.Violations()[0] {
+		t.Errorf("Err does not wrap the first violation: %v", v.Err())
 	}
 }
 
@@ -168,11 +173,11 @@ func TestNilVerifierSafe(t *testing.T) {
 }
 
 func TestViolationStrings(t *testing.T) {
-	s := Violation{Kind: ShadowMismatch, Addr: 0x10, Size: 4, Got: 1, Want: 2}.String()
+	s := Violation{Kind: ShadowMismatch, Addr: 0x10, Size: 4, Got: 1, Want: 2}.Error()
 	if !strings.Contains(s, "shadow-mismatch") || !strings.Contains(s, "0x00000010") {
 		t.Errorf("string: %s", s)
 	}
-	w := Violation{Kind: WARViolation, Addr: 0x20, Size: 1}.String()
+	w := Violation{Kind: WARViolation, Addr: 0x20, Size: 1}.Error()
 	if !strings.Contains(w, "war-violation") {
 		t.Errorf("string: %s", w)
 	}
