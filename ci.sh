@@ -43,8 +43,9 @@ go test -race ./internal/harness/... ./internal/core/ ./internal/systems/
 go test -race ./internal/snapshot/ ./internal/mem/ ./internal/power/
 go test -race ./internal/fuzzer/ ./internal/verify/ ./internal/track/
 
-# Benchmark smoke: the probe hot paths must at least run. One iteration is
-# enough to catch a broken benchmark; timing regressions are judged manually.
+# Benchmark smoke: the cache, tracker, metrics-registry and memory hot-path
+# benchmarks must at least run. One iteration is enough to catch a broken
+# benchmark; timing regressions are judged manually.
 go test -bench=. -benchtime=1x ./internal/cache/ ./internal/track/ ./internal/telemetry/ ./internal/mem/
 
 # Emulator-throughput smoke: one timed pass of the ALU-kernel benchmark
@@ -65,7 +66,9 @@ go test -run xxx -bench 'BenchmarkEmulatorThroughputNACHOIntermittent$' -benchti
 go test -run 'ZeroAlloc' ./internal/core/ ./internal/cache/ ./internal/mem/ ./internal/track/ ./internal/verify/
 
 # Telemetry end-to-end: serve, sweep, scrape mid-flight, validate every
-# exposition line, then check the Perfetto export loads as trace-event JSON.
+# exposition line, check that the nacho_sim_* series grew by the sums of the
+# sweep's executed ledger records, then check the Perfetto export loads as
+# trace-event JSON.
 go test -run 'TestServeTelemetryEndToEnd|TestPerfettoExport' .
 
 # Campaign observability gate: the registry, span-emit and ledger-append hot
@@ -123,6 +126,10 @@ go build -o /tmp/nachofuzz.ci ./cmd/nachofuzz
 /tmp/nachofuzz.ci -seeds 64 2>/dev/null >/tmp/nachofuzz.ci.1
 /tmp/nachofuzz.ci -seeds 64 2>/dev/null >/tmp/nachofuzz.ci.2
 diff /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2
+# Every CLI serves telemetry through nacho.ServeTelemetry: nachofuzz's
+# server must start and announce itself, and the campaign must exit clean.
+/tmp/nachofuzz.ci -seeds 4 -serve 127.0.0.1:0 >/dev/null 2>/tmp/nachofuzz.ci.serve
+grep -q 'telemetry on http://' /tmp/nachofuzz.ci.serve
 
 # Exhaustive-mode smoke: snapshot-fork enumeration of every 3rd crash
 # instant in the first two checkpoint intervals, run twice — the report must
@@ -132,7 +139,7 @@ diff /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2
 /tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex.1
 /tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex.2
 diff /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
-rm -f /tmp/nachofuzz.ci /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2 /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
+rm -f /tmp/nachofuzz.ci /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2 /tmp/nachofuzz.ci.serve /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
 
 # Persistent run store gate: the full fig5 matrix regenerated twice against
 # one store — the warm pass must execute zero simulations, serve every cell

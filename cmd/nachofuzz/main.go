@@ -34,9 +34,7 @@ import (
 	"nacho/internal/emu"
 	"nacho/internal/fuzzer"
 	"nacho/internal/harness"
-	"nacho/internal/snapshot"
 	"nacho/internal/systems"
-	"nacho/internal/telemetry"
 )
 
 func main() {
@@ -71,16 +69,12 @@ func main() {
 		harness.SetWorkers(*workers)
 	}
 	if *serve != "" {
-		reg := telemetry.NewRegistry()
-		harness.RegisterMetrics(reg)
-		fuzzer.RegisterMetrics(reg)
-		snapshot.RegisterMetrics(reg)
-		srv, err := telemetry.NewServer(*serve, reg, func() any { return harness.Status() })
+		ts, err := nacho.ServeTelemetry(*serve)
 		if err != nil {
 			fatal(err)
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "nachofuzz: telemetry on http://%s\n", srv.Addr())
+		defer ts.Close()
+		fmt.Fprintf(os.Stderr, "nachofuzz: telemetry on http://%s\n", ts.Addr())
 	}
 
 	if *replay != "" {

@@ -127,7 +127,6 @@ func main() {
 		}
 		defer ts.Close()
 		fmt.Fprintf(os.Stderr, "nachosim: telemetry on http://%s\n", ts.Addr())
-		cfg.Telemetry = ts
 	}
 	campaign, err := nacho.StartCampaign(nacho.CampaignConfig{
 		Name: "nachosim", TracePath: *traceCamp, LedgerPath: *ledger,

@@ -144,11 +144,7 @@ func RunCampaign(cfg CampaignConfig) *CampaignReport {
 				mu.Lock()
 				programs++
 				findings = append(findings, fs...)
-				exStats.Systems += st.Systems
-				exStats.Windows += st.Windows
-				exStats.Instants += st.Instants
-				exStats.SimCycles += st.SimCycles
-				exStats.BootCycles += st.BootCycles
+				exStats.add(st)
 				if err != nil {
 					errs = append(errs, err.Error())
 				}

@@ -56,12 +56,14 @@ type ExhaustiveStats struct {
 	BootCycles uint64
 }
 
-func (s *ExhaustiveStats) add(st snapshot.Stats) {
-	s.Systems++
-	s.Windows += st.Windows
-	s.Instants += st.Instants
-	s.SimCycles += st.SimCycles()
-	s.BootCycles += st.BootCycles
+// add folds o into s: one system's exploration, or one seed's stats into a
+// campaign's.
+func (s *ExhaustiveStats) add(o ExhaustiveStats) {
+	s.Systems += o.Systems
+	s.Windows += o.Windows
+	s.Instants += o.Instants
+	s.SimCycles += o.SimCycles
+	s.BootCycles += o.BootCycles
 }
 
 // Speedup is the measured advantage over re-run-from-boot enumeration.
@@ -133,7 +135,8 @@ func checkSystemExhaustive(img *program.Image, g *goldenRun, prog *Prog, kind sy
 		return false
 	})
 	oracleRuns.Add(uint64(st.Instants))
-	stats.add(st)
+	stats.add(ExhaustiveStats{Systems: 1, Windows: st.Windows, Instants: st.Instants,
+		SimCycles: st.SimCycles(), BootCycles: st.BootCycles})
 	if err != nil {
 		return nil, fmt.Errorf("fuzzer: seed %d on %s: %w", prog.Seed, kind, err)
 	}

@@ -5,17 +5,15 @@ import (
 
 	"nacho/internal/harness"
 	"nacho/internal/program"
-	"nacho/internal/sim"
 	"nacho/internal/systems"
-	"nacho/internal/telemetry"
 )
 
-// These benchmarks bound the observability cost on a whole simulation:
-// BenchmarkRunNoProbe is the detached fast path (a nil-check branch per event
-// site plus three per-run atomics), BenchmarkRunTelemetryProbe adds the full
-// metrics adapter. Compare them to see what a live /metrics feed costs; the
-// no-probe number is the one that must stay flat release to release.
-func benchmarkRun(b *testing.B, probe sim.Probe) {
+// BenchmarkRunNoProbe bounds the observability cost on a whole simulation:
+// the detached fast path, a nil-check branch per event site plus the per-run
+// accounting (a few atomics and one locked fold of the run's counters into
+// the nacho_sim_* sum). It is the number that must stay flat release to
+// release.
+func BenchmarkRunNoProbe(b *testing.B) {
 	p, ok := program.ByName("crc")
 	if !ok {
 		b.Fatal("crc benchmark missing")
@@ -26,7 +24,6 @@ func benchmarkRun(b *testing.B, probe sim.Probe) {
 	}
 	cfg := harness.DefaultRunConfig()
 	cfg.Verify = false
-	cfg.Probe = probe
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,10 +31,4 @@ func benchmarkRun(b *testing.B, probe sim.Probe) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkRunNoProbe(b *testing.B) { benchmarkRun(b, nil) }
-
-func BenchmarkRunTelemetryProbe(b *testing.B) {
-	benchmarkRun(b, telemetry.NewProbe(telemetry.NewRegistry()))
 }

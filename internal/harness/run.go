@@ -221,9 +221,9 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 	}
 
 	// Campaign observability brackets the run: a span on the installed tracer
-	// (no-ops when tracing is off), per-engine wall-time accounting, and — at
-	// the single exit below, once the final verdict is known — one ledger
-	// record. engine is the engine that actually executes (see
+	// (no-ops when tracing is off), and — at the single exit below, once the
+	// final verdict is known — the run's accounting (runFinished) and one
+	// ledger record. engine is the engine that actually executes (see
 	// executedEngine).
 	engine := executedEngine(cfg)
 	name := img.Program.Name
@@ -233,8 +233,6 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 	startWall := time.Now()
 	res, err := machine.Run()
 	wallMicros := time.Since(startWall).Microseconds()
-	runCompleted(res.Counters.Cycles)
-	runObserved(engine, wallMicros, res.Counters.Instructions)
 	if err != nil {
 		err = fmt.Errorf("%s on %s: %w", name, kind, err)
 	} else if verr := ver.Err(); verr != nil {
@@ -256,6 +254,7 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 		}
 	}
 	tr.End(span, res.Counters.Cycles, res.Counters.Instructions, err != nil)
+	runFinished(engine, wallMicros, &res.Counters)
 	appendLedger(r, engine, res, err, wallMicros, outcomeExecuted)
 	return res, sys, err
 }

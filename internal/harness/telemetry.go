@@ -7,23 +7,23 @@ import (
 	"time"
 
 	"nacho/internal/emu"
+	"nacho/internal/metrics"
 	"nacho/internal/telemetry"
 )
 
 // Live observability of the harness: every run and the worker pool update a
 // process-wide set of atomics, which RegisterMetrics exposes as Prometheus
 // series and Status snapshots as the /status JSON document. The accounting is
-// per-run (three atomic adds around a whole simulation), so it costs nothing
-// measurable against the per-event hot path and stays on unconditionally.
+// per-run (a few atomic adds and one locked counter fold around a whole
+// simulation), so it costs nothing measurable against the per-event hot path
+// and stays on unconditionally.
 var pool struct {
-	runsStarted     atomic.Uint64
-	runsCompleted   atomic.Uint64
-	cacheHits       atomic.Uint64
-	cacheBypassed   atomic.Uint64 // probed/traced runs that skipped the run cache
-	storeHits       atomic.Uint64 // runs served from the persistent store without executing
-	simulatedCycles atomic.Uint64
-	workersBusy     atomic.Int64
-	firstRunNano    atomic.Int64 // wall clock of the first run, for cycles/sec
+	runsStarted   atomic.Uint64
+	cacheHits     atomic.Uint64
+	cacheBypassed atomic.Uint64 // probed/traced runs that skipped the run cache
+	storeHits     atomic.Uint64 // runs served from the persistent store without executing
+	workersBusy   atomic.Int64
+	firstRunNano  atomic.Int64 // wall clock of the first run, for cycles/sec
 
 	mu         sync.Mutex
 	experiment string
@@ -36,12 +36,6 @@ var pool struct {
 func runStarted() {
 	pool.runsStarted.Add(1)
 	pool.firstRunNano.CompareAndSwap(0, time.Now().UnixNano())
-}
-
-// runCompleted accounts one finished simulation and its simulated cycles.
-func runCompleted(cycles uint64) {
-	pool.runsCompleted.Add(1)
-	pool.simulatedCycles.Add(cycles)
 }
 
 // beginExperiment publishes the experiment an upcoming prewarm fan-out
@@ -114,16 +108,48 @@ func executedEngine(cfg RunConfig) emu.Engine {
 	return cfg.Engine.Executed(cfg.Trace != nil)
 }
 
-// runObserved accounts one executed simulation against its engine's stats.
-func runObserved(engine emu.Engine, wallMicros int64, instructions uint64) {
+// simulated is the sum of every executed run's counters, the one source of
+// the nacho_sim_* series and of nacho_harness_simulated_cycles_total. Runs
+// served from the run cache or the store add nothing, because nothing was
+// simulated; snapshot forks are not harness runs and count in
+// nacho_snapshot_* instead.
+var simulated struct {
+	mu  sync.Mutex
+	sum metrics.Counters
+}
+
+// runFinished accounts one executed simulation: the run, its instructions
+// and its wall time against the engine that ran it, and its counters into
+// the simulated sum.
+func runFinished(engine emu.Engine, wallMicros int64, c *metrics.Counters) {
 	st := engineStats[engine]
 	if st == nil {
 		st = engineStats[emu.EngineRef]
 	}
 	st.runs.Add(1)
-	st.instr.Add(instructions)
+	st.instr.Add(c.Instructions)
 	st.wall.Observe(uint64(wallMicros))
+	simulated.mu.Lock()
+	simulated.sum.Add(*c)
+	simulated.mu.Unlock()
 }
+
+// runsCompleted counts executed simulations: the runs of both engines.
+func runsCompleted() uint64 {
+	return engineStats[emu.EngineRef].runs.Load() + engineStats[emu.EngineAOT].runs.Load()
+}
+
+// readSimulated returns a reader of one field of the simulated sum.
+func readSimulated(field func(*metrics.Counters) uint64) func() uint64 {
+	return func() uint64 {
+		simulated.mu.Lock()
+		defer simulated.mu.Unlock()
+		return field(&simulated.sum)
+	}
+}
+
+// simulatedCycles reads the simulated sum's cycles.
+var simulatedCycles = readSimulated(func(c *metrics.Counters) uint64 { return c.Cycles })
 
 // Served-outcome labels for appendLedger: a run record is either an actual
 // execution (outcomeExecuted), a result served from the in-process run cache
@@ -210,11 +236,11 @@ func Status() PoolStatus {
 		Workers:             Workers(),
 		Busy:                int(pool.workersBusy.Load()),
 		RunsStarted:         pool.runsStarted.Load(),
-		RunsCompleted:       pool.runsCompleted.Load(),
+		RunsCompleted:       runsCompleted(),
 		CacheHits:           pool.cacheHits.Load(),
 		StoreHits:           pool.storeHits.Load(),
 		CacheBypassedProbed: pool.cacheBypassed.Load(),
-		SimulatedCycles:     pool.simulatedCycles.Load(),
+		SimulatedCycles:     simulatedCycles(),
 		ActiveJobs:          []WorkerJob{},
 	}
 	if first := pool.firstRunNano.Load(); first != 0 {
@@ -234,22 +260,88 @@ func Status() PoolStatus {
 	return st
 }
 
+// counterSeries gives each metrics.Counters field exactly one series, each
+// interval-histogram bucket one labelled series. A series keeps a name only
+// while its field means exactly what the name says, so Checkpoints, which
+// also counts ReplayCache's just-in-time saves, is unlabelled. Cycles keeps
+// its harness name; MaxCheckpointLines, a running maximum, is the one gauge.
+var counterSeries = []struct {
+	name, help string
+	labels     []telemetry.Label
+	gauge      bool
+	field      func(*metrics.Counters) uint64
+}{
+	{name: "nacho_harness_simulated_cycles_total", help: "Simulated cycles summed across completed runs.",
+		field: func(c *metrics.Counters) uint64 { return c.Cycles }},
+	{name: "nacho_sim_instructions_total", help: "Instructions retired, including re-executed ones.",
+		field: func(c *metrics.Counters) uint64 { return c.Instructions }},
+	{name: "nacho_sim_loads_total", help: "Data loads retired.",
+		field: func(c *metrics.Counters) uint64 { return c.Loads }},
+	{name: "nacho_sim_stores_total", help: "Data stores retired.",
+		field: func(c *metrics.Counters) uint64 { return c.Stores }},
+	{name: "nacho_sim_checkpoints_total", help: "Committed checkpoints, ReplayCache's just-in-time saves included.",
+		field: func(c *metrics.Counters) uint64 { return c.Checkpoints }},
+	{name: "nacho_sim_checkpoint_lines_total", help: "Dirty cache lines persisted by committed checkpoints.",
+		field: func(c *metrics.Counters) uint64 { return c.CheckpointLines }},
+	{name: "nacho_sim_checkpoint_lines_max", help: "Dirty cache lines in the largest single checkpoint of any run.", gauge: true,
+		field: func(c *metrics.Counters) uint64 { return c.MaxCheckpointLines }},
+	{name: "nacho_sim_checkpoints_aborted_total", help: "Checkpoints interrupted by a power failure before commit.",
+		field: func(c *metrics.Counters) uint64 { return c.AbortedCkpts }},
+	{name: "nacho_sim_checkpoints_forced_total", help: "Periodic forward-progress checkpoints.",
+		field: func(c *metrics.Counters) uint64 { return c.ForcedCkpts }},
+	{name: "nacho_sim_checkpoints_adaptive_total", help: "Dirty-threshold policy checkpoints.",
+		field: func(c *metrics.Counters) uint64 { return c.AdaptiveCkpts }},
+	{name: "nacho_sim_nvm_reads_total", help: "Charged NVM read accesses.",
+		field: func(c *metrics.Counters) uint64 { return c.NVMReads }},
+	{name: "nacho_sim_nvm_writes_total", help: "Charged NVM write accesses.",
+		field: func(c *metrics.Counters) uint64 { return c.NVMWrites }},
+	{name: "nacho_sim_nvm_read_bytes_total", help: "Bytes read from NVM.",
+		field: func(c *metrics.Counters) uint64 { return c.NVMReadBytes }},
+	{name: "nacho_sim_nvm_write_bytes_total", help: "Bytes written to NVM.",
+		field: func(c *metrics.Counters) uint64 { return c.NVMWriteBytes }},
+	{name: "nacho_sim_accesses_total", help: "CPU data accesses by serving class.", labels: []telemetry.Label{{Name: "class", Value: "hit"}},
+		field: func(c *metrics.Counters) uint64 { return c.CacheHits }},
+	{name: "nacho_sim_accesses_total", help: "CPU data accesses by serving class.", labels: []telemetry.Label{{Name: "class", Value: "miss"}},
+		field: func(c *metrics.Counters) uint64 { return c.CacheMisses }},
+	{name: "nacho_sim_evictions_total", help: "Dirty lines written back outside checkpoints.",
+		field: func(c *metrics.Counters) uint64 { return c.Evictions }},
+	{name: "nacho_sim_writebacks_total", help: "Dirty lines leaving the volatile domain, by safety verdict.", labels: []telemetry.Label{{Name: "verdict", Value: "safe"}},
+		field: func(c *metrics.Counters) uint64 { return c.SafeEvictions }},
+	{name: "nacho_sim_writebacks_total", help: "Dirty lines leaving the volatile domain, by safety verdict.", labels: []telemetry.Label{{Name: "verdict", Value: "unsafe"}},
+		field: func(c *metrics.Counters) uint64 { return c.UnsafeEvictions }},
+	{name: "nacho_sim_writebacks_total", help: "Dirty lines leaving the volatile domain, by safety verdict.", labels: []telemetry.Label{{Name: "verdict", Value: "dropped-stack"}},
+		field: func(c *metrics.Counters) uint64 { return c.DroppedStackLines }},
+	{name: "nacho_sim_regions_total", help: "ReplayCache idempotent regions committed.",
+		field: func(c *metrics.Counters) uint64 { return c.Regions }},
+	{name: "nacho_sim_checkpoint_intervals_total", help: "Checkpoint commits by cycles since the previous commit.", labels: []telemetry.Label{{Name: "cycles", Value: "<1k"}},
+		field: func(c *metrics.Counters) uint64 { return c.IntervalHist[0] }},
+	{name: "nacho_sim_checkpoint_intervals_total", help: "Checkpoint commits by cycles since the previous commit.", labels: []telemetry.Label{{Name: "cycles", Value: "1k-10k"}},
+		field: func(c *metrics.Counters) uint64 { return c.IntervalHist[1] }},
+	{name: "nacho_sim_checkpoint_intervals_total", help: "Checkpoint commits by cycles since the previous commit.", labels: []telemetry.Label{{Name: "cycles", Value: "10k-100k"}},
+		field: func(c *metrics.Counters) uint64 { return c.IntervalHist[2] }},
+	{name: "nacho_sim_checkpoint_intervals_total", help: "Checkpoint commits by cycles since the previous commit.", labels: []telemetry.Label{{Name: "cycles", Value: ">=100k"}},
+		field: func(c *metrics.Counters) uint64 { return c.IntervalHist[3] }},
+	{name: "nacho_sim_power_failures_total", help: "Injected power failures.",
+		field: func(c *metrics.Counters) uint64 { return c.PowerFailures }},
+	{name: "nacho_sim_restore_cycles_total", help: "Cycles spent in post-reboot restore sequences.",
+		field: func(c *metrics.Counters) uint64 { return c.RestoreCycles }},
+}
+
 // RegisterMetrics exposes the harness accounting in r as nacho_harness_*
-// series. The Func variants read the live atomics at scrape time, so the
-// series track a running sweep with no extra work on the run path.
+// series and the simulated sum as nacho_sim_* series. The Func variants read
+// the live state at scrape time, so the series track a running sweep with no
+// extra work on the run path.
 func RegisterMetrics(r *telemetry.Registry) {
 	r.NewCounterFunc("nacho_harness_runs_started_total",
 		"Simulations started.", pool.runsStarted.Load)
 	r.NewCounterFunc("nacho_harness_runs_completed_total",
-		"Simulations completed (with or without error).", pool.runsCompleted.Load)
+		"Simulations completed (with or without error).", runsCompleted)
 	r.NewCounterFunc("nacho_harness_cache_hits_total",
 		"Run-cache hits, including singleflight waits.", pool.cacheHits.Load)
 	r.NewCounterFunc("nacho_harness_store_hits_total",
 		"Runs served from the persistent run store without executing.", pool.storeHits.Load)
 	r.NewCounterFunc("nacho_harness_cache_bypassed_probed_total",
 		"Probed or traced runs that bypassed the run cache.", pool.cacheBypassed.Load)
-	r.NewCounterFunc("nacho_harness_simulated_cycles_total",
-		"Simulated cycles summed across completed runs.", pool.simulatedCycles.Load)
 	r.NewGaugeFunc("nacho_harness_workers",
 		"Configured worker-pool size.", func() float64 { return float64(Workers()) })
 	r.NewGaugeFunc("nacho_harness_workers_busy",
@@ -272,5 +364,13 @@ func RegisterMetrics(r *telemetry.Registry) {
 			"Instructions retired, by engine.", st.instr.Load, lbl)
 		r.RegisterHistogram("nacho_harness_run_wall_micros",
 			"Run wall time in microseconds, by engine.", st.wall, lbl)
+	}
+	for _, s := range counterSeries {
+		read := readSimulated(s.field)
+		if s.gauge {
+			r.NewGaugeFunc(s.name, s.help, func() float64 { return float64(read()) }, s.labels...)
+			continue
+		}
+		r.NewCounterFunc(s.name, s.help, read, s.labels...)
 	}
 }

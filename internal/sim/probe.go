@@ -4,9 +4,10 @@ package sim
 // observer interface (Probe) that every event producer — the emulator, the
 // generic cache, the NACHO controller, the checkpoint store, and each
 // comparison system — emits through. The correctness verifier, the
-// per-interval statistics collector, the live telemetry feed and the
-// Perfetto exporter are all Probe implementations; production counters stay
-// directly updated for the no-probe fast path. Every event is a memory-system,
+// per-interval statistics collector and the Perfetto exporter are Probe
+// implementations; production counters stay directly updated for the
+// no-probe fast path, and the live nacho_sim_* series sum those counters
+// over executed runs, so they need no probe. Every event is a memory-system,
 // checkpoint or power event, so both execution engines emit the same stream.
 // Retired instructions are not events: the per-instruction trace recorder
 // is fed by the emulator directly (see emu.Config.Trace), and the run's

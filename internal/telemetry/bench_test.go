@@ -1,27 +1,24 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"testing"
-
-	"nacho/internal/sim"
 )
 
-// The hot path — metric updates and probe hooks — must not allocate: these
-// run once per simulated event, potentially billions of times per sweep.
+// benchBuckets are histogram bounds for the hot-path tests and benchmarks.
+var benchBuckets = []uint64{1, 2, 4, 8, 16, 32, 64, 128}
+
+// Metric updates must not allocate: an instrument may be updated once per
+// run or per simulated event, potentially billions of times per sweep.
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("c_total", "x")
-	h := r.NewHistogram("h", "x", CheckpointLineBuckets)
-	p := NewProbe(NewRegistry())
-	access := sim.AccessEvent{Cycle: 1, Addr: 0x100, Size: 4, Class: sim.AccessHit}
-	nvm := sim.NVMEvent{Cycle: 1, Addr: 0x100, Bytes: 4, Write: true}
+	h := r.NewHistogram("h", "x", benchBuckets)
 
 	for name, fn := range map[string]func(){
 		"Counter.Add":       func() { c.Add(3) },
 		"Histogram.Observe": func() { h.Observe(17) },
-		"Probe.OnAccess":    func() { p.OnAccess(access) },
-		"Probe.OnNVM":       func() { p.OnNVM(nvm) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s allocates %.0f times per call, want 0", name, allocs)
@@ -38,34 +35,24 @@ func BenchmarkCounterAdd(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().NewHistogram("h", "x", CheckpointLineBuckets)
+	h := NewRegistry().NewHistogram("h", "x", benchBuckets)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(uint64(i & 255))
 	}
 }
 
-func BenchmarkProbeOnAccess(b *testing.B) {
-	p := NewProbe(NewRegistry())
-	e := sim.AccessEvent{Cycle: 1, Addr: 0x100, Size: 4, Class: sim.AccessHit}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.OnAccess(e)
-	}
-}
-
-func BenchmarkProbeOnNVM(b *testing.B) {
-	p := NewProbe(NewRegistry())
-	e := sim.NVMEvent{Cycle: 1, Addr: 0x100, Bytes: 4, Write: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.OnNVM(e)
-	}
-}
-
 func BenchmarkWritePrometheus(b *testing.B) {
+	// A registry the size of a served one: two dozen counters, labelled
+	// families and per-engine histograms.
 	r := NewRegistry()
-	NewProbe(r) // a realistic registry: the full sim metric set
+	for i := 0; i < 24; i++ {
+		r.NewCounterFunc(fmt.Sprintf("c%d_total", i), "x", func() uint64 { return uint64(i) })
+	}
+	for _, v := range []string{"a", "b", "c"} {
+		r.NewCounter("labelled_total", "x", Label{"kind", v}).Add(1)
+		r.NewHistogram("h", "x", benchBuckets, Label{"engine", v}).Observe(3)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := r.WritePrometheus(io.Discard); err != nil {

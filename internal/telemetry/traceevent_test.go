@@ -8,6 +8,28 @@ import (
 	"nacho/internal/sim"
 )
 
+// feedOneOfEach drives every probe hook once with distinguishable payloads.
+func feedOneOfEach(p sim.Probe) {
+	p.OnAccess(sim.AccessEvent{Cycle: 10, Addr: 0x100, Size: 4, Store: false, Class: sim.AccessHit})
+	p.OnAccess(sim.AccessEvent{Cycle: 20, Addr: 0x104, Size: 4, Store: true, Class: sim.AccessMiss})
+	p.OnAccess(sim.AccessEvent{Cycle: 30, Addr: 0x108, Size: 1, Store: false, Class: sim.AccessNVM})
+	p.OnAccess(sim.AccessEvent{Cycle: 40, Addr: 0xfff0, Size: 4, Store: true, Class: sim.AccessMMIO})
+	p.OnLineFill(sim.FillEvent{Addr: 0x100})
+	p.OnWriteBack(sim.WriteBackEvent{Cycle: 50, Addr: 0x200, Size: 16, Verdict: sim.VerdictSafe})
+	p.OnWriteBack(sim.WriteBackEvent{Cycle: 55, Addr: 0x210, Size: 16, Verdict: sim.VerdictUnsafe})
+	p.OnCheckpointBegin(sim.CheckpointEvent{Cycle: 60, Lines: 3})
+	p.OnCheckpointCommit(sim.CheckpointEvent{
+		Cycle: 80, Kind: sim.CheckpointCommit, Lines: 3, Forced: true,
+		Interval: 80, IntervalValid: true,
+	})
+	p.OnCheckpointCommit(sim.CheckpointEvent{Cycle: 90, Kind: sim.CheckpointRegion})
+	p.OnPowerFailure(sim.PowerEvent{Cycle: 100})
+	p.OnRestore(sim.RestoreEvent{Cycle: 160, Cycles: 60, OK: true})
+	p.OnRestore(sim.RestoreEvent{Cycle: 170, Cycles: 5, OK: false})
+	p.OnNVM(sim.NVMEvent{Cycle: 30, Addr: 0x108, Bytes: 4, Write: false})
+	p.OnNVM(sim.NVMEvent{Cycle: 80, Addr: 0x200, Bytes: 48, Write: true})
+}
+
 // traceDoc mirrors the Chrome trace-event JSON object format.
 type traceDoc struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`

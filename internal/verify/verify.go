@@ -13,8 +13,8 @@
 //     location (outside a checkpoint) is an idempotency violation, because a
 //     power failure after it would make re-execution read the new value.
 //
-// The package reports problems as recorded Violations rather than panicking,
-// so tests can assert exact failure modes.
+// The package reports problems as a recorded Violation rather than
+// panicking, so tests can assert exact failure modes.
 package verify
 
 import (
@@ -78,10 +78,6 @@ type Config struct {
 	CheckWAR bool
 }
 
-// maxViolations caps recorded violations to bound memory; later ones are
-// only counted.
-const maxViolations = 64
-
 // Verifier implements the safety checks as a sim.Probe: attach it to the
 // system under test (and the emulator) through AttachProbe and it consumes
 // the event stream — CPU accesses feed the shadow memory, write-back events
@@ -98,8 +94,9 @@ type Verifier struct {
 	journalled track.Words
 	undo       []undoWord
 	tracker    *track.Tracker
-	viols      []Violation
-	dropped    int
+	// first is the first violation detected, violations how many were.
+	first      Violation
+	violations int
 }
 
 // undoWord is the pre-image of one word at the last boundary.
@@ -119,11 +116,10 @@ func New(initial *mem.Space, cfg Config) *Verifier {
 }
 
 func (v *Verifier) record(viol Violation) {
-	if len(v.viols) >= maxViolations {
-		v.dropped++
-		return
+	if v.violations == 0 {
+		v.first = viol
 	}
-	v.viols = append(v.viols, viol)
+	v.violations++
 }
 
 // CPURead checks a load's result against the shadow and feeds the dominance
@@ -240,22 +236,13 @@ func (v *Verifier) OnCheckpointCommit(e sim.CheckpointEvent) {
 // OnPowerFailure implements sim.Probe.
 func (v *Verifier) OnPowerFailure(sim.PowerEvent) { v.PowerFailure() }
 
-// Violations returns everything recorded so far.
-func (v *Verifier) Violations() []Violation {
-	if v == nil {
-		return nil
-	}
-	return v.viols
-}
-
-// Err returns a summarizing error if any violation was recorded. It wraps
-// the first Violation.
+// Err returns a summarizing error if any violation was detected: the count
+// of violations, wrapping the first Violation.
 func (v *Verifier) Err() error {
-	if v == nil || len(v.viols) == 0 {
+	if v == nil || v.violations == 0 {
 		return nil
 	}
-	return fmt.Errorf("verify: %d violation(s) (%d dropped), first: %w",
-		len(v.viols)+v.dropped, v.dropped, v.viols[0])
+	return fmt.Errorf("verify: %d violation(s), first: %w", v.violations, v.first)
 }
 
 // Shadow exposes the shadow space for final-state comparison in tests.

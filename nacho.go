@@ -122,10 +122,6 @@ type Config struct {
 	// checkpoint intervals as duration slices, power outages and write-back
 	// verdicts on their own tracks, and an NVM-traffic counter track.
 	Perfetto io.Writer
-	// Telemetry, when non-nil, feeds the run's event stream, and its
-	// instruction count once it returns, into the server's live nacho_sim_*
-	// metrics (see ServeTelemetry).
-	Telemetry *TelemetryServer
 	// Engine selects the execution engine: "auto" (or empty) picks the
 	// fastest correct engine, "ref" the per-instruction reference
 	// interpreter, "aot" the compiled threaded-code engine. Results are
@@ -317,15 +313,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 	stats, tep := cfg.observers(&rc)
 	res, err := harness.Run(p, systems.Kind(cfg.System), rc)
-	if err := cfg.finishObservers(tep, res, err); err != nil {
+	if err := finishObservers(tep, res, err); err != nil {
 		return nil, err
 	}
 	return newResult(res, stats), nil
 }
 
 // observers assembles the run's optional probe pipeline from the config: the
-// interval-statistics collector, the Perfetto trace exporter, and the live
-// telemetry feed all observe the same event stream.
+// interval-statistics collector and the Perfetto trace exporter observe the
+// same event stream.
 func (c Config) observers(rc *harness.RunConfig) (*sim.IntervalStats, *telemetry.TraceEventProbe) {
 	var (
 		stats  *sim.IntervalStats
@@ -340,22 +336,14 @@ func (c Config) observers(rc *harness.RunConfig) (*sim.IntervalStats, *telemetry
 		tep = telemetry.NewTraceEventProbe(c.Perfetto)
 		probes = append(probes, tep)
 	}
-	if c.Telemetry != nil {
-		probes = append(probes, c.Telemetry.probe)
-	}
 	rc.Probe = sim.Combine(probes...)
 	return stats, tep
 }
 
-// finishObservers completes the observers once the run returns: it feeds
-// the run's instruction count to the live telemetry (retired instructions
-// are not probe events), terminates a Perfetto export (so the document is
-// loadable even after a failed run) and folds its write error into the run
-// error.
-func (c Config) finishObservers(tep *telemetry.TraceEventProbe, res emu.Result, runErr error) error {
-	if c.Telemetry != nil {
-		c.Telemetry.probe.Retired(res.Counters.Instructions)
-	}
+// finishObservers completes the observers once the run returns: it
+// terminates a Perfetto export (so the document is loadable even after a
+// failed run) and folds its write error into the run error.
+func finishObservers(tep *telemetry.TraceEventProbe, res emu.Result, runErr error) error {
 	if tep == nil {
 		return runErr
 	}

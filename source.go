@@ -47,7 +47,7 @@ func RunSource(name, source string, cfg Config) (*Result, error) {
 	}
 	stats, tep := cfg.observers(&rc)
 	res, err := harness.RunImage(img, systems.Kind(cfg.System), rc, false)
-	if err := cfg.finishObservers(tep, res, err); err != nil {
+	if err := finishObservers(tep, res, err); err != nil {
 		return nil, err
 	}
 	return newResult(res, stats), nil

@@ -1,6 +1,7 @@
 package nacho
 
 import (
+	"nacho/internal/fuzzer"
 	"nacho/internal/harness"
 	"nacho/internal/snapshot"
 	"nacho/internal/telemetry"
@@ -18,13 +19,12 @@ import (
 // The harness series (nacho_harness_*: runs started/completed, cache hits,
 // busy workers, simulated cycles and throughput) track every run in the
 // process, including experiment sweeps. The simulation series (nacho_sim_*:
-// accesses, write-backs by verdict, checkpoints by kind, power failures, NVM
-// traffic) additionally aggregate the event streams of runs that set
-// Config.Telemetry to this server.
+// accesses, write-backs by verdict, checkpoints, power failures, NVM
+// traffic) sum the counters of every run the process executed; a run served
+// from the run cache or the store adds nothing. Fuzzing campaigns add
+// nacho_fuzz_*, and the snapshot explorer nacho_snapshot_*.
 type TelemetryServer struct {
-	srv   *telemetry.Server
-	reg   *telemetry.Registry
-	probe *telemetry.Probe
+	srv *telemetry.Server
 }
 
 // ServeTelemetry starts a telemetry server on addr ("127.0.0.1:0" picks a
@@ -32,16 +32,16 @@ type TelemetryServer struct {
 func ServeTelemetry(addr string) (*TelemetryServer, error) {
 	reg := telemetry.NewRegistry()
 	harness.RegisterMetrics(reg)
+	fuzzer.RegisterMetrics(reg)
 	snapshot.RegisterMetrics(reg)
 	if s := harness.ActiveStore(); s != nil {
 		s.RegisterMetrics(reg) // nacho_store_*: open the RunStore before serving
 	}
-	probe := telemetry.NewProbe(reg)
 	srv, err := telemetry.NewServer(addr, reg, func() any { return harness.Status() })
 	if err != nil {
 		return nil, err
 	}
-	return &TelemetryServer{srv: srv, reg: reg, probe: probe}, nil
+	return &TelemetryServer{srv: srv}, nil
 }
 
 // Addr returns the server's bound listen address.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -56,8 +57,9 @@ func scrape(t *testing.T, url string) map[string]float64 {
 
 // TestServeTelemetryEndToEnd is the acceptance test for the live telemetry
 // server: scrapable mid-sweep, every /metrics line valid text exposition,
-// /status showing live worker-pool progress, and the nacho_sim_* series fed
-// by a telemetry-attached run.
+// /status showing live worker-pool progress, and the nacho_sim_* series
+// summing the counters of exactly the runs the process executed, with no
+// telemetry option on any run.
 func TestServeTelemetryEndToEnd(t *testing.T) {
 	ts, err := nacho.ServeTelemetry("127.0.0.1:0")
 	if err != nil {
@@ -66,9 +68,10 @@ func TestServeTelemetryEndToEnd(t *testing.T) {
 	defer ts.Close()
 	base := "http://" + ts.Addr()
 
-	// Runs feeding the sim-event series: a benchmark and a caller-supplied
-	// program.
-	run, err := nacho.Run(nacho.Config{Benchmark: "crc", OnDurationMs: 1, Telemetry: ts})
+	// A benchmark and a caller-supplied program: each executes, so each adds
+	// its counters.
+	before := scrape(t, base+"/metrics")
+	run, err := nacho.Run(nacho.Config{Benchmark: "crc", OnDurationMs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +82,35 @@ _start:
 	sw   t0, (t1)
 	li   t1, 0x000F0000
 	sw   zero, (t1)
-`, nacho.Config{Telemetry: ts})
+`, nacho.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mid := scrape(t, base+"/metrics")
+	for _, c := range []struct {
+		series string
+		want   uint64
+	}{
+		{"nacho_sim_instructions_total", run.Instructions + src.Instructions},
+		{"nacho_sim_power_failures_total", run.PowerFailures + src.PowerFailures},
+		{"nacho_harness_simulated_cycles_total", run.Cycles + src.Cycles},
+	} {
+		if got := mid[c.series] - before[c.series]; got != float64(c.want) {
+			t.Errorf("%s grew by %g over nacho.Run and nacho.RunSource, want %d", c.series, got, c.want)
+		}
+	}
+	if run.PowerFailures == 0 {
+		t.Error("the 1 ms on-duration run saw no power failure")
+	}
 
 	// An experiment sweep in the background, from an empty run cache so it
-	// executes; scrape concurrently until it finishes, validating every line
-	// of every mid-sweep exposition.
+	// executes, with a ledger recording every run; scrape concurrently until
+	// it finishes, validating every line of every mid-sweep exposition.
+	dir := t.TempDir()
+	campaign, err := nacho.StartCampaign(nacho.CampaignConfig{LedgerPath: filepath.Join(dir, "runs.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	harness.ResetRunCache()
 	done := make(chan error, 1)
 	go func() {
@@ -97,6 +121,7 @@ _start:
 		select {
 		case err := <-done:
 			if err != nil {
+				campaign.Close()
 				t.Fatal(err)
 			}
 			running = false
@@ -104,21 +129,39 @@ _start:
 			scrape(t, base+"/metrics")
 		}
 	}
+	if err := campaign.Close(); err != nil {
+		t.Fatal(err)
+	}
 
+	// The eight series with a ledger column grew by exactly the executed
+	// records' sums; cache hits add nothing.
 	samples := scrape(t, base+"/metrics")
-	if samples["nacho_harness_runs_completed_total"] < 1 {
-		t.Errorf("runs_completed = %g, want >= 1", samples["nacho_harness_runs_completed_total"])
+	sums := map[string]uint64{}
+	executed := 0
+	for _, r := range readLedgerFile(t, filepath.Join(dir, "runs.jsonl")) {
+		if r.Outcome != "ok" && r.Outcome != "error" {
+			continue
+		}
+		executed++
+		sums["nacho_harness_simulated_cycles_total"] += r.Cycles
+		sums["nacho_sim_instructions_total"] += r.Instructions
+		sums["nacho_sim_checkpoints_total"] += r.Checkpoints
+		sums["nacho_sim_nvm_read_bytes_total"] += r.NVMReadBytes
+		sums["nacho_sim_nvm_write_bytes_total"] += r.NVMWriteBytes
+		sums[`nacho_sim_accesses_total{class="hit"}`] += r.CacheHits
+		sums[`nacho_sim_accesses_total{class="miss"}`] += r.CacheMisses
+		sums["nacho_sim_power_failures_total"] += r.PowerFailures
 	}
-	if samples["nacho_harness_simulated_cycles_total"] <= 0 {
-		t.Errorf("simulated_cycles = %g, want > 0", samples["nacho_harness_simulated_cycles_total"])
+	if executed == 0 {
+		t.Fatal("the fig5 sweep's ledger has no executed record")
 	}
-	// Only the telemetry-attached runs feed the sim series: the sweep's runs
-	// carry no telemetry probe.
-	if got, want := samples["nacho_sim_instructions_total"], float64(run.Instructions+src.Instructions); got != want {
-		t.Errorf("sim instructions = %g, want %g (the telemetry-attached runs' Result.Instructions)", got, want)
+	for series, want := range sums {
+		if got := samples[series] - mid[series]; got != float64(want) {
+			t.Errorf("%s grew by %g over the fig5 sweep, want %d (the ledger's %d executed records)", series, got, want, executed)
+		}
 	}
-	if samples["nacho_sim_power_failures_total"] <= 0 {
-		t.Errorf("sim power failures = %g, want > 0 (1 ms on-duration run)", samples["nacho_sim_power_failures_total"])
+	if got := samples["nacho_harness_runs_completed_total"] - mid["nacho_harness_runs_completed_total"]; got != float64(executed) {
+		t.Errorf("runs_completed grew by %g over the fig5 sweep, want %d", got, executed)
 	}
 
 	// /status: the live pool document.
