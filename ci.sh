@@ -28,11 +28,13 @@ go test ./...
 # over the packages that regenerate experiments catches such a test.
 go test -shuffle=on ./internal/harness/ .
 # The harness race pass includes the engine-equivalence suite
-# (TestEngineEquivalence*) over both engines: the per-instruction reference
-# interpreter (ref) and the AOT threaded-code engine (aot) must produce
-# byte-identical results, including Fork/RunUntil mid-run state and the
-# fuzzer-generated programs, and, with a recording probe attached, the same
-# event stream, under the race detector too. The
+# (TestEngineEquivalence*) over both engines, which share one run loop
+# (emu's runSlice): every boundary check is made once per iteration, then
+# the AOT threaded-code engine (aot) runs its window up to the safe horizon
+# where the per-instruction reference interpreter (ref) takes one step. The
+# two must produce byte-identical results, including Fork/RunUntil mid-run
+# state and the fuzzer-generated programs, and, with a recording probe
+# attached, the same event stream, under the race detector too. The
 # snapshot/mem pass exercises the copy-on-write fork machinery (refcounted
 # leaves and pages; mem's TestForkConcurrentWriters writes concurrent forks
 # of one space) under the race detector; power rides along for its schedule
@@ -142,12 +144,21 @@ diff /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
 rm -f /tmp/nachofuzz.ci /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2 /tmp/nachofuzz.ci.serve /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
 
 # Persistent run store gate: the full fig5 matrix regenerated twice against
-# one store — the warm pass must execute zero simulations, serve every cell
-# from the store (hit counts land in the CI log via stderr), and print a
+# one store — the cold pass must leave one store object per run its timing
+# line says it executed (each run writes its entry before it returns), and
+# the warm pass must execute zero simulations, serve every cell from the
+# store (hit counts land in the CI log via stderr), and print a
 # byte-identical report.
-go test -run 'TestStore|TestWarmStoreRegeneration|TestProbedRunsBypassStore|TestCorruptStoreEntryReexecutes' ./internal/store/ ./internal/harness/
+go test -run 'TestStore|TestPut|TestWarmStoreRegeneration|TestProbedRunsBypassStore|TestCorruptStoreEntryReexecutes' ./internal/store/ ./internal/harness/
 go build -o /tmp/nachobench.ci ./cmd/nachobench
 /tmp/nachobench.ci -exp fig5 -store /tmp/nacho.ci.store >/tmp/nachobench.ci.cold 2>/tmp/nachobench.ci.cold.err
+runs=$(sed -n 's/^fig5 timing: \([0-9][0-9]*\) runs.*/\1/p' /tmp/nachobench.ci.cold.err)
+objects=$(find /tmp/nacho.ci.store/objects -type f | wc -l | tr -d ' ')
+if [ -z "$runs" ] || [ "$objects" != "$runs" ]; then
+	echo "ci.sh: the cold fig5 pass executed ${runs:-an unknown number of} runs but left $objects store objects:" >&2
+	cat /tmp/nachobench.ci.cold.err >&2
+	exit 1
+fi
 /tmp/nachobench.ci -exp fig5 -store /tmp/nacho.ci.store >/tmp/nachobench.ci.warm 2>/tmp/nachobench.ci.warm.err
 diff /tmp/nachobench.ci.cold /tmp/nachobench.ci.warm
 grep 'timing: 0 runs' /tmp/nachobench.ci.warm.err

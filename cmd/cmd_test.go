@@ -524,6 +524,33 @@ func TestNachobenchStoreWarmRegeneration(t *testing.T) {
 	}
 }
 
+// TestNachobenchStoreKeepsRunsOnErrorExit: a sweep that fails part-way exits
+// 1 through os.Exit, which skips every deferred close, yet each run it
+// executed is already in the store. fig5 on crc executes 11 runs before the
+// unknown benchmark fails the experiment.
+func TestNachobenchStoreKeepsRunsOnErrorExit(t *testing.T) {
+	bin := build(t, "cmd/nachobench")
+	storeDir := filepath.Join(t.TempDir(), "runs")
+	out, err := run(t, bin, "-exp", "fig5", "-bench", "crc,nosuch", "-store", storeDir)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("nachobench with an unknown benchmark: err = %v, want exit status 1\n%s", err, out)
+	}
+	n := 0
+	err = filepath.WalkDir(filepath.Join(storeDir, "objects"), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 11 {
+		t.Errorf("store holds %d objects after the error exit, want 11 (one per executed run)\n%s", n, out)
+	}
+}
+
 // TestNachosimStoreFlag: the single-run CLI is served from the store on its
 // second identical invocation.
 func TestNachosimStoreFlag(t *testing.T) {

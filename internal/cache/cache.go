@@ -14,11 +14,7 @@
 // one tight, allocation-free loop of word compares over adjacent memory.
 package cache
 
-import (
-	"fmt"
-
-	"nacho/internal/sim"
-)
+import "fmt"
 
 // LineSize is the cache line size in bytes (fixed at four, paper Section 5.3).
 const LineSize = 4
@@ -55,7 +51,6 @@ type Cache struct {
 	numSets   int
 	waysShift uint
 	stamp     uint64
-	probe     sim.Probe
 }
 
 // New creates a cache of sizeBytes capacity and the given associativity.
@@ -92,8 +87,8 @@ func MustNew(sizeBytes, ways int) *Cache {
 	return c
 }
 
-// Clone returns an independent deep copy of the cache — every line and the
-// LRU stamp — with no probe attached (forked machines run emission-free).
+// Clone returns an independent deep copy of the cache: every line and the
+// LRU stamp.
 func (c *Cache) Clone() *Cache {
 	n := &Cache{ways: c.ways, numSets: c.numSets, waysShift: c.waysShift, stamp: c.stamp}
 	n.lines = make([]Line, len(c.lines))
@@ -166,9 +161,6 @@ func (c *Cache) Touch(l *Line) {
 	l.lru = c.stamp
 }
 
-// AttachProbe wires an observer for line fills (nil detaches).
-func (c *Cache) AttachProbe(p sim.Probe) { c.probe = p }
-
 // Install points the line at addr's word. Metadata bits are left for the
 // controller to manage; the line becomes valid and most recently used.
 // l must belong to addr's set (it came from Victim or Set for this address).
@@ -188,9 +180,6 @@ func (c *Cache) Install(l *Line, addr uint32) {
 		panic(fmt.Sprintf("cache: Install of line outside set for addr %#x", addr))
 	}
 	c.Touch(l)
-	if c.probe != nil {
-		c.probe.OnLineFill(sim.FillEvent{Addr: addr &^ 3})
-	}
 }
 
 // ForEach visits every line (checkpoint flush walks).

@@ -175,10 +175,9 @@ func (k *Controller) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters
 
 // AttachProbe implements sim.System: the observer sees the controller's
 // access, write-back, and checkpoint events plus the events of the components
-// it owns (cache fills, NVM traffic, checkpoint staging). nil detaches.
+// it owns (NVM traffic, checkpoint staging). nil detaches.
 func (k *Controller) AttachProbe(p sim.Probe) {
 	k.probe = p
-	k.cache.AttachProbe(p)
 	k.nvm.AttachProbe(p)
 	k.ckpt.AttachProbe(p)
 }

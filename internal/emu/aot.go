@@ -17,22 +17,23 @@ import (
 // reach the memory system, and emit MMIO events, the same way.
 //
 // Correctness rests on a safe-horizon argument, which the cost model's
-// determinism makes possible. The outer loop (runSliceAOT) runs the exact
-// per-boundary checks of runSliceRef. Before entering the inline dispatch
-// loop it computes a guard (aotGuard): the smallest cycle at which any
-// boundary event — power failure, cycle budget, forced-checkpoint trigger,
-// RunUntil stop-point — could fire. Below the guard every boundary check is
-// statically false, so the inline loop may charge base cycles with a bare
-// increment and skip the checks entirely; the moment the guard trips
-// (including after a memory access whose dynamic cost jumped the clock), the
-// loop commits the pc and returns to the outer checks, which fire the event
-// at the byte-identical instant with byte-identical state. Anything the IR
-// does not specialize executes through the reference step (stepChecked), and
-// the machine commits m.pc before every call that can advance the clock, so
-// checkpoint register snapshots and mid-access power failures observe
-// exactly the reference interpreter's in-flight state. The engine-equivalence
-// suite in internal/harness enforces all of this rather than trusting the
-// argument.
+// determinism makes possible. There is one run loop (runSlice) for both
+// engines, and each of its iterations makes every per-boundary check once.
+// On this engine the iteration then computes a guard (aotGuard): the
+// smallest cycle at which any boundary event — power failure, cycle budget,
+// forced-checkpoint trigger, RunUntil stop-point — could fire. Below the
+// guard every boundary check is statically false, so the inline loop
+// (execAOT) may charge base cycles with a bare increment and skip the checks
+// entirely; the moment the guard trips (including after a memory access
+// whose dynamic cost jumped the clock), it commits the pc and returns to the
+// run loop, whose checks fire the event at the byte-identical instant with
+// byte-identical state. An empty window takes the reference step instead.
+// Anything the IR does not specialize executes through the reference step
+// (stepChecked), and the machine commits m.pc before every call that can
+// advance the clock, so checkpoint register snapshots and mid-access power
+// failures observe exactly the reference interpreter's in-flight state. The
+// engine-equivalence suite in internal/harness enforces all of this rather
+// than trusting the argument.
 //
 // For speed the dispatch loop mirrors the cycle and instruction counters in
 // local variables (registers), so guard checks and base-cycle charging never
@@ -63,7 +64,7 @@ type guardInputs struct {
 // retires. A cycleGuard at or below the current cycle means the window is
 // empty and the next instruction must take the reference step, which raises
 // the power failure, forced checkpoint, or error at the exact same instant
-// with the exact same state. Each bound mirrors one runSliceRef check. All
+// with the exact same state. Each bound mirrors one of runSlice's checks. All
 // cycle arithmetic saturates: near-2^64 inputs (NoFailure-adjacent cycles,
 // margin exceeding nextForced) must shrink the window, never wrap to a huge
 // bogus one.
@@ -99,68 +100,6 @@ func aotGuard(in guardInputs) (cycleGuard, instrGuard uint64) {
 	return u, instrGuard
 }
 
-// runSliceAOT executes the compiled IR until halt or the next power failure.
-// The loop structure and every per-boundary check mirror runSliceRef
-// line for line; only the step in the middle differs.
-func (m *Machine) runSliceAOT() error {
-	prog := m.prog
-	if prog == nil || len(prog.Code) == 0 {
-		return m.runSliceRef()
-	}
-	var (
-		maxInstr  = m.cfg.MaxInstructions
-		maxCycles = m.cfg.MaxCycles
-		period    = m.cfg.ForcedCheckpointPeriod
-		margin    = m.forcedMargin
-		code      = prog.Code
-	)
-	for !m.halted {
-		if m.stopAt != 0 && m.cycle >= m.stopAt {
-			return nil
-		}
-		if m.c.Instructions >= maxInstr {
-			return fmt.Errorf("emu: instruction limit %d exceeded at pc=0x%08x", maxInstr, m.pc)
-		}
-		if maxCycles > 0 && m.cycle >= maxCycles {
-			return fmt.Errorf("emu: %w (%d cycles) at pc=0x%08x", ErrCycleBudget, maxCycles, m.pc)
-		}
-		if period > 0 && m.nextForced != power.NoFailure && satAdd(m.cycle, margin) >= m.nextForced {
-			m.sys.ForceCheckpoint()
-			for m.nextForced != power.NoFailure && m.nextForced <= satAdd(m.cycle, margin) {
-				m.nextForced = satAdd(m.nextForced, period)
-			}
-			if err := m.stepChecked(); err != nil {
-				return err
-			}
-			continue
-		}
-		cycleGuard, instrGuard := aotGuard(guardInputs{
-			cycle:       m.cycle,
-			failEnabled: m.failEnabled,
-			nextFailure: m.nextFailure,
-			maxCycles:   maxCycles,
-			maxInstr:    maxInstr,
-			period:      period,
-			margin:      margin,
-			nextForced:  m.nextForced,
-			stopAt:      m.stopAt,
-		})
-		if m.cycle >= cycleGuard || m.c.Instructions >= instrGuard {
-			// Inside the unsafe horizon: the reference step raises the
-			// event (or executes the final pre-event instructions) exactly
-			// as runSliceRef would.
-			if err := m.stepChecked(); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := m.execAOT(code, cycleGuard, instrGuard); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // execAOT is the inline dispatch loop. Entry contract: m.cycle < cycleGuard
 // and m.c.Instructions < instrGuard (so at least one instruction executes),
 // no trace is attached, and m.pc is the next instruction to execute. The
@@ -168,7 +107,7 @@ func (m *Machine) runSliceAOT() error {
 // and commits them to the machine before anything that can observe it
 // (memory systems, NotifySP, the reference step, the PowerFail panic) and
 // at every exit. It returns nil when the guard trips, control leaves the
-// text segment (the outer loop's reference step then reports the identical
+// text segment (the run loop's reference step then reports the identical
 // fetch error), or the program halts.
 func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) error {
 	var (
@@ -186,7 +125,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 	ins := m.c.Instructions
 	for {
 		// idx == nCode when sequential flow ran off the end of the text
-		// segment; the outer loop's reference step reports the fetch error.
+		// segment; the run loop's reference step reports the fetch error.
 		if idx >= nCode || cyc >= cycleGuard || ins >= instrGuard {
 			m.cycle, m.c.Instructions, m.pc = cyc, ins, pc
 			return nil
@@ -495,7 +434,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 			if o := pc - textBase; pc%4 == 0 && o>>2 < nCode {
 				idx = o >> 2
 			} else {
-				return nil // outer loop reports the fetch error
+				return nil // the run loop reports the fetch error
 			}
 		}
 	}

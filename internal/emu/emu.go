@@ -261,18 +261,7 @@ func (m *Machine) applySnapshot(s sim.Snapshot) {
 // Run executes until the program halts (a store to ExitAddr or an EBREAK),
 // handling power failures along the way.
 func (m *Machine) Run() (Result, error) {
-	var runErr error
-	for !m.halted && runErr == nil {
-		err := m.runSlice()
-		switch {
-		case err == nil:
-			// halted
-		case errors.Is(err, errPowerFail):
-			m.reboot()
-		default:
-			runErr = err
-		}
-	}
+	runErr := m.run()
 	if m.halted && runErr == nil && m.cfg.FinalFlush {
 		// The job is done: persist whatever is still dirty. The device only
 		// runs this final commit when it has the energy for it, so failures
@@ -301,20 +290,27 @@ func (m *Machine) Run() (Result, error) {
 // is performed. The snapshot-fork explorer uses it to advance a shared
 // prefix machine from one checkpoint boundary to the next.
 func (m *Machine) RunUntil(target uint64) (halted bool, err error) {
-	m.stopAt = target
-	defer func() { m.stopAt = 0 }()
-	for !m.halted && err == nil && m.cycle < target {
-		e := m.runSlice()
-		switch {
-		case e == nil:
-			// halted or reached target
-		case errors.Is(e, errPowerFail):
-			m.reboot()
-		default:
-			err = e
-		}
+	if m.cycle < target {
+		m.stopAt = target
+		defer func() { m.stopAt = 0 }()
+		err = m.run()
 	}
 	return m.halted, err
+}
+
+// run is the reboot loop Run and RunUntil share: it executes slices until
+// the program halts, a slice fails, or the clock reaches the RunUntil stop
+// (stopAt, 0 for none), running the reboot path after each power failure.
+func (m *Machine) run() error {
+	for !m.halted && (m.stopAt == 0 || m.cycle < m.stopAt) {
+		err := m.runSlice()
+		if errors.Is(err, errPowerFail) {
+			m.reboot()
+		} else if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Fork returns an independent copy of the machine mid-run, executing under
@@ -357,9 +353,15 @@ func (m *Machine) System() sim.System { return m.sys }
 // Halted reports whether the program has halted.
 func (m *Machine) Halted() bool { return m.halted }
 
-// runSlice executes instructions until halt or the next power failure on
-// the engine New resolved (Engine.Executed): the AOT IR interpreter or the
-// reference loop. Both produce byte-identical results and probe streams.
+// runSlice is the run loop of both engines. It executes instructions until
+// halt, the RunUntil stop, or the next power failure, making every
+// per-boundary check (stop, instruction limit, cycle budget, forced
+// checkpoint) once per iteration. On the AOT engine an iteration then runs
+// execAOT up to aotGuard's safe horizon when that window is non-empty; every
+// other iteration — the reference engine, a forced checkpoint, an unsafe
+// horizon, an image with no IR — takes one reference step. The event the
+// checks fire therefore lands at the same instant with the same state on
+// either engine.
 func (m *Machine) runSlice() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -370,17 +372,10 @@ func (m *Machine) runSlice() (err error) {
 			panic(r)
 		}
 	}()
-	if m.engine == EngineAOT {
-		return m.runSliceAOT()
+	var code []compile.Inst
+	if m.engine == EngineAOT && m.prog != nil {
+		code = m.prog.Code
 	}
-	return m.runSliceRef()
-}
-
-// runSliceRef is the per-instruction reference loop: every instruction pays
-// the limit, budget, and forced-checkpoint checks individually. It is the
-// behavioral specification the AOT engine is tested against, and the only
-// loop that feeds the per-instruction trace.
-func (m *Machine) runSliceRef() error {
 	for !m.halted {
 		if m.stopAt != 0 && m.cycle >= m.stopAt {
 			return nil
@@ -397,20 +392,35 @@ func (m *Machine) runSliceRef() error {
 			for m.nextForced != power.NoFailure && m.nextForced <= satAdd(m.cycle, m.forcedMargin) {
 				m.nextForced = satAdd(m.nextForced, m.cfg.ForcedCheckpointPeriod)
 			}
+		} else if len(code) > 0 {
+			cycleGuard, instrGuard := aotGuard(guardInputs{
+				cycle:       m.cycle,
+				failEnabled: m.failEnabled,
+				nextFailure: m.nextFailure,
+				maxCycles:   m.cfg.MaxCycles,
+				maxInstr:    m.cfg.MaxInstructions,
+				period:      m.cfg.ForcedCheckpointPeriod,
+				margin:      m.forcedMargin,
+				nextForced:  m.nextForced,
+				stopAt:      m.stopAt,
+			})
+			if m.cycle < cycleGuard && m.c.Instructions < instrGuard {
+				if err := m.execAOT(code, cycleGuard, instrGuard); err != nil {
+					return err
+				}
+				continue
+			}
 		}
-		if e := m.step(); e != nil {
-			return e
-		}
-		if m.stackFault {
-			return fmt.Errorf("emu: stack pointer 0x%08x left the stack region at pc=0x%08x", m.regs[isa.SP], m.pc)
+		if err := m.stepChecked(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // stepChecked is one reference-path instruction plus the stack-fault check
-// that follows every step (the AOT engine's fallback for anything it does
-// not specialize).
+// that follows every step: the reference engine's whole step, and the AOT
+// engine's fallback for anything it does not run natively.
 func (m *Machine) stepChecked() error {
 	if err := m.step(); err != nil {
 		return err

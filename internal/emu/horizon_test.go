@@ -85,7 +85,7 @@ func TestBatchHorizonTable(t *testing.T) {
 			in.nextForced = inf - 5
 		}, inf - 4101, b},
 		// A saturated nextForced disables the forced bound entirely (the
-		// trigger in both run loops skips it the same way).
+		// run loop's forced-checkpoint trigger skips it the same way).
 		{"forced-saturated", func(in *guardInputs) {
 			in.cycle = inf - 200
 			in.period = 100
@@ -229,8 +229,10 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 // and on NACHO, the engines must agree on the state (cycle, pc, registers,
 // counters and error) after RunUntil(t) and after resuming, and after runs
 // from boot that fail at t, exceed a cycle budget of t, or exceed an
-// instruction limit of t. With forced checkpoints the run is longer, and the
-// failure instant sweeps all of it.
+// instruction limit of t; and each engine's RunUntil(t) must stop at the
+// first instruction boundary at or past t, neither earlier nor later. With
+// forced checkpoints the run is longer, and the failure instant sweeps all
+// of it.
 func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
 	type state struct {
 		halted bool
@@ -275,6 +277,16 @@ func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
 				at := snap(m, err)
 				if !at.halted && at.cycle < target && err == nil {
 					t.Fatalf("%s target %d: %s stopped early at %d without halting", kind, target, engine, at.cycle)
+				}
+				// Nor late, halted or not: one instruction earlier the clock
+				// was still below target (the boundary an instruction limit
+				// stops at).
+				if n := at.c.Instructions; n > 1 {
+					prev := horizonTestMachine(t, kind, Config{Engine: engine, MaxInstructions: n - 1})
+					if _, err := prev.Run(); err == nil || prev.cycle >= target {
+						t.Fatalf("%s target %d: %s stopped at %d after %d instructions, but %d instructions already reach cycle %d (err %v)",
+							kind, target, engine, at.cycle, n, n-1, prev.cycle, err)
+					}
 				}
 				// Resuming after a bounded run must finish exactly like an
 				// unbounded one.

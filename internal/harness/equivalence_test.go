@@ -162,7 +162,6 @@ func (l *eventLog) add(kind string, e any) {
 	l.events = append(l.events, fmt.Sprintf("%s%+v", kind, e))
 }
 func (l *eventLog) OnAccess(e sim.AccessEvent)       { l.add("access", e) }
-func (l *eventLog) OnLineFill(e sim.FillEvent)       { l.add("fill", e) }
 func (l *eventLog) OnWriteBack(e sim.WriteBackEvent) { l.add("writeback", e) }
 func (l *eventLog) OnCheckpointBegin(e sim.CheckpointEvent) {
 	l.add("ckpt-begin", e)

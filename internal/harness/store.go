@@ -11,13 +11,14 @@ import (
 
 // The persistent run store: the in-process singleflight cache promoted to an
 // on-disk, process- and machine-shareable tier. The integration is
-// read-through/write-behind at the single choke point every cacheable run
+// read-through/write-through at the single choke point every cacheable run
 // funnels through (runImageStored): a verified store entry short-circuits the
-// simulation entirely, a miss executes and queues the result for write-behind
-// persistence. Probed and traced runs bypass the store on BOTH read and write
-// — the caller wants their instrumentation side effects, which a stored
-// record cannot replay, so an observed run must never be served a stored
-// record, nor record one for an unobserved request (see
+// simulation entirely, and a miss executes and writes its entry before the
+// run returns, so the entry is on disk even when the process then exits
+// without closing the store. Probed and traced runs bypass the store on BOTH
+// read and write — the caller wants their instrumentation side effects, which
+// a stored record cannot replay, so an observed run must never be served a
+// stored record, nor record one for an unobserved request (see
 // TestProbedRunsBypassStore).
 
 // activeStore is the installed persistent store, nil when disabled.
@@ -25,8 +26,7 @@ var activeStore atomic.Pointer[store.Store]
 
 // SetStore installs (or, with nil, removes) the persistent run store every
 // subsequent cacheable run reads and writes through, returning the previous
-// one. The caller keeps ownership: closing or flushing the store remains its
-// job.
+// one. The caller keeps ownership: closing the store remains its job.
 func SetStore(s *store.Store) *store.Store {
 	prev := activeStore.Swap(s)
 	return prev
@@ -72,7 +72,7 @@ func entryResult(e *store.Entry) (emu.Result, error) {
 }
 
 // runImageStored is the store-aware run path: the request's execution plus
-// a persistent-store read-through and write-behind, reporting whether the
+// a persistent-store read-through and write-through, reporting whether the
 // result was served from the store without executing. Every cacheable caller
 // — the public Run and RunImage, and the run cache's owner path — funnels
 // through here; RunImageSys stays store-free because its callers read
@@ -91,6 +91,8 @@ func runImageStored(r *request) (emu.Result, error, bool) {
 		return res, err, true
 	}
 	res, _, err := r.execute()
-	s.PutAsync(entryFor(*key, res, err))
+	// A failed write costs only a re-execution on the next request, and Put
+	// counts it for Stats and keeps it for Close, so the result stands.
+	_ = s.Put(entryFor(*key, res, err))
 	return res, err, false
 }

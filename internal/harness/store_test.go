@@ -25,7 +25,9 @@ func withStore(t *testing.T) *store.Store {
 	prev := SetStore(s)
 	t.Cleanup(func() {
 		SetStore(prev)
-		s.Close()
+		if err := s.Close(); err != nil {
+			t.Errorf("store write error: %v", err)
+		}
 	})
 	return s
 }
@@ -34,15 +36,12 @@ func withStore(t *testing.T) *store.Store {
 // store-served result is identical — counters, registers, output, words — to
 // the executed one it replays.
 func TestStoreRoundTripResult(t *testing.T) {
-	s := withStore(t)
+	withStore(t)
 	p := mustProgram(t, "crc")
 	cfg := DefaultRunConfig()
 
 	cold, err := Run(p, systems.KindNACHO, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	before := Status()
@@ -66,7 +65,7 @@ func TestStoreRoundTripResult(t *testing.T) {
 // deterministically, so an error outcome is served from the store with the
 // same message and no re-execution.
 func TestStoreCachesErrorOutcome(t *testing.T) {
-	s := withStore(t)
+	withStore(t)
 	p := mustProgram(t, "crc")
 	cfg := DefaultRunConfig()
 	cfg.MaxInstructions = 10 // far below the benchmark's length: guaranteed budget error
@@ -74,9 +73,6 @@ func TestStoreCachesErrorOutcome(t *testing.T) {
 	_, coldErr := Run(p, systems.KindNACHO, cfg)
 	if coldErr == nil {
 		t.Fatal("10-instruction budget did not fail")
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	before := Status()
 	_, warmErr := Run(p, systems.KindNACHO, cfg)
@@ -93,15 +89,12 @@ func TestStoreCachesErrorOutcome(t *testing.T) {
 // byte-identical to the cold one. Each pass starts from an empty run cache,
 // as a fresh process would, so the warm pass reads the store.
 func TestWarmStoreRegeneration(t *testing.T) {
-	s := withStore(t)
+	withStore(t)
 	benchmarks := []string{"crc", "aes"}
 
 	ResetRunCache()
 	cold, err := RunNamedExperiment("fig5", benchmarks)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	ResetRunCache()
@@ -139,9 +132,6 @@ func TestProbedRunsBypassStore(t *testing.T) {
 	if _, err := Run(p, systems.KindNACHO, probed); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if n, err := s.Count(); err != nil || n != 0 {
 		t.Fatalf("probed run wrote %d store entries (err %v), want 0", n, err)
 	}
@@ -151,9 +141,6 @@ func TestProbedRunsBypassStore(t *testing.T) {
 
 	// Populate the store with the unprobed twin of the same configuration.
 	if _, err := Run(p, systems.KindNACHO, DefaultRunConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.Count(); n != 1 {
@@ -174,9 +161,6 @@ func TestProbedRunsBypassStore(t *testing.T) {
 	if got := Status().StoreHits - storeHitsBefore; got != 0 {
 		t.Errorf("probed run counted %d store hits, want 0", got)
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if n, _ := s.Count(); n != 1 {
 		t.Error("probed run added a store entry")
 	}
@@ -192,9 +176,6 @@ func TestCorruptStoreEntryReexecutes(t *testing.T) {
 
 	cold, err := Run(p, systems.KindNACHO, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,9 +211,6 @@ func TestCorruptStoreEntryReexecutes(t *testing.T) {
 	}
 
 	// The re-execution re-stored the entry: next request is a hit again.
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	before = Status()
 	if _, err := Run(p, systems.KindNACHO, cfg); err != nil {
 		t.Fatal(err)
@@ -246,7 +224,7 @@ func TestCorruptStoreEntryReexecutes(t *testing.T) {
 // intends: a cell stored by a run on the reference interpreter is served to
 // an AOT request without executing.
 func TestStoreServesAcrossEngines(t *testing.T) {
-	s := withStore(t)
+	withStore(t)
 	p := mustProgram(t, "crc")
 	cfg := DefaultRunConfig()
 	cfg.Verify = false // a verified run executes on ref whatever the engine
@@ -254,9 +232,6 @@ func TestStoreServesAcrossEngines(t *testing.T) {
 
 	ref, err := Run(p, systems.KindNACHO, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Engine = emu.EngineAOT

@@ -285,8 +285,6 @@ var counterSeries = []struct {
 		field: func(c *metrics.Counters) uint64 { return c.CheckpointLines }},
 	{name: "nacho_sim_checkpoint_lines_max", help: "Dirty cache lines in the largest single checkpoint of any run.", gauge: true,
 		field: func(c *metrics.Counters) uint64 { return c.MaxCheckpointLines }},
-	{name: "nacho_sim_checkpoints_aborted_total", help: "Checkpoints interrupted by a power failure before commit.",
-		field: func(c *metrics.Counters) uint64 { return c.AbortedCkpts }},
 	{name: "nacho_sim_checkpoints_forced_total", help: "Periodic forward-progress checkpoints.",
 		field: func(c *metrics.Counters) uint64 { return c.ForcedCkpts }},
 	{name: "nacho_sim_checkpoints_adaptive_total", help: "Dirty-threshold policy checkpoints.",

@@ -25,7 +25,6 @@ type Counters struct {
 	Checkpoints        uint64 // committed checkpoints
 	CheckpointLines    uint64 // dirty cache lines persisted by checkpoints
 	MaxCheckpointLines uint64 // largest single checkpoint (capacitor sizing)
-	AbortedCkpts       uint64 // checkpoints interrupted by a power failure before commit
 	ForcedCkpts        uint64 // periodic forward-progress checkpoints (intermittent runs)
 	AdaptiveCkpts      uint64 // dirty-threshold checkpoints (Section 8 adaptive policy)
 
@@ -67,7 +66,6 @@ func (c *Counters) Add(other Counters) {
 	if other.MaxCheckpointLines > c.MaxCheckpointLines {
 		c.MaxCheckpointLines = other.MaxCheckpointLines
 	}
-	c.AbortedCkpts += other.AbortedCkpts
 	c.ForcedCkpts += other.ForcedCkpts
 	c.AdaptiveCkpts += other.AdaptiveCkpts
 	c.NVMReads += other.NVMReads
@@ -142,7 +140,7 @@ func (c Counters) Diff(o Counters) []string {
 // String renders the counters as an aligned human-readable block. It walks
 // the struct fields the same way Diff does, so a newly added counter can
 // never silently drop out of the rendering (the old hand-maintained row list
-// omitted Loads, Stores, AbortedCkpts, AdaptiveCkpts, Regions, RestoreCycles,
+// omitted Loads, Stores, AdaptiveCkpts, Regions, RestoreCycles,
 // MaxCheckpointLines and the interval histogram).
 func (c *Counters) String() string {
 	var b strings.Builder

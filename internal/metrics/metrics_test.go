@@ -10,7 +10,7 @@ import (
 func TestAddAccumulatesEveryField(t *testing.T) {
 	a := Counters{
 		Cycles: 1, Instructions: 2, Checkpoints: 3, CheckpointLines: 4,
-		AbortedCkpts: 5, ForcedCkpts: 6, NVMReads: 7, NVMWrites: 8,
+		ForcedCkpts: 6, NVMReads: 7, NVMWrites: 8,
 		NVMReadBytes: 9, NVMWriteBytes: 10, CacheHits: 11, CacheMisses: 12,
 		Evictions: 13, SafeEvictions: 14, UnsafeEvictions: 15,
 		DroppedStackLines: 16, Regions: 17, PowerFailures: 18, RestoreCycles: 19,
@@ -107,9 +107,9 @@ func fillDistinct(c *Counters) {
 }
 
 // TestStringIncludesEveryField is the regression net for the old
-// hand-maintained String, which silently omitted eight fields (Loads, Stores,
-// AbortedCkpts, AdaptiveCkpts, Regions, RestoreCycles, MaxCheckpointLines and
-// the interval histogram): every field's distinct value must render.
+// hand-maintained String, which silently omitted seven of today's fields
+// (Loads, Stores, AdaptiveCkpts, Regions, RestoreCycles, MaxCheckpointLines
+// and the interval histogram): every field's distinct value must render.
 func TestStringIncludesEveryField(t *testing.T) {
 	var c Counters
 	fillDistinct(&c)
@@ -143,23 +143,22 @@ func TestStringGolden(t *testing.T) {
   checkpoints                     500
   checkpoint lines                600
   max checkpoint lines            700
-  aborted ckpts                   800
-  forced ckpts                    900
-  adaptive ckpts                 1000
-  nvm reads                      1100
-  nvm writes                     1200
-  nvm read bytes                 1300
-  nvm write bytes                1400
-  cache hits                     1500
-  cache misses                   1600
-  evictions                      1700
-  safe evictions                 1800
-  unsafe evictions               1900
-  dropped stack lines            2000
-  regions                        2100
-  interval hist          2200/2201/2202/2203  (<1k / <10k / <100k / >=100k cycles)
-  power failures                 2300
-  restore cycles                 2400
+  forced ckpts                    800
+  adaptive ckpts                  900
+  nvm reads                      1000
+  nvm writes                     1100
+  nvm read bytes                 1200
+  nvm write bytes                1300
+  cache hits                     1400
+  cache misses                   1500
+  evictions                      1600
+  safe evictions                 1700
+  unsafe evictions               1800
+  dropped stack lines            1900
+  regions                        2000
+  interval hist          2100/2101/2102/2103  (<1k / <10k / <100k / >=100k cycles)
+  power failures                 2200
+  restore cycles                 2300
 `
 	if got := c.String(); got != want {
 		t.Errorf("String() drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
@@ -171,7 +170,7 @@ func TestFieldLabel(t *testing.T) {
 		"Cycles":             "cycles",
 		"NVMReadBytes":       "nvm read bytes",
 		"MaxCheckpointLines": "max checkpoint lines",
-		"AbortedCkpts":       "aborted ckpts",
+		"ForcedCkpts":        "forced ckpts",
 		"IntervalHist":       "interval hist",
 	} {
 		if got := fieldLabel(name); got != want {

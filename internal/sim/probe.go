@@ -2,16 +2,16 @@ package sim
 
 // This file defines the instrumentation seam of the simulator: a typed
 // observer interface (Probe) that every event producer — the emulator, the
-// generic cache, the NACHO controller, the checkpoint store, and each
-// comparison system — emits through. The correctness verifier, the
-// per-interval statistics collector and the Perfetto exporter are Probe
-// implementations; production counters stay directly updated for the
-// no-probe fast path, and the live nacho_sim_* series sum those counters
-// over executed runs, so they need no probe. Every event is a memory-system,
-// checkpoint or power event, so both execution engines emit the same stream.
-// Retired instructions are not events: the per-instruction trace recorder
-// is fed by the emulator directly (see emu.Config.Trace), and the run's
-// counters carry the instruction count.
+// NACHO controller, the NVM, the checkpoint store, and each comparison
+// system — emits through. The correctness verifier, the per-interval
+// statistics collector and the Perfetto exporter are Probe implementations;
+// production counters stay directly updated for the no-probe fast path, and
+// the live nacho_sim_* series sum those counters over executed runs, so they
+// need no probe. Every event is a memory-system, checkpoint or power event,
+// so both execution engines emit the same stream. Retired instructions are
+// not events: the per-instruction trace recorder is fed by the emulator
+// directly (see emu.Config.Trace), and the run's counters carry the
+// instruction count.
 //
 // Emission contract: every producer holds a Probe field that is nil when no
 // observer is attached, and guards each emission with a plain nil check
@@ -67,11 +67,6 @@ type AccessEvent struct {
 	Value uint32
 	Store bool
 	Class AccessClass
-}
-
-// FillEvent is a cache line installation (a fill after a miss).
-type FillEvent struct {
-	Addr uint32 // line-aligned word address
 }
 
 // Verdict classifies a dirty line leaving the cache (or, for cacheless
@@ -200,7 +195,6 @@ type NVMEvent struct {
 // implement only the hooks of interest.
 type Probe interface {
 	OnAccess(AccessEvent)
-	OnLineFill(FillEvent)
 	OnWriteBack(WriteBackEvent)
 	OnCheckpointBegin(CheckpointEvent)
 	OnCheckpointCommit(CheckpointEvent)
@@ -215,9 +209,6 @@ type NopProbe struct{}
 
 // OnAccess implements Probe.
 func (NopProbe) OnAccess(AccessEvent) {}
-
-// OnLineFill implements Probe.
-func (NopProbe) OnLineFill(FillEvent) {}
 
 // OnWriteBack implements Probe.
 func (NopProbe) OnWriteBack(WriteBackEvent) {}
@@ -251,13 +242,6 @@ func (ps *Probes) Add(p Probe) {
 func (ps Probes) OnAccess(e AccessEvent) {
 	for _, p := range ps {
 		p.OnAccess(e)
-	}
-}
-
-// OnLineFill implements Probe.
-func (ps Probes) OnLineFill(e FillEvent) {
-	for _, p := range ps {
-		p.OnLineFill(e)
 	}
 }
 

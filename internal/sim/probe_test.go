@@ -7,11 +7,10 @@ import (
 
 // eventCounter records how many times each hook fired.
 type eventCounter struct {
-	access, fill, writeBack, begin, commit, power, restore, nvm int
+	access, writeBack, begin, commit, power, restore, nvm int
 }
 
 func (c *eventCounter) OnAccess(AccessEvent)               { c.access++ }
-func (c *eventCounter) OnLineFill(FillEvent)               { c.fill++ }
 func (c *eventCounter) OnWriteBack(WriteBackEvent)         { c.writeBack++ }
 func (c *eventCounter) OnCheckpointBegin(CheckpointEvent)  { c.begin++ }
 func (c *eventCounter) OnCheckpointCommit(CheckpointEvent) { c.commit++ }
@@ -22,7 +21,6 @@ func (c *eventCounter) OnNVM(NVMEvent)                     { c.nvm++ }
 // emitOneOfEach fires every hook exactly once.
 func emitOneOfEach(p Probe) {
 	p.OnAccess(AccessEvent{})
-	p.OnLineFill(FillEvent{})
 	p.OnWriteBack(WriteBackEvent{})
 	p.OnCheckpointBegin(CheckpointEvent{})
 	p.OnCheckpointCommit(CheckpointEvent{})
@@ -60,7 +58,7 @@ func TestProbesFanOut(t *testing.T) {
 		t.Fatalf("Add kept %d probes, want 2 (nil must be dropped)", len(ps))
 	}
 	emitOneOfEach(ps)
-	want := eventCounter{1, 1, 1, 1, 1, 1, 1, 1}
+	want := eventCounter{1, 1, 1, 1, 1, 1, 1}
 	if *a != want || *b != want {
 		t.Errorf("fan-out mismatch: a=%+v b=%+v, want every hook fired once", *a, *b)
 	}

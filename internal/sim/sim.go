@@ -87,8 +87,8 @@ type System interface {
 	Attach(clk Clock, regs RegSource, c *metrics.Counters)
 
 	// AttachProbe wires an event observer into the system and every
-	// component it owns (cache, NVM, checkpoint store); nil detaches. Call
-	// it before execution; the no-probe path must stay emission-free.
+	// component it owns that emits (NVM, checkpoint store); nil detaches.
+	// Call it before execution; the no-probe path must stay emission-free.
 	AttachProbe(p Probe)
 
 	// Load performs a data read of size bytes (1, 2 or 4, naturally aligned).

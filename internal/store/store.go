@@ -76,38 +76,15 @@ type Store struct {
 	writeErrors    atomic.Uint64
 
 	errMu    sync.Mutex
-	writeErr error // first asynchronous write error (sticky)
-
-	// lifeMu serializes queue sends against Close, so a send can never race
-	// the channel close. The writer goroutine itself never takes it.
-	lifeMu sync.Mutex
-	closed bool
-	queue  chan putReq
-	done   chan struct{}
+	writeErr error // first write error (sticky), returned by Close
 }
 
-// putReq is one write-behind unit: an entry to persist, or (entry nil) a
-// flush sentinel whose ack closes once everything queued before it is on
-// disk.
-type putReq struct {
-	digest string
-	entry  *Entry
-	ack    chan struct{}
-}
-
-// Open opens (creating if needed) a store rooted at dir and starts its
-// write-behind worker.
+// Open opens (creating if needed) a store rooted at dir.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o777); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{
-		dir:   dir,
-		queue: make(chan putReq, 256),
-		done:  make(chan struct{}),
-	}
-	go s.writer()
-	return s, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -192,12 +169,22 @@ func decodeEntry(raw []byte, digest string) (*Entry, bool) {
 	return &entry, true
 }
 
-// Put writes an entry synchronously: temp file in the final directory, then
-// an atomic rename. Readers either see the complete checksummed file or
-// nothing.
+// Put writes an entry on the caller's goroutine: temp file in the final
+// directory, then an atomic rename, so the entry is on disk when Put returns
+// and readers either see the complete checksummed file or nothing. A failed
+// write is counted in Stats.WriteErrors, and the first one is kept for Close.
 func (s *Store) Put(e *Entry) error {
 	e.V = EntryVersion
-	return s.put(e.Key.Digest(), e)
+	err := s.put(e.Key.Digest(), e)
+	if err != nil {
+		s.writeErrors.Add(1)
+		s.errMu.Lock()
+		if s.writeErr == nil {
+			s.writeErr = err
+		}
+		s.errMu.Unlock()
+	}
+	return err
 }
 
 func (s *Store) put(digest string, e *Entry) error {
@@ -230,76 +217,12 @@ func (s *Store) put(digest string, e *Entry) error {
 	return nil
 }
 
-// PutAsync queues an entry on the write-behind worker and returns
-// immediately; the simulation hot path never waits on disk. A full queue
-// applies back-pressure rather than dropping results. Errors are sticky and
-// surfaced by Flush/Close. PutAsync after Close falls back to a synchronous
-// write so late results are never lost.
-func (s *Store) PutAsync(e *Entry) {
-	e.V = EntryVersion
-	digest := e.Key.Digest()
-	s.lifeMu.Lock()
-	if s.closed {
-		s.lifeMu.Unlock()
-		s.recordWriteErr(s.put(digest, e))
-		return
-	}
-	s.queue <- putReq{digest: digest, entry: e}
-	s.lifeMu.Unlock()
-}
-
-func (s *Store) writer() {
-	defer close(s.done)
-	for req := range s.queue {
-		if req.entry == nil {
-			close(req.ack)
-			continue
-		}
-		s.recordWriteErr(s.put(req.digest, req.entry))
-	}
-}
-
-func (s *Store) recordWriteErr(err error) {
-	if err == nil {
-		return
-	}
-	s.writeErrors.Add(1)
-	s.errMu.Lock()
-	if s.writeErr == nil {
-		s.writeErr = err
-	}
-	s.errMu.Unlock()
-}
-
-// Flush blocks until every entry queued before the call is durably written,
-// and returns the first asynchronous write error encountered so far.
-func (s *Store) Flush() error {
-	s.lifeMu.Lock()
-	if s.closed {
-		s.lifeMu.Unlock()
-	} else {
-		ack := make(chan struct{})
-		s.queue <- putReq{ack: ack}
-		s.lifeMu.Unlock()
-		<-ack
-	}
+// Close returns the first write error over the store's lifetime. The store
+// holds no open resources, so it stays readable and writable after Close.
+func (s *Store) Close() error {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()
 	return s.writeErr
-}
-
-// Close drains the write-behind queue, stops the worker, and returns the
-// first write error. The store remains readable, and synchronous writes
-// still work, after Close.
-func (s *Store) Close() error {
-	s.lifeMu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
-	s.lifeMu.Unlock()
-	<-s.done
-	return s.Flush()
 }
 
 // Count walks the store and returns the number of entries on disk,

@@ -151,7 +151,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPutAsyncFlush(t *testing.T) {
+func TestPutSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -161,11 +161,11 @@ func TestPutAsyncFlush(t *testing.T) {
 		k := testKey()
 		k.CacheSize = 1 << uint(i%20)
 		k.Ways = i
-		s.PutAsync(testEntry(k))
+		if err := s.Put(testEntry(k)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	// Each entry is on disk when its Put returns: no Close needed first.
 	if n, err := s.Count(); err != nil || n != 50 {
 		t.Fatalf("Count = %d, %v; want 50", n, err)
 	}
@@ -184,12 +184,54 @@ func TestPutAsyncFlush(t *testing.T) {
 	if _, ok := s2.Get(k); !ok {
 		t.Fatal("entry lost across reopen")
 	}
-	// PutAsync after Close degrades to a synchronous write, never a loss.
+	// The store holds nothing open, so a Put after Close still writes.
 	late := testKey()
 	late.Program = "late"
-	s.PutAsync(testEntry(late))
+	if err := s.Put(testEntry(late)); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := s2.Get(late); !ok {
-		t.Fatal("PutAsync after Close lost the entry")
+		t.Fatal("Put after Close lost the entry")
+	}
+}
+
+// TestPutWriteError: a write that cannot create its fan-out directory fails
+// on the caller's goroutine, is counted, and is the error Close returns;
+// entries in other fan-out directories still write. A regular file where the
+// directory belongs makes MkdirAll fail even for root.
+func TestPutWriteError(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey()
+	fan := filepath.Dir(s.objectPath(k.Digest()))
+	if err := os.WriteFile(fan, nil, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	perr := s.Put(testEntry(k))
+	if perr == nil {
+		t.Fatal("Put under a blocked fan-out directory succeeded")
+	}
+	if st := s.Stats(); st.WriteErrors != 1 || st.Puts != 0 {
+		t.Fatalf("stats after the failed Put = %+v, want WriteErrors 1, Puts 0", st)
+	}
+	other := testKey()
+	for i := 0; filepath.Dir(s.objectPath(other.Digest())) == fan; i++ {
+		other.Ways = i
+	}
+	if err := s.Put(testEntry(other)); err != nil {
+		t.Fatalf("Put to another fan-out directory: %v", err)
+	}
+	if _, ok := s.Get(other); !ok {
+		t.Fatal("entry written after a failed Put missed")
+	}
+	if st := s.Stats(); st.WriteErrors != 1 || st.Puts != 1 {
+		t.Fatalf("stats after the second Put = %+v, want WriteErrors 1, Puts 1", st)
+	}
+	if err := s.Close(); err != perr {
+		t.Fatalf("Close = %v, want the first write error %v", err, perr)
 	}
 }
 
@@ -318,7 +360,9 @@ func TestConcurrentPutGet(t *testing.T) {
 				k := testKey()
 				k.Ways = i
 				k.DirtyThreshold = w % 2 // overlap digests across goroutines
-				s.PutAsync(testEntry(k))
+				if err := s.Put(testEntry(k)); err != nil {
+					t.Error(err)
+				}
 				s.Get(k)
 			}
 		}(w)
@@ -326,7 +370,7 @@ func TestConcurrentPutGet(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		<-done
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := s.Count(); err != nil || n != 50 {

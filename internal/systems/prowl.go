@@ -65,8 +65,7 @@ func (p *PROWL) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) {
 	p.ckpt.Init(regs.RegSnapshot())
 }
 
-// AttachProbe implements sim.System. PROWL owns its line storage directly
-// (skewed 2-way, no cache.Cache), so it emits its own fill events.
+// AttachProbe implements sim.System.
 func (p *PROWL) AttachProbe(probe sim.Probe) {
 	p.probe = probe
 	p.nvm.AttachProbe(probe)
@@ -178,9 +177,6 @@ func (p *PROWL) access(addr uint32, isRead bool, size int) (*cache.Line, bool) {
 		line.Data = p.nvm.Read(addr&^3, 4)
 	} else {
 		line.Data = 0
-	}
-	if p.probe != nil {
-		p.probe.OnLineFill(sim.FillEvent{Addr: addr &^ 3})
 	}
 	return line, false
 }

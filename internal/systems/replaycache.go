@@ -81,7 +81,6 @@ func (r *ReplayCache) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Count
 // AttachProbe implements sim.System.
 func (r *ReplayCache) AttachProbe(p sim.Probe) {
 	r.probe = p
-	r.cache.AttachProbe(p)
 	r.nvm.AttachProbe(p)
 	r.ckpt.AttachProbe(p)
 }

@@ -64,7 +64,6 @@ func (w *WriteThrough) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Coun
 // AttachProbe implements sim.System.
 func (w *WriteThrough) AttachProbe(p sim.Probe) {
 	w.probe = p
-	w.cache.AttachProbe(p)
 	w.nvm.AttachProbe(p)
 	w.ckpt.AttachProbe(p)
 }

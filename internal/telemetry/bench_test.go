@@ -12,12 +12,10 @@ var benchBuckets = []uint64{1, 2, 4, 8, 16, 32, 64, 128}
 // Metric updates must not allocate: an instrument may be updated once per
 // run or per simulated event, potentially billions of times per sweep.
 func TestHotPathZeroAlloc(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("c_total", "x")
-	h := r.NewHistogram("h", "x", benchBuckets)
+	h := NewHistogram(benchBuckets)
+	NewRegistry().RegisterHistogram("h", "x", h)
 
 	for name, fn := range map[string]func(){
-		"Counter.Add":       func() { c.Add(3) },
 		"Histogram.Observe": func() { h.Observe(17) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
@@ -26,16 +24,8 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkCounterAdd(b *testing.B) {
-	c := NewRegistry().NewCounter("c_total", "x")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().NewHistogram("h", "x", benchBuckets)
+	h := NewHistogram(benchBuckets)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(uint64(i & 255))
@@ -50,8 +40,10 @@ func BenchmarkWritePrometheus(b *testing.B) {
 		r.NewCounterFunc(fmt.Sprintf("c%d_total", i), "x", func() uint64 { return uint64(i) })
 	}
 	for _, v := range []string{"a", "b", "c"} {
-		r.NewCounter("labelled_total", "x", Label{"kind", v}).Add(1)
-		r.NewHistogram("h", "x", benchBuckets, Label{"engine", v}).Observe(3)
+		r.NewCounterFunc("labelled_total", "x", func() uint64 { return 1 }, Label{"kind", v})
+		h := NewHistogram(benchBuckets)
+		h.Observe(3)
+		r.RegisterHistogram("h", "x", h, Label{"engine", v})
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

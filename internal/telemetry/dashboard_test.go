@@ -13,7 +13,7 @@ import (
 // (and so e2e tests can assert rendering without a JS engine).
 func TestDashboardHandler(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("nacho_test_runs_total", "runs").Add(42)
+	reg.NewCounterFunc("nacho_test_runs_total", "runs", func() uint64 { return 42 })
 	h := NewHistogram([]uint64{100, 1000})
 	h.Observe(50)
 	h.Observe(500)

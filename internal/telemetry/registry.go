@@ -1,14 +1,14 @@
 // Package telemetry is the export layer over the simulation's observability
 // seams: a concurrency-safe metrics registry with Prometheus-text and JSON
-// exposition, a sim.Probe adapter that feeds the registry from the event
-// stream, a Chrome-trace-event/Perfetto renderer for visual timelines, and an
-// HTTP server exposing all of it live (/metrics, /status, /debug/pprof).
+// exposition, a Chrome-trace-event/Perfetto renderer for visual timelines,
+// the span tracer and run ledger, and an HTTP server exposing the registry
+// live (/metrics, /status, /dashboard, /debug/pprof).
 //
-// The registry hot path — Counter.Add, Histogram.Observe — is a handful of
-// atomic operations and performs no allocation (pinned by the benchmarks in
-// bench_test.go), so a telemetry probe can observe a simulation without
-// perturbing it and one registry can be shared by every worker of a parallel
-// sweep. Gauges are read from caller state at scrape time (NewGaugeFunc).
+// Counters and gauges are read from caller state at scrape time
+// (NewCounterFunc, NewGaugeFunc). Histogram.Observe is a handful of atomic
+// operations and performs no allocation (pinned by TestHotPathZeroAlloc), so
+// a histogram can observe every run of a parallel sweep unconditionally and
+// attach to a registry only when one exists (RegisterHistogram).
 package telemetry
 
 import (
@@ -18,19 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically increasing metric. The zero value is usable, but
-// counters are normally created registered via Registry.NewCounter.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Histogram counts integer observations into fixed buckets. Bounds are
 // inclusive upper limits (Prometheus `le` semantics); an implicit +Inf bucket
@@ -45,11 +32,11 @@ type Histogram struct {
 	max    atomic.Uint64
 }
 
-// NewHistogram returns a standalone histogram with the given inclusive upper
-// bounds (must be sorted ascending; the +Inf bucket is implicit). Standalone
-// histograms let always-on accounting (e.g. the harness's per-engine run
-// wall-time tracking) observe unconditionally and attach to a registry only
-// when one exists — see Registry.RegisterHistogram.
+// NewHistogram returns a histogram with the given inclusive upper bounds
+// (must be sorted ascending; the +Inf bucket is implicit). Histograms let
+// always-on accounting (e.g. the harness's per-engine run wall-time
+// tracking) observe unconditionally and attach to a registry only when one
+// exists — see Registry.RegisterHistogram.
 func NewHistogram(bounds []uint64) *Histogram {
 	if !sort.SliceIsSorted(bounds, func(i, j int) bool { return bounds[i] < bounds[j] }) {
 		panic(fmt.Sprintf("telemetry: histogram bounds not sorted: %v", bounds))
@@ -154,7 +141,6 @@ type series struct {
 	labels    []Label
 	labelsStr string // pre-rendered {k="v",...}, "" when unlabelled
 
-	counter   *Counter
 	hist      *Histogram
 	counterFn func() uint64
 	gaugeFn   func() float64
@@ -164,8 +150,6 @@ type series struct {
 // rendered separately).
 func (s *series) value() float64 {
 	switch {
-	case s.counter != nil:
-		return float64(s.counter.Value())
 	case s.counterFn != nil:
 		return float64(s.counterFn())
 	case s.gaugeFn != nil:
@@ -183,10 +167,10 @@ type family struct {
 }
 
 // Registry holds an ordered set of metric families. Registration takes a
-// lock; reads and writes of registered metrics are lock-free. All New*
-// methods panic on an invalid name, a duplicate (name, labels) pair, or a
-// help/type conflict with an existing family — registration mistakes are
-// programmer errors, caught at startup.
+// lock; reads and writes of registered metrics are lock-free. Every
+// registration method panics on an invalid name, a duplicate (name, labels)
+// pair, or a help/type conflict with an existing family — registration
+// mistakes are programmer errors, caught at startup.
 type Registry struct {
 	mu       sync.RWMutex
 	families []*family
@@ -198,25 +182,9 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-// NewCounter registers and returns a counter.
-func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, kindCounter, &series{labels: labels, counter: c})
-	return c
-}
-
-// NewHistogram registers and returns a histogram with the given inclusive
-// upper bounds (must be sorted ascending; the +Inf bucket is implicit).
-func (r *Registry) NewHistogram(name, help string, bounds []uint64, labels ...Label) *Histogram {
-	h := NewHistogram(bounds)
-	r.register(name, help, kindHistogram, &series{labels: labels, hist: h})
-	return h
-}
-
-// RegisterHistogram exposes an existing standalone histogram (see the
-// package-level NewHistogram) as a registered series, so state maintained
-// unconditionally elsewhere appears in the exposition without double
-// bookkeeping.
+// RegisterHistogram exposes a histogram (see NewHistogram) as a registered
+// series, so state maintained unconditionally elsewhere appears in the
+// exposition without double bookkeeping.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...Label) {
 	r.register(name, help, kindHistogram, &series{labels: labels, hist: h})
 }

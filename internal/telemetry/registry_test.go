@@ -5,16 +5,17 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("c_total", "a counter")
-	c.Inc()
-	c.Add(41)
-	if c.Value() != 42 {
-		t.Errorf("counter = %d, want 42", c.Value())
+	var n atomic.Uint64
+	r.NewCounterFunc("c_total", "a counter", n.Load)
+	n.Add(42)
+	if v := r.byName["c_total"].series[0].value(); v != 42 {
+		t.Errorf("counter = %g, want 42", v)
 	}
 
 	r.NewGaugeFunc("g", "a gauge", func() float64 { return 1.5 })
@@ -22,7 +23,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Errorf("gauge = %g, want 1.5", v)
 	}
 
-	h := r.NewHistogram("h", "a histogram", []uint64{10, 100})
+	h := NewHistogram([]uint64{10, 100})
+	r.RegisterHistogram("h", "a histogram", h)
 	for _, v := range []uint64{1, 10, 11, 100, 101, 1000} {
 		h.Observe(v)
 	}
@@ -69,16 +71,17 @@ func TestRegistryPanics(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.NewCounter("ok_total", "fine", Label{"l", "a"})
-	mustPanic("bad metric name", func() { r.NewCounter("0bad", "x") })
-	mustPanic("bad label name", func() { r.NewCounter("ok2_total", "x", Label{"0l", "v"}) })
-	mustPanic("duplicate series", func() { r.NewCounter("ok_total", "fine", Label{"l", "a"}) })
+	zero := func() uint64 { return 0 }
+	r.NewCounterFunc("ok_total", "fine", zero, Label{"l", "a"})
+	mustPanic("bad metric name", func() { r.NewCounterFunc("0bad", "x", zero) })
+	mustPanic("bad label name", func() { r.NewCounterFunc("ok2_total", "x", zero, Label{"0l", "v"}) })
+	mustPanic("duplicate series", func() { r.NewCounterFunc("ok_total", "fine", zero, Label{"l", "a"}) })
 	mustPanic("kind conflict", func() { r.NewGaugeFunc("ok_total", "fine", func() float64 { return 0 }) })
-	mustPanic("help conflict", func() { r.NewCounter("ok_total", "different") })
-	mustPanic("unsorted bounds", func() { r.NewHistogram("h", "x", []uint64{10, 5}) })
+	mustPanic("help conflict", func() { r.NewCounterFunc("ok_total", "different", zero) })
+	mustPanic("unsorted bounds", func() { NewHistogram([]uint64{10, 5}) })
 
 	// Same family, different labels: allowed.
-	r.NewCounter("ok_total", "fine", Label{"l", "b"})
+	r.NewCounterFunc("ok_total", "fine", zero, Label{"l", "b"})
 }
 
 // promSampleRe matches one sample line of the text exposition format.
@@ -111,10 +114,10 @@ func checkPrometheusText(t *testing.T, text string) map[string]float64 {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("runs_total", "Total runs.", Label{"kind", "nacho"})
-	c.Add(3)
+	r.NewCounterFunc("runs_total", "Total runs.", func() uint64 { return 3 }, Label{"kind", "nacho"})
 	r.NewGaugeFunc("busy", "Busy workers.", func() float64 { return 2 })
-	h := r.NewHistogram("lines", "Checkpoint lines.", []uint64{1, 8})
+	h := NewHistogram([]uint64{1, 8})
+	r.RegisterHistogram("lines", "Checkpoint lines.", h)
 	h.Observe(1)
 	h.Observe(5)
 	h.Observe(100)
@@ -156,8 +159,9 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("a_total", "A.", Label{"x", "y"}).Add(5)
-	h := r.NewHistogram("h", "H.", []uint64{10})
+	r.NewCounterFunc("a_total", "A.", func() uint64 { return 5 }, Label{"x", "y"})
+	h := NewHistogram([]uint64{10})
+	r.RegisterHistogram("h", "H.", h)
 	h.Observe(3)
 	h.Observe(30)
 
@@ -186,15 +190,13 @@ func TestWriteJSON(t *testing.T) {
 }
 
 func TestConcurrentHotPath(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("c_total", "x")
-	h := r.NewHistogram("h", "x", []uint64{100})
+	h := NewHistogram([]uint64{100})
+	NewRegistry().RegisterHistogram("h", "x", h)
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 10_000; j++ {
-				c.Inc()
 				h.Observe(uint64(j % 200))
 			}
 		}()
@@ -202,7 +204,7 @@ func TestConcurrentHotPath(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		<-done
 	}
-	if c.Value() != 40_000 || h.Count() != 40_000 {
-		t.Errorf("lost updates: counter=%d hist=%d, want 40000 each", c.Value(), h.Count())
+	if h.Count() != 40_000 {
+		t.Errorf("lost updates: hist=%d, want 40000", h.Count())
 	}
 }

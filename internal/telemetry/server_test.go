@@ -24,7 +24,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 
 func TestServerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("up_total", "Liveness.").Add(9)
+	r.NewCounterFunc("up_total", "Liveness.", func() uint64 { return 9 })
 	status := func() any {
 		return map[string]any{"workers": 4, "experiment": "fig8"}
 	}

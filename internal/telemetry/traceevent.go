@@ -23,7 +23,7 @@ import (
 //   - "nvm traffic": a counter track of cumulative NVM bytes, sampled at
 //     every persistence point (not per transfer, which would bloat the file).
 //
-// High-rate families (accesses, fills) are deliberately not rendered: a
+// Accesses, the high-rate family, are deliberately not rendered: a
 // trace viewer cannot usefully display tens of millions of instants, and the
 // cycle-exact per-instruction record already exists via trace.Recorder.
 //
@@ -105,9 +105,6 @@ func (t *TraceEventProbe) closeInterval(name string, end uint64, args string) {
 
 // OnAccess implements sim.Probe (not rendered; see type comment).
 func (t *TraceEventProbe) OnAccess(sim.AccessEvent) {}
-
-// OnLineFill implements sim.Probe (not rendered).
-func (t *TraceEventProbe) OnLineFill(sim.FillEvent) {}
 
 // OnWriteBack implements sim.Probe.
 func (t *TraceEventProbe) OnWriteBack(e sim.WriteBackEvent) {

@@ -14,7 +14,6 @@ func feedOneOfEach(p sim.Probe) {
 	p.OnAccess(sim.AccessEvent{Cycle: 20, Addr: 0x104, Size: 4, Store: true, Class: sim.AccessMiss})
 	p.OnAccess(sim.AccessEvent{Cycle: 30, Addr: 0x108, Size: 1, Store: false, Class: sim.AccessNVM})
 	p.OnAccess(sim.AccessEvent{Cycle: 40, Addr: 0xfff0, Size: 4, Store: true, Class: sim.AccessMMIO})
-	p.OnLineFill(sim.FillEvent{Addr: 0x100})
 	p.OnWriteBack(sim.WriteBackEvent{Cycle: 50, Addr: 0x200, Size: 16, Verdict: sim.VerdictSafe})
 	p.OnWriteBack(sim.WriteBackEvent{Cycle: 55, Addr: 0x210, Size: 16, Verdict: sim.VerdictUnsafe})
 	p.OnCheckpointBegin(sim.CheckpointEvent{Cycle: 60, Lines: 3})

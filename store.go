@@ -9,11 +9,12 @@ import (
 
 // RunStore is a persistent content-addressed store of run results. While one
 // is open, every deterministic simulation in the process — experiment
-// regeneration, Run, RunSource — is read through it and written behind it:
-// results survive restarts, so a second regeneration of the same experiment
-// executes zero simulations and renders a byte-identical report. Traced or
-// probed runs bypass the store entirely (their instrumentation must observe a
-// real execution).
+// regeneration, Run, RunSource — is read through it and written through it:
+// each executed run's entry is on disk when the run returns, and results
+// survive restarts, so a second regeneration of the same experiment executes
+// zero simulations and renders a byte-identical report. Traced or probed
+// runs bypass the store entirely (their instrumentation must observe a real
+// execution).
 //
 // The directory is shared safely between processes (writes are atomic
 // renames), so concurrent invocations can read and fill one store.
@@ -26,12 +27,13 @@ type RunStore struct {
 type RunStoreStats struct {
 	// Hits and Misses count read-through lookups.
 	Hits, Misses uint64
-	// Puts counts entries written (write-behind).
+	// Puts counts entries written.
 	Puts uint64
 	// CorruptEvicted counts checksum-failed entries deleted on read; the
 	// affected runs re-executed transparently.
 	CorruptEvicted uint64
-	// WriteErrors counts failed write-behind attempts.
+	// WriteErrors counts failed writes; each affected run re-executes on
+	// its next request.
 	WriteErrors uint64
 }
 
@@ -59,8 +61,9 @@ func (rs *RunStore) Stats() RunStoreStats {
 // Count walks the store and returns the number of persisted entries.
 func (rs *RunStore) Count() (int, error) { return rs.s.Count() }
 
-// Close flushes pending write-behind entries, uninstalls the store, and
-// returns the first write error encountered over its lifetime, if any.
+// Close uninstalls the store and returns the first write error encountered
+// over its lifetime, if any. Every write finished when its run returned, so
+// there is nothing left to flush.
 func (rs *RunStore) Close() error {
 	harness.SetStore(rs.prev)
 	if err := rs.s.Close(); err != nil {
