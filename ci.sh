@@ -136,12 +136,21 @@ grep -q 'telemetry on http://' /tmp/nachofuzz.ci.serve
 # Exhaustive-mode smoke: snapshot-fork enumeration of every 3rd crash
 # instant in the first two checkpoint intervals, run twice — the report must
 # be byte-identical. A fork/boot divergence is an infrastructure ERROR
-# (exit 2) and a finding a real bug (exit 1) — both fail the gate. The
-# stderr progress stream prints the measured speedup into the CI log.
-/tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex.1
+# (exit 2) and a finding a real bug (exit 1) — both fail the gate. One
+# post-failure tail runs per distinct post-reboot state, so the stderr
+# progress line, copied into the CI log with the measured speedup, must
+# report fewer tails than crash instants.
+/tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex.1 2>/tmp/nachofuzz.ci.ex.err
+cat /tmp/nachofuzz.ci.ex.err >&2
 /tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex.2
 diff /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
-rm -f /tmp/nachofuzz.ci /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2 /tmp/nachofuzz.ci.serve /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
+instants=$(sed -n 's/^exhaustive: \([0-9]*\) crash instants.*/\1/p' /tmp/nachofuzz.ci.ex.err)
+tails=$(sed -n 's/^exhaustive: .* \([0-9]*\) tails,.*/\1/p' /tmp/nachofuzz.ci.ex.err)
+if [ -z "$instants" ] || [ -z "$tails" ] || [ "$tails" -ge "$instants" ]; then
+	echo "ci.sh: the exhaustive smoke ran ${tails:-?} tails for ${instants:-?} crash instants; want fewer tails than instants" >&2
+	exit 1
+fi
+rm -f /tmp/nachofuzz.ci /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2 /tmp/nachofuzz.ci.serve /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2 /tmp/nachofuzz.ci.ex.err
 
 # Persistent run store gate: the full fig5 matrix regenerated twice against
 # one store — the cold pass must leave one store object per run its timing

@@ -13,8 +13,10 @@
 // -exhaustive replaces the randomized failure schedules with exhaustive
 // crash-instant enumeration via copy-on-write snapshot forking: every
 // instruction-granular power-failure instant in the first -intervals
-// checkpoint intervals is executed, sharing the failure-free prefix. The
-// measured speedup over re-running each instant from boot goes to stderr.
+// checkpoint intervals is checked, sharing the failure-free prefix and
+// running one post-failure tail per distinct post-reboot state. The
+// instant and tail counts and the measured speedup over re-running each
+// instant from boot go to stderr.
 //
 // Without -duration the campaign is deterministic: the same flags produce
 // the same findings report, byte for byte (timing goes to stderr). The

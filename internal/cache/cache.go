@@ -14,7 +14,10 @@
 // one tight, allocation-free loop of word compares over adjacent memory.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // LineSize is the cache line size in bytes (fixed at four, paper Section 5.3).
 const LineSize = 4
@@ -96,6 +99,12 @@ func (c *Cache) Clone() *Cache {
 	copy(n.lines, c.lines)
 	copy(n.keys, c.keys)
 	return n
+}
+
+// Equal reports whether two caches of one geometry hold the same lines —
+// data, metadata bits and last-touch stamps — and the same LRU stamp.
+func (c *Cache) Equal(o *Cache) bool {
+	return c.stamp == o.stamp && slices.Equal(c.lines, o.lines)
 }
 
 // SizeBytes returns the data capacity.

@@ -200,3 +200,32 @@ func TestAddrRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestEqual: a clone compares equal, and any single line field or the LRU
+// stamp makes caches unequal.
+func TestEqual(t *testing.T) {
+	c := MustNew(64, 2)
+	c.Install(c.Victim(0x100), 0x100)
+	c.Install(c.Victim(0x120), 0x120)
+	if !c.Equal(c.Clone()) {
+		t.Fatal("a clone compares unequal")
+	}
+	for _, p := range []struct {
+		name string
+		f    func(*Cache)
+	}{
+		{"data", func(c *Cache) { c.Probe(0x100).Data = 1 }},
+		{"dirty", func(c *Cache) { c.Probe(0x100).Dirty = true }},
+		{"rd", func(c *Cache) { c.Probe(0x100).RD = true }},
+		{"pw", func(c *Cache) { c.Probe(0x100).PW = true }},
+		{"line stamp", func(c *Cache) { l := c.Probe(0x100); l.SetLRU(l.LRU() + 5) }},
+		{"LRU stamp", func(c *Cache) { c.stamp++ }},
+		{"invalidated", func(c *Cache) { c.InvalidateAll() }},
+	} {
+		d := c.Clone()
+		p.f(d)
+		if c.Equal(d) || d.Equal(c) {
+			t.Errorf("%s: perturbed cache compares equal", p.name)
+		}
+	}
+}

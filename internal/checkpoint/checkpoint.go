@@ -65,6 +65,11 @@ func (s *Store) Fork(nvm *mem.NVM) *Store {
 	return &Store{nvm: nvm, base: s.base, maxLines: s.maxLines, seq: s.seq}
 }
 
+// EqualState reports whether two stores of one layout stand at the same
+// sequence position. The slots themselves live in NVM, which the owning
+// system compares.
+func (s *Store) EqualState(o *Store) bool { return s.seq == o.seq }
+
 // slotWords is the size of one slot in words.
 func (s *Store) slotWords() uint32 { return offLines + 2*uint32(s.maxLines) }
 

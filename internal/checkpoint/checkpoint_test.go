@@ -247,3 +247,18 @@ func TestSizeBytes(t *testing.T) {
 		t.Errorf("SizeBytes = %d, want %d", s.SizeBytes(), want)
 	}
 }
+
+// TestEqualState: a fork stands at its parent's sequence position, and a
+// commit moves it.
+func TestEqualState(t *testing.T) {
+	s, nvm, _ := newStore(2)
+	s.Init(sim.Snapshot{})
+	f := s.Fork(nvm.Fork())
+	if !s.EqualState(f) {
+		t.Fatal("a fork compares unequal")
+	}
+	f.seq++
+	if s.EqualState(f) || f.EqualState(s) {
+		t.Fatal("stores at different sequence positions compare equal")
+	}
+}

@@ -173,6 +173,22 @@ func (k *Controller) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters
 	return f
 }
 
+// EqualState implements sim.Forkable: the stack bounds, the dirty count, the
+// checkpoint-store position, the cache, the exact-mode tracker and NVM.
+// lastCommit is left out: it only feeds the IntervalHist counters, never a
+// decision.
+func (k *Controller) EqualState(o sim.System) bool {
+	q, ok := o.(*Controller)
+	if !ok || k.sp != q.sp || k.spMin != q.spMin || k.dirtyCount != q.dirtyCount ||
+		!k.ckpt.EqualState(q.ckpt) || !k.cache.Equal(q.cache) {
+		return false
+	}
+	if k.tracker != nil && !k.tracker.Equal(q.tracker) {
+		return false
+	}
+	return k.nvm.Equal(q.nvm)
+}
+
 // AttachProbe implements sim.System: the observer sees the controller's
 // access, write-back, and checkpoint events plus the events of the components
 // it owns (NVM traffic, checkpoint staging). nil detaches.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nacho/internal/cache"
+	"nacho/internal/checkpoint"
 	"nacho/internal/mem"
 	"nacho/internal/metrics"
 	"nacho/internal/sim"
@@ -422,5 +423,42 @@ func TestBadGeometryRejected(t *testing.T) {
 	nvm := mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel())
 	if _, err := New("bad", nvm, Options{CacheSize: 100, Ways: 3}); err == nil {
 		t.Error("invalid geometry accepted")
+	}
+}
+
+// TestEqualState: two replicas of one controller compare equal, also at
+// different clocks and commit instants (lastCommit only feeds counters),
+// and perturbing any single keyed field makes them unequal.
+func TestEqualState(t *testing.T) {
+	r := newRig(t, 64, 2, WARExact, true)
+	r.k.Store(0x100, 4, 1)
+	r.k.Load(0x104, 4)
+	r.k.Store(0x200, 4, 2)
+	replica := func(now uint64) *Controller {
+		return r.k.Fork(&sim.TestClock{Cycle: now}, &r.regs, &metrics.Counters{}).(*Controller)
+	}
+	later := replica(r.clk.Cycle + 1000)
+	later.lastCommit += 77
+	if !replica(r.clk.Cycle).EqualState(later) {
+		t.Fatal("replicas at different clocks compare unequal")
+	}
+	for _, p := range []struct {
+		name string
+		f    func(k *Controller)
+	}{
+		{"NVM word", func(k *Controller) { k.nvm.WriteRaw(0x300, 4, 9) }},
+		{"valid cache line", func(k *Controller) { k.cache.Probe(0x100).PW = true }},
+		{"LRU stamp", func(k *Controller) { k.cache.Touch(k.cache.Probe(0x100)) }},
+		{"tracker entry", func(k *Controller) { k.tracker.ObserveRead(0x400, 4) }},
+		{"checkpoint seq", func(k *Controller) { k.ckpt = checkpoint.NewStore(k.nvm, testCkptBase, k.cache.NumLines()) }},
+		{"sp", func(k *Controller) { k.sp -= 4 }},
+		{"spMin", func(k *Controller) { k.spMin -= 4 }},
+		{"dirty count", func(k *Controller) { k.dirtyCount++ }},
+	} {
+		a, b := replica(r.clk.Cycle), replica(r.clk.Cycle)
+		p.f(b)
+		if a.EqualState(b) || b.EqualState(a) {
+			t.Errorf("%s: perturbed replica compares equal", p.name)
+		}
 	}
 }

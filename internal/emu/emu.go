@@ -14,8 +14,10 @@
 package emu
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"nacho/internal/compile"
 	"nacho/internal/isa"
@@ -345,6 +347,45 @@ func (m *Machine) Fork(sched power.Schedule) (*Machine, error) {
 	f.sys = fsys.Fork(f, f, &f.c)
 	f.nextFailure = f.sched.NextFailureAfter(f.cycle)
 	return f, nil
+}
+
+// EqualState reports whether o, a replica of m (both forks of a common
+// ancestor, so one image and one configuration), holds the same state: run
+// to completion from here under schedules that fail at the same distances
+// from their clocks, the two would produce the same outputs, registers and
+// NVM, with every cycle count differing by the difference of their clocks.
+// It compares the pc and registers, the outputs so far, the halt, exit-code
+// and stack-fault state, the next failure and forced checkpoint relative to
+// each clock, and then the memory system (sim.Forkable.EqualState). The
+// clock and the counters are not state. The cheap fields, which differ
+// most often, go first and NVM goes last.
+func (m *Machine) EqualState(o *Machine) bool {
+	if m.pc != o.pc || m.regs != o.regs || m.halted != o.halted || m.exitCode != o.exitCode ||
+		m.stackFault != o.stackFault || m.failEnabled != o.failEnabled ||
+		!sameOffset(m.nextFailure, m.cycle, o.nextFailure, o.cycle) ||
+		m.cfg.ForcedCheckpointPeriod > 0 && !sameOffset(m.nextForced, m.cycle, o.nextForced, o.cycle) ||
+		!slices.Equal(m.results, o.results) || !bytes.Equal(m.output, o.output) {
+		return false
+	}
+	fs, ok := m.sys.(sim.Forkable)
+	return ok && fs.EqualState(o.sys)
+}
+
+// sameOffset reports whether instants a and b lie at the same distance from
+// clocks na and nb, or are both power.NoFailure.
+func sameOffset(a, na, b, nb uint64) bool {
+	if a == power.NoFailure || b == power.NoFailure {
+		return a == b
+	}
+	return a-na == b-nb
+}
+
+// Retired returns the number of instructions retired so far.
+func (m *Machine) Retired() uint64 { return m.c.Instructions }
+
+// Limits returns the run's cycle budget (0 for none) and instruction limit.
+func (m *Machine) Limits() (maxCycles, maxInstructions uint64) {
+	return m.cfg.MaxCycles, m.cfg.MaxInstructions
 }
 
 // System returns the attached memory system (final-NVM inspection of forks).

@@ -195,8 +195,8 @@ func RunCampaign(cfg CampaignConfig) *CampaignReport {
 		fmt.Fprintf(cfg.Progress, "timing: %d programs, %d oracle runs, %v wall time across %d workers\n",
 			programs, oracleRuns.Load(), time.Since(start).Round(time.Millisecond), nw)
 		if cfg.Exhaustive {
-			fmt.Fprintf(cfg.Progress, "exhaustive: %d crash instants across %d windows, %.1fx speedup vs re-run-from-boot\n",
-				exStats.Instants, exStats.Windows, exStats.Speedup())
+			fmt.Fprintf(cfg.Progress, "exhaustive: %d crash instants across %d windows, %d tails, %.1fx speedup vs re-run-from-boot\n",
+				exStats.Instants, exStats.Windows, exStats.Tails, exStats.Speedup())
 		}
 	}
 	return rep

@@ -14,13 +14,13 @@ import (
 
 // Exhaustive mode replaces the randomized failure schedules with exhaustive
 // crash-instant enumeration: every instruction-granular power-failure
-// instant in the first Intervals checkpoint intervals is executed, via
-// copy-on-write snapshot forks (internal/snapshot) so the shared prefix is
-// simulated once instead of once per instant. Any divergent fork is
-// confirmed by a from-boot run under the same one-instant schedule — with
-// the verifier attached — before it is reported, so every exhaustive
-// finding carries a replayable schedule and the usual WAR/shadow
-// classification.
+// instant in the first Intervals checkpoint intervals is checked, via
+// copy-on-write snapshot forks (internal/snapshot), so the shared prefix is
+// simulated once and one post-failure tail runs per distinct post-reboot
+// state rather than per instant. Any divergent outcome is confirmed by a
+// from-boot run under the same one-instant schedule — with the verifier
+// attached — before it is reported, so every exhaustive finding carries a
+// replayable schedule and the usual WAR/shadow classification.
 
 // ExhaustiveConfig parameterizes exhaustive crash-instant exploration.
 type ExhaustiveConfig struct {
@@ -47,11 +47,15 @@ func (c ExhaustiveConfig) normalized() ExhaustiveConfig {
 // ExhaustiveStats aggregates the exploration work across systems, in
 // simulated cycles. BootCycles is what re-running every enumerated instant
 // from boot would have cost; SimCycles is what the forked enumeration
-// actually paid.
+// actually paid. Tails, Reused and Reruns are snapshot.Stats' counts:
+// Instants == Tails + Reused.
 type ExhaustiveStats struct {
 	Systems    int
 	Windows    int
 	Instants   int
+	Tails      int
+	Reused     int
+	Reruns     int
 	SimCycles  uint64
 	BootCycles uint64
 }
@@ -62,6 +66,9 @@ func (s *ExhaustiveStats) add(o ExhaustiveStats) {
 	s.Systems += o.Systems
 	s.Windows += o.Windows
 	s.Instants += o.Instants
+	s.Tails += o.Tails
+	s.Reused += o.Reused
+	s.Reruns += o.Reruns
 	s.SimCycles += o.SimCycles
 	s.BootCycles += o.BootCycles
 }
@@ -136,6 +143,7 @@ func checkSystemExhaustive(img *program.Image, g *goldenRun, prog *Prog, kind sy
 	})
 	oracleRuns.Add(uint64(st.Instants))
 	stats.add(ExhaustiveStats{Systems: 1, Windows: st.Windows, Instants: st.Instants,
+		Tails: st.Tails, Reused: st.Reused, Reruns: st.Reruns,
 		SimCycles: st.SimCycles(), BootCycles: st.BootCycles})
 	if err != nil {
 		return nil, fmt.Errorf("fuzzer: seed %d on %s: %w", prog.Seed, kind, err)

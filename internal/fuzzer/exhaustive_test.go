@@ -1,11 +1,16 @@
 package fuzzer
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"nacho/internal/emu"
+	"nacho/internal/harness"
 	"nacho/internal/power"
+	"nacho/internal/program"
+	"nacho/internal/sim"
 	"nacho/internal/snapshot"
 	"nacho/internal/systems"
 )
@@ -16,55 +21,101 @@ func tinyProg(seed int64) *Prog {
 	return GenerateWith(seed, Params{Ops: 6, BufWords: 64, MaxLoop: 2, MaxDepth: 1}, newSeedRNG(seed))
 }
 
-// TestExhaustiveFullDensityForkBootEquivalence is the exhaustive-mode half
-// of the acceptance criterion: every instruction-granular crash instant in
-// the first two checkpoint intervals of small generated programs produces a
-// forked outcome byte-identical (result, error string, final NVM data) to
-// a from-boot run under the same one-instant schedule.
+// referee explores every instant, at stride 1, of the first two checkpoint
+// intervals of img under nm and compares each with a from-boot run under
+// the same one-instant schedule: the error string, the result (every field
+// of a fresh tail, the exact fields of a reused outcome) and the final NVM
+// data.
+func referee(t *testing.T, label string, img *program.Image, nm snapshot.NewMachine) snapshot.Stats {
+	t.Helper()
+	stats, err := snapshot.Explore(nm, snapshot.Options{Windows: 2, Stride: 1}, func(o snapshot.Outcome) bool {
+		bm, err := nm(power.NewAt(o.Instant), nil)
+		if err != nil {
+			t.Fatalf("%s instant %d: %v", label, o.Instant, err)
+		}
+		if d := o.Diff(bm.Run()); d != "" {
+			t.Fatalf("%s instant %d (reused %v): %s", label, o.Instant, o.Reused, d)
+		}
+		if !reflect.DeepEqual(finalSegments(img, o.Sys.Mem()), finalSegments(img, bm.System().Mem())) {
+			t.Fatalf("%s instant %d (reused %v): final NVM diverged", label, o.Instant, o.Reused)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if stats.Instants == 0 || stats.Instants != stats.Tails+stats.Reused {
+		t.Fatalf("%s: implausible stats %+v", label, stats)
+	}
+	t.Logf("%-25s instants %5d tails %5d reused %5d reruns %d", label, stats.Instants, stats.Tails, stats.Reused, stats.Reruns)
+	return stats
+}
+
+// TestExhaustiveFullDensityForkBootEquivalence is the explorer's referee:
+// every instruction-granular crash instant in the first two checkpoint
+// intervals of small generated programs, on every system and the planted
+// nacho-broken-pw, must match a from-boot run under the same one-instant
+// schedule. The rollback systems must reuse outcomes, so the class path is
+// refereed too.
 func TestExhaustiveFullDensityForkBootEquivalence(t *testing.T) {
 	cfg := Config{CacheSize: 64, Ways: 2}.normalized()
-	kinds := []systems.Kind{systems.KindNACHO, systems.KindClank, systems.KindReplayCache}
-	seeds := []int64{1, 2, 3}
+	kinds := append(systems.AllKinds(), systems.KindNACHOBrokenPW)
+	// Generate seeds 1 and 7 execute 73 and 116 ops, within the 150 that
+	// perfbench's crash-explore workload takes.
+	progs := []*Prog{tinyProg(1), tinyProg(2), tinyProg(3), Generate(1), Generate(7)}
 	if testing.Short() {
-		seeds = seeds[:1]
+		progs = progs[:1]
 	}
-	for _, seed := range seeds {
-		img, g, err := prepare(tinyProg(seed), cfg)
+	reused := map[systems.Kind]int{}
+	for i, prog := range progs {
+		img, g, err := prepare(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, kind := range kinds {
 			_, sysCycles := differential(img, g, kind, cfg, nil)
 			nm := forkMachines(img, kind, cfg, failureBudget(sysCycles, 1))
-			n := 0
-			stats, err := snapshot.Explore(nm, snapshot.Options{Windows: 2, Stride: 1},
-				func(o snapshot.Outcome) bool {
-					n++
-					bm, err := nm(power.NewAt(o.Instant), nil)
-					if err != nil {
-						t.Fatalf("seed %d %s instant %d: %v", seed, kind, o.Instant, err)
-					}
-					bres, berr := bm.Run()
-					if (o.Err == nil) != (berr == nil) || (o.Err != nil && o.Err.Error() != berr.Error()) {
-						t.Fatalf("seed %d %s instant %d: error diverged: fork=%v boot=%v", seed, kind, o.Instant, o.Err, berr)
-					}
-					if !reflect.DeepEqual(o.Res, bres) {
-						t.Fatalf("seed %d %s instant %d: result diverged:\nfork %+v\nboot %+v", seed, kind, o.Instant, o.Res, bres)
-					}
-					fd := finalSegments(img, o.Sys.Mem())
-					bd := finalSegments(img, bm.System().Mem())
-					if !reflect.DeepEqual(fd, bd) {
-						t.Fatalf("seed %d %s instant %d: final NVM diverged", seed, kind, o.Instant)
-					}
-					return n < 3000 // runaway guard; tiny programs stay well under
-				})
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, kind, err)
-			}
-			if stats.Instants == 0 {
-				t.Fatalf("seed %d %s: explored zero instants", seed, kind)
-			}
+			reused[kind] += referee(t, fmt.Sprintf("program %d %s", i, kind), img, nm).Reused
 		}
+	}
+	for _, kind := range kinds {
+		if systems.VerifyConfigFor(kind).RollbackOnFailure && reused[kind] == 0 {
+			t.Errorf("%s: no instant reused its class's outcome", kind)
+		}
+	}
+}
+
+// TestExhaustiveForcedCheckpointReferee referees runs with a short
+// forced-checkpoint period, where the walker's one-instruction steps can
+// stop at a forced checkpoint and the post-reboot key includes the next
+// forced checkpoint relative to the clock. NACHO runs its checkpoints
+// single-buffered under the energy reserve, so a failure that strikes
+// inside one fires when it completes.
+func TestExhaustiveForcedCheckpointReferee(t *testing.T) {
+	cfg := Config{CacheSize: 64, Ways: 2}.normalized()
+	reused := 0
+	for i, prog := range []*Prog{Generate(1), Generate(7)} {
+		img, g, err := prepare(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []systems.Kind{systems.KindNACHO, systems.KindClank, systems.KindPROWL, systems.KindReplayCache} {
+			_, sysCycles := differential(img, g, kind, cfg, nil)
+			rc := baseConfig(cfg)
+			rc.MaxCycles = failureBudget(sysCycles, 1)
+			rc.ForcedCheckpointPeriod = 200
+			rc.EnergyPrediction = true
+			nm := func(sched power.Schedule, probe sim.Probe) (*emu.Machine, error) {
+				rc := rc
+				rc.Schedule, rc.Probe = sched, probe
+				m, _, err := harness.BuildMachine(img, kind, rc)
+				return m, err
+			}
+			reused += referee(t, fmt.Sprintf("program %d %s", i, kind), img, nm).Reused
+		}
+	}
+	if reused == 0 {
+		t.Error("no instant reused its class's outcome")
 	}
 }
 

@@ -360,6 +360,13 @@ func (n *NVM) Fork() *NVM {
 	return &NVM{space: n.space.Fork(), cost: n.cost}
 }
 
+// Equal reports whether two NVMs hold identical contents (Space.Equal:
+// shared pages are skipped unread).
+func (n *NVM) Equal(o *NVM) bool {
+	_, eq := n.space.Equal(o.space)
+	return eq
+}
+
 // ReadRaw reads without charging cycles or counters (loader/debug path).
 func (n *NVM) ReadRaw(addr uint32, size int) uint32 { return n.space.Read(addr, size) }
 

@@ -141,6 +141,14 @@ type MemReaderWriter interface {
 // checkpoint store, whose sequence position is part of the state being
 // replicated), and the replica comes up probe-free: forks run on the
 // emission-free fast path.
+//
+// EqualState reports whether o, a replica of the same system (a fork of a
+// common ancestor), holds the same state: NVM and every volatile field that
+// can steer the rest of a run. A field that holds a cycle is compared
+// relative to each replica's own clock, so two replicas at different cycles
+// are equal when their futures differ only by that offset. Counters and
+// fields that feed only counters are not state.
 type Forkable interface {
 	Fork(clk Clock, regs RegSource, c *metrics.Counters) System
+	EqualState(o System) bool
 }

@@ -16,6 +16,9 @@ var global struct {
 	explorations atomic.Uint64
 	windows      atomic.Uint64
 	instants     atomic.Uint64
+	tails        atomic.Uint64
+	reused       atomic.Uint64
+	reruns       atomic.Uint64
 	scoutCycles  atomic.Uint64
 	prefixCycles atomic.Uint64
 	forkCycles   atomic.Uint64
@@ -36,6 +39,9 @@ func recordExploration(s Stats) {
 	global.explorations.Add(1)
 	global.windows.Add(uint64(s.Windows))
 	global.instants.Add(uint64(s.Instants))
+	global.tails.Add(uint64(s.Tails))
+	global.reused.Add(uint64(s.Reused))
+	global.reruns.Add(uint64(s.Reruns))
 	global.scoutCycles.Add(s.ScoutCycles)
 	global.prefixCycles.Add(s.PrefixCycles)
 	global.forkCycles.Add(s.ForkCycles)
@@ -50,13 +56,19 @@ func RegisterMetrics(r *telemetry.Registry) {
 	r.NewCounterFunc("nacho_snapshot_windows_total",
 		"Checkpoint windows enumerated.", global.windows.Load)
 	r.NewCounterFunc("nacho_snapshot_instants_total",
-		"Crash instants forked and executed.", global.instants.Load)
+		"Crash instants explored: each forked, failed and rebooted.", global.instants.Load)
+	r.NewCounterFunc("nacho_snapshot_tails_total",
+		"Post-failure tails run: one per distinct post-reboot state, plus budget re-runs.", global.tails.Load)
+	r.NewCounterFunc("nacho_snapshot_reused_instants_total",
+		"Crash instants that reused the outcome of an equal post-reboot state.", global.reused.Load)
+	r.NewCounterFunc("nacho_snapshot_budget_reruns_total",
+		"Crash instants run in full because a shifted outcome would reach a budget.", global.reruns.Load)
 	r.NewCounterFunc("nacho_snapshot_scout_cycles_total",
 		"Simulated cycles spent in boundary-scouting passes.", global.scoutCycles.Load)
 	r.NewCounterFunc("nacho_snapshot_prefix_cycles_total",
 		"Simulated cycles spent advancing shared prefix machines.", global.prefixCycles.Load)
 	r.NewCounterFunc("nacho_snapshot_fork_cycles_total",
-		"Simulated cycles spent in fork suffixes.", global.forkCycles.Load)
+		"Simulated cycles forks ran: up to each reboot, and each tail.", global.forkCycles.Load)
 	r.NewCounterFunc("nacho_snapshot_boot_cycles_total",
 		"Simulated cycles the same instants would have cost from boot.", global.bootCycles.Load)
 	r.NewGaugeFunc("nacho_snapshot_speedup",

@@ -1,32 +1,54 @@
-// Package snapshot implements exhaustive crash-instant exploration via
-// copy-on-write machine forking.
+// Package snapshot implements exhaustive crash-instant exploration: every
+// power-failure instant of a program's first checkpoint windows is run to
+// completion, for the cost of one post-failure tail per distinct
+// post-reboot state rather than one run per instant.
 //
-// The re-run-from-boot way to test every power-failure instant of an E-cycle
-// program costs O(E) per instant — O(E²) total. This package exploits a
-// simple identity instead: a failure-free run's machine state at cycle c is
-// byte-identical to the state of a from-boot run under power.At(t) at cycle
-// c, for every t > c, because the failure has not fired yet and schedules are
-// only consulted for the *next* instant. So one shared prefix machine runs
-// failure-free from boot, pausing at every checkpoint/commit boundary; for
-// each crash instant t inside the window that follows, a copy-on-write fork
-// of the paused machine is driven to completion under power.At(t). Every
-// fork pays only its own suffix, the prefix is simulated once, and NVM pages
-// are shared copy-on-write (internal/mem), so a fork's footprint is the
-// pages it actually touches.
+// Re-running every instant of an E-cycle program from boot costs O(E) per
+// instant, O(E²) in all. Two identities cut that down.
 //
-// Equivalence with from-boot runs is not an approximation. The fork copies
-// the register file, cycle counter, run outputs, and metrics by value; the
-// memory system replicates itself behind sim.Forkable (deep-copied cache,
-// trackers and checkpoint position over the forked NVM space); and the
-// fork's next-failure instant is recomputed from its own schedule. The
-// harness test suite compares fork-vs-boot results, error strings, and final
-// NVM bytes across every benchmark and system.
+// The prefix is shared. A failure-free run's machine state at an instruction
+// boundary c is identical to a from-boot run's under power.At(t) at c, for
+// every t > c: the failure has not fired yet, and a schedule is consulted
+// only for the next instant. So one prefix machine runs failure-free from
+// boot and walks each window an instruction at a time. For each instant t it
+// is forked at a boundary before the instruction t falls in, armed with
+// power.At(t), and the fork runs to t, fails and reboots (emu.Machine's
+// RunUntil returns right after the reboot). No fork re-runs more than the
+// instructions between the previous instant's failing instruction and its
+// own. NVM pages are shared copy-on-write (internal/mem), so a fork costs
+// the pages it writes.
+//
+// Tails are shared. A power failure keeps only NVM, the outputs emitted so
+// far and what the system's PowerFailure leaves, so many instants reboot
+// into the same state, offset in time, and run the same tail. The explorer
+// keeps the current class's post-reboot machine paused and compares each
+// new fork with it by exact equality (emu.Machine.EqualState: every field
+// that can steer the rest of the run, cycle-valued fields relative to the
+// clock; never a hash). An equal fork takes the class's outcome, shifted by
+// the difference in reboot cycles. Any other fork starts a new class: it is
+// kept paused, and its tail runs on a fork of it. A shifted outcome that
+// would reach the cycle budget or the instruction limit, which fire at
+// absolute counts, is run in full instead. A fork is compared only with the
+// current class: on the rollback systems equal post-reboot states come in
+// runs of consecutive instants, while ReplayCache resumes in place, so each
+// of its instants is a class of its own.
+//
+// Equivalence with from-boot runs is not an approximation. A fork copies the
+// register file, clock, outputs and counters by value; the memory system
+// replicates itself behind sim.Forkable (deep-copied cache, trackers and
+// checkpoint position over the forked NVM space); the fork's next failure is
+// recomputed from its own schedule; and a reused outcome stands for a tail
+// from a state equal to its class's. The tests referee every instant, at
+// full density on small programs, against a from-boot run under the same
+// one-instant schedule.
 package snapshot
 
 import (
 	"fmt"
+	"reflect"
 
 	"nacho/internal/emu"
+	"nacho/internal/metrics"
 	"nacho/internal/power"
 	"nacho/internal/sim"
 	"nacho/internal/telemetry"
@@ -57,30 +79,71 @@ type Options struct {
 	Span telemetry.SpanID
 }
 
-// Outcome is the completed run of one forked crash instant.
+// Outcome is the completed run of one crash instant.
+//
+// A fresh outcome (Reused false) is the run of its own tail, and equals a
+// from-boot run under power.At(Instant) in every field. A reused outcome is
+// its class's, and only these fields are exact: Err, Res.ExitCode,
+// Res.Result, Res.Results, Res.Output, Res.FinalRegs, Sys, and Res.Counters'
+// Cycles and Instructions, which are shifted to this instant. Every other
+// counter is zero: the first post-reboot IntervalHist bucket, for one,
+// depends on the absolute cycle. Res's slices and Sys are shared with the
+// class and must be treated as read-only.
 type Outcome struct {
 	// Instant is the cycle at which the injected power failure fires.
 	Instant uint64
-	// Res is the fork's run result (exit code, results, output, counters,
-	// final registers).
+	// Res is the run's result (exit code, results, output, counters, final
+	// registers).
 	Res emu.Result
-	// Err is the fork's run error (nil for a clean halt). Compare with
+	// Err is the run's error (nil for a clean halt). Compare with
 	// errors.Is / error strings exactly as for a from-boot run.
 	Err error
-	// Sys is the fork's memory system, for final-NVM inspection.
+	// Sys is the run's memory system, for final-NVM inspection.
 	Sys sim.System
+	// Reused reports that the instant's post-reboot state equalled its
+	// class's, so the outcome is the class's, shifted, and no tail ran.
+	Reused bool
+}
+
+// Diff returns the first way o differs from a from-boot run under
+// power.At(o.Instant) that returned res and err, or "" when it does not: in
+// the error string and then in every field of a fresh outcome's result, or
+// the exact fields of a reused one's. Final NVM is the caller's to compare,
+// through Sys.
+func (o Outcome) Diff(res emu.Result, err error) string {
+	if a, b := errString(o.Err), errString(err); a != b {
+		return fmt.Sprintf("error %q, from boot %q", a, b)
+	}
+	want := res
+	if o.Reused {
+		want.Counters = metrics.Counters{Cycles: res.Counters.Cycles, Instructions: res.Counters.Instructions}
+	}
+	if !reflect.DeepEqual(o.Res, want) {
+		return fmt.Sprintf("result %+v, from boot %+v", o.Res, want)
+	}
+	return ""
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // Stats reports the work an exploration did, in simulated cycles, and the
 // measured advantage over re-running every instant from boot.
 type Stats struct {
 	Windows  int // checkpoint windows enumerated
-	Instants int // crash instants executed
+	Instants int // crash instants visited: Tails + Reused
+	Tails    int // post-failure tails run: one per class, plus Reruns
+	Reused   int // instants that took their class's outcome
+	Reruns   int // instants of a class run in full because a budget would fire
 
 	ScoutCycles  uint64 // boundary-scouting pass (one failure-free run)
 	PrefixCycles uint64 // shared prefix machine's total advance
-	ForkCycles   uint64 // sum over forks of (final cycle - fork cycle)
-	BootCycles   uint64 // sum over forks of final cycle = from-boot cost
+	ForkCycles   uint64 // cycles forks simulated: up to each reboot, and each tail
+	BootCycles   uint64 // sum over instants of final cycle = from-boot cost
 }
 
 // SimCycles is the total simulation work the exploration actually paid.
@@ -120,14 +183,15 @@ func (s *scoutProbe) OnAccess(ev sim.AccessEvent) {
 }
 
 // Explore enumerates crash instants window by window, calling visit with
-// each fork's outcome in strictly increasing instant order. visit returning
-// false stops the exploration early (the partial Stats are still returned).
+// each instant's outcome in strictly increasing instant order. visit
+// returning false stops the exploration early (the partial Stats are still
+// returned).
 //
 // A window is the half-open instant range (b1, b2] between consecutive
-// checkpoint/commit boundaries (with boot and the halt instant as the outer
-// boundaries): a failure at instant t in that range always rolls back to the
-// checkpoint at or before b1, so the prefix machine paused at b1 is the
-// deepest shareable state for the whole window.
+// checkpoint/commit boundaries, with boot and the halt instant as the outer
+// boundaries; b2 is the prefix's first instruction boundary at or past the
+// scout's commit. The prefix machine walks each window, and every instant is
+// forked from it just before the instruction the failure strikes in.
 func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Stats, error) {
 	var stats Stats
 	defer func() { recordExploration(stats) }()
@@ -166,6 +230,7 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 	}
 	targets = append(targets, end)
 
+	x := &explorer{pm: pm, stride: opts.Stride, stats: &stats, visit: visit}
 	skipped := 0
 	cur := uint64(0)
 	for _, target := range targets {
@@ -178,30 +243,18 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 		if target <= cur {
 			continue // two boundaries inside one instruction
 		}
-		var base *emu.Machine
-		if skipped >= opts.SkipWindows {
-			// Freeze the window's fork base before advancing the prefix.
-			if base, err = pm.Fork(power.None{}); err != nil {
-				return stats, fmt.Errorf("snapshot: fork base: %w", err)
+		if skipped < opts.SkipWindows {
+			if err := x.advance(target); err != nil {
+				return stats, err
 			}
-		}
-		if _, err := pm.RunUntil(target); err != nil {
-			return stats, fmt.Errorf("snapshot: prefix run to %d: %w", target, err)
-		}
-		stop := pm.Now()
-		if stop > end {
-			stop = end
-		}
-		stats.PrefixCycles = pm.Now()
-		if base == nil {
 			skipped++
-			cur = stop
+			cur = min(pm.Now(), end)
 			continue
 		}
 
 		before := stats.Instants
 		ws := telemetry.ActiveTracer().Begin(opts.Span, telemetry.SpanWindow, "", "", "")
-		more, err := exploreWindow(base, cur, stop, opts.Stride, &stats, visit)
+		more, err := x.window(cur, target, end)
 		fanOut := uint64(stats.Instants - before)
 		windowInstants.Observe(fanOut)
 		telemetry.ActiveTracer().End(ws, fanOut, cur+1, err != nil)
@@ -209,27 +262,136 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 			return stats, err
 		}
 		stats.Windows++
-		cur = stop
+		cur = min(pm.Now(), end)
 	}
 	return stats, nil
 }
 
-// exploreWindow forks and runs every stride-th instant in (from, to] off
-// base on the caller's goroutine, visiting each outcome before the next fork
-// runs. A campaign fans out across seeds, not instants.
-func exploreWindow(base *emu.Machine, from, to, stride uint64, stats *Stats, visit func(Outcome) bool) (bool, error) {
-	for t := from + 1; t <= to; t += stride {
-		f, err := base.Fork(power.NewAt(t))
+// explorer is one exploration's walk: the prefix machine and the current
+// class of equal post-reboot states.
+type explorer struct {
+	pm     *emu.Machine
+	stride uint64
+	stats  *Stats
+	visit  func(Outcome) bool
+	class  *class
+}
+
+// class is the instants whose post-reboot states equal its first member's:
+// that member's machine, paused right after its reboot, and its tail's
+// outcome.
+type class struct {
+	rep     *emu.Machine
+	reboot  uint64 // rep's clock at the end of its reboot
+	retired uint64 // instructions rep had retired
+	res     emu.Result
+	err     error
+	sys     sim.System
+}
+
+// advance runs the prefix machine to its first instruction boundary at or
+// past cycle to.
+func (x *explorer) advance(to uint64) error {
+	_, err := x.pm.RunUntil(to)
+	x.stats.PrefixCycles = x.pm.Now()
+	if err != nil {
+		return fmt.Errorf("snapshot: prefix run to %d: %w", to, err)
+	}
+	return nil
+}
+
+// window visits every stride-th instant in (from, stop], where stop is the
+// prefix's first instruction boundary at or past target, clamped to end. The
+// prefix walks the window as it goes and is left paused at stop.
+func (x *explorer) window(from, target, end uint64) (bool, error) {
+	pm := x.pm
+	for t := from + 1; t <= end; t += x.stride {
+		sched := power.NewAt(t)
+		f, err := pm.Fork(sched)
 		if err != nil {
 			return false, fmt.Errorf("snapshot: fork at %d: %w", t, err)
 		}
-		res, rerr := f.Run()
-		stats.Instants++
-		stats.BootCycles += res.Counters.Cycles
-		stats.ForkCycles += res.Counters.Cycles - from
-		if !visit(Outcome{Instant: t, Res: res, Err: rerr, Sys: f.System()}) {
+		// The fork returns right after t's reboot; past target, it
+		// returns at stop instead when t lies beyond the window.
+		_, err = f.RunUntil(min(t, target))
+		x.stats.ForkCycles += f.Now() - pm.Now()
+		if err != nil {
+			return false, fmt.Errorf("snapshot: fork to instant %d: %w", t, err)
+		}
+		if f.Now() < t {
+			break
+		}
+		failed := f.Retired()
+		o, err := x.outcome(t, sched, f)
+		if err != nil {
+			return false, err
+		}
+		if !x.visit(o) {
 			return false, nil
 		}
+		// The failure struck inside instruction number failed or after it
+		// retired, so the boundary before that instruction precedes t and
+		// every later instant.
+		for pm.Retired()+1 < failed {
+			if err := x.advance(pm.Now() + 1); err != nil {
+				return false, err
+			}
+		}
 	}
-	return true, nil
+	return true, x.advance(target)
+}
+
+// outcome completes instant t from its fork f, paused right after the
+// failure's reboot: from the current class when f's state equals the
+// class's, else by running f's tail on a fork of f, which becomes the new
+// class.
+func (x *explorer) outcome(t uint64, sched power.Schedule, f *emu.Machine) (Outcome, error) {
+	o := Outcome{Instant: t}
+	if c := x.class; c != nil && f.EqualState(c.rep) {
+		if res, ok := c.shift(f); ok {
+			x.stats.Reused++
+			o.Res, o.Err, o.Sys, o.Reused = res, c.err, c.sys, true
+		} else {
+			x.stats.Reruns++
+			o.Res, o.Err = x.tail(f)
+			o.Sys = f.System()
+		}
+	} else {
+		tm, err := f.Fork(sched)
+		if err != nil {
+			return o, fmt.Errorf("snapshot: fork tail of %d: %w", t, err)
+		}
+		o.Res, o.Err = x.tail(tm)
+		o.Sys = tm.System()
+		x.class = &class{rep: f, reboot: f.Now(), retired: f.Retired(), res: o.Res, err: o.Err, sys: o.Sys}
+	}
+	x.stats.Instants++
+	x.stats.BootCycles += o.Res.Counters.Cycles
+	return o, nil
+}
+
+// tail runs m, paused right after a reboot, to completion.
+func (x *explorer) tail(m *emu.Machine) (emu.Result, error) {
+	from := m.Now()
+	res, err := m.Run()
+	x.stats.Tails++
+	x.stats.ForkCycles += res.Counters.Cycles - from
+	return res, err
+}
+
+// shift returns the class's result moved to member f: cycles and
+// instructions offset by the difference at reboot, and every other counter
+// zero. ok is false when the class's tail or the shifted one would reach the
+// cycle budget or the instruction limit, which fire at absolute counts.
+func (c *class) shift(f *emu.Machine) (res emu.Result, ok bool) {
+	cycles := c.res.Counters.Cycles - c.reboot + f.Now()
+	instrs := c.res.Counters.Instructions - c.retired + f.Retired()
+	maxCycles, maxInstrs := f.Limits()
+	if maxCycles > 0 && max(cycles, c.res.Counters.Cycles) >= maxCycles ||
+		max(instrs, c.res.Counters.Instructions) >= maxInstrs {
+		return res, false
+	}
+	res = c.res
+	res.Counters = metrics.Counters{Cycles: cycles, Instructions: instrs}
+	return res, true
 }

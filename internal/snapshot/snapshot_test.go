@@ -1,15 +1,16 @@
 package snapshot_test
 
 // Fork-vs-boot equivalence: the whole point of the snapshot package is that
-// a forked run is indistinguishable from a from-boot run under the same
-// failure schedule. This suite enforces that across every benchmark × every
-// system × a strided set of crash instants in the first checkpoint windows,
-// comparing the full result struct, the error string, and the final NVM
-// data-segment bytes. The fuzzer's exhaustive-mode tests add full-density
+// an explored instant is indistinguishable from a from-boot run under the
+// same failure schedule. This suite enforces that across every benchmark ×
+// every system × a strided set of crash instants in the first checkpoint
+// windows, comparing the error string, the result (the whole struct for a
+// fresh tail, the exact fields for a reused outcome) and the final NVM
+// data-segment bytes. The fuzzer's exhaustive-mode referee adds full-density
 // (Stride=1) coverage on small generated programs.
 
 import (
-	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"nacho/internal/emu"
@@ -63,18 +64,20 @@ func nvmDiff(t *testing.T, img *program.Image, got, want sim.System, instant uin
 	}
 }
 
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
 func TestForkVsBootMatrix(t *testing.T) {
 	stride, maxInstants := uint64(61), 64
 	if testing.Short() {
 		stride, maxInstants = 211, 12
 	}
+	// The cap truncates long tails at the budget, whose error fires at an
+	// absolute cycle: their classes must have been re-run, not shifted.
+	// Cleanup runs once every parallel subtest has finished.
+	var reruns atomic.Int64
+	t.Cleanup(func() {
+		if !t.Failed() && reruns.Load() == 0 {
+			t.Error("no budget re-runs under the 60,000-cycle cap")
+		}
+	})
 	for _, p := range program.All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
@@ -99,12 +102,8 @@ func TestForkVsBootMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatalf("instant %d: boot machine: %v", o.Instant, err)
 						}
-						bres, berr := bm.Run()
-						if es, bs := errString(o.Err), errString(berr); es != bs {
-							t.Fatalf("instant %d: error diverged: fork=%q boot=%q", o.Instant, es, bs)
-						}
-						if !reflect.DeepEqual(o.Res, bres) {
-							t.Fatalf("instant %d: result diverged:\nfork %+v\nboot %+v", o.Instant, o.Res, bres)
+						if d := o.Diff(bm.Run()); d != "" {
+							t.Fatalf("instant %d (reused %v): %s", o.Instant, o.Reused, d)
 						}
 						nvmDiff(t, img, o.Sys, bm.System(), o.Instant)
 						return n < maxInstants
@@ -115,6 +114,10 @@ func TestForkVsBootMatrix(t *testing.T) {
 					if stats.Instants == 0 {
 						t.Fatal("explored zero crash instants")
 					}
+					if stats.Instants != stats.Tails+stats.Reused {
+						t.Fatalf("instants %d != tails %d + reused %d", stats.Instants, stats.Tails, stats.Reused)
+					}
+					reruns.Add(int64(stats.Reruns))
 				})
 			}
 		})

@@ -104,6 +104,13 @@ func (k *Clank) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim
 	}
 }
 
+// EqualState implements sim.Forkable: the checkpoint-store position, the
+// tracker and NVM.
+func (k *Clank) EqualState(o sim.System) bool {
+	q, ok := o.(*Clank)
+	return ok && k.ckpt.EqualState(q.ckpt) && k.tracker.Equal(q.tracker) && k.nvm.Equal(q.nvm)
+}
+
 // NotifySP implements sim.System (Clank has no stack tracking).
 func (k *Clank) NotifySP(uint32) {}
 

@@ -2,6 +2,7 @@ package systems
 
 import (
 	"fmt"
+	"slices"
 
 	"nacho/internal/cache"
 	"nacho/internal/checkpoint"
@@ -257,6 +258,15 @@ func (p *PROWL) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim
 		copy(f.ways[w], p.ways[w])
 	}
 	return f
+}
+
+// EqualState implements sim.Forkable: the LRU stamp, the checkpoint-store
+// position, both way arrays and NVM.
+func (p *PROWL) EqualState(o sim.System) bool {
+	q, ok := o.(*PROWL)
+	return ok && p.stamp == q.stamp && p.ckpt.EqualState(q.ckpt) &&
+		slices.Equal(p.ways[0], q.ways[0]) && slices.Equal(p.ways[1], q.ways[1]) &&
+		p.nvm.Equal(q.nvm)
 }
 
 // NotifySP implements sim.System (no stack tracking in PROWL).

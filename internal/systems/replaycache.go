@@ -225,6 +225,28 @@ func (r *ReplayCache) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counter
 	}
 }
 
+// EqualState implements sim.Forkable: the region position, the write-back
+// queue, the checkpoint-store position, the cache, the tracker and NVM. The
+// region start and the queue's completion cycles are compared relative to
+// each replica's clock: the time since the region began decides where the
+// region is cut, and the time left on each write-back decides the stalls.
+func (r *ReplayCache) EqualState(o sim.System) bool {
+	q, ok := o.(*ReplayCache)
+	if !ok || r.regionSeq != q.regionSeq || len(r.queue) != len(q.queue) {
+		return false
+	}
+	now, qnow := r.clk.Now(), q.clk.Now()
+	if now-r.regionStart != qnow-q.regionStart {
+		return false
+	}
+	for i, done := range r.queue {
+		if done-now != q.queue[i]-qnow {
+			return false
+		}
+	}
+	return r.ckpt.EqualState(q.ckpt) && r.cache.Equal(q.cache) && r.tracker.Equal(q.tracker) && r.nvm.Equal(q.nvm)
+}
+
 // NotifySP implements sim.System (no stack tracking).
 func (r *ReplayCache) NotifySP(uint32) {}
 

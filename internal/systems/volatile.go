@@ -64,6 +64,16 @@ func (v *Volatile) Fork(clk sim.Clock, _ sim.RegSource, c *metrics.Counters) sim
 	return &Volatile{space: v.space.Fork(), cost: v.cost, clk: clk, c: c}
 }
 
+// EqualState implements sim.Forkable: the memory space is the whole state.
+func (v *Volatile) EqualState(o sim.System) bool {
+	q, ok := o.(*Volatile)
+	if !ok {
+		return false
+	}
+	_, eq := v.space.Equal(q.space)
+	return eq
+}
+
 // NotifySP implements sim.System (no stack tracking).
 func (v *Volatile) NotifySP(uint32) {}
 

@@ -146,6 +146,13 @@ func (w *WriteThrough) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counte
 	}
 }
 
+// EqualState implements sim.Forkable: the checkpoint-store position, the
+// read cache, the tracker and NVM.
+func (w *WriteThrough) EqualState(o sim.System) bool {
+	q, ok := o.(*WriteThrough)
+	return ok && w.ckpt.EqualState(q.ckpt) && w.cache.Equal(q.cache) && w.tracker.Equal(q.tracker) && w.nvm.Equal(q.nvm)
+}
+
 // NotifySP implements sim.System (no stack tracking: nothing dirty to drop).
 func (w *WriteThrough) NotifySP(uint32) {}
 

@@ -57,6 +57,10 @@ func (t *Tracker) Clone() *Tracker { return &Tracker{words: t.words.Clone()} }
 // Reset clears the interval (called at each checkpoint / region boundary).
 func (t *Tracker) Reset() { t.words.Reset() }
 
+// Equal reports whether two trackers hold the same interval state, however
+// many times each was reset (Words.Equal).
+func (t *Tracker) Equal(o *Tracker) bool { return t.words.Equal(&o.words) }
+
 // Len returns the number of tracked words (test/inspection helper).
 func (t *Tracker) Len() int { return t.words.Len() }
 
@@ -175,6 +179,26 @@ func (t *Words) Clone() Words {
 		c.live = append(c.live, np)
 	}
 	return c
+}
+
+// Equal reports whether two tables hold the same state for every word. It
+// is blind to the generation counter: a page stale in its table reads as
+// zeros, so two tables reset a different number of times compare by
+// content alone.
+func (t *Words) Equal(o *Words) bool { return t.within(o) && o.within(t) }
+
+// within reports whether every page live in t matches o word for word.
+func (t *Words) within(o *Words) bool {
+	for _, p := range t.live {
+		if q := o.page(p.key << pageBits); q != nil && q.gen == o.gen {
+			if p.w != q.w {
+				return false
+			}
+		} else if p.w != ([wordsPerPage]uint8{}) {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of words with a non-zero state.

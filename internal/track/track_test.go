@@ -188,3 +188,36 @@ func TestTrackerVersusNaiveModel(t *testing.T) {
 		t.Fatal("write after the wrap reported a WAR from before it")
 	}
 }
+
+// TestEqualIgnoresGeneration: trackers compare by content, however many
+// times each was reset, and a single differing entry on either side makes
+// them unequal.
+func TestEqualIgnoresGeneration(t *testing.T) {
+	a, b := New(), New()
+	a.ObserveRead(0x100, 4)
+	b.ObserveWrite(0x8000, 4) // a page that goes stale below
+	for i := 0; i < 3; i++ {
+		b.Reset()
+	}
+	b.ObserveRead(0x100, 4)
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("trackers with one interval's content compare unequal")
+	}
+	if c := b.Clone(); !c.Equal(a) {
+		t.Fatal("a clone compares unequal")
+	}
+	for _, p := range []struct {
+		name string
+		f    func(*Tracker)
+	}{
+		{"read-dominated byte", func(t *Tracker) { t.ObserveRead(0x104, 1) }},
+		{"write on the shared page", func(t *Tracker) { t.ObserveWrite(0x108, 1) }},
+		{"entry on a stale page", func(t *Tracker) { t.ObserveRead(0x8000, 4) }},
+	} {
+		c := b.Clone()
+		p.f(c)
+		if a.Equal(c) || c.Equal(a) {
+			t.Errorf("%s: perturbed tracker compares equal", p.name)
+		}
+	}
+}
