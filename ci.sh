@@ -37,10 +37,15 @@ go test -shuffle=on ./internal/harness/ .
 # attached, the same event stream, under the race detector too. The
 # snapshot/mem pass exercises the copy-on-write fork machinery (refcounted
 # leaves and pages; mem's TestForkConcurrentWriters writes concurrent forks
-# of one space) under the race detector; power rides along for its schedule
+# of one space) and its release protocol (a leaf or page goes to the free
+# list when its count reaches zero, whether a copy or a Release dropped the
+# last reference, and writable draws from that list; mem's
+# TestForkConcurrentRelease forks, writes and releases from several
+# goroutines) under the race detector; power rides along for its schedule
 # property tests. Harness and campaign workers fork each image's frozen
-# space concurrently, so the fuzzer runs here too, with the tracker and
-# verifier packages whose interval state shares the page-table layout.
+# space concurrently and release every oracle run's spaces, so the fuzzer
+# runs here too, with the tracker and verifier packages whose interval state
+# shares the page-table layout and its free lists.
 go test -race ./internal/harness/... ./internal/core/ ./internal/systems/
 go test -race ./internal/snapshot/ ./internal/mem/ ./internal/power/
 go test -race ./internal/fuzzer/ ./internal/verify/ ./internal/track/
@@ -63,9 +68,14 @@ go test -run xxx -bench 'BenchmarkEmulatorThroughputALU$|BenchmarkEmulatorThroug
 # controller load and store hit, cache Probe/Touch, the page table's word
 # Read/Write and never-written Read, the tracker's Observe/Reset and the
 # verifier's OnAccess/IntervalBoundary (run without -race — the race
-# allocator breaks the pin).
+# allocator breaks the pin). Beside them, mem's TestReleaseReturnsOwnership
+# pins that a parent whose only fork was released writes in place, and the
+# fuzzer's TestCheckAllocatedBytes pins the bytes one warm oracle check
+# allocates across the default systems (measured plus 25%, GC off while it
+# counts): every oracle run gives its memory back to the free lists.
 go test -run xxx -bench 'BenchmarkEmulatorThroughputNACHOIntermittent$' -benchtime 1x . | grep -E 'sim-MIPS|^Benchmark'
-go test -run 'ZeroAlloc' ./internal/core/ ./internal/cache/ ./internal/mem/ ./internal/track/ ./internal/verify/
+go test -run 'ZeroAlloc|TestReleaseReturnsOwnership' ./internal/core/ ./internal/cache/ ./internal/mem/ ./internal/track/ ./internal/verify/
+go test -run 'TestCheckAllocatedBytes' -v ./internal/fuzzer/
 
 # Telemetry end-to-end: serve, sweep, scrape mid-flight, validate every
 # exposition line, check that the nacho_sim_* series grew by the sums of the

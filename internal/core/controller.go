@@ -139,6 +139,14 @@ func (k *Controller) Name() string { return k.name }
 // Mem implements sim.System.
 func (k *Controller) Mem() sim.MemReaderWriter { return k.nvm }
 
+// Release implements sim.System: NVM and the exact-mode tracker go back.
+func (k *Controller) Release() {
+	k.nvm.Release()
+	if k.tracker != nil {
+		k.tracker.Release()
+	}
+}
+
 // Attach implements sim.System; it also seeds the boot checkpoint.
 func (k *Controller) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) {
 	k.clk, k.regs, k.c = clk, regs, c

@@ -179,7 +179,10 @@ func RunImage(img *program.Image, kind systems.Kind, cfg RunConfig, checkGolden 
 // RunImageSys is RunImage, additionally returning the memory system the run
 // executed on. Callers that compare post-run NVM state (the differential
 // fuzzer, the metamorphic tests) read it through sys.Mem(); everyone else
-// should use RunImage, which discards it. It never touches the run store.
+// should use RunImage, which discards it. The caller owns the system: once
+// done reading it, it calls sys.Release to give its memory back (dropping it
+// instead leaves it to the garbage collector). It never touches the run
+// store.
 func RunImageSys(img *program.Image, kind systems.Kind, cfg RunConfig, checkGolden bool) (emu.Result, sim.System, error) {
 	r := request{img: img, kind: kind, cfg: cfg, checkGolden: checkGolden}
 	return r.execute()
@@ -256,6 +259,7 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 	tr.End(span, res.Counters.Cycles, res.Counters.Instructions, err != nil)
 	runFinished(engine, wallMicros, &res.Counters)
 	appendLedger(r, engine, res, err, wallMicros, outcomeExecuted)
+	ver.Release()
 	return res, sys, err
 }
 

@@ -76,23 +76,30 @@ func entryResult(e *store.Entry) (emu.Result, error) {
 // result was served from the store without executing. Every cacheable caller
 // — the public Run and RunImage, and the run cache's owner path — funnels
 // through here; RunImageSys stays store-free because its callers read
-// post-run memory state a stored record cannot reconstruct.
+// post-run memory state a stored record cannot reconstruct. Nobody here
+// reads the run's system, so it is released as soon as the run returns.
 func runImageStored(r *request) (emu.Result, error, bool) {
 	s := ActiveStore()
-	if s == nil || r.cfg.observed() {
-		res, _, err := r.execute()
-		return res, err, false
+	if r.cfg.observed() {
+		s = nil // an observed run bypasses the store both ways
 	}
-	key := r.identity()
-	if e, ok := s.Get(*key); ok {
-		res, err := entryResult(e)
-		pool.storeHits.Add(1)
-		appendLedger(r, executedEngine(r.cfg), res, err, 0, outcomeStoreHit)
-		return res, err, true
+	if s != nil {
+		if e, ok := s.Get(*r.identity()); ok {
+			res, err := entryResult(e)
+			pool.storeHits.Add(1)
+			appendLedger(r, executedEngine(r.cfg), res, err, 0, outcomeStoreHit)
+			return res, err, true
+		}
 	}
-	res, _, err := r.execute()
-	// A failed write costs only a re-execution on the next request, and Put
-	// counts it for Stats and keeps it for Close, so the result stands.
-	_ = s.Put(entryFor(*key, res, err))
+	res, sys, err := r.execute()
+	if sys != nil {
+		sys.Release()
+	}
+	if s != nil {
+		// A failed write costs only a re-execution on the next request, and
+		// Put counts it for Stats and keeps it for Close, so the result
+		// stands.
+		_ = s.Put(entryFor(*r.identity(), res, err))
+	}
 	return res, err, false
 }

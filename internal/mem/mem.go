@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"nacho/internal/metrics"
@@ -71,6 +72,54 @@ type leaf struct {
 	pages [leafSize]*page
 }
 
+// The free lists. A leaf or page whose count reaches zero, when a space
+// copies it (writable) or releases it (Release), goes back here, and
+// writable draws from here before it allocates. A count reaches zero only
+// once no space or leaf references the block, so no live space can see it
+// again. The frozen image of a program never releases, so no block it holds
+// reaches zero. A pooled leaf is empty; a pooled page keeps its stale bytes.
+var (
+	freeLeaves = sync.Pool{New: func() any { return new(leaf) }}
+	freePages  = sync.Pool{New: func() any { return new(page) }}
+)
+
+// newLeaf returns an empty leaf with one reference.
+func newLeaf() *leaf {
+	l := freeLeaves.Get().(*leaf)
+	l.refs.Store(1)
+	return l
+}
+
+// newPage returns a page with one reference and unspecified contents.
+func newPage() *page {
+	p := freePages.Get().(*page)
+	p.refs.Store(1)
+	return p
+}
+
+// unref drops one reference to the leaf. The last one drops the leaf's
+// references to its pages and puts the leaf on the free list.
+func (l *leaf) unref() {
+	if l.refs.Add(-1) != 0 {
+		return
+	}
+	for j, p := range l.pages {
+		if p != nil {
+			p.unref()
+			l.pages[j] = nil
+		}
+	}
+	freeLeaves.Put(l)
+}
+
+// unref drops one reference to the page. The last one puts it on the free
+// list.
+func (p *page) unref() {
+	if p.refs.Add(-1) == 0 {
+		freePages.Put(p)
+	}
+}
+
 // bytes returns the page's storage, or the zero page for a nil page.
 func (p *page) bytes() *[pageSize]byte {
 	if p == nil {
@@ -115,7 +164,8 @@ func (s *Space) page(addr uint32) *page {
 // copying its leaf and then the page itself. Each copy completes before the
 // shared original's refcount is released, so a sibling that subsequently
 // observes refs == 1 may write the original in place without racing the
-// copy.
+// copy, and an original whose count the release takes to zero is on the
+// free list only once every copy of it is complete.
 func (s *Space) writable(addr uint32) *page {
 	i := addr >> rootShift
 	if i >= uint32(len(s.root)) {
@@ -124,19 +174,17 @@ func (s *Space) writable(addr uint32) *page {
 	l := s.root[i]
 	switch {
 	case l == nil:
-		l = new(leaf)
-		l.refs.Store(1)
+		l = newLeaf()
 		s.root[i] = l
 	case l.refs.Load() > 1:
-		nl := new(leaf)
-		nl.refs.Store(1)
+		nl := newLeaf()
 		for j, p := range l.pages {
 			if p != nil {
 				p.refs.Add(1)
 				nl.pages[j] = p
 			}
 		}
-		l.refs.Add(-1)
+		l.unref()
 		s.root[i] = nl
 		l = nl
 	}
@@ -144,14 +192,15 @@ func (s *Space) writable(addr uint32) *page {
 	p := l.pages[j]
 	switch {
 	case p == nil:
-		p = new(page)
-		p.refs.Store(1)
+		// The page stands in for the zero page, so a recycled one is
+		// cleared.
+		p = newPage()
+		clear(p.data[:])
 		l.pages[j] = p
 	case p.refs.Load() > 1:
-		np := new(page)
-		np.refs.Store(1)
+		np := newPage()
 		np.data = p.data
-		p.refs.Add(-1)
+		p.unref()
 		l.pages[j] = np
 		p = np
 	}
@@ -160,12 +209,12 @@ func (s *Space) writable(addr uint32) *page {
 
 // Fork returns a copy-on-write descendant sharing every current leaf (and
 // so every page) with the parent. Either side's next write to a shared leaf
-// or page copies it first, so the two spaces diverge independently; an
-// abandoned fork needs no explicit release (unreferenced pages are
-// garbage-collected, and the surviving side simply pays one copy for blocks
-// whose count never dropped back to 1). Fork writes nothing of the parent
-// but the atomic refcounts, so many goroutines may fork one quiescent
-// parent at once.
+// or page copies it first, so the two spaces diverge independently. Fork
+// writes nothing of the parent but the atomic refcounts, so many goroutines
+// may fork one quiescent parent at once. A fork that is done with should be
+// released (Release): until then the parent pays one copy for every shared
+// block it writes, and an abandoned fork's blocks go to the garbage
+// collector rather than back to the free lists.
 func (s *Space) Fork() *Space {
 	root := make([]*leaf, len(s.root))
 	for i, l := range s.root {
@@ -175,6 +224,21 @@ func (s *Space) Fork() *Space {
 		}
 	}
 	return &Space{root: root}
+}
+
+// Release gives the space's leaves and pages back: it drops its reference
+// to each leaf, and every leaf or page no other space still holds goes to
+// the free list, where the next copy or first write takes it. A sharer
+// whose count falls back to 1 owns its block again and writes it in place.
+// The space reads as empty afterwards; its owner must not use it again, and
+// no space may fork it concurrently.
+func (s *Space) Release() {
+	for _, l := range s.root {
+		if l != nil {
+			l.unref()
+		}
+	}
+	s.root = nil
 }
 
 // Read returns size bytes (1, 2 or 4) at addr, little-endian, zero-extended.
@@ -359,6 +423,10 @@ func (n *NVM) Write(addr uint32, size int, val uint32) {
 func (n *NVM) Fork() *NVM {
 	return &NVM{space: n.space.Fork(), cost: n.cost}
 }
+
+// Release gives the NVM's space back (Space.Release) once its owner is done
+// with it.
+func (n *NVM) Release() { n.space.Release() }
 
 // Equal reports whether two NVMs hold identical contents (Space.Equal:
 // shared pages are skipped unread).

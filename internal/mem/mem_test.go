@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -344,8 +346,9 @@ func TestForkCopyOnWrite(t *testing.T) {
 }
 
 // TestForkChainAndAbandon covers grandchild forks and abandoned forks: a
-// chain of forks all alias one page, and dropping intermediate forks must
-// not disturb survivors (no explicit release — GC reclaims).
+// chain of forks all alias one page, and dropping an intermediate fork
+// without releasing it must not disturb survivors (the garbage collector
+// reclaims it).
 func TestForkChainAndAbandon(t *testing.T) {
 	a := NewSpace()
 	a.Write(0x2000, 4, 7)
@@ -359,6 +362,160 @@ func TestForkChainAndAbandon(t *testing.T) {
 	}
 	if v := c.Read(0x2000, 4); v != 8 {
 		t.Fatalf("grandchild lost its own write: %d", v)
+	}
+}
+
+// pattern is the word the recycling tests write at addr in space number i.
+func pattern(i int, addr uint32) uint32 { return addr*2654435761 ^ uint32(i)<<28 | 1 }
+
+// checkPattern fails t unless every word of [lo, hi) in s holds pattern(i).
+func checkPattern(t *testing.T, name string, s *Space, i int, lo, hi uint32) {
+	t.Helper()
+	for a := lo; a < hi; a += 4 {
+		if v, want := s.Read(a, 4), pattern(i, a); v != want {
+			t.Fatalf("%s at %#x: %#x, want %#x", name, a, v, want)
+		}
+	}
+}
+
+// TestReleaseKeepsSharers releases a fork that copied some of the leaves
+// and pages it shared with its parent and a sibling and wrote pages of its
+// own, then lets a fresh space take what the release freed. The parent and
+// the sibling must read their bytes unchanged: a block that another space
+// still references never reaches the free list.
+func TestReleaseKeepsSharers(t *testing.T) {
+	// A collection empties the free lists.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const span = 2 * leafSize * pageSize // two leaves
+	parent := NewSpace()
+	for a := uint32(0); a < span; a += 4 {
+		parent.Write(a, 4, pattern(0, a))
+	}
+	sibling := parent.Fork()
+	f := parent.Fork()
+	for a := uint32(0); a < span; a += 3 * pageSize {
+		f.Write(a, 4, 7) // copies the leaf, then one page in three
+	}
+	f.Write(span+8, 4, 7) // a page of its own
+	f.Release()
+	if v := f.Read(0, 4); v != 0 {
+		t.Fatalf("a released space reads %#x, want the empty space's 0", v)
+	}
+
+	fresh := NewSpace()
+	for a := uint32(0); a < 2*span; a += 4 {
+		fresh.Write(0x100_0000+a, 4, pattern(1, a))
+	}
+	checkPattern(t, "parent", parent, 0, 0, span)
+	checkPattern(t, "sibling", sibling, 0, 0, span)
+	for a := uint32(0); a < 2*span; a += 4 {
+		if v := fresh.Read(0x100_0000+a, 4); v != pattern(1, a) {
+			t.Fatalf("fresh space at %#x: %#x", a, v)
+		}
+	}
+	if v := parent.Read(span+8, 4); v != 0 {
+		t.Fatalf("the released fork's own page leaked into the parent: %#x", v)
+	}
+}
+
+// TestRecycledPageReadsZero releases a space whose pages are full of ones
+// and then writes one byte into each of as many never-written pages of
+// another: every recycled page stands in for the zero page, so all its
+// other bytes must read zero. The test also checks that pages were in fact
+// recycled, so it cannot pass by allocating fresh ones.
+func TestRecycledPageReadsZero(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the free lists
+	const pages = 64
+	old := NewSpace()
+	freed := make(map[*page]bool)
+	for i := uint32(0); i < pages; i++ {
+		old.LoadBytes(i*pageSize, bytes.Repeat([]byte{0xFF}, pageSize))
+		freed[old.page(i*pageSize)] = true
+	}
+	old.Release()
+
+	s := NewSpace()
+	reused := 0
+	for i := uint32(0); i < pages; i++ {
+		base := 0x40_0000 + i*pageSize
+		s.Write(base+8, 1, 0x5A)
+		if freed[s.page(base)] {
+			reused++
+		}
+		for a := base; a < base+pageSize; a += 4 {
+			want := uint32(0)
+			if a == base+8 {
+				want = 0x5A
+			}
+			if v := s.Read(a, 4); v != want {
+				t.Fatalf("recycled page at %#x reads %#x, want %#x", a, v, want)
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no released page was recycled")
+	}
+}
+
+// TestForkConcurrentRelease forks one quiescent parent from several
+// goroutines at once, as the harness's and the fuzzer's workers fork one
+// frozen image: each writes half of the shared pages and one page of its
+// own, checks its bytes, the parent's it still shares included, and
+// releases, round after round. Blocks freed on one goroutine are taken from
+// the free lists by another while the parent and a sibling fork still share
+// the originals. Under -race this pins the release protocol: a block
+// reaches the free list only when its count reaches zero, on the copy path
+// or the release path, and only after every copy of it is complete.
+func TestForkConcurrentRelease(t *testing.T) {
+	const shared, written = 8 * pageSize, 4 * pageSize
+	parent := NewSpace()
+	for a := uint32(0); a < shared; a += 4 {
+		parent.Write(a, 4, pattern(0, a))
+	}
+	sibling := parent.Fork()
+	const workers, rounds = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 1; w <= workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			own := shared + uint32(w)*pageSize // a page no other space writes
+			for r := 0; r < rounds; r++ {
+				f := parent.Fork()
+				for a := uint32(0); a < written; a += 4 {
+					f.Write(a, 4, pattern(w, a))
+				}
+				f.Write(own, 4, pattern(w, own))
+				for a := uint32(0); a < shared; a += 4 {
+					want := pattern(0, a)
+					if a < written {
+						want = pattern(w, a)
+					}
+					if v := f.Read(a, 4); v != want {
+						errs <- fmt.Sprintf("worker %d round %d at %#x: %#x, want %#x", w, r, a, v, want)
+						return
+					}
+				}
+				if v := f.Read(own, 4); v != pattern(w, own) {
+					errs <- fmt.Sprintf("worker %d round %d lost its own page: %#x", w, r, v)
+					return
+				}
+				f.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	checkPattern(t, "parent", parent, 0, 0, shared)
+	checkPattern(t, "sibling", sibling, 0, 0, shared)
+	for w := 1; w <= workers; w++ {
+		if v := parent.Read(shared+uint32(w)*pageSize, 4); v != 0 {
+			t.Fatalf("a fork's own page leaked into the parent: %#x", v)
+		}
 	}
 }
 

@@ -30,3 +30,20 @@ func TestWordAccessZeroAlloc(t *testing.T) {
 		t.Fatalf("never-written memory read %#x, want 0", sinkWord)
 	}
 }
+
+// TestReleaseReturnsOwnership gates what releasing a fork buys its parent:
+// the fork's references go, so the parent owns its leaf and page again and
+// writes them in place. Each step forks, releases and writes; the write must
+// add no allocation to the fork's own.
+func TestReleaseReturnsOwnership(t *testing.T) {
+	s := NewSpace()
+	s.Write(0x2_0000, 4, 1)
+	fork := func() { s.Fork().Release() }
+	forkWrite := func() {
+		s.Fork().Release()
+		s.Write(0x2_0040, 4, sinkWord+1)
+	}
+	if n, base := testing.AllocsPerRun(100, forkWrite), testing.AllocsPerRun(100, fork); n != base {
+		t.Fatalf("a write after the only fork is released allocates: %v allocs/op, the fork and release alone %v", n, base)
+	}
+}

@@ -120,6 +120,14 @@ type System interface {
 	// Mem returns the backing non-volatile (or, for the volatile baseline,
 	// SRAM) data space for program loading and final-state inspection.
 	Mem() MemReaderWriter
+
+	// Release gives the system's memory space and trackers back to their
+	// free lists once the run is over and nothing will read the system
+	// again; caches are left to the garbage collector. Whoever ends the run
+	// releases: the harness for every run whose system it discards, the
+	// caller of harness.RunImageSys for the system it is handed. The system
+	// must not be used afterwards.
+	Release()
 }
 
 // MemReaderWriter is the raw, cost-free debug/loader view of a memory space.

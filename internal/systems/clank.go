@@ -125,3 +125,9 @@ func (k *Clank) Restore() (sim.Snapshot, bool) { return k.ckpt.Restore() }
 
 // Mem implements sim.System.
 func (k *Clank) Mem() sim.MemReaderWriter { return k.nvm }
+
+// Release implements sim.System.
+func (k *Clank) Release() {
+	k.nvm.Release()
+	k.tracker.Release()
+}

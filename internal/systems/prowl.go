@@ -288,3 +288,6 @@ func (p *PROWL) Restore() (sim.Snapshot, bool) {
 
 // Mem implements sim.System.
 func (p *PROWL) Mem() sim.MemReaderWriter { return p.nvm }
+
+// Release implements sim.System: PROWL tracks nothing, so only NVM goes back.
+func (p *PROWL) Release() { p.nvm.Release() }

@@ -284,3 +284,9 @@ func (r *ReplayCache) Restore() (sim.Snapshot, bool) {
 
 // Mem implements sim.System.
 func (r *ReplayCache) Mem() sim.MemReaderWriter { return r.nvm }
+
+// Release implements sim.System.
+func (r *ReplayCache) Release() {
+	r.nvm.Release()
+	r.tracker.Release()
+}

@@ -90,6 +90,9 @@ func (v *Volatile) Restore() (sim.Snapshot, bool) { return sim.Snapshot{}, false
 // Mem implements sim.System.
 func (v *Volatile) Mem() sim.MemReaderWriter { return v.space }
 
+// Release implements sim.System: the memory space is all there is.
+func (v *Volatile) Release() { v.space.Release() }
+
 // AttachProbe implements sim.System: the baseline owns no cache, NVM, or
 // checkpoint store — only its own access events flow.
 func (v *Volatile) AttachProbe(p sim.Probe) {

@@ -172,3 +172,9 @@ func (w *WriteThrough) Restore() (sim.Snapshot, bool) {
 
 // Mem implements sim.System.
 func (w *WriteThrough) Mem() sim.MemReaderWriter { return w.nvm }
+
+// Release implements sim.System.
+func (w *WriteThrough) Release() {
+	w.nvm.Release()
+	w.tracker.Release()
+}

@@ -10,6 +10,8 @@
 // detector, and as ReplayCache's idempotent-region former.
 package track
 
+import "sync"
+
 // Tracker records first-access dominance per byte since the last Reset.
 // Accesses are naturally aligned, so each falls inside one word.
 type Tracker struct {
@@ -57,6 +59,10 @@ func (t *Tracker) Clone() *Tracker { return &Tracker{words: t.words.Clone()} }
 // Reset clears the interval (called at each checkpoint / region boundary).
 func (t *Tracker) Reset() { t.words.Reset() }
 
+// Release gives the tracker's pages back (Words.Release) once its owner is
+// done with it.
+func (t *Tracker) Release() { t.words.Release() }
+
 // Equal reports whether two trackers hold the same interval state, however
 // many times each was reset (Words.Equal).
 func (t *Tracker) Equal(o *Tracker) bool { return t.words.Equal(&o.words) }
@@ -88,6 +94,14 @@ type Words struct {
 }
 
 type wordLeaf [leafSize]*wordPage
+
+// The free lists Release fills and insert, refresh and Clone draw from. A
+// pooled leaf is empty; a pooled page keeps its stale words, so refresh
+// clears every page it stamps.
+var (
+	freeLeaves = sync.Pool{New: func() any { return new(wordLeaf) }}
+	freePages  = sync.Pool{New: func() any { return new(wordPage) }}
+)
 
 type wordPage struct {
 	gen uint16
@@ -124,14 +138,15 @@ func (t *Words) Ref(addr uint32) *uint8 {
 }
 
 // refresh stamps the page holding addr (p, or a new page when p is nil)
-// with the current generation, clearing what an older one left.
+// with the current generation, clearing what an older generation or an
+// earlier table left.
 func (t *Words) refresh(addr uint32, p *wordPage) *wordPage {
 	if p == nil {
-		p = &wordPage{key: addr >> pageBits}
+		p = freePages.Get().(*wordPage)
+		p.key = addr >> pageBits
 		t.insert(p)
-	} else {
-		clear(p.w[:])
 	}
+	clear(p.w[:])
 	p.gen = t.gen
 	t.live = append(t.live, p)
 	return p
@@ -143,7 +158,7 @@ func (t *Words) insert(p *wordPage) {
 		t.root = append(t.root, make([]*wordLeaf, int(i)+1-len(t.root))...)
 	}
 	if t.root[i] == nil {
-		t.root[i] = new(wordLeaf)
+		t.root[i] = freeLeaves.Get().(*wordLeaf)
 	}
 	t.root[i][p.key&(leafSize-1)] = p
 }
@@ -168,12 +183,31 @@ func (t *Words) Reset() {
 	}
 }
 
+// Release puts every page and leaf of the table on the free lists and
+// leaves the table empty. Tables share no pages (Clone copies), so nothing
+// else can see them; the owner must not use the table again.
+func (t *Words) Release() {
+	for _, l := range t.root {
+		if l == nil {
+			continue
+		}
+		for j, p := range l {
+			if p != nil {
+				freePages.Put(p)
+			}
+			l[j] = nil
+		}
+		freeLeaves.Put(l)
+	}
+	*t = Words{}
+}
+
 // Clone returns an independent copy of the current interval, copying only
 // the pages written since the last Reset.
 func (t *Words) Clone() Words {
 	c := Words{gen: t.gen, live: make([]*wordPage, 0, len(t.live))}
 	for _, p := range t.live {
-		np := new(wordPage)
+		np := freePages.Get().(*wordPage)
 		*np = *p
 		c.insert(np)
 		c.live = append(c.live, np)

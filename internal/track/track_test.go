@@ -2,6 +2,7 @@ package track
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 )
 
@@ -219,5 +220,52 @@ func TestEqualIgnoresGeneration(t *testing.T) {
 		if a.Equal(c) || c.Equal(a) {
 			t.Errorf("%s: perturbed tracker compares equal", p.name)
 		}
+	}
+}
+
+// TestReleasedPageReadsZero fills every word of a table's pages, releases
+// the table and builds another over other addresses: each page the new
+// table takes from the free list must read zero but for the word it set.
+// The test also checks that pages were in fact recycled, so it cannot pass
+// by allocating fresh ones.
+func TestReleasedPageReadsZero(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the free lists
+	const pages, pageBytes = 32, 1 << pageBits
+	var old Words
+	freed := make(map[*wordPage]bool)
+	for a := uint32(0); a < pages*pageBytes; a += 4 {
+		*old.Ref(a) = 0xFF
+	}
+	for a := uint32(0); a < pages*pageBytes; a += pageBytes {
+		freed[old.page(a)] = true
+	}
+	old.Release()
+	if old.Len() != 0 || old.Get(0) != 0 {
+		t.Fatal("a released table still holds words")
+	}
+
+	var w Words
+	reused := 0
+	for i := uint32(0); i < pages; i++ {
+		base := 0x8_0000 + i*pageBytes
+		*w.Ref(base + 8) = 3
+		if freed[w.page(base)] {
+			reused++
+		}
+		for a := base; a < base+pageBytes; a += 4 {
+			want := uint8(0)
+			if a == base+8 {
+				want = 3
+			}
+			if v := w.Get(a); v != want {
+				t.Fatalf("recycled page at %#x reads %#x, want %#x", a, v, want)
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no released page was recycled")
+	}
+	if n := w.Len(); n != pages {
+		t.Fatalf("Len = %d, want %d", n, pages)
 	}
 }

@@ -245,5 +245,17 @@ func (v *Verifier) Err() error {
 	return fmt.Errorf("verify: %d violation(s), first: %w", v.violations, v.first)
 }
 
+// Release gives back the shadow's pages, the journal's and the tracker's
+// once the run is over and its error has been read. The verifier must not
+// be used again.
+func (v *Verifier) Release() {
+	if v == nil {
+		return
+	}
+	v.shadow.Release()
+	v.journalled.Release()
+	v.tracker.Release()
+}
+
 // Shadow exposes the shadow space for final-state comparison in tests.
 func (v *Verifier) Shadow() *mem.Space { return v.shadow }
