@@ -21,6 +21,8 @@ import (
 	"testing"
 
 	"nacho/internal/harness"
+	"nacho/internal/program"
+	"nacho/internal/systems"
 )
 
 // reportMeans parses ratio columns of a report and publishes their means.
@@ -196,37 +198,40 @@ func BenchmarkEmulatorThroughput(b *testing.B) {
 // dispatch, not ALU batching, dominates interpreter time.
 var memBoundBenchmarks = []string{"towers", "dijkstra", "picojpeg"}
 
-func benchmarkMemThroughput(b *testing.B, engine string) {
+// benchmarkMemThroughput runs the memory-bound suite as Run would under
+// Config{System: Volatile, DisableVerify: true}, on the reference
+// interpreter when reference is set (harness.RunConfig.Reference, the
+// referee switch no public field reaches) and on the AOT engine otherwise.
+func benchmarkMemThroughput(b *testing.B, reference bool) {
+	rc := Config{System: Volatile, DisableVerify: true}.withDefaults().runConfig()
+	rc.Reference = reference
 	for _, name := range memBoundBenchmarks {
+		p, ok := program.ByName(name)
+		if !ok {
+			b.Fatalf("unknown benchmark %q", name)
+		}
 		b.Run(name, func(b *testing.B) {
 			var instructions uint64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(Config{
-					Benchmark: name, System: Volatile,
-					DisableVerify: true, Engine: engine,
-				})
+				res, err := harness.Run(p, systems.KindVolatile, rc)
 				if err != nil {
 					b.Fatal(err)
 				}
-				instructions += res.Instructions
+				instructions += res.Counters.Instructions
 			}
 			b.ReportMetric(float64(instructions)/b.Elapsed().Seconds()/1e6, "sim-MIPS")
 		})
 	}
 }
 
-// BenchmarkEmulatorThroughputMem measures the default engine on the
-// memory-bound suite.
-func BenchmarkEmulatorThroughputMem(b *testing.B) { benchmarkMemThroughput(b, "") }
-
 // BenchmarkEmulatorThroughputMemReference is the reference-interpreter
 // baseline for the memory-bound suite; the ratio to
 // BenchmarkEmulatorThroughputMemAOT is the AOT engine's speedup.
-func BenchmarkEmulatorThroughputMemReference(b *testing.B) { benchmarkMemThroughput(b, "ref") }
+func BenchmarkEmulatorThroughputMemReference(b *testing.B) { benchmarkMemThroughput(b, true) }
 
 // BenchmarkEmulatorThroughputMemAOT measures the compiled threaded-code
-// engine on the memory-bound suite.
-func BenchmarkEmulatorThroughputMemAOT(b *testing.B) { benchmarkMemThroughput(b, "aot") }
+// engine, the one every untraced run executes on, on the memory-bound suite.
+func BenchmarkEmulatorThroughputMemAOT(b *testing.B) { benchmarkMemThroughput(b, false) }
 
 // aluKernelIters sizes the ALU throughput kernel: iterations of the unrolled
 // mixing block, ~2.2M retired instructions per run.
@@ -270,39 +275,50 @@ _start:
 	return sb.String()
 }
 
-func benchmarkALUKernel(b *testing.B, cfg Config) {
+// benchmarkALUKernel runs the ALU kernel as RunSource would under cfg,
+// assembling it every iteration, on the reference interpreter when
+// reference is set (harness.RunConfig.Reference) and on the AOT engine
+// otherwise.
+func benchmarkALUKernel(b *testing.B, cfg Config, reference bool) {
 	src := aluKernelSource(aluKernelIters)
+	cfg = cfg.withDefaults()
+	rc := cfg.runConfig()
+	rc.Reference = reference
 	var instructions uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunSource("alu-kernel", src, cfg)
+		img, err := program.FromSource("alu-kernel", src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		instructions += res.Instructions
+		res, err := harness.RunImage(img, systems.Kind(cfg.System), rc, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instructions += res.Counters.Instructions
 	}
 	b.ReportMetric(float64(instructions)/b.Elapsed().Seconds()/1e6, "sim-MIPS")
 }
 
-// BenchmarkEmulatorThroughputALU measures the default engine (auto, which
-// resolves to the AOT threaded-code engine) on the ALU kernel, failure-free.
+// BenchmarkEmulatorThroughputALU measures the AOT threaded-code engine on
+// the ALU kernel, failure-free.
 func BenchmarkEmulatorThroughputALU(b *testing.B) {
-	benchmarkALUKernel(b, Config{System: Volatile, DisableVerify: true})
+	benchmarkALUKernel(b, Config{System: Volatile, DisableVerify: true}, false)
 }
 
 // BenchmarkEmulatorThroughputALUReference runs the same kernel on the
 // per-instruction reference engine; the ratio to BenchmarkEmulatorThroughputALU
 // is the AOT engine's speedup.
 func BenchmarkEmulatorThroughputALUReference(b *testing.B) {
-	benchmarkALUKernel(b, Config{System: Volatile, DisableVerify: true, Engine: "ref"})
+	benchmarkALUKernel(b, Config{System: Volatile, DisableVerify: true}, true)
 }
 
-// BenchmarkEmulatorThroughputALUIntermittent measures the default engine on
-// the ALU kernel under dense power failures (1 ms on-durations on NACHO, so
+// BenchmarkEmulatorThroughputALUIntermittent measures the AOT engine on the
+// ALU kernel under dense power failures (1 ms on-durations on NACHO, so
 // checkpoints guarantee forward progress): the horizon clamps to each failure
 // instant and the engine degrades gracefully rather than falling off a cliff.
 func BenchmarkEmulatorThroughputALUIntermittent(b *testing.B) {
-	benchmarkALUKernel(b, Config{System: NACHO, DisableVerify: true, OnDurationMs: 1})
+	benchmarkALUKernel(b, Config{System: NACHO, DisableVerify: true, OnDurationMs: 1}, false)
 }
 
 // benchmarkCachedThroughput measures simulated-instruction throughput on a

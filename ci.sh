@@ -104,10 +104,10 @@ if grep -qv '"key":"[0-9a-f]\{64\}"' /tmp/nachobench.ci.ledger; then
 	grep -v '"key":"[0-9a-f]\{64\}"' /tmp/nachobench.ci.ledger >&2
 	exit 1
 fi
-# The engine rule (emu.Engine.Executed): only Engine ref or a trace selects
-# the reference interpreter, so the verified fig5 runs execute on AOT. The
-# timing line and every ledger record must say so, and a traced nachosim
-# run must record the reference interpreter.
+# The engine rule (emu.Executed): only a trace selects the reference
+# interpreter, so the verified fig5 runs execute on AOT. The timing line and
+# every ledger record must say so, and a traced nachosim run must record the
+# reference interpreter.
 if ! grep -q 'engine runs: aot=' /tmp/nachobench.ci.err || grep -q 'ref=' /tmp/nachobench.ci.err; then
 	echo "ci.sh: verified fig5 runs did not all execute on the AOT engine:" >&2
 	cat /tmp/nachobench.ci.err >&2

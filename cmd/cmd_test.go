@@ -318,21 +318,15 @@ func TestCLIErrorPaths(t *testing.T) {
 			[]string{"nachoasm:", "/nonexistent/prog.s"}},
 		{"nachoasm unwritable -o", asm, []string{"-o", "/nonexistent-dir/out.bin", src},
 			[]string{"nachoasm:", "/nonexistent-dir/out.bin"}},
-		{"nachosim unknown engine", sim, []string{"-bench", "crc", "-engine", "bogus-engine"},
-			[]string{"nachosim:", "bogus-engine", "auto, ref, aot"}},
-		{"nachobench unknown engine", bench, []string{"-engine", "bogus-engine"},
-			[]string{"nachobench:", "bogus-engine", "auto, ref, aot"}},
-		{"nachofuzz unknown engine", fuzz, []string{"-engine", "bogus-engine"},
-			[]string{"nachofuzz:", "bogus-engine", "auto, ref, aot"}},
 		// Removed options must fail loudly, not fall back silently: the
-		// batched "fast" engine, the deprecated reference alias, and the
+		// engine selector, the deprecated reference alias, and the
 		// distributed job service's flags.
-		{"nachosim removed engine fast", sim, []string{"-bench", "crc", "-engine", "fast"},
-			[]string{"nachosim:", `"fast"`, "auto, ref, aot"}},
-		{"nachobench removed engine fast", bench, []string{"-engine", "fast"},
-			[]string{"nachobench:", `"fast"`, "auto, ref, aot"}},
-		{"nachofuzz removed engine fast", fuzz, []string{"-engine", "fast"},
-			[]string{"nachofuzz:", `"fast"`, "auto, ref, aot"}},
+		{"nachosim removed -engine", sim, []string{"-bench", "crc", "-engine", "ref"},
+			[]string{"flag provided but not defined: -engine"}},
+		{"nachobench removed -engine", bench, []string{"-engine", "ref"},
+			[]string{"flag provided but not defined: -engine"}},
+		{"nachofuzz removed -engine", fuzz, []string{"-engine", "ref"},
+			[]string{"flag provided but not defined: -engine"}},
 		{"nachosim removed -no-fastpath", sim, []string{"-no-fastpath", "-bench", "crc"},
 			[]string{"flag provided but not defined: -no-fastpath"}},
 		{"nachobench removed -worker", bench, []string{"-worker", "http://127.0.0.1:1"},
@@ -380,25 +374,33 @@ func TestCLIErrorPaths(t *testing.T) {
 	}
 }
 
-// TestNachosimEngineSelection pins the -engine flag's contract: every named
-// engine produces byte-identical output (the engine is a performance knob,
-// never a semantics knob).
+// TestNachosimEngineSelection compares the two engines at the CLI: a traced
+// run, the one kind that executes on the reference interpreter, prints the
+// same report as the untraced run on the AOT engine, and its ledger record
+// names the reference interpreter.
 func TestNachosimEngineSelection(t *testing.T) {
 	bin := build(t, "cmd/nachosim")
 	args := []string{"-bench", "crc", "-system", "nacho", "-onduration", "1"}
+	dir := t.TempDir()
+	ledger := filepath.Join(dir, "ledger.jsonl")
 
-	outputs := map[string]string{}
-	for _, engine := range []string{"auto", "ref", "aot"} {
-		out, err := run(t, bin, append([]string{"-engine", engine}, args...)...)
-		if err != nil {
-			t.Fatalf("-engine %s: %v\n%s", engine, err, out)
-		}
-		outputs[engine] = out
+	aot, err := run(t, bin, args...)
+	if err != nil {
+		t.Fatalf("untraced: %v\n%s", err, aot)
 	}
-	for engine, out := range outputs {
-		if out != outputs["ref"] {
-			t.Errorf("-engine %s output differs from -engine ref:\n%s\nvs\n%s", engine, out, outputs["ref"])
-		}
+	ref, err := run(t, bin, append([]string{"-trace", filepath.Join(dir, "t.trace"), "-ledger", ledger}, args...)...)
+	if err != nil {
+		t.Fatalf("traced: %v\n%s", err, ref)
+	}
+	if ref != aot {
+		t.Errorf("traced (reference) output differs from untraced (AOT):\n%s\nvs\n%s", ref, aot)
+	}
+	rec, err := os.ReadFile(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(rec), `"engine":"ref"`) {
+		t.Errorf("traced run's ledger record does not name the reference interpreter:\n%s", rec)
 	}
 }
 

@@ -38,7 +38,6 @@ func main() {
 		csv     = flag.Bool("csv", false, "emit CSV (the original artifact's log format) instead of tables")
 		j       = flag.Int("j", 0, "parallel simulation workers (0 = all CPUs, 1 = sequential)")
 		timings = flag.Bool("timings", true, "print per-experiment timing summaries to stderr")
-		engine  = flag.String("engine", "auto", "execution engine for all simulations: auto, ref, or aot")
 		serve   = flag.String("serve", "", "serve live telemetry (/metrics, /status, /dashboard, /debug/pprof) on this address during the sweep")
 
 		storeDir = flag.String("store", "", "persistent content-addressed run store directory (results survive restarts; warm re-runs execute nothing)")
@@ -53,10 +52,6 @@ func main() {
 	)
 	flag.Parse()
 	nacho.SetParallelism(*j)
-	if _, err := nacho.SetDefaultEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "nachobench:", err)
-		os.Exit(1)
-	}
 
 	profiles := profiling.Profiles{
 		CPU: *cpuprofile, Mem: *memprofile, Mutex: *mutexprofile, Block: *blockprofile,

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"nacho"
-	"nacho/internal/emu"
 	"nacho/internal/fuzzer"
 	"nacho/internal/harness"
 	"nacho/internal/systems"
@@ -47,7 +46,6 @@ func main() {
 		schedules  = flag.Int("schedules", 3, "randomized failure schedules per (program, system)")
 		cacheSize  = flag.Int("cache", 512, "data cache size in bytes")
 		ways       = flag.Int("ways", 2, "cache associativity")
-		engineName = flag.String("engine", "auto", "execution engine under test: auto, ref, or aot")
 		duration   = flag.Duration("duration", 0, "stop after this wall time (0 = run all seeds; makes the report non-deterministic)")
 		minimize   = flag.Bool("minimize", true, "delta-debug findings before reporting")
 		outDir     = flag.String("out", "", "write replayable finding artifacts to this directory")
@@ -105,17 +103,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nachofuzz:", err)
 		exit(2)
 	}
-	engine, err := emu.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nachofuzz:", err)
-		exit(2)
-	}
 
 	cfg := fuzzer.CampaignConfig{
 		Seeds:    *seeds,
 		SeedBase: *seedBase,
 		Kinds:    kinds,
-		Oracle:   fuzzer.Config{CacheSize: *cacheSize, Ways: *ways, Schedules: *schedules, Engine: engine},
+		Oracle:   fuzzer.Config{CacheSize: *cacheSize, Ways: *ways, Schedules: *schedules},
 		Minimize: *minimize,
 		OutDir:   *outDir,
 		Progress: os.Stderr,

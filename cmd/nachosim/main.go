@@ -29,7 +29,6 @@ func main() {
 		random       = flag.Bool("random", false, "use seeded-random on-durations instead of periodic")
 		seed         = flag.Int64("seed", 1, "seed for -random")
 		noVerify     = flag.Bool("noverify", false, "disable shadow-memory and WAR verification")
-		engine       = flag.String("engine", "auto", "execution engine: auto, ref, or aot")
 		trace        = flag.String("trace", "", "write a per-instruction execution trace to this file")
 		threshold    = flag.Int("dirty-threshold", 0, "adaptive checkpointing threshold (0 = off)")
 		probeStats   = flag.Bool("probe-stats", false, "collect and print per-checkpoint-interval statistics")
@@ -85,7 +84,6 @@ func main() {
 		RandomFailures:   *random,
 		Seed:             *seed,
 		DisableVerify:    *noVerify,
-		Engine:           *engine,
 		DirtyThreshold:   *threshold,
 		EnergyPrediction: *energyPred,
 		ProbeStats:       *probeStats,

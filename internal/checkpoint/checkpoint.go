@@ -51,11 +51,6 @@ func NewStore(nvm *mem.NVM, base uint32, maxLines int) *Store {
 	return &Store{nvm: nvm, base: base, maxLines: maxLines, seq: 1}
 }
 
-// AttachProbe wires an observer for checkpoint-begin events (nil detaches).
-// Commit events are emitted by the owning system's onCommit callback, which
-// knows the checkpoint's cause; the store only knows when staging starts.
-func (s *Store) AttachProbe(p sim.Probe) { s.probe = p }
-
 // Fork returns a store over the given forked NVM at the same layout and
 // sequence position, probe-free. The checkpoint slots themselves live in NVM
 // and traveled with the forked space; only the next-sequence counter and the
@@ -82,8 +77,12 @@ func (s *Store) SizeBytes() uint32 { return 2 * s.slotWords() * 4 }
 
 // Init writes the boot-time checkpoint (program entry, zeroed registers plus
 // the given stack pointer) without charging simulation time: it models the
-// state the device ships with. It must be called before execution.
-func (s *Store) Init(snap sim.Snapshot) {
+// state the device ships with. p (nil for none) observes checkpoint-begin
+// events; commit events are emitted by the owning system's onCommit
+// callback, which knows the checkpoint's cause, while the store only knows
+// when staging starts. It must be called before execution.
+func (s *Store) Init(snap sim.Snapshot, p sim.Probe) {
+	s.probe = p
 	for slot := 0; slot < 2; slot++ {
 		s.nvm.WriteRaw(s.slotAddr(slot, offSeq), 4, 0)
 	}

@@ -14,7 +14,7 @@ func newStore(maxLines int) (*Store, *mem.NVM, *sim.TestClock) {
 	clk := &sim.TestClock{}
 	var c metrics.Counters
 	nvm := mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel())
-	nvm.Attach(clk, &c)
+	nvm.Attach(clk, &c, nil)
 	return NewStore(nvm, testBase, maxLines), nvm, clk
 }
 
@@ -30,7 +30,7 @@ func snap(pc uint32) sim.Snapshot {
 func TestInitAndRestore(t *testing.T) {
 	s, _, clk := newStore(4)
 	boot := snap(0x1000)
-	s.Init(boot)
+	s.Init(boot, nil)
 	if clk.Cycle != 0 {
 		t.Errorf("Init charged %d cycles, want 0", clk.Cycle)
 	}
@@ -49,7 +49,7 @@ func TestRestoreWithoutInit(t *testing.T) {
 
 func TestCheckpointRoundTripAndLines(t *testing.T) {
 	s, nvm, _ := newStore(4)
-	s.Init(snap(0x1000))
+	s.Init(snap(0x1000), nil)
 	lines := []Line{{Addr: 0x2000, Data: 0xAAAA}, {Addr: 0x2004, Data: 0xBBBB}}
 	s.Checkpoint(snap(0x2000), lines, nil)
 	got, ok := s.Restore()
@@ -64,7 +64,7 @@ func TestCheckpointRoundTripAndLines(t *testing.T) {
 
 func TestSlotsAlternate(t *testing.T) {
 	s, _, _ := newStore(0)
-	s.Init(snap(0x1000))
+	s.Init(snap(0x1000), nil)
 	for i := uint32(1); i <= 5; i++ {
 		s.Checkpoint(snap(0x1000+4*i), nil, nil)
 		got, ok := s.Restore()
@@ -76,7 +76,7 @@ func TestSlotsAlternate(t *testing.T) {
 
 func TestOnCommitCalledExactlyOnce(t *testing.T) {
 	s, _, _ := newStore(1)
-	s.Init(snap(0))
+	s.Init(snap(0), nil)
 	n := 0
 	s.Checkpoint(snap(4), []Line{{Addr: 0x3000, Data: 1}}, func() { n++ })
 	if n != 1 {
@@ -86,7 +86,7 @@ func TestOnCommitCalledExactlyOnce(t *testing.T) {
 
 func TestCapacityPanic(t *testing.T) {
 	s, _, _ := newStore(1)
-	s.Init(snap(0))
+	s.Init(snap(0), nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("over-capacity checkpoint did not panic")
@@ -106,7 +106,7 @@ func TestCrashConsistencyAtEveryCycle(t *testing.T) {
 
 	// Measure the failure-free checkpoint duration first.
 	probe, _, probeClk := newStore(2)
-	probe.Init(snap(0x100))
+	probe.Init(snap(0x100), nil)
 	probe.Checkpoint(snap(0x200), []Line{{Addr: homeAddr, Data: newVal}, {Addr: homeAddr + 4, Data: 2}}, nil)
 	total := probeClk.Cycle
 
@@ -114,9 +114,9 @@ func TestCrashConsistencyAtEveryCycle(t *testing.T) {
 		clk := &sim.TestClock{FailAt: fail}
 		var c metrics.Counters
 		nvm := mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel())
-		nvm.Attach(clk, &c)
+		nvm.Attach(clk, &c, nil)
 		st := NewStore(nvm, testBase, 2)
-		st.Init(snap(0x100))
+		st.Init(snap(0x100), nil)
 		nvm.WriteRaw(homeAddr, 4, oldVal)
 		nvm.WriteRaw(homeAddr+4, 4, 0xB01D0)
 
@@ -183,7 +183,7 @@ func TestTornCheckpointFallsBackByteForByte(t *testing.T) {
 	// Ground the arithmetic against the real write sequence once.
 	{
 		st, _, clk := newStore(2)
-		st.Init(boot)
+		st.Init(boot, nil)
 		var atCommit uint64
 		st.Checkpoint(snap(0x200), lines, func() { atCommit = clk.Cycle })
 		if atCommit != commitEnd {
@@ -195,9 +195,9 @@ func TestTornCheckpointFallsBackByteForByte(t *testing.T) {
 		clk := &sim.TestClock{FailAt: fail}
 		var c metrics.Counters
 		nvm := mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel())
-		nvm.Attach(clk, &c)
+		nvm.Attach(clk, &c, nil)
 		st := NewStore(nvm, testBase, 2)
-		st.Init(boot)
+		st.Init(boot, nil)
 		nvm.WriteRaw(homeAddr, 4, oldVal)
 		nvm.WriteRaw(homeAddr+4, 4, 0xB01D)
 		pre := nvm.Space().Fork()
@@ -252,7 +252,7 @@ func TestSizeBytes(t *testing.T) {
 // commit moves it.
 func TestEqualState(t *testing.T) {
 	s, nvm, _ := newStore(2)
-	s.Init(sim.Snapshot{})
+	s.Init(sim.Snapshot{}, nil)
 	f := s.Fork(nvm.Fork())
 	if !s.EqualState(f) {
 		t.Fatal("a fork compares unequal")

@@ -20,7 +20,7 @@ func BenchmarkFullLoadHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	var c metrics.Counters
-	k.Attach(&sim.TestClock{}, &fakeRegs{sp: 0x000A_0000}, &c)
+	k.Attach(&sim.TestClock{}, &fakeRegs{sp: 0x000A_0000}, &c, nil)
 	var sys sim.System = k
 	for a := uint32(0x1000); a < 0x1000+512; a += 4 {
 		sys.Store(a, 4, a)

@@ -148,19 +148,19 @@ func (k *Controller) Release() {
 }
 
 // Attach implements sim.System; it also seeds the boot checkpoint.
-func (k *Controller) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) {
-	k.clk, k.regs, k.c = clk, regs, c
-	k.nvm.Attach(clk, c)
-	k.ckpt.Init(regs.RegSnapshot())
+func (k *Controller) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p sim.Probe) {
+	k.clk, k.regs, k.c, k.probe = clk, regs, c, p
+	k.nvm.Attach(clk, c, p)
+	k.ckpt.Init(regs.RegSnapshot(), p)
 }
 
-// Fork implements sim.Forkable: an independent controller over a
+// Fork implements sim.System: an independent controller over a
 // copy-on-write fork of the NVM space, with the cache, WAR tracker, stack
 // bounds, and checkpoint-store position deep-copied and the replica wired to
 // the forked machine's clock, registers, and counters. Probe-free by design.
 func (k *Controller) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
 	nvm := k.nvm.Fork()
-	nvm.Attach(clk, c)
+	nvm.Attach(clk, c, nil)
 	f := &Controller{
 		name:       k.name,
 		opts:       k.opts,
@@ -181,7 +181,7 @@ func (k *Controller) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters
 	return f
 }
 
-// EqualState implements sim.Forkable: the stack bounds, the dirty count, the
+// EqualState implements sim.System: the stack bounds, the dirty count, the
 // checkpoint-store position, the cache, the exact-mode tracker and NVM.
 // lastCommit is left out: it only feeds the IntervalHist counters, never a
 // decision.
@@ -195,15 +195,6 @@ func (k *Controller) EqualState(o sim.System) bool {
 		return false
 	}
 	return k.nvm.Equal(q.nvm)
-}
-
-// AttachProbe implements sim.System: the observer sees the controller's
-// access, write-back, and checkpoint events plus the events of the components
-// it owns (NVM traffic, checkpoint staging). nil detaches.
-func (k *Controller) AttachProbe(p sim.Probe) {
-	k.probe = p
-	k.nvm.AttachProbe(p)
-	k.ckpt.AttachProbe(p)
 }
 
 // Cache exposes the underlying cache for white-box tests.

@@ -45,10 +45,15 @@ func newRig(t *testing.T, cacheSize, ways int, war WARMode, stack bool) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Attach(r.clk, &r.regs, &r.c)
 	r.k = k
+	r.attach(nil)
 	return r
 }
+
+// attach wires the controller to the rig's clock, registers and counters,
+// with p (nil for none) observing its events, and seeds the boot
+// checkpoint.
+func (r *rig) attach(p sim.Probe) { r.k.Attach(r.clk, &r.regs, &r.c, p) }
 
 // line returns the cache line currently holding addr, or nil.
 func (r *rig) line(addr uint32) *cache.Line { return r.k.Cache().Probe(addr) }
@@ -345,9 +350,10 @@ func TestNoFalseNegativesRandomStreams(t *testing.T) {
 		}
 		r := newRig(t, cacheSize, ways, WARCacheBits, rng.Intn(2) == 0)
 		ver := verify.New(r.nvm.Space(), verify.Config{RollbackOnFailure: true, CheckWAR: true})
-		// The verifier is now a probe: the controller's access and write-back
-		// events feed it directly, no manual mirroring needed.
-		r.k.AttachProbe(ver)
+		// The verifier is a probe: the controller's access and write-back
+		// events feed it directly, no manual mirroring needed. Attaching
+		// again before the stream starts rewrites the same boot checkpoint.
+		r.attach(ver)
 
 		// Stack discipline: the paper's stack-tracking optimization assumes a
 		// freshly (re)allocated slot is always written before it is read

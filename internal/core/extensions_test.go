@@ -19,8 +19,8 @@ func newRigOpts(t *testing.T, opts Options) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Attach(r.clk, &r.regs, &r.c)
 	r.k = k
+	r.attach(nil)
 	return r
 }
 

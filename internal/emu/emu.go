@@ -57,20 +57,21 @@ type Config struct {
 	// performs when its job completes, and guarantees that every surviving
 	// store is visible in NVM — the state the differential oracle compares.
 	FinalFlush bool
-	// Probe, when non-nil, receives the emulator's own events: MMIO
-	// accesses, power failures, and restores. Attach the same probe to the
-	// memory system (sim.System.AttachProbe) to observe the full event
-	// stream of a run. A probe does not choose the engine: both engines emit
-	// the same event stream, event for event.
+	// Probe, when non-nil, observes the run's full event stream: New
+	// attaches it to the memory system (sim.System.Attach) beside the
+	// emulator's own MMIO, power-failure and restore events. A probe does
+	// not choose the engine: both engines emit the same event stream, event
+	// for event.
 	Probe sim.Probe
 	// Trace, when non-nil, receives one line per retired instruction and a
 	// marker per power failure. Only the reference interpreter retires
-	// instructions one at a time, so a trace selects it (see
-	// Engine.Executed).
+	// instructions one at a time, so a trace selects it (see Executed).
 	Trace *trace.Recorder
-	// Engine selects the execution engine (see Engine). All engines produce
-	// byte-identical results; EngineAuto (the zero value) picks the fastest.
-	Engine Engine
+	// Reference runs the machine on the reference interpreter (see
+	// Executed). It is the referee switch: the engine-equivalence suite and
+	// this package's tests set it to compare the engines. No command, public
+	// field or fuzz setting reaches it.
+	Reference bool
 }
 
 const defaultMaxInstructions = 2_000_000_000
@@ -96,7 +97,7 @@ type Machine struct {
 
 	text      []isa.Instr
 	prog      *compile.Program // AOT threaded-code IR (see Text)
-	engine    Engine           // the engine that runs (see Engine.Executed)
+	engine    Engine           // the engine that runs (see Executed)
 	textBase  uint32
 	entry     uint32
 	initialSP uint32
@@ -144,7 +145,8 @@ var ErrCycleBudget = errors.New("cycle budget exceeded")
 
 // New creates a machine executing the pre-analyzed text segment at textBase,
 // starting at entry with the stack pointer at initialSP. The system is
-// attached (clock, registers, counters) and its boot checkpoint initialized.
+// attached (clock, registers, counters, cfg.Probe) and its boot checkpoint
+// initialized.
 func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Config) *Machine {
 	if text == nil {
 		text = &Text{}
@@ -162,7 +164,7 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 	m := &Machine{
 		text:      text.Instrs,
 		prog:      text.prog,
-		engine:    cfg.Engine.Executed(cfg.Trace != nil),
+		engine:    Executed(cfg.Reference, cfg.Trace != nil),
 		textBase:  textBase,
 		entry:     entry,
 		initialSP: initialSP,
@@ -183,7 +185,7 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 	// of every window. 4096 cycles is a generous bound on one checkpoint; a
 	// quarter of the period caps it for short periods.
 	m.forcedMargin = min(4096, cfg.ForcedCheckpointPeriod/4)
-	sys.Attach(m, m, &m.c)
+	sys.Attach(m, m, &m.c, cfg.Probe)
 	return m
 }
 
@@ -318,19 +320,15 @@ func (m *Machine) run() error {
 // Fork returns an independent copy of the machine mid-run, executing under
 // the given failure schedule from the current instruction boundary onward:
 // registers, counters, and run outputs are copied, the memory system is
-// replicated via sim.Forkable (copy-on-write NVM, deep-copied volatile
+// replicated (sim.System.Fork: copy-on-write NVM, deep-copied volatile
 // state), and the fork's next failure instant is sched.NextFailureAfter(now)
 // — so a fork of a failure-free prefix at cycle c under power.At(t), t > c,
 // is state-identical to a from-boot run under the same schedule at cycle c.
-// Forks are probe-free and trace-free (so they run on the configured
-// engine, never forced onto the reference interpreter by the parent's
-// trace) and safe to run on another goroutine. The parent must be paused
-// (between RunUntil calls).
-func (m *Machine) Fork(sched power.Schedule) (*Machine, error) {
-	fsys, ok := m.sys.(sim.Forkable)
-	if !ok {
-		return nil, fmt.Errorf("emu: system %q does not support forking", m.sys.Name())
-	}
+// Forks are probe-free and trace-free (so they run on the AOT engine unless
+// Config.Reference is set, never forced onto the reference interpreter by
+// the parent's trace) and safe to run on another goroutine. The parent must
+// be paused (between RunUntil calls).
+func (m *Machine) Fork(sched power.Schedule) *Machine {
 	if sched == nil {
 		sched = power.None{}
 	}
@@ -340,13 +338,13 @@ func (m *Machine) Fork(sched power.Schedule) (*Machine, error) {
 	f.cfg.Schedule = f.sched
 	f.probe, f.cfg.Probe = nil, nil
 	f.trace, f.cfg.Trace = nil, nil
-	f.engine = f.cfg.Engine.Executed(false)
+	f.engine = Executed(f.cfg.Reference, false)
 	f.stopAt = 0
 	f.results = append([]uint32(nil), m.results...)
 	f.output = append([]byte(nil), m.output...)
-	f.sys = fsys.Fork(f, f, &f.c)
+	f.sys = m.sys.Fork(f, f, &f.c)
 	f.nextFailure = f.sched.NextFailureAfter(f.cycle)
-	return f, nil
+	return f
 }
 
 // EqualState reports whether o, a replica of m (both forks of a common
@@ -356,7 +354,7 @@ func (m *Machine) Fork(sched power.Schedule) (*Machine, error) {
 // NVM, with every cycle count differing by the difference of their clocks.
 // It compares the pc and registers, the outputs so far, the halt, exit-code
 // and stack-fault state, the next failure and forced checkpoint relative to
-// each clock, and then the memory system (sim.Forkable.EqualState). The
+// each clock, and then the memory system (sim.System.EqualState). The
 // clock and the counters are not state. The cheap fields, which differ
 // most often, go first and NVM goes last.
 func (m *Machine) EqualState(o *Machine) bool {
@@ -367,8 +365,7 @@ func (m *Machine) EqualState(o *Machine) bool {
 		!slices.Equal(m.results, o.results) || !bytes.Equal(m.output, o.output) {
 		return false
 	}
-	fs, ok := m.sys.(sim.Forkable)
-	return ok && fs.EqualState(o.sys)
+	return m.sys.EqualState(o.sys)
 }
 
 // sameOffset reports whether instants a and b lie at the same distance from

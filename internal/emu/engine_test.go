@@ -1,7 +1,6 @@
 package emu_test
 
 import (
-	"strings"
 	"testing"
 
 	"nacho/internal/emu"
@@ -9,76 +8,21 @@ import (
 	"nacho/internal/systems"
 )
 
-func TestParseEngine(t *testing.T) {
-	valid := map[string]emu.Engine{
-		"":     emu.EngineAuto,
-		"auto": emu.EngineAuto,
-		"ref":  emu.EngineRef,
-		"aot":  emu.EngineAOT,
-	}
-	for s, want := range valid {
-		got, err := emu.ParseEngine(s)
-		if err != nil {
-			t.Fatalf("ParseEngine(%q): %v", s, err)
-		}
-		if got != want {
-			t.Fatalf("ParseEngine(%q) = %q, want %q", s, got, want)
-		}
-	}
-	// "fast" named the batched engine the AOT engine replaced; it must fail
-	// loudly rather than fall back silently.
-	for _, s := range []string{"bogus", "AOT", "reference", "jit", "fast"} {
-		_, err := emu.ParseEngine(s)
-		if err == nil {
-			t.Fatalf("ParseEngine(%q) accepted", s)
-		}
-		if !strings.Contains(err.Error(), s) {
-			t.Fatalf("ParseEngine(%q) error %q does not name the bad value", s, err)
-		}
-		if !strings.Contains(err.Error(), "auto, ref, aot") {
-			t.Fatalf("ParseEngine(%q) error %q does not list the valid spellings", s, err)
-		}
-	}
-}
-
-func TestResolveEngine(t *testing.T) {
-	cases := []struct {
-		name   string
-		engine emu.Engine
-		want   emu.Engine
-	}{
-		{"auto picks aot", emu.EngineAuto, emu.EngineAOT},
-		{"explicit ref", emu.EngineRef, emu.EngineRef},
-		{"explicit aot", emu.EngineAOT, emu.EngineAOT},
-		{"unknown value degrades to ref", emu.Engine("bogus"), emu.EngineRef},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.engine.Resolve(); got != tc.want {
-				t.Fatalf("Engine(%q).Resolve() = %q, want %q", tc.engine, got, tc.want)
-			}
-		})
-	}
-}
-
-// TestExecutedEngine pins the one engine rule: only Engine ref or a trace
-// selects the reference interpreter; nothing else does.
+// TestExecutedEngine pins the one engine rule: only the referee switch or a
+// trace selects the reference interpreter; every other run executes on AOT.
 func TestExecutedEngine(t *testing.T) {
 	cases := []struct {
-		engine emu.Engine
-		traced bool
-		want   emu.Engine
+		reference, traced bool
+		want              emu.Engine
 	}{
-		{emu.EngineAuto, false, emu.EngineAOT},
-		{emu.EngineAOT, false, emu.EngineAOT},
-		{emu.EngineRef, false, emu.EngineRef},
-		{emu.EngineAuto, true, emu.EngineRef},
-		{emu.EngineAOT, true, emu.EngineRef},
-		{emu.EngineRef, true, emu.EngineRef},
+		{false, false, emu.EngineAOT},
+		{true, false, emu.EngineRef},
+		{false, true, emu.EngineRef},
+		{true, true, emu.EngineRef},
 	}
 	for _, tc := range cases {
-		if got := tc.engine.Executed(tc.traced); got != tc.want {
-			t.Errorf("Engine(%q).Executed(%v) = %q, want %q", tc.engine, tc.traced, got, tc.want)
+		if got := emu.Executed(tc.reference, tc.traced); got != tc.want {
+			t.Errorf("Executed(%v, %v) = %q, want %q", tc.reference, tc.traced, got, tc.want)
 		}
 	}
 }
@@ -106,7 +50,7 @@ loop:
 			// run(), so bracket the whole call and bound the growth by the
 			// static word count rather than demanding zero.
 			before := isa.DecodeCalls()
-			res, err := run(t, src, systems.KindVolatile, emu.Config{Engine: engine})
+			res, err := run(t, src, systems.KindVolatile, emu.Config{Reference: engine == emu.EngineRef})
 			if err != nil {
 				t.Fatal(err)
 			}

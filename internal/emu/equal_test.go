@@ -1,11 +1,13 @@
 package emu
 
 import (
+	"io"
 	"testing"
 
 	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/systems"
+	"nacho/internal/trace"
 )
 
 // TestEqualState: two replicas of one paused machine compare equal, also at
@@ -20,15 +22,7 @@ func TestEqualState(t *testing.T) {
 	m.cycle, m.results, m.output = 1000, []uint32{7}, []byte("x")
 	m.regs[5] = 42
 	replicas := func() (*Machine, *Machine) {
-		a, err := m.Fork(power.NewAt(1200))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := m.Fork(power.NewAt(1200))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, b
+		return m.Fork(power.NewAt(1200)), m.Fork(power.NewAt(1200))
 	}
 	if a, b := replicas(); !a.EqualState(b) {
 		t.Fatal("two replicas of one machine compare unequal")
@@ -62,6 +56,32 @@ func TestEqualState(t *testing.T) {
 		p.perturb(b)
 		if a.EqualState(b) || b.EqualState(a) {
 			t.Errorf("%s: perturbed replica compares equal", p.name)
+		}
+	}
+}
+
+// TestMachineAppliesEngineRule pins that New and Fork run a machine on the
+// engine Executed names: the referee switch reaches the reference
+// interpreter (the engine comparisons would otherwise compare AOT with
+// itself), and a fork, being trace-free, runs on AOT unless Reference is set.
+func TestMachineAppliesEngineRule(t *testing.T) {
+	for _, reference := range []bool{false, true} {
+		for _, traced := range []bool{false, true} {
+			sys, err := systems.Build(systems.KindVolatile, mem.NewSpace(), systems.Config{Cost: mem.DefaultCostModel()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Reference: reference}
+			if traced {
+				cfg.Trace = trace.NewRecorder(io.Discard)
+			}
+			m := New(sys, nil, 0x1_0000, 0x1_0000, 0xA_0000, cfg)
+			if want := Executed(reference, traced); m.engine != want {
+				t.Errorf("New(reference=%v, traced=%v) runs on %q, want %q", reference, traced, m.engine, want)
+			}
+			if f, want := m.Fork(nil), Executed(reference, false); f.engine != want {
+				t.Errorf("Fork of (reference=%v, traced=%v) runs on %q, want %q", reference, traced, f.engine, want)
+			}
 		}
 	}
 }

@@ -192,7 +192,7 @@ func TestForcedCheckpointArithmeticNearOverflow(t *testing.T) {
 		x5          uint32
 	}
 	run := func(engine Engine) outcome {
-		cfg := Config{ForcedCheckpointPeriod: 4000, Engine: engine}
+		cfg := Config{ForcedCheckpointPeriod: 4000, Reference: engine == EngineRef}
 		m := horizonTestMachine(t, systems.KindClank, cfg)
 		// Park the clock near the top of the domain, mid-interval: the next
 		// forced checkpoint saturates.
@@ -261,7 +261,7 @@ func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
 		// compare runs cfg from boot on both engines.
 		compare := func(name string, target uint64, cfg Config) {
 			run := func(engine Engine) state {
-				cfg.Engine = engine
+				cfg.Reference = engine == EngineRef
 				m := horizonTestMachine(t, kind, cfg)
 				_, err := m.Run()
 				return snap(m, err)
@@ -272,7 +272,7 @@ func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
 		}
 		for target, end := uint64(0), length(Config{}); target <= end+1; target++ {
 			stopped := func(engine Engine) [2]state {
-				m := horizonTestMachine(t, kind, Config{Engine: engine})
+				m := horizonTestMachine(t, kind, Config{Reference: engine == EngineRef})
 				_, err := m.RunUntil(target)
 				at := snap(m, err)
 				if !at.halted && at.cycle < target && err == nil {
@@ -282,7 +282,7 @@ func TestRunUntilEngineBoundaryEquivalence(t *testing.T) {
 				// was still below target (the boundary an instruction limit
 				// stops at).
 				if n := at.c.Instructions; n > 1 {
-					prev := horizonTestMachine(t, kind, Config{Engine: engine, MaxInstructions: n - 1})
+					prev := horizonTestMachine(t, kind, Config{Reference: engine == EngineRef, MaxInstructions: n - 1})
 					if _, err := prev.Run(); err == nil || prev.cycle >= target {
 						t.Fatalf("%s target %d: %s stopped at %d after %d instructions, but %d instructions already reach cycle %d (err %v)",
 							kind, target, engine, at.cycle, n, n-1, prev.cycle, err)

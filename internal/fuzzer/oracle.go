@@ -26,11 +26,6 @@ type Config struct {
 	// per (program, system) pair, on top of the always-run failure-free
 	// differential (default 3).
 	Schedules int
-	// Engine pins every oracle run to one execution engine (the zero value
-	// picks the fastest correct one). The oracle's comparisons are
-	// engine-invariant; this knob exists to fuzz a specific engine against
-	// the golden run. Callers validate external input with emu.ParseEngine.
-	Engine emu.Engine
 	// Span, when non-zero, parents every oracle run's span on the campaign
 	// tracer (the fuzz campaign sets it to the seed's cell span). Purely
 	// observational.
@@ -142,7 +137,6 @@ func baseConfig(cfg Config) harness.RunConfig {
 	return harness.RunConfig{
 		CacheSize:       cfg.CacheSize,
 		Ways:            cfg.Ways,
-		Engine:          cfg.Engine,
 		FinalFlush:      true,
 		MaxInstructions: fuzzMaxInstructions,
 		MaxCycles:       failFreeMaxCycles,

@@ -58,7 +58,7 @@ func runBoth(t *testing.T, label string, img *program.Image, kind systems.Kind, 
 	var ref emu.Result
 	var refErr error
 	for i, engine := range equivalenceVariants {
-		cfg.Engine = engine
+		cfg.Reference = engine == emu.EngineRef
 		res, _, err := harness.RunImageSys(img, kind, cfg, false)
 		if i == 0 {
 			ref, refErr = res, err
@@ -185,7 +185,7 @@ func probeBoth(t *testing.T, label string, img *program.Image, kind systems.Kind
 	var refErr error
 	for i, engine := range equivalenceVariants {
 		c := cfg
-		c.Engine = engine
+		c.Reference = engine == emu.EngineRef
 		plain, _, plainErr := harness.RunImageSys(img, kind, c, false)
 		log := &eventLog{}
 		c.Probe = log
@@ -270,7 +270,7 @@ func TestEngineEquivalenceForkRunUntil(t *testing.T) {
 	}
 	cfg := harness.RunConfig{CacheSize: 512, Ways: 2, MaxCycles: equivalenceBudget, Verify: false}
 	refCfg := cfg
-	refCfg.Engine = emu.EngineRef
+	refCfg.Reference = true
 	free, _, err := harness.RunImageSys(img, systems.KindNACHO, refCfg, false)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestEngineEquivalenceForkRunUntil(t *testing.T) {
 	var refSnaps []snap
 	for i, v := range equivalenceVariants {
 		c := cfg
-		c.Engine = v
+		c.Reference = v == emu.EngineRef
 		var snaps []snap
 		for _, target := range targets {
 			m, _, err := harness.BuildMachine(img, systems.KindNACHO, c)
@@ -301,10 +301,7 @@ func TestEngineEquivalenceForkRunUntil(t *testing.T) {
 				t.Fatalf("%s: RunUntil(%d): %v", v, target, err)
 			}
 			s := snap{cycle: m.Now(), halted: halted, regs: m.RegSnapshot()}
-			f, err := m.Fork(power.Periodic{Period: free.Counters.Cycles/5 + 211})
-			if err != nil {
-				t.Fatalf("%s: fork: %v", v, err)
-			}
+			f := m.Fork(power.Periodic{Period: free.Counters.Cycles/5 + 211})
 			if s.fork, err = f.Run(); err != nil {
 				t.Fatalf("%s: fork run: %v", v, err)
 			}

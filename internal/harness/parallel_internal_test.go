@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"nacho/internal/emu"
 	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/program"
@@ -44,13 +43,13 @@ func TestIdentityCoversResultAffectingFields(t *testing.T) {
 		"MaxCycles":              func(c *RunConfig) { c.MaxCycles = 1 << 21 },
 		"FinalFlush":             func(c *RunConfig) { c.FinalFlush = true },
 	}
-	// Observation, the engine (the equivalence suite) and the span a run
-	// reports under cannot change a result.
+	// Observation, the engine (the equivalence suite's referee switch) and
+	// the span a run reports under cannot change a result.
 	invariant := map[string]func(*RunConfig){
-		"Trace":  func(c *RunConfig) { c.Trace = io.Discard },
-		"Probe":  func(c *RunConfig) { c.Probe = sim.NewCounterProbe() },
-		"Engine": func(c *RunConfig) { c.Engine = emu.EngineRef },
-		"Span":   func(c *RunConfig) { c.Span = 7 },
+		"Trace":     func(c *RunConfig) { c.Trace = io.Discard },
+		"Probe":     func(c *RunConfig) { c.Probe = sim.NewCounterProbe() },
+		"Reference": func(c *RunConfig) { c.Reference = true },
+		"Span":      func(c *RunConfig) { c.Span = 7 },
 	}
 	typ := reflect.TypeOf(RunConfig{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -68,13 +67,6 @@ func TestIdentityCoversResultAffectingFields(t *testing.T) {
 			}
 		} else {
 			t.Errorf("RunConfig field %s is on neither list: add it to the identity and affects, or to invariant", name)
-		}
-	}
-	for _, engine := range []emu.Engine{emu.EngineAuto, emu.EngineRef, emu.EngineAOT} {
-		cfg := DefaultRunConfig()
-		cfg.Engine = engine
-		if identity(img, systems.KindNACHO, cfg, true) != base {
-			t.Errorf("engine %q splits the run identity", engine)
 		}
 	}
 

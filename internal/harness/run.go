@@ -43,7 +43,7 @@ type RunConfig struct {
 	// Trace receives a per-instruction execution trace when non-nil
 	// (rendered through the buffered trace.Recorder, which the emulator
 	// feeds directly). A traced run executes on the reference interpreter
-	// (emu.Engine.Executed) and bypasses the run cache and the store.
+	// (emu.Executed) and bypasses the run cache and the store.
 	Trace io.Writer
 	// Probe, when non-nil, observes the run's full event stream alongside
 	// the verifier (see sim.Probe). Probed runs bypass the run cache and
@@ -57,37 +57,22 @@ type RunConfig struct {
 	// a clean halt (see emu.Config.FinalFlush), so every surviving store is
 	// visible in NVM for post-run state comparison.
 	FinalFlush bool
-	// Engine selects the execution engine (see emu.Engine). The zero value
-	// picks the fastest correct engine; the equivalence suite sets concrete
-	// engines to obtain each side of its comparison, and because it holds
-	// them equal the engine is not part of the run identity. Validate
-	// external input with emu.ParseEngine before setting it here.
-	Engine emu.Engine
+	// Reference runs the simulation on the reference interpreter (see
+	// emu.Config.Reference): the referee switch the engine-equivalence suite
+	// sets to obtain each side of its comparison. No command, public field
+	// or fuzz setting reaches it. Because the suite holds the engines equal,
+	// it is not part of the run identity.
+	Reference bool
 	// Span, when non-zero, parents the run span this run emits on the
 	// campaign tracer; zero attaches it to the tracer's ambient span. Purely
 	// observational: it is not part of the run identity.
 	Span telemetry.SpanID
 }
 
-// defaultEngine is the engine DefaultRunConfig selects. EngineAuto (the
-// zero value) picks the fastest correct engine; SetDefaultEngine pins the
-// whole experiment harness to a specific one (a performance/debugging knob
-// — results are engine-invariant by the equivalence suite).
-var defaultEngine emu.Engine
-
-// SetDefaultEngine sets the engine experiment regeneration runs on and
-// returns the previous setting. Not safe to call concurrently with running
-// experiments; intended for CLI startup.
-func SetDefaultEngine(e emu.Engine) emu.Engine {
-	old := defaultEngine
-	defaultEngine = e
-	return old
-}
-
 // DefaultRunConfig is the paper's headline configuration: a 2-way 512 B
 // cache with the Section 5.2 cost model, verification on.
 func DefaultRunConfig() RunConfig {
-	return RunConfig{CacheSize: 512, Ways: 2, Verify: true, Cost: mem.DefaultCostModel(), Engine: defaultEngine}
+	return RunConfig{CacheSize: 512, Ways: 2, Verify: true, Cost: mem.DefaultCostModel()}
 }
 
 // observed reports whether the run carries a trace or a probe. The caller
@@ -99,7 +84,7 @@ func (cfg RunConfig) observed() bool { return cfg.Trace != nil || cfg.Probe != n
 // identity is the one description of a run's identity: every RunConfig field
 // that can change the result, with the zero Cost read as the default model
 // the run executes under, plus the image, the system and the golden check.
-// The fields that cannot change results — Trace, Probe, Engine and Span —
+// The fields that cannot change results — Trace, Probe, Reference and Span —
 // stay out (TestIdentityCoversResultAffectingFields). It keys the
 // in-process run cache, its digest names the run's store object, and it
 // fills the ledger's identity columns.
@@ -264,10 +249,10 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 }
 
 // newMachineOn assembles the memory system and emulator over an
-// already-loaded space. probe (nil for none) is attached to both the system
-// and the machine, and rec (nil for none) receives the machine's trace; the
-// emulator clones cfg.Schedule itself, so one RunConfig value can be shared
-// freely across machines and goroutines.
+// already-loaded space. probe (nil for none) observes the run (emu.New
+// attaches it to the system as well as the machine), and rec (nil for none)
+// receives the machine's trace; the emulator clones cfg.Schedule itself, so
+// one RunConfig value can be shared freely across machines and goroutines.
 func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg RunConfig, probe sim.Probe, rec *trace.Recorder) (*emu.Machine, sim.System, error) {
 	sys, err := systems.Build(kind, space, systems.Config{
 		CacheSize:        cfg.CacheSize,
@@ -281,9 +266,6 @@ func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg R
 	if err != nil {
 		return nil, nil, err
 	}
-	if probe != nil {
-		sys.AttachProbe(probe)
-	}
 	machine := emu.New(sys, img.Text, program.TextBase, img.Entry, program.StackTop, emu.Config{
 		Schedule:               cfg.Schedule,
 		ForcedCheckpointPeriod: cfg.ForcedCheckpointPeriod,
@@ -292,7 +274,7 @@ func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg R
 		FinalFlush:             cfg.FinalFlush,
 		Probe:                  probe,
 		Trace:                  rec,
-		Engine:                 cfg.Engine,
+		Reference:              cfg.Reference,
 	})
 	return machine, sys, nil
 }

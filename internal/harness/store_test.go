@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"nacho/internal/emu"
 	"nacho/internal/program"
 	"nacho/internal/sim"
 	"nacho/internal/store"
@@ -227,14 +226,13 @@ func TestStoreServesAcrossEngines(t *testing.T) {
 	withStore(t)
 	p := mustProgram(t, "crc")
 	cfg := DefaultRunConfig()
-	cfg.Verify = false // a verified run executes on ref whatever the engine
-	cfg.Engine = emu.EngineRef
+	cfg.Reference = true
 
 	ref, err := Run(p, systems.KindNACHO, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = emu.EngineAOT
+	cfg.Reference = false
 	before := Status()
 	aot, err := Run(p, systems.KindNACHO, cfg)
 	if err != nil {

@@ -99,13 +99,13 @@ var engineStats = func() map[emu.Engine]*engineStat {
 }()
 
 // executedEngine reports the engine a run actually executes on, by the
-// emulator's own rule (emu.Engine.Executed): the reference interpreter for
-// Engine ref or a traced run, the resolved configured engine otherwise.
-// Verified and probed runs execute on the configured engine like any other.
-// The run span, the ledger's engine column, Report.Timing's engine clause
-// and the nacho_harness_engine_* series all name this engine.
+// emulator's own rule (emu.Executed): the reference interpreter for a
+// Reference or traced run, the AOT engine otherwise. Verified and probed
+// runs execute on AOT like any other. The run span, the ledger's engine
+// column, Report.Timing's engine clause and the nacho_harness_engine_*
+// series all name this engine.
 func executedEngine(cfg RunConfig) emu.Engine {
-	return cfg.Engine.Executed(cfg.Trace != nil)
+	return emu.Executed(cfg.Reference, cfg.Trace != nil)
 }
 
 // simulated is the sum of every executed run's counters, the one source of
@@ -123,9 +123,6 @@ var simulated struct {
 // the simulated sum.
 func runFinished(engine emu.Engine, wallMicros int64, c *metrics.Counters) {
 	st := engineStats[engine]
-	if st == nil {
-		st = engineStats[emu.EngineRef]
-	}
 	st.runs.Add(1)
 	st.instr.Add(c.Instructions)
 	st.wall.Observe(uint64(wallMicros))

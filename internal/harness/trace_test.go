@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"nacho/internal/emu"
 	"nacho/internal/harness"
 	"nacho/internal/power"
 	"nacho/internal/program"
@@ -48,7 +47,6 @@ func TestTraceCompleteness(t *testing.T) {
 		}
 		for _, kind := range []systems.Kind{systems.KindNACHO, systems.KindClank} {
 			cfg := harness.DefaultRunConfig()
-			cfg.Engine = emu.EngineAOT
 			const onDuration = 60_000
 			cfg.Schedule = power.Periodic{Period: onDuration}
 			cfg.ForcedCheckpointPeriod = onDuration / 2

@@ -371,20 +371,19 @@ type NVM struct {
 }
 
 // NewNVM wraps a space with the paper's NVM latency and accounting. The
-// clock and counters are attached later via Attach (systems are constructed
-// before the emulator exists).
+// clock, counters and probe are attached later via Attach (systems are
+// constructed before the emulator exists).
 func NewNVM(space *Space, cost CostModel) *NVM {
 	return &NVM{space: space, cost: cost}
 }
 
-// Attach binds the NVM to a simulation clock and counter set.
-func (n *NVM) Attach(clk sim.Clock, c *metrics.Counters) {
+// Attach binds the NVM to a simulation clock and counter set, and p (nil
+// for none) as the observer of charged NVM traffic.
+func (n *NVM) Attach(clk sim.Clock, c *metrics.Counters, p sim.Probe) {
 	n.clk = clk
 	n.c = c
+	n.probe = p
 }
-
-// AttachProbe wires an observer for charged NVM traffic (nil detaches).
-func (n *NVM) AttachProbe(p sim.Probe) { n.probe = p }
 
 // Now is the current simulation cycle, or 0 before Attach (used by owners
 // that need a timestamp but hold no clock of their own).

@@ -201,7 +201,7 @@ func TestNVMAccountingAndLatency(t *testing.T) {
 	clk := &sim.TestClock{}
 	var c metrics.Counters
 	n := NewNVM(NewSpace(), DefaultCostModel())
-	n.Attach(clk, &c)
+	n.Attach(clk, &c, nil)
 
 	n.Write(0x40, 4, 123)
 	if clk.Cycle != 6 {
@@ -223,7 +223,7 @@ func TestNVMAsyncWriteUncharged(t *testing.T) {
 	clk := &sim.TestClock{}
 	var c metrics.Counters
 	n := NewNVM(NewSpace(), DefaultCostModel())
-	n.Attach(clk, &c)
+	n.Attach(clk, &c, nil)
 	n.WriteAsync(0x80, 4, 7)
 	if clk.Cycle != 0 {
 		t.Errorf("async write charged %d cycles, want 0", clk.Cycle)
@@ -240,7 +240,7 @@ func TestNVMRawUncounted(t *testing.T) {
 	clk := &sim.TestClock{}
 	var c metrics.Counters
 	n := NewNVM(NewSpace(), DefaultCostModel())
-	n.Attach(clk, &c)
+	n.Attach(clk, &c, nil)
 	n.WriteRaw(0x10, 4, 9)
 	if n.ReadRaw(0x10, 4) != 9 {
 		t.Error("raw round-trip failed")

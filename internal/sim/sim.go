@@ -82,14 +82,30 @@ type System interface {
 	// Name identifies the system in experiment output ("nacho", "clank", ...).
 	Name() string
 
-	// Attach wires the system to the CPU's clock and register source and to
-	// the run's counters. It must be called once before execution.
-	Attach(clk Clock, regs RegSource, c *metrics.Counters)
+	// Attach wires the system to the CPU's clock and register source, to
+	// the run's counters, and to the run's event observer p (nil for none),
+	// which the system hands to every component it owns that emits (NVM,
+	// checkpoint store). It must be called once before execution; the
+	// no-probe path must stay emission-free.
+	Attach(clk Clock, regs RegSource, c *metrics.Counters, p Probe)
 
-	// AttachProbe wires an event observer into the system and every
-	// component it owns that emits (NVM, checkpoint store); nil detaches.
-	// Call it before execution; the no-probe path must stay emission-free.
-	AttachProbe(p Probe)
+	// Fork returns an independent replica of the system's complete state —
+	// volatile (cache lines, trackers, stack bounds) deep-copied,
+	// non-volatile memory forked copy-on-write — wired to the forked
+	// machine's clock, register source, and counters (the snapshot-fork
+	// exploration mode). Unlike Attach, Fork must not reinitialize anything
+	// (in particular not the checkpoint store, whose sequence position is
+	// part of the state being replicated), and the replica comes up
+	// probe-free: forks run on the emission-free path.
+	Fork(clk Clock, regs RegSource, c *metrics.Counters) System
+
+	// EqualState reports whether o, a replica of the same system (a fork of
+	// a common ancestor), holds the same state: NVM and every volatile field
+	// that can steer the rest of a run. A field that holds a cycle is
+	// compared relative to each replica's own clock, so two replicas at
+	// different cycles are equal when their futures differ only by that
+	// offset. Counters and fields that feed only counters are not state.
+	EqualState(o System) bool
 
 	// Load performs a data read of size bytes (1, 2 or 4, naturally aligned).
 	Load(addr uint32, size int) uint32
@@ -138,25 +154,4 @@ type MemReaderWriter interface {
 	WriteRaw(addr uint32, size int, val uint32)
 	ReadBytes(addr uint32, dst []byte)
 	FirstDiff(addr uint32, want []byte) int
-}
-
-// Forkable is implemented by systems that support copy-on-write machine
-// forking (the snapshot-fork exploration mode). Fork returns an independent
-// replica of the system's complete state — volatile (cache lines, trackers,
-// stack bounds) deep-copied, non-volatile memory forked copy-on-write — wired
-// to the forked machine's clock, register source, and counters. Unlike
-// Attach, Fork must not reinitialize anything (in particular not the
-// checkpoint store, whose sequence position is part of the state being
-// replicated), and the replica comes up probe-free: forks run on the
-// emission-free fast path.
-//
-// EqualState reports whether o, a replica of the same system (a fork of a
-// common ancestor), holds the same state: NVM and every volatile field that
-// can steer the rest of a run. A field that holds a cycle is compared
-// relative to each replica's own clock, so two replicas at different cycles
-// are equal when their futures differ only by that offset. Counters and
-// fields that feed only counters are not state.
-type Forkable interface {
-	Fork(clk Clock, regs RegSource, c *metrics.Counters) System
-	EqualState(o System) bool
 }

@@ -35,7 +35,7 @@
 //
 // Equivalence with from-boot runs is not an approximation. A fork copies the
 // register file, clock, outputs and counters by value; the memory system
-// replicates itself behind sim.Forkable (deep-copied cache, trackers and
+// replicates itself (sim.System.Fork: deep-copied cache, trackers and
 // checkpoint position over the forked NVM space); the fork's next failure is
 // recomputed from its own schedule; and a reused outcome stands for a tail
 // from a state equal to its class's. The tests referee every instant, at
@@ -307,13 +307,10 @@ func (x *explorer) window(from, target, end uint64) (bool, error) {
 	pm := x.pm
 	for t := from + 1; t <= end; t += x.stride {
 		sched := power.NewAt(t)
-		f, err := pm.Fork(sched)
-		if err != nil {
-			return false, fmt.Errorf("snapshot: fork at %d: %w", t, err)
-		}
+		f := pm.Fork(sched)
 		// The fork returns right after t's reboot; past target, it
 		// returns at stop instead when t lies beyond the window.
-		_, err = f.RunUntil(min(t, target))
+		_, err := f.RunUntil(min(t, target))
 		x.stats.ForkCycles += f.Now() - pm.Now()
 		if err != nil {
 			return false, fmt.Errorf("snapshot: fork to instant %d: %w", t, err)
@@ -322,11 +319,7 @@ func (x *explorer) window(from, target, end uint64) (bool, error) {
 			break
 		}
 		failed := f.Retired()
-		o, err := x.outcome(t, sched, f)
-		if err != nil {
-			return false, err
-		}
-		if !x.visit(o) {
+		if !x.visit(x.outcome(t, sched, f)) {
 			return false, nil
 		}
 		// The failure struck inside instruction number failed or after it
@@ -345,7 +338,7 @@ func (x *explorer) window(from, target, end uint64) (bool, error) {
 // failure's reboot: from the current class when f's state equals the
 // class's, else by running f's tail on a fork of f, which becomes the new
 // class.
-func (x *explorer) outcome(t uint64, sched power.Schedule, f *emu.Machine) (Outcome, error) {
+func (x *explorer) outcome(t uint64, sched power.Schedule, f *emu.Machine) Outcome {
 	o := Outcome{Instant: t}
 	if c := x.class; c != nil && f.EqualState(c.rep) {
 		if res, ok := c.shift(f); ok {
@@ -357,17 +350,14 @@ func (x *explorer) outcome(t uint64, sched power.Schedule, f *emu.Machine) (Outc
 			o.Sys = f.System()
 		}
 	} else {
-		tm, err := f.Fork(sched)
-		if err != nil {
-			return o, fmt.Errorf("snapshot: fork tail of %d: %w", t, err)
-		}
+		tm := f.Fork(sched)
 		o.Res, o.Err = x.tail(tm)
 		o.Sys = tm.System()
 		x.class = &class{rep: f, reboot: f.Now(), retired: f.Retired(), res: o.Res, err: o.Err, sys: o.Sys}
 	}
 	x.stats.Instants++
 	x.stats.BootCycles += o.Res.Counters.Cycles
-	return o, nil
+	return o
 }
 
 // tail runs m, paused right after a reboot, to completion.

@@ -39,17 +39,10 @@ func NewClank(nvm *mem.NVM, checkpointBase uint32) *Clank {
 func (k *Clank) Name() string { return "clank" }
 
 // Attach implements sim.System.
-func (k *Clank) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) {
-	k.clk, k.regs, k.c = clk, regs, c
-	k.nvm.Attach(clk, c)
-	k.ckpt.Init(regs.RegSnapshot())
-}
-
-// AttachProbe implements sim.System.
-func (k *Clank) AttachProbe(p sim.Probe) {
-	k.probe = p
-	k.nvm.AttachProbe(p)
-	k.ckpt.AttachProbe(p)
+func (k *Clank) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p sim.Probe) {
+	k.clk, k.regs, k.c, k.probe = clk, regs, c, p
+	k.nvm.Attach(clk, c, p)
+	k.ckpt.Init(regs.RegSnapshot(), p)
 }
 
 // Load implements sim.System: a direct NVM read.
@@ -89,11 +82,11 @@ func (k *Clank) checkpoint(forced bool) {
 	k.tracker.Reset()
 }
 
-// Fork implements sim.Forkable: forked NVM plus deep-copied tracker state
+// Fork implements sim.System: forked NVM plus deep-copied tracker state
 // and checkpoint-store position.
 func (k *Clank) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
 	nvm := k.nvm.Fork()
-	nvm.Attach(clk, c)
+	nvm.Attach(clk, c, nil)
 	return &Clank{
 		nvm:     nvm,
 		ckpt:    k.ckpt.Fork(nvm),
@@ -104,7 +97,7 @@ func (k *Clank) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim
 	}
 }
 
-// EqualState implements sim.Forkable: the checkpoint-store position, the
+// EqualState implements sim.System: the checkpoint-store position, the
 // tracker and NVM.
 func (k *Clank) EqualState(o sim.System) bool {
 	q, ok := o.(*Clank)

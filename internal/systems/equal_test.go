@@ -11,7 +11,7 @@ import (
 
 // replica forks sys onto a fresh test clock standing at cycle now.
 func replica(sys sim.System, now uint64) sim.System {
-	return sys.(sim.Forkable).Fork(&sim.TestClock{Cycle: now}, fakeRegs{}, &metrics.Counters{})
+	return sys.Fork(&sim.TestClock{Cycle: now}, fakeRegs{}, &metrics.Counters{})
 }
 
 // validLine returns a valid line of c.
@@ -98,7 +98,7 @@ func TestEqualState(t *testing.T) {
 			if r, ok := sys.(*ReplayCache); ok {
 				r.queue = append(r.queue, clk.Cycle+6) // one write-back in flight
 			}
-			if !replica(sys, clk.Cycle).(sim.Forkable).EqualState(replica(sys, clk.Cycle)) {
+			if !replica(sys, clk.Cycle).EqualState(replica(sys, clk.Cycle)) {
 				t.Fatal("two replicas compare unequal")
 			}
 			// A later clock shifts ReplayCache's region start and queue
@@ -110,13 +110,13 @@ func TestEqualState(t *testing.T) {
 					r.queue[i] += 1000
 				}
 			}
-			if !replica(sys, clk.Cycle).(sim.Forkable).EqualState(later) {
+			if !replica(sys, clk.Cycle).EqualState(later) {
 				t.Fatal("replicas at different clocks compare unequal")
 			}
 			for _, p := range perturbations {
 				a, b := replica(sys, clk.Cycle), replica(sys, clk.Cycle)
 				p.f(t, b)
-				if a.(sim.Forkable).EqualState(b) || b.(sim.Forkable).EqualState(a) {
+				if a.EqualState(b) || b.EqualState(a) {
 					t.Errorf("%s: perturbed replica compares equal", p.name)
 				}
 			}

@@ -60,17 +60,10 @@ func NewPROWL(nvm *mem.NVM, sizeBytes int, checkpointBase uint32, cost mem.CostM
 func (p *PROWL) Name() string { return "prowl" }
 
 // Attach implements sim.System.
-func (p *PROWL) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) {
-	p.clk, p.regs, p.c = clk, regs, c
-	p.nvm.Attach(clk, c)
-	p.ckpt.Init(regs.RegSnapshot())
-}
-
-// AttachProbe implements sim.System.
-func (p *PROWL) AttachProbe(probe sim.Probe) {
-	p.probe = probe
-	p.nvm.AttachProbe(probe)
-	p.ckpt.AttachProbe(probe)
+func (p *PROWL) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, probe sim.Probe) {
+	p.clk, p.regs, p.c, p.probe = clk, regs, c, probe
+	p.nvm.Attach(clk, c, probe)
+	p.ckpt.Init(regs.RegSnapshot(), probe)
 }
 
 // index computes the per-way skewed hash of a line address.
@@ -238,11 +231,11 @@ func (p *PROWL) forEach(f func(*cache.Line)) {
 	}
 }
 
-// Fork implements sim.Forkable: forked NVM plus deep-copied way arrays, LRU
+// Fork implements sim.System: forked NVM plus deep-copied way arrays, LRU
 // stamp, and checkpoint-store position.
 func (p *PROWL) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
 	nvm := p.nvm.Fork()
-	nvm.Attach(clk, c)
+	nvm.Attach(clk, c, nil)
 	f := &PROWL{
 		numSets: p.numSets,
 		stamp:   p.stamp,
@@ -260,7 +253,7 @@ func (p *PROWL) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim
 	return f
 }
 
-// EqualState implements sim.Forkable: the LRU stamp, the checkpoint-store
+// EqualState implements sim.System: the LRU stamp, the checkpoint-store
 // position, both way arrays and NVM.
 func (p *PROWL) EqualState(o sim.System) bool {
 	q, ok := o.(*PROWL)

@@ -72,17 +72,10 @@ func NewReplayCache(nvm *mem.NVM, sizeBytes, ways int, checkpointBase uint32, co
 func (r *ReplayCache) Name() string { return "replaycache" }
 
 // Attach implements sim.System.
-func (r *ReplayCache) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) {
-	r.clk, r.regs, r.c = clk, regs, c
-	r.nvm.Attach(clk, c)
-	r.ckpt.Init(regs.RegSnapshot())
-}
-
-// AttachProbe implements sim.System.
-func (r *ReplayCache) AttachProbe(p sim.Probe) {
-	r.probe = p
-	r.nvm.AttachProbe(p)
-	r.ckpt.AttachProbe(p)
+func (r *ReplayCache) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p sim.Probe) {
+	r.clk, r.regs, r.c, r.probe = clk, regs, c, p
+	r.nvm.Attach(clk, c, p)
+	r.ckpt.Init(regs.RegSnapshot(), p)
 }
 
 // Load implements sim.System.
@@ -204,11 +197,11 @@ func (r *ReplayCache) endRegion() {
 	}
 }
 
-// Fork implements sim.Forkable: forked NVM plus deep-copied cache, tracker,
+// Fork implements sim.System: forked NVM plus deep-copied cache, tracker,
 // write-back queue, region position, and checkpoint-store position.
 func (r *ReplayCache) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
 	nvm := r.nvm.Fork()
-	nvm.Attach(clk, c)
+	nvm.Attach(clk, c, nil)
 	return &ReplayCache{
 		cache:       r.cache.Clone(),
 		tracker:     r.tracker.Clone(),
@@ -225,7 +218,7 @@ func (r *ReplayCache) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counter
 	}
 }
 
-// EqualState implements sim.Forkable: the region position, the write-back
+// EqualState implements sim.System: the region position, the write-back
 // queue, the checkpoint-store position, the cache, the tracker and NVM. The
 // region start and the queue's completion cycles are compared relative to
 // each replica's clock: the time since the region began decides where the

@@ -36,7 +36,7 @@ func build(t *testing.T, kind Kind) (sim.System, *sim.TestClock, *metrics.Counte
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Attach(clk, fakeRegs{}, c)
+	sys.Attach(clk, fakeRegs{}, c, nil)
 	return sys, clk, c
 }
 

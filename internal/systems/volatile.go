@@ -32,8 +32,8 @@ func NewVolatile(space *mem.Space, cost mem.CostModel) *Volatile {
 func (v *Volatile) Name() string { return "volatile" }
 
 // Attach implements sim.System.
-func (v *Volatile) Attach(clk sim.Clock, _ sim.RegSource, c *metrics.Counters) {
-	v.clk, v.c = clk, c
+func (v *Volatile) Attach(clk sim.Clock, _ sim.RegSource, c *metrics.Counters, p sim.Probe) {
+	v.clk, v.c, v.probe = clk, c, p
 }
 
 // Load implements sim.System: an SRAM access (counted as a hit so the
@@ -58,13 +58,13 @@ func (v *Volatile) Store(addr uint32, size int, val uint32) {
 	}
 }
 
-// Fork implements sim.Forkable: the baseline's entire state is its memory
+// Fork implements sim.System: the baseline's entire state is its memory
 // space, forked copy-on-write.
 func (v *Volatile) Fork(clk sim.Clock, _ sim.RegSource, c *metrics.Counters) sim.System {
 	return &Volatile{space: v.space.Fork(), cost: v.cost, clk: clk, c: c}
 }
 
-// EqualState implements sim.Forkable: the memory space is the whole state.
+// EqualState implements sim.System: the memory space is the whole state.
 func (v *Volatile) EqualState(o sim.System) bool {
 	q, ok := o.(*Volatile)
 	if !ok {
@@ -92,9 +92,3 @@ func (v *Volatile) Mem() sim.MemReaderWriter { return v.space }
 
 // Release implements sim.System: the memory space is all there is.
 func (v *Volatile) Release() { v.space.Release() }
-
-// AttachProbe implements sim.System: the baseline owns no cache, NVM, or
-// checkpoint store — only its own access events flow.
-func (v *Volatile) AttachProbe(p sim.Probe) {
-	v.probe = p
-}

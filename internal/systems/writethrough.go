@@ -55,17 +55,10 @@ func NewWriteThrough(nvm *mem.NVM, sizeBytes, ways int, checkpointBase uint32, c
 func (w *WriteThrough) Name() string { return string(KindWriteThrough) }
 
 // Attach implements sim.System.
-func (w *WriteThrough) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) {
-	w.clk, w.regs, w.c = clk, regs, c
-	w.nvm.Attach(clk, c)
-	w.ckpt.Init(regs.RegSnapshot())
-}
-
-// AttachProbe implements sim.System.
-func (w *WriteThrough) AttachProbe(p sim.Probe) {
-	w.probe = p
-	w.nvm.AttachProbe(p)
-	w.ckpt.AttachProbe(p)
+func (w *WriteThrough) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p sim.Probe) {
+	w.clk, w.regs, w.c, w.probe = clk, regs, c, p
+	w.nvm.Attach(clk, c, p)
+	w.ckpt.Init(regs.RegSnapshot(), p)
 }
 
 // Load implements sim.System: served from the read cache when possible.
@@ -129,11 +122,11 @@ func (w *WriteThrough) checkpoint(forced bool) {
 	w.tracker.Reset()
 }
 
-// Fork implements sim.Forkable: forked NVM plus deep-copied read cache,
+// Fork implements sim.System: forked NVM plus deep-copied read cache,
 // tracker, and checkpoint-store position.
 func (w *WriteThrough) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
 	nvm := w.nvm.Fork()
-	nvm.Attach(clk, c)
+	nvm.Attach(clk, c, nil)
 	return &WriteThrough{
 		cache:   w.cache.Clone(),
 		tracker: w.tracker.Clone(),
@@ -146,7 +139,7 @@ func (w *WriteThrough) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counte
 	}
 }
 
-// EqualState implements sim.Forkable: the checkpoint-store position, the
+// EqualState implements sim.System: the checkpoint-store position, the
 // read cache, the tracker and NVM.
 func (w *WriteThrough) EqualState(o sim.System) bool {
 	q, ok := o.(*WriteThrough)

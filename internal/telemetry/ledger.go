@@ -36,7 +36,7 @@ type Record struct {
 	Key      string `json:"key"` // hex digest of the run's identity, its store object's name
 	Program  string `json:"program"`
 	System   string `json:"system"`
-	Engine   string `json:"engine"` // resolved engine the run executed on
+	Engine   string `json:"engine"` // engine the run executed on (emu.Executed)
 	Cache    int    `json:"cache"`  // cache size in bytes
 	Ways     int    `json:"ways"`
 	Schedule string `json:"schedule"` // power.Schedule.Key(); "none" when always-on

@@ -79,7 +79,7 @@ type Config struct {
 }
 
 // Verifier implements the safety checks as a sim.Probe: attach it to the
-// system under test (and the emulator) through AttachProbe and it consumes
+// system under test (and the emulator) through emu.Config.Probe and it consumes
 // the event stream — CPU accesses feed the shadow memory, write-back events
 // feed the WAR check, checkpoint commits move the rollback point. A nil
 // *Verifier is valid and disables all checking.

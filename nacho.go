@@ -122,13 +122,6 @@ type Config struct {
 	// checkpoint intervals as duration slices, power outages and write-back
 	// verdicts on their own tracks, and an NVM-traffic counter track.
 	Perfetto io.Writer
-	// Engine selects the execution engine: "auto" (or empty) picks the
-	// fastest correct engine, "ref" the per-instruction reference
-	// interpreter, "aot" the compiled threaded-code engine. Results are
-	// identical on both engines; the knob exists for the engine-equivalence
-	// suite, for measuring engine speedups, and for isolating engine bugs.
-	// Unknown values fail the run with a named diagnostic.
-	Engine string
 }
 
 func (c Config) withDefaults() Config {
@@ -147,11 +140,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) runConfig() (harness.RunConfig, error) {
-	engine, err := emu.ParseEngine(c.Engine)
-	if err != nil {
-		return harness.RunConfig{}, fmt.Errorf("nacho: %w", err)
-	}
+func (c Config) runConfig() harness.RunConfig {
 	cost := mem.DefaultCostModel()
 	rc := harness.RunConfig{
 		CacheSize:        c.CacheSize,
@@ -162,7 +151,6 @@ func (c Config) runConfig() (harness.RunConfig, error) {
 		DirtyThreshold:   c.DirtyThreshold,
 		EnergyPrediction: c.EnergyPrediction,
 		Trace:            c.Trace,
-		Engine:           engine,
 	}
 	if c.OnDurationMs > 0 {
 		period := cost.CyclesForMillis(c.OnDurationMs)
@@ -173,7 +161,7 @@ func (c Config) runConfig() (harness.RunConfig, error) {
 		}
 		rc.ForcedCheckpointPeriod = period / 2
 	}
-	return rc, nil
+	return rc
 }
 
 // Result reports the paper's evaluation metrics for one run
@@ -307,10 +295,7 @@ func Run(cfg Config) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("nacho: unknown benchmark %q (see Benchmarks())", cfg.Benchmark)
 	}
-	rc, err := cfg.runConfig()
-	if err != nil {
-		return nil, err
-	}
+	rc := cfg.runConfig()
 	stats, tep := cfg.observers(&rc)
 	res, err := harness.Run(p, systems.Kind(cfg.System), rc)
 	if err := finishObservers(tep, res, err); err != nil {

@@ -112,23 +112,23 @@ func TestRunSourceAssemblyError(t *testing.T) {
 func TestExperimentNamesResolve(t *testing.T) {
 	for _, n := range ExperimentNames() {
 		if n == "table1" {
-			out, err := Experiment(n, nil)
-			if err != nil || !strings.Contains(out, "feature matrix") {
+			out, err := RunExperiment(n, nil)
+			if err != nil || !strings.Contains(out.Text, "feature matrix") {
 				t.Errorf("table1: %v", err)
 			}
 		}
 	}
-	if _, err := Experiment("fig99", nil); err == nil {
+	if _, err := RunExperiment("fig99", nil); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestExperimentSubset(t *testing.T) {
-	out, err := Experiment("fig7", []string{"aes"})
+	out, err := RunExperiment("fig7", []string{"aes"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "aes") || strings.Contains(out, "coremark") {
-		t.Errorf("subset not honored:\n%s", out)
+	if !strings.Contains(out.Text, "aes") || strings.Contains(out.Text, "coremark") {
+		t.Errorf("subset not honored:\n%s", out.Text)
 	}
 }

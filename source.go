@@ -3,7 +3,6 @@ package nacho
 import (
 	"fmt"
 
-	"nacho/internal/emu"
 	"nacho/internal/harness"
 	"nacho/internal/program"
 	"nacho/internal/systems"
@@ -41,26 +40,13 @@ func RunSource(name, source string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc, err := cfg.runConfig()
-	if err != nil {
-		return nil, err
-	}
+	rc := cfg.runConfig()
 	stats, tep := cfg.observers(&rc)
 	res, err := harness.RunImage(img, systems.Kind(cfg.System), rc, false)
 	if err := finishObservers(tep, res, err); err != nil {
 		return nil, err
 	}
 	return newResult(res, stats), nil
-}
-
-// experimentReport resolves an experiment name to its regenerated report via
-// the harness experiment registry.
-func experimentReport(name string, benchmarks []string) (*harness.Report, error) {
-	rep, err := harness.RunNamedExperiment(name, benchmarks)
-	if err != nil {
-		return nil, fmt.Errorf("nacho: %w", err)
-	}
-	return rep, nil
 }
 
 // ExperimentOutput is one regenerated table or figure in both render forms,
@@ -85,9 +71,9 @@ type ExperimentOutput struct {
 // cache, so a run an earlier experiment executed is served, not executed
 // again.
 func RunExperiment(name string, benchmarks []string) (*ExperimentOutput, error) {
-	rep, err := experimentReport(name, benchmarks)
+	rep, err := harness.RunNamedExperiment(name, benchmarks)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nacho: %w", err)
 	}
 	return &ExperimentOutput{Text: rep.String(), CSV: rep.CSV(), Timing: rep.Timing}, nil
 }
@@ -100,41 +86,6 @@ func SetParallelism(n int) int { return harness.SetWorkers(n) }
 
 // Parallelism reports the current experiment worker count.
 func Parallelism() int { return harness.Workers() }
-
-// SetDefaultEngine selects the execution engine experiment regeneration
-// runs on ("auto", "ref", or "aot"; see Config.Engine) and returns the
-// previous setting. Every report is byte-identical regardless of the
-// engine — the equivalence suite enforces it — so this is purely a
-// performance and debugging knob. Unknown names return a descriptive error
-// and leave the setting unchanged.
-func SetDefaultEngine(name string) (string, error) {
-	e, err := emu.ParseEngine(name)
-	if err != nil {
-		return "", fmt.Errorf("nacho: %w", err)
-	}
-	return string(harness.SetDefaultEngine(e)), nil
-}
-
-// Experiment regenerates one of the paper's tables or figures as a text
-// report. Valid names are listed by ExperimentNames. benchmarks narrows the
-// benchmark set; nil means the experiment's paper-default set.
-func Experiment(name string, benchmarks []string) (string, error) {
-	rep, err := experimentReport(name, benchmarks)
-	if err != nil {
-		return "", err
-	}
-	return rep.String(), nil
-}
-
-// ExperimentCSV is Experiment in the comma-separated form the original
-// artifact's scripts log (Appendix A.6).
-func ExperimentCSV(name string, benchmarks []string) (string, error) {
-	rep, err := experimentReport(name, benchmarks)
-	if err != nil {
-		return "", err
-	}
-	return rep.CSV(), nil
-}
 
 // ExperimentNames lists the regenerable tables and figures in paper order,
 // followed by this reproduction's Section 8 extension experiments
