@@ -67,7 +67,7 @@ go test -run xxx -bench 'BenchmarkEmulatorThroughputALU$|BenchmarkEmulatorThroug
 # allocation-free: the ZeroAlloc gates pin AllocsPerRun == 0 for a warm
 # controller load and store hit, cache Probe/Touch, the page table's word
 # Read/Write and never-written Read, the tracker's Observe/Reset and the
-# verifier's OnAccess/IntervalBoundary (run without -race — the race
+# verifier's CPURead/CPUWrite/IntervalBoundary (run without -race — the race
 # allocator breaks the pin). Beside them, mem's TestReleaseReturnsOwnership
 # pins that a parent whose only fork was released writes in place, and the
 # fuzzer's TestCheckAllocatedBytes pins the bytes one warm oracle check
@@ -149,15 +149,23 @@ grep -q 'telemetry on http://' /tmp/nachofuzz.ci.serve
 # (exit 2) and a finding a real bug (exit 1) — both fail the gate. One
 # post-failure tail runs per distinct post-reboot state, so the stderr
 # progress line, copied into the CI log with the measured speedup, must
-# report fewer tails than crash instants.
+# report fewer tails than crash instants. Its counts are pinned too: the
+# snapshot scout's halt instant closes each program's last window, so a
+# scout that found another halt instant, or another boundary, would move
+# the instants or the windows.
 /tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex.1 2>/tmp/nachofuzz.ci.ex.err
 cat /tmp/nachofuzz.ci.ex.err >&2
 /tmp/nachofuzz.ci -seeds 8 -exhaustive -stride 3 >/tmp/nachofuzz.ci.ex.2
 diff /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2
 instants=$(sed -n 's/^exhaustive: \([0-9]*\) crash instants.*/\1/p' /tmp/nachofuzz.ci.ex.err)
+windows=$(sed -n 's/^exhaustive: .* across \([0-9]*\) windows.*/\1/p' /tmp/nachofuzz.ci.ex.err)
 tails=$(sed -n 's/^exhaustive: .* \([0-9]*\) tails,.*/\1/p' /tmp/nachofuzz.ci.ex.err)
 if [ -z "$instants" ] || [ -z "$tails" ] || [ "$tails" -ge "$instants" ]; then
 	echo "ci.sh: the exhaustive smoke ran ${tails:-?} tails for ${instants:-?} crash instants; want fewer tails than instants" >&2
+	exit 1
+fi
+if [ "$instants $windows $tails" != "12674 77 1329" ]; then
+	echo "ci.sh: the exhaustive smoke covered ${instants:-?} crash instants across ${windows:-?} windows with ${tails:-?} tails; want 12674 across 77 with 1329" >&2
 	exit 1
 fi
 rm -f /tmp/nachofuzz.ci /tmp/nachofuzz.ci.1 /tmp/nachofuzz.ci.2 /tmp/nachofuzz.ci.serve /tmp/nachofuzz.ci.ex.1 /tmp/nachofuzz.ci.ex.2 /tmp/nachofuzz.ci.ex.err

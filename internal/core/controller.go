@@ -202,7 +202,7 @@ func (k *Controller) Cache() *cache.Cache { return k.cache }
 
 // Load implements sim.System.
 func (k *Controller) Load(addr uint32, size int) uint32 {
-	line, hit := k.access(addr, accessRead, size)
+	line := k.access(addr, accessRead, size)
 	// Exact-mode tracking observes the access *after* the cache handled it:
 	// if the miss checkpointed, the interval reset and the in-flight read
 	// belongs to the new interval (it re-executes after a rollback to that
@@ -211,16 +211,12 @@ func (k *Controller) Load(addr uint32, size int) uint32 {
 		k.tracker.ObserveRead(addr, size)
 	}
 	k.clk.Advance(k.opts.Cost.HitCycles)
-	v := line.ReadData(addr, size)
-	if k.probe != nil {
-		k.probe.OnAccess(sim.AccessEvent{Cycle: k.clk.Now(), Addr: addr, Size: size, Value: v, Class: classOf(hit)})
-	}
-	return v
+	return line.ReadData(addr, size)
 }
 
 // Store implements sim.System.
 func (k *Controller) Store(addr uint32, size int, val uint32) {
-	line, hit := k.access(addr, accessWrite, size)
+	line := k.access(addr, accessWrite, size)
 	if k.tracker != nil {
 		k.tracker.ObserveWrite(addr, size)
 	}
@@ -239,25 +235,14 @@ func (k *Controller) Store(addr uint32, size int, val uint32) {
 		k.checkpoint(ckptAdaptive)
 		k.c.AdaptiveCkpts++
 	}
-	if k.probe != nil {
-		k.probe.OnAccess(sim.AccessEvent{Cycle: k.clk.Now(), Addr: addr, Size: size, Value: val, Store: true, Class: classOf(hit)})
-	}
-}
-
-// classOf maps a cache probe outcome to the access event class.
-func classOf(hit bool) sim.AccessClass {
-	if hit {
-		return sim.AccessHit
-	}
-	return sim.AccessMiss
 }
 
 // access is Algorithm 1's MemoryAccess procedure.
-func (k *Controller) access(addr uint32, t accessType, size int) (*cache.Line, bool) {
+func (k *Controller) access(addr uint32, t accessType, size int) *cache.Line {
 	line := k.cache.Probe(addr)
 	if line == nil {
 		k.c.CacheMisses++
-		return k.miss(addr, t, size), false
+		return k.miss(addr, t, size)
 	}
 	k.c.CacheHits++
 	if k.opts.WARMode == WARCacheBits && !line.PW && !line.RD && !line.Dirty {
@@ -265,7 +250,7 @@ func (k *Controller) access(addr uint32, t accessType, size int) (*cache.Line, b
 		k.updateLine(line, addr, t, size)
 	}
 	k.cache.Touch(line)
-	return line, true
+	return line
 }
 
 // miss is Algorithm 1's CacheMiss procedure.

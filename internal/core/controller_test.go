@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -339,81 +341,102 @@ func TestHitCostAndMissCost(t *testing.T) {
 // (Section 3.2): NACHO's cache-bit detection "can never contain false
 // negatives". Random access streams (with interleaved checkpoints and stack
 // movement) must never produce a physical write-back of read-dominated data
-// — checked by the exact byte-granular verifier.
+// — checked by the exact byte-granular verifier. The same streams through a
+// controller with inverted write-back safety (Options.TestInvertPW) must
+// trip the WAR check on every seed, so a stream that stopped feeding the
+// verifier fails here instead of passing vacuously.
 func TestNoFalseNegativesRandomStreams(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cacheSize := []int{8, 16, 32, 64}[rng.Intn(4)]
-		ways := []int{1, 2, 4}[rng.Intn(3)]
-		if cacheSize/4 < ways {
-			ways = 1
+		if err := randomStream(t, seed, false); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		r := newRig(t, cacheSize, ways, WARCacheBits, rng.Intn(2) == 0)
-		ver := verify.New(r.nvm.Space(), verify.Config{RollbackOnFailure: true, CheckWAR: true})
-		// The verifier is a probe: the controller's access and write-back
-		// events feed it directly, no manual mirroring needed. Attaching
-		// again before the stream starts rewrites the same boot checkpoint.
-		r.attach(ver)
-
-		// Stack discipline: the paper's stack-tracking optimization assumes a
-		// freshly (re)allocated slot is always written before it is read
-		// (Section 3.3); conforming programs obey it, so the random stream
-		// does too via the initialized-slot set.
-		sp := uint32(testStackTop)
-		stackInit := map[uint32]bool{}
-		for i := 0; i < 30000; i++ {
-			switch rng.Intn(20) {
-			case 0: // checkpoint
-				r.k.ForceCheckpoint()
-			case 1: // push a frame
-				if sp > testStackTop-256 {
-					sp -= 16
-					for a := sp; a < sp+16; a += 4 {
-						delete(stackInit, a)
-					}
-					r.k.NotifySP(sp)
-				}
-			case 2: // pop a frame
-				if sp < testStackTop {
-					sp += 16
-					r.k.NotifySP(sp)
-				}
-			default:
-				size := []int{1, 2, 4}[rng.Intn(3)]
-				isRead := rng.Intn(2) == 0
-				var addr uint32
-				if rng.Intn(3) == 0 && sp < testStackTop {
-					// Live stack access: word-granular, write-before-read.
-					size = 4
-					addr = sp + 4*uint32(rng.Intn(4))
-					if isRead && !stackInit[addr] {
-						isRead = false
-					}
-					if !isRead {
-						stackInit[addr] = true
-					}
-				} else {
-					addr = 0x1000 + uint32(rng.Intn(64))
-					addr &^= uint32(size - 1)
-				}
-				if isRead {
-					r.k.Load(addr, size)
-				} else {
-					v := rng.Uint32()
-					switch size {
-					case 1:
-						v &= 0xFF
-					case 2:
-						v &= 0xFFFF
-					}
-					r.k.Store(addr, size, v)
-				}
-			}
-		}
-		if err := ver.Err(); err != nil {
-			t.Fatalf("seed %d (%dB/%d-way): %v", seed, cacheSize, ways, err)
+		var v verify.Violation
+		if err := randomStream(t, seed, true); !errors.As(err, &v) || v.Kind != verify.WARViolation {
+			t.Errorf("seed %d with inverted pw bits: got %v, want a war-violation", seed, err)
 		}
 	}
+}
+
+// randomStream drives seed's random access stream through a fresh
+// controller, with invertPW setting Options.TestInvertPW, and returns the
+// exact verifier's error. The verifier observes the controller's
+// write-backs and commits as its probe and, as emu.Machine hands them over,
+// each load's returned value and each store once the controller has served
+// it.
+func randomStream(t *testing.T, seed int64, invertPW bool) error {
+	rng := rand.New(rand.NewSource(seed))
+	cacheSize := []int{8, 16, 32, 64}[rng.Intn(4)]
+	ways := []int{1, 2, 4}[rng.Intn(3)]
+	if cacheSize/4 < ways {
+		ways = 1
+	}
+	r := newRig(t, cacheSize, ways, WARCacheBits, rng.Intn(2) == 0)
+	r.k.opts.TestInvertPW = invertPW
+	ver := verify.New(r.nvm.Space(), verify.Config{RollbackOnFailure: true, CheckWAR: true})
+	// Attaching again before the stream starts rewrites the same boot
+	// checkpoint.
+	r.attach(ver)
+
+	// Stack discipline: the paper's stack-tracking optimization assumes a
+	// freshly (re)allocated slot is always written before it is read
+	// (Section 3.3); conforming programs obey it, so the random stream does
+	// too via the initialized-slot set.
+	sp := uint32(testStackTop)
+	stackInit := map[uint32]bool{}
+	for i := 0; i < 30000; i++ {
+		switch rng.Intn(20) {
+		case 0: // checkpoint
+			r.k.ForceCheckpoint()
+		case 1: // push a frame
+			if sp > testStackTop-256 {
+				sp -= 16
+				for a := sp; a < sp+16; a += 4 {
+					delete(stackInit, a)
+				}
+				r.k.NotifySP(sp)
+			}
+		case 2: // pop a frame
+			if sp < testStackTop {
+				sp += 16
+				r.k.NotifySP(sp)
+			}
+		default:
+			size := []int{1, 2, 4}[rng.Intn(3)]
+			isRead := rng.Intn(2) == 0
+			var addr uint32
+			if rng.Intn(3) == 0 && sp < testStackTop {
+				// Live stack access: word-granular, write-before-read.
+				size = 4
+				addr = sp + 4*uint32(rng.Intn(4))
+				if isRead && !stackInit[addr] {
+					isRead = false
+				}
+				if !isRead {
+					stackInit[addr] = true
+				}
+			} else {
+				addr = 0x1000 + uint32(rng.Intn(64))
+				addr &^= uint32(size - 1)
+			}
+			if isRead {
+				ver.CPURead(addr, size, r.k.Load(addr, size))
+			} else {
+				v := rng.Uint32()
+				switch size {
+				case 1:
+					v &= 0xFF
+				case 2:
+					v &= 0xFFFF
+				}
+				r.k.Store(addr, size, v)
+				ver.CPUWrite(addr, size, v)
+			}
+		}
+	}
+	if err := ver.Err(); err != nil {
+		return fmt.Errorf("%dB/%d-way: %w", cacheSize, ways, err)
+	}
+	return nil
 }
 
 func TestWARModeStrings(t *testing.T) {

@@ -1,10 +1,10 @@
 // Package emu implements the RV32IM processor emulator: the role ICEmu plays
 // in the paper (Section 5.1). It executes programs instruction by
 // instruction against a pluggable memory system (sim.System), owns the
-// simulation clock and the power-failure schedule, reports MMIO accesses,
-// power failures, and restores to the attached sim.Probe, feeds the
-// per-instruction trace recorder, and runs the reboot/restore path after
-// each power failure.
+// simulation clock and the power-failure schedule, hands every CPU data
+// access to the verifier, reports power failures and restores to the
+// attached sim.Probe, feeds the per-instruction trace recorder, and runs the
+// reboot/restore path after each power failure.
 //
 // Cost model (Section 5.2): every instruction retires in one base cycle —
 // the in-order single-issue E21-style pipeline — and data accesses add the
@@ -26,6 +26,7 @@ import (
 	"nacho/internal/power"
 	"nacho/internal/sim"
 	"nacho/internal/trace"
+	"nacho/internal/verify"
 )
 
 // Memory-mapped I/O registers. Stores to these bypass the memory system.
@@ -59,10 +60,16 @@ type Config struct {
 	FinalFlush bool
 	// Probe, when non-nil, observes the run's full event stream: New
 	// attaches it to the memory system (sim.System.Attach) beside the
-	// emulator's own MMIO, power-failure and restore events. A probe does
-	// not choose the engine: both engines emit the same event stream, event
-	// for event.
+	// emulator's own power-failure and restore events. A probe does not
+	// choose the engine: both engines emit the same event stream, event for
+	// event.
 	Probe sim.Probe
+	// Verifier, when non-nil, receives every CPU data access outside the
+	// MMIO window, as the CPU sees it, once the memory system has served it
+	// (see Machine.load). The caller also attaches it as a Probe, or in a
+	// sim.Combine, for the write-backs, commits and power failures it
+	// checks. Like Trace, it does not choose the engine.
+	Verifier *verify.Verifier
 	// Trace, when non-nil, receives one line per retired instruction and a
 	// marker per power failure. Only the reference interpreter retires
 	// instructions one at a time, so a trace selects it (see Executed).
@@ -106,6 +113,7 @@ type Machine struct {
 	sched power.Schedule
 	probe sim.Probe
 	trace *trace.Recorder
+	ver   *verify.Verifier
 	cfg   Config
 
 	cycle        uint64
@@ -172,6 +180,7 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 		sched:     cfg.Schedule,
 		probe:     cfg.Probe,
 		trace:     cfg.Trace,
+		ver:       cfg.Verifier,
 		cfg:       cfg,
 	}
 	m.resetToEntry()
@@ -324,10 +333,10 @@ func (m *Machine) run() error {
 // state), and the fork's next failure instant is sched.NextFailureAfter(now)
 // — so a fork of a failure-free prefix at cycle c under power.At(t), t > c,
 // is state-identical to a from-boot run under the same schedule at cycle c.
-// Forks are probe-free and trace-free (so they run on the AOT engine unless
-// Config.Reference is set, never forced onto the reference interpreter by
-// the parent's trace) and safe to run on another goroutine. The parent must
-// be paused (between RunUntil calls).
+// Forks are probe-free, verifier-free and trace-free (so they run on the AOT
+// engine unless Config.Reference is set, never forced onto the reference
+// interpreter by the parent's trace) and safe to run on another goroutine.
+// The parent must be paused (between RunUntil calls).
 func (m *Machine) Fork(sched power.Schedule) *Machine {
 	if sched == nil {
 		sched = power.None{}
@@ -337,6 +346,7 @@ func (m *Machine) Fork(sched power.Schedule) *Machine {
 	f.sched = sched.Clone()
 	f.cfg.Schedule = f.sched
 	f.probe, f.cfg.Probe = nil, nil
+	f.ver, f.cfg.Verifier = nil, nil
 	f.trace, f.cfg.Trace = nil, nil
 	f.engine = Executed(f.cfg.Reference, false)
 	f.stopAt = 0
@@ -387,6 +397,9 @@ func (m *Machine) Limits() (maxCycles, maxInstructions uint64) {
 
 // System returns the attached memory system (final-NVM inspection of forks).
 func (m *Machine) System() sim.System { return m.sys }
+
+// Engine returns the engine the machine runs on (see Executed).
+func (m *Machine) Engine() Engine { return m.engine }
 
 // Halted reports whether the program has halted.
 func (m *Machine) Halted() bool { return m.halted }
@@ -529,26 +542,29 @@ func (m *Machine) setReg(r isa.Reg, v uint32) {
 
 // load issues a data read through the memory system (or MMIO) for both
 // engines; the caller has charged the instruction's base cycle and
-// committed m.pc. Cacheable accesses are reported by the serving system;
-// only MMIO is emitted here. The MMIO Advance and the system's own clock
-// charges may raise the scheduled power failure.
+// committed m.pc. The verifier gets the value once the system's Load has
+// returned, so a checkpoint the access triggered commits first (the access
+// re-executes after a rollback to it). MMIO is not part of the data image
+// and is not reported. The MMIO Advance and the system's own clock charges
+// may raise the scheduled power failure, which leaves the access unreported.
 func (m *Machine) load(addr uint32, size int) (uint32, error) {
 	if err := mem.CheckAligned(addr, size); err != nil {
 		return 0, fmt.Errorf("emu: pc 0x%08x: %w", m.pc, err)
 	}
 	if addr >= MMIOBase && addr < MMIOBase+0x1000 {
 		m.Advance(1)
-		if m.probe != nil {
-			m.probe.OnAccess(sim.AccessEvent{Cycle: m.cycle, Addr: addr, Size: size, Class: sim.AccessMMIO})
-		}
 		return 0, nil
 	}
-	return m.sys.Load(addr, size), nil
+	v := m.sys.Load(addr, size)
+	if m.ver != nil {
+		m.ver.CPURead(addr, size, v)
+	}
+	return v, nil
 }
 
 // store is load's store counterpart, including the MMIO side effects (halt,
 // result, output) and the sub-word masking of the value handed to the
-// system.
+// system and the verifier.
 func (m *Machine) store(addr uint32, size int, val uint32) error {
 	if err := mem.CheckAligned(addr, size); err != nil {
 		return fmt.Errorf("emu: pc 0x%08x: %w", m.pc, err)
@@ -564,9 +580,6 @@ func (m *Machine) store(addr uint32, size int, val uint32) error {
 		case PutcharAddr:
 			m.output = append(m.output, byte(val))
 		}
-		if m.probe != nil {
-			m.probe.OnAccess(sim.AccessEvent{Cycle: m.cycle, Addr: addr, Size: size, Value: val, Store: true, Class: sim.AccessMMIO})
-		}
 		return nil
 	}
 	switch size {
@@ -576,5 +589,8 @@ func (m *Machine) store(addr uint32, size int, val uint32) error {
 		val &= 0xFFFF
 	}
 	m.sys.Store(addr, size, val)
+	if m.ver != nil {
+		m.ver.CPUWrite(addr, size, val)
+	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"nacho/internal/emu"
 	"nacho/internal/mem"
 	"nacho/internal/power"
+	"nacho/internal/sim"
 	"nacho/internal/systems"
 )
 
@@ -20,6 +21,14 @@ const (
 
 // run assembles src and executes it on the given system kind.
 func run(t *testing.T, src string, kind systems.Kind, cfg emu.Config) (emu.Result, error) {
+	t.Helper()
+	space, text, entry := load(t, src)
+	return emu.New(build(t, kind, space), text, textBase, entry, stackTop, cfg).Run()
+}
+
+// load assembles src into a fresh space and returns the space, the decoded
+// text and the entry point.
+func load(t *testing.T, src string) (*mem.Space, *emu.Text, uint32) {
 	t.Helper()
 	prog, err := asm.Assemble(src, asm.Options{TextBase: textBase, DataBase: dataBase})
 	if err != nil {
@@ -37,6 +46,13 @@ func run(t *testing.T, src string, kind systems.Kind, cfg emu.Config) (emu.Resul
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	return space, decoded, prog.Entry
+}
+
+// build builds a system of the given kind over space, with the small cache
+// every test here uses.
+func build(t *testing.T, kind systems.Kind, space *mem.Space) sim.System {
+	t.Helper()
 	sys, err := systems.Build(kind, space, systems.Config{
 		CacheSize: 64, Ways: 2, StackTop: stackTop, CheckpointBase: ckptBase,
 		Cost: mem.DefaultCostModel(),
@@ -44,8 +60,7 @@ func run(t *testing.T, src string, kind systems.Kind, cfg emu.Config) (emu.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := emu.New(sys, decoded, textBase, prog.Entry, stackTop, cfg)
-	return m.Run()
+	return sys
 }
 
 func mustRun(t *testing.T, src string) emu.Result {

@@ -163,7 +163,7 @@ func (tl *tally) get(p *program.Program, kind systems.Kind, cfg RunConfig) (emu.
 		// is one record per run *request*, so a replayed campaign can see
 		// which report cells shared a simulation.
 		if hit {
-			appendLedger(r, executedEngine(cfg), e.res, e.err, 0, outcomeCacheHit)
+			appendLedger(r, servedEngine(cfg), e.res, e.err, 0, outcomeCacheHit)
 		}
 		return e.res, e.err
 	}
@@ -209,7 +209,7 @@ func (tl *tally) execute(e *cacheEntry, r *request) {
 	} else {
 		tl.runs++
 		tl.runTime += dur
-		tl.engineRuns[executedEngine(r.cfg)]++
+		tl.engineRuns[r.engine]++
 	}
 	tl.mu.Unlock()
 	if !fromStore {

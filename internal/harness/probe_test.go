@@ -86,10 +86,13 @@ func TestProbeAttachmentDoesNotPerturbRuns(t *testing.T) {
 // TestCounterProbeMatchesDirectCounters is the stream-completeness property:
 // on a failure-free run, a metrics.Counters derived purely from probe events
 // must equal the directly-maintained production counters, for every
-// benchmark under every system. Cycles and Instructions are the intentional
-// exceptions: the emulator stamps Cycles from its clock at end of run, and
-// retired instructions are not probe events (TestTraceCompleteness checks
-// the instruction count against the trace instead).
+// benchmark under every system. Cycles, Instructions, Loads, Stores,
+// CacheHits and CacheMisses are the intentional exceptions: the emulator
+// stamps Cycles from its clock at end of run, retired instructions are not
+// probe events (TestTraceCompleteness checks the instruction count against
+// the trace instead), and neither are CPU data accesses (the emulator hands
+// them to the verifier; emu's TestVerifierSeesWhatTheCPUReceived checks
+// that it sees them).
 //
 // (Under power failures the two can legitimately diverge: events are emitted
 // for *completed* actions, so an action cut down mid-flight by a failure has
@@ -110,6 +113,8 @@ func TestCounterProbeMatchesDirectCounters(t *testing.T) {
 				derived := cp.Counters()
 				derived.Cycles = res.Counters.Cycles
 				derived.Instructions = res.Counters.Instructions
+				derived.Loads, derived.Stores = res.Counters.Loads, res.Counters.Stores
+				derived.CacheHits, derived.CacheMisses = res.Counters.CacheHits, res.Counters.CacheMisses
 				if diff := derived.Diff(res.Counters); len(diff) != 0 {
 					t.Errorf("probe-derived counters diverge from direct counters:\n  %v", diff)
 				}
@@ -119,9 +124,10 @@ func TestCounterProbeMatchesDirectCounters(t *testing.T) {
 }
 
 // TestVerifierAsProbeUnderFailures is the refactor's end-to-end safety net:
-// the verifier now sees the run purely through the probe pipeline, sharing
-// it with other observers. Every benchmark on every recovering system, with
-// periodic power failures injected, must still finish with shadow-memory
+// the verifier sees the run's write-backs, commits and power failures
+// through the probe pipeline, sharing it with other observers, and its CPU
+// accesses from the emulator. Every benchmark on every recovering system,
+// with periodic power failures injected, must still finish with shadow-memory
 // equality, zero unrepaired WAR violations, and the reference checksum
 // (harness.Run enforces all three), with a second probe attached alongside.
 func TestVerifierAsProbeUnderFailures(t *testing.T) {

@@ -127,6 +127,7 @@ type request struct {
 	cfg         RunConfig
 	checkGolden bool
 	key         *store.Key // nil until computed
+	engine      emu.Engine // the engine that ran, once execute has run
 }
 
 // identity returns the request's identity, computing it on first use.
@@ -187,7 +188,8 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 	// Instrumentation is one probe pipeline: the verifier and the caller
 	// probe observe the same event stream. Combine keeps the
 	// no-instrumentation fast path emission-free (a nil probe everywhere).
-	// The trace recorder is no probe: the emulator feeds it directly.
+	// The emulator also hands the verifier every CPU data access, and feeds
+	// the trace recorder; neither is a probe event.
 	var ver *verify.Verifier
 	if cfg.Verify {
 		ver = verify.New(frozen, systems.VerifyConfigFor(kind))
@@ -203,7 +205,7 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 		rec = trace.NewRecorder(cfg.Trace)
 	}
 
-	machine, sys, err := newMachineOn(frozen.Fork(), img, kind, cfg, probe, rec)
+	machine, sys, err := newMachineOn(frozen.Fork(), img, kind, cfg, probe, ver, rec)
 	if err != nil {
 		return emu.Result{}, nil, err
 	}
@@ -211,9 +213,9 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 	// Campaign observability brackets the run: a span on the installed tracer
 	// (no-ops when tracing is off), and — at the single exit below, once the
 	// final verdict is known — the run's accounting (runFinished) and one
-	// ledger record. engine is the engine that actually executes (see
-	// executedEngine).
-	engine := executedEngine(cfg)
+	// ledger record. All of them name the engine the machine runs on.
+	engine := machine.Engine()
+	r.engine = engine
 	name := img.Program.Name
 	tr := telemetry.ActiveTracer()
 	span := tr.Begin(cfg.Span, telemetry.SpanRun, name, string(kind), string(engine))
@@ -250,10 +252,11 @@ func (r *request) execute() (emu.Result, sim.System, error) {
 
 // newMachineOn assembles the memory system and emulator over an
 // already-loaded space. probe (nil for none) observes the run (emu.New
-// attaches it to the system as well as the machine), and rec (nil for none)
-// receives the machine's trace; the emulator clones cfg.Schedule itself, so
-// one RunConfig value can be shared freely across machines and goroutines.
-func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg RunConfig, probe sim.Probe, rec *trace.Recorder) (*emu.Machine, sim.System, error) {
+// attaches it to the system as well as the machine), ver (nil for none)
+// receives the machine's CPU data accesses, and rec (nil for none) receives
+// its trace; the emulator clones cfg.Schedule itself, so one RunConfig value
+// can be shared freely across machines and goroutines.
+func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg RunConfig, probe sim.Probe, ver *verify.Verifier, rec *trace.Recorder) (*emu.Machine, sim.System, error) {
 	sys, err := systems.Build(kind, space, systems.Config{
 		CacheSize:        cfg.CacheSize,
 		Ways:             cfg.Ways,
@@ -273,6 +276,7 @@ func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg R
 		MaxCycles:              cfg.MaxCycles,
 		FinalFlush:             cfg.FinalFlush,
 		Probe:                  probe,
+		Verifier:               ver,
 		Trace:                  rec,
 		Reference:              cfg.Reference,
 	})
@@ -292,5 +296,5 @@ func BuildMachine(img *program.Image, kind systems.Kind, cfg RunConfig) (*emu.Ma
 	if err != nil {
 		return nil, nil, err
 	}
-	return newMachineOn(frozen.Fork(), img, kind, cfg, cfg.Probe, nil)
+	return newMachineOn(frozen.Fork(), img, kind, cfg, cfg.Probe, nil, nil)
 }

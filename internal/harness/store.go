@@ -87,7 +87,7 @@ func runImageStored(r *request) (emu.Result, error, bool) {
 		if e, ok := s.Get(*r.identity()); ok {
 			res, err := entryResult(e)
 			pool.storeHits.Add(1)
-			appendLedger(r, executedEngine(r.cfg), res, err, 0, outcomeStoreHit)
+			appendLedger(r, servedEngine(r.cfg), res, err, 0, outcomeStoreHit)
 			return res, err, true
 		}
 	}

@@ -98,13 +98,12 @@ var engineStats = func() map[emu.Engine]*engineStat {
 	return m
 }()
 
-// executedEngine reports the engine a run actually executes on, by the
-// emulator's own rule (emu.Executed): the reference interpreter for a
-// Reference or traced run, the AOT engine otherwise. Verified and probed
-// runs execute on AOT like any other. The run span, the ledger's engine
-// column, Report.Timing's engine clause and the nacho_harness_engine_*
-// series all name this engine.
-func executedEngine(cfg RunConfig) emu.Engine {
+// servedEngine names the engine in a served record (a run-cache or store
+// hit), which ran no machine: the engine the run would execute on, by the
+// emulator's own rule (emu.Executed). An executed run names the engine its
+// machine ran on (emu.Machine.Engine) in its span, its ledger record,
+// Report.Timing's engine clause and the nacho_harness_engine_* series.
+func servedEngine(cfg RunConfig) emu.Engine {
 	return emu.Executed(cfg.Reference, cfg.Trace != nil)
 }
 

@@ -157,6 +157,36 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 }
 
+// TestEngineSeriesCountTheEngineThatRan: a Reference run executes on the
+// reference interpreter, and nacho_harness_engine_runs_total says so. The
+// label comes from the machine that ran, not from the config, so a run path
+// that lost the Reference switch on its way to the emulator would count the
+// run as aot here.
+func TestEngineSeriesCountTheEngineThatRan(t *testing.T) {
+	img, err := mustProgram(t, "crc").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := telemetry.NewRegistry()
+	RegisterMetrics(r)
+	const ref, aot = `nacho_harness_engine_runs_total{engine="ref"}`, `nacho_harness_engine_runs_total{engine="aot"}`
+	before := simSamples(t, r)
+	cfg := DefaultRunConfig()
+	cfg.Reference = true
+	_, sys, err := RunImageSys(img, systems.KindNACHO, cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Release()
+	after := simSamples(t, r)
+	if got := after[ref] - before[ref]; got != 1 {
+		t.Errorf("%s rose by %v, want 1", ref, got)
+	}
+	if got := after[aot] - before[aot]; got != 0 {
+		t.Errorf("%s rose by %v, want 0", aot, got)
+	}
+}
+
 // seriesField names the metrics.Counters field behind each series of the
 // simulated sum; "IntervalHist[i]" is one bucket of the interval histogram.
 var seriesField = map[string]string{

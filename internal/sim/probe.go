@@ -2,72 +2,25 @@ package sim
 
 // This file defines the instrumentation seam of the simulator: a typed
 // observer interface (Probe) that every event producer — the emulator, the
-// NACHO controller, the NVM, the checkpoint store, and each comparison
-// system — emits through. The correctness verifier, the per-interval
+// NACHO controller, the NVM, the checkpoint store, and the comparison
+// systems — emits through. The correctness verifier, the per-interval
 // statistics collector and the Perfetto exporter are Probe implementations;
 // production counters stay directly updated for the no-probe fast path, and
 // the live nacho_sim_* series sum those counters over executed runs, so they
-// need no probe. Every event is a memory-system, checkpoint or power event,
-// so both execution engines emit the same stream. Retired instructions are
-// not events: the per-instruction trace recorder is fed by the emulator
-// directly (see emu.Config.Trace), and the run's counters carry the
-// instruction count.
+// need no probe. Every event is a write-back, NVM, checkpoint or power
+// event, so both execution engines emit the same stream. Retired
+// instructions are not events: the per-instruction trace recorder is fed by
+// the emulator directly (see emu.Config.Trace), and the run's counters carry
+// the instruction count. CPU data accesses are not events either: the
+// emulator hands each one to the verifier directly (see
+// emu.Config.Verifier), and the counters carry loads, stores, hits and
+// misses.
 //
 // Emission contract: every producer holds a Probe field that is nil when no
 // observer is attached, and guards each emission with a plain nil check
 // (`if p != nil { p.OnX(...) }`). Event types are flat value structs, so an
 // emission performs no allocation; a detached run costs one predictable
 // branch per event site and no interface call.
-
-// AccessClass says how a CPU data access was served.
-type AccessClass uint8
-
-// Access classes.
-const (
-	// AccessHit was served by the data cache (or, for the volatile
-	// baseline, its SRAM main memory).
-	AccessHit AccessClass = iota
-	// AccessMiss went through a cache miss (fill and possible eviction
-	// happened before the event was emitted).
-	AccessMiss
-	// AccessNVM went straight to NVM without cache involvement (Clank's
-	// every access; a write-through store miss).
-	AccessNVM
-	// AccessMMIO hit the emulator's memory-mapped I/O window and bypassed
-	// the memory system entirely.
-	AccessMMIO
-)
-
-// String names the access class.
-func (c AccessClass) String() string {
-	switch c {
-	case AccessHit:
-		return "hit"
-	case AccessMiss:
-		return "miss"
-	case AccessNVM:
-		return "nvm"
-	case AccessMMIO:
-		return "mmio"
-	}
-	return "unknown"
-}
-
-// AccessEvent is one CPU data access, emitted by the serving system after
-// all side effects (miss handling, evictions, checkpoints) completed —
-// so an observer sees any checkpoint commit *before* the access that
-// triggered it, matching rollback semantics: the in-flight access re-executes
-// after a rollback to that checkpoint.
-type AccessEvent struct {
-	Cycle uint64
-	Addr  uint32
-	Size  int
-	// Value is the loaded value (zero-extended) or the stored value (masked
-	// to Size bytes).
-	Value uint32
-	Store bool
-	Class AccessClass
-}
 
 // Verdict classifies a dirty line leaving the cache (or, for cacheless
 // write-through paths, a store reaching NVM).
@@ -194,7 +147,6 @@ type NVMEvent struct {
 // hooks run synchronously on the simulation's hot path. Embed NopProbe to
 // implement only the hooks of interest.
 type Probe interface {
-	OnAccess(AccessEvent)
 	OnWriteBack(WriteBackEvent)
 	OnCheckpointBegin(CheckpointEvent)
 	OnCheckpointCommit(CheckpointEvent)
@@ -206,9 +158,6 @@ type Probe interface {
 // NopProbe implements every Probe hook as a no-op; embed it to write partial
 // observers.
 type NopProbe struct{}
-
-// OnAccess implements Probe.
-func (NopProbe) OnAccess(AccessEvent) {}
 
 // OnWriteBack implements Probe.
 func (NopProbe) OnWriteBack(WriteBackEvent) {}
@@ -235,13 +184,6 @@ type Probes []Probe
 func (ps *Probes) Add(p Probe) {
 	if p != nil {
 		*ps = append(*ps, p)
-	}
-}
-
-// OnAccess implements Probe.
-func (ps Probes) OnAccess(e AccessEvent) {
-	for _, p := range ps {
-		p.OnAccess(e)
 	}
 }
 

@@ -7,10 +7,9 @@ import (
 
 // eventCounter records how many times each hook fired.
 type eventCounter struct {
-	access, writeBack, begin, commit, power, restore, nvm int
+	writeBack, begin, commit, power, restore, nvm int
 }
 
-func (c *eventCounter) OnAccess(AccessEvent)               { c.access++ }
 func (c *eventCounter) OnWriteBack(WriteBackEvent)         { c.writeBack++ }
 func (c *eventCounter) OnCheckpointBegin(CheckpointEvent)  { c.begin++ }
 func (c *eventCounter) OnCheckpointCommit(CheckpointEvent) { c.commit++ }
@@ -20,7 +19,6 @@ func (c *eventCounter) OnNVM(NVMEvent)                     { c.nvm++ }
 
 // emitOneOfEach fires every hook exactly once.
 func emitOneOfEach(p Probe) {
-	p.OnAccess(AccessEvent{})
 	p.OnWriteBack(WriteBackEvent{})
 	p.OnCheckpointBegin(CheckpointEvent{})
 	p.OnCheckpointCommit(CheckpointEvent{})
@@ -58,7 +56,7 @@ func TestProbesFanOut(t *testing.T) {
 		t.Fatalf("Add kept %d probes, want 2 (nil must be dropped)", len(ps))
 	}
 	emitOneOfEach(ps)
-	want := eventCounter{1, 1, 1, 1, 1, 1, 1}
+	want := eventCounter{1, 1, 1, 1, 1, 1}
 	if *a != want || *b != want {
 		t.Errorf("fan-out mismatch: a=%+v b=%+v, want every hook fired once", *a, *b)
 	}
@@ -73,11 +71,6 @@ func TestNopProbeIsProbe(t *testing.T) {
 
 func TestCounterProbeDerivations(t *testing.T) {
 	cp := NewCounterProbe()
-
-	cp.OnAccess(AccessEvent{Store: false, Class: AccessHit})
-	cp.OnAccess(AccessEvent{Store: true, Class: AccessMiss})
-	cp.OnAccess(AccessEvent{Store: true, Class: AccessNVM})
-	cp.OnAccess(AccessEvent{Store: false, Class: AccessMMIO})
 
 	cp.OnWriteBack(WriteBackEvent{Verdict: VerdictSafe})
 	cp.OnWriteBack(WriteBackEvent{Verdict: VerdictUnsafe})
@@ -101,10 +94,6 @@ func TestCounterProbeDerivations(t *testing.T) {
 		got  uint64
 		want uint64
 	}{
-		{"Loads", c.Loads, 2},
-		{"Stores", c.Stores, 2},
-		{"CacheHits", c.CacheHits, 1},
-		{"CacheMisses", c.CacheMisses, 1},
 		{"SafeEvictions", c.SafeEvictions, 1},
 		{"UnsafeEvictions", c.UnsafeEvictions, 1},
 		{"DroppedStackLines", c.DroppedStackLines, 1},
@@ -201,10 +190,6 @@ func TestIntervalStatsOverflow(t *testing.T) {
 
 func TestEnumStrings(t *testing.T) {
 	cases := []struct{ got, want string }{
-		{AccessHit.String(), "hit"},
-		{AccessMiss.String(), "miss"},
-		{AccessNVM.String(), "nvm"},
-		{AccessMMIO.String(), "mmio"},
 		{VerdictSafe.String(), "safe"},
 		{VerdictUnsafe.String(), "unsafe"},
 		{VerdictDroppedStack.String(), "dropped-stack"},

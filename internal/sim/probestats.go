@@ -11,8 +11,10 @@ import "nacho/internal/metrics"
 // stream. It exists to prove the stream is complete: a run observed through a
 // CounterProbe must reproduce every directly-maintained counter except Cycles
 // (which the emulator stamps from its clock at end of run, not from an
-// event) and Instructions (retired instructions are not probe events; the
-// trace recorder's line count checks them instead). The property tests in
+// event), Instructions (retired instructions are not probe events; the
+// trace recorder's line count checks them instead), and Loads, Stores,
+// CacheHits and CacheMisses (CPU data accesses are not probe events: the
+// emulator hands them to the verifier directly). The property tests in
 // internal/harness assert exactly that for every system.
 type CounterProbe struct {
 	NopProbe
@@ -24,21 +26,6 @@ func NewCounterProbe() *CounterProbe { return &CounterProbe{} }
 
 // Counters returns the counters derived so far.
 func (cp *CounterProbe) Counters() metrics.Counters { return cp.c }
-
-// OnAccess implements Probe.
-func (cp *CounterProbe) OnAccess(e AccessEvent) {
-	if e.Store {
-		cp.c.Stores++
-	} else {
-		cp.c.Loads++
-	}
-	switch e.Class {
-	case AccessHit:
-		cp.c.CacheHits++
-	case AccessMiss:
-		cp.c.CacheMisses++
-	}
-}
 
 // OnWriteBack implements Probe.
 func (cp *CounterProbe) OnWriteBack(e WriteBackEvent) {

@@ -157,15 +157,13 @@ func (s Stats) Speedup() float64 {
 	return float64(s.BootCycles) / float64(s.SimCycles())
 }
 
-// scoutProbe records checkpoint-interval boundaries and the halt cycle
-// during the scouting pass. JIT saves (ReplayCache's failure-time state
-// dump) are not interval boundaries and cannot occur failure-free anyway;
-// region ends and commits (forced or not) are.
+// scoutProbe records checkpoint-interval boundaries during the scouting
+// pass. JIT saves (ReplayCache's failure-time state dump) are not interval
+// boundaries and cannot occur failure-free anyway; region ends and commits
+// (forced or not) are.
 type scoutProbe struct {
 	sim.NopProbe
 	commits []uint64
-	halt    uint64
-	halted  bool
 }
 
 func (s *scoutProbe) OnCheckpointCommit(ev sim.CheckpointEvent) {
@@ -173,13 +171,6 @@ func (s *scoutProbe) OnCheckpointCommit(ev sim.CheckpointEvent) {
 		return
 	}
 	s.commits = append(s.commits, ev.Cycle)
-}
-
-func (s *scoutProbe) OnAccess(ev sim.AccessEvent) {
-	if ev.Class == sim.AccessMMIO && ev.Store && ev.Addr == emu.ExitAddr {
-		s.halt = ev.Cycle
-		s.halted = true
-	}
 }
 
 // Explore enumerates crash instants window by window, calling visit with
@@ -200,19 +191,20 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 	}
 
 	// Scout: one failure-free probed run finds every boundary and the halt
-	// instant. Instants past the halting store cannot fire (the final flush
-	// runs failure-deferred), so the halt cycle closes the last window.
+	// instant. RunUntil stops at the halt, before the final flush; instants
+	// past it cannot fire (the flush runs failure-deferred), so the halt
+	// cycle closes the last window. Run then performs the flush.
 	sc := &scoutProbe{}
 	sm, err := newMachine(power.None{}, sc)
 	if err != nil {
 		return stats, fmt.Errorf("snapshot: scout machine: %w", err)
 	}
-	sres, serr := sm.Run()
-	stats.ScoutCycles = sres.Counters.Cycles
-	end := sres.Counters.Cycles
-	if serr == nil && sc.halted {
-		end = sc.halt
+	halted, err := sm.RunUntil(power.NoFailure)
+	end := sm.Now()
+	if err == nil && halted {
+		_, _ = sm.Run() // a halted machine only flushes: nothing can fail
 	}
+	stats.ScoutCycles = sm.Now()
 	if end == 0 {
 		return stats, nil
 	}

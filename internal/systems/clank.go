@@ -48,11 +48,7 @@ func (k *Clank) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p
 // Load implements sim.System: a direct NVM read.
 func (k *Clank) Load(addr uint32, size int) uint32 {
 	k.tracker.ObserveRead(addr, size)
-	v := k.nvm.Read(addr, size)
-	if k.probe != nil {
-		k.probe.OnAccess(sim.AccessEvent{Cycle: k.clk.Now(), Addr: addr, Size: size, Value: v, Class: sim.AccessNVM})
-	}
-	return v
+	return k.nvm.Read(addr, size)
 }
 
 // Store implements sim.System: a direct NVM write, preceded by a register
@@ -65,7 +61,6 @@ func (k *Clank) Store(addr uint32, size int, val uint32) {
 	k.nvm.Write(addr, size, val)
 	if k.probe != nil {
 		k.probe.OnWriteBack(sim.WriteBackEvent{Cycle: k.clk.Now(), Addr: addr, Size: size, Verdict: sim.VerdictWriteThrough})
-		k.probe.OnAccess(sim.AccessEvent{Cycle: k.clk.Now(), Addr: addr, Size: size, Value: val, Store: true, Class: sim.AccessNVM})
 	}
 }
 

@@ -120,31 +120,24 @@ func (p *PROWL) victim(addr uint32) *cache.Line {
 
 // Load implements sim.System.
 func (p *PROWL) Load(addr uint32, size int) uint32 {
-	line, hit := p.access(addr, true, size)
+	line := p.access(addr, true, size)
 	p.clk.Advance(p.cost.HitCycles)
-	v := line.ReadData(addr, size)
-	if p.probe != nil {
-		p.probe.OnAccess(sim.AccessEvent{Cycle: p.clk.Now(), Addr: addr, Size: size, Value: v, Class: accessClass(hit)})
-	}
-	return v
+	return line.ReadData(addr, size)
 }
 
 // Store implements sim.System.
 func (p *PROWL) Store(addr uint32, size int, val uint32) {
-	line, hit := p.access(addr, false, size)
+	line := p.access(addr, false, size)
 	p.clk.Advance(p.cost.HitCycles)
 	line.WriteData(addr, size, val)
 	line.Dirty = true
-	if p.probe != nil {
-		p.probe.OnAccess(sim.AccessEvent{Cycle: p.clk.Now(), Addr: addr, Size: size, Value: val, Store: true, Class: accessClass(hit)})
-	}
 }
 
-func (p *PROWL) access(addr uint32, isRead bool, size int) (*cache.Line, bool) {
+func (p *PROWL) access(addr uint32, isRead bool, size int) *cache.Line {
 	if line := p.lookup(addr); line != nil {
 		p.c.CacheHits++
 		p.touch(line)
-		return line, true
+		return line
 	}
 	p.c.CacheMisses++
 	line := p.victim(addr)
@@ -172,7 +165,7 @@ func (p *PROWL) access(addr uint32, isRead bool, size int) (*cache.Line, bool) {
 	} else {
 		line.Data = 0
 	}
-	return line, false
+	return line
 }
 
 // relocate tries to free a slot for addr by migrating one of its two dirty

@@ -81,13 +81,9 @@ func (r *ReplayCache) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Count
 // Load implements sim.System.
 func (r *ReplayCache) Load(addr uint32, size int) uint32 {
 	r.tracker.ObserveRead(addr, size)
-	line, hit := r.access(addr, true, size)
+	line := r.access(addr, true, size)
 	r.clk.Advance(r.cost.HitCycles)
-	v := line.ReadData(addr, size)
-	if r.probe != nil {
-		r.probe.OnAccess(sim.AccessEvent{Cycle: r.clk.Now(), Addr: addr, Size: size, Value: v, Class: accessClass(hit)})
-	}
-	return v
+	return line.ReadData(addr, size)
 }
 
 // Store implements sim.System: a store that would violate the current
@@ -98,28 +94,17 @@ func (r *ReplayCache) Store(addr uint32, size int, val uint32) {
 		r.endRegion()
 	}
 	r.tracker.ObserveWrite(addr, size)
-	line, hit := r.access(addr, false, size)
+	line := r.access(addr, false, size)
 	r.clk.Advance(r.cost.HitCycles)
 	line.WriteData(addr, size, val)
 	line.Dirty = true
-	if r.probe != nil {
-		r.probe.OnAccess(sim.AccessEvent{Cycle: r.clk.Now(), Addr: addr, Size: size, Value: val, Store: true, Class: accessClass(hit)})
-	}
 }
 
-// accessClass maps a cache probe outcome to the access event class.
-func accessClass(hit bool) sim.AccessClass {
-	if hit {
-		return sim.AccessHit
-	}
-	return sim.AccessMiss
-}
-
-func (r *ReplayCache) access(addr uint32, isRead bool, size int) (*cache.Line, bool) {
+func (r *ReplayCache) access(addr uint32, isRead bool, size int) *cache.Line {
 	if line := r.cache.Probe(addr); line != nil {
 		r.c.CacheHits++
 		r.cache.Touch(line)
-		return line, true
+		return line
 	}
 	r.c.CacheMisses++
 	line := r.cache.Victim(addr)
@@ -140,7 +125,7 @@ func (r *ReplayCache) access(addr uint32, isRead bool, size int) (*cache.Line, b
 	} else {
 		line.Data = 0
 	}
-	return line, false
+	return line
 }
 
 // enqueue issues an asynchronous NVM write. The value lands functionally at

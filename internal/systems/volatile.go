@@ -20,7 +20,6 @@ type Volatile struct {
 	cost  mem.CostModel
 	clk   sim.Clock
 	c     *metrics.Counters
-	probe sim.Probe
 }
 
 // NewVolatile builds the baseline over the given memory image.
@@ -31,9 +30,10 @@ func NewVolatile(space *mem.Space, cost mem.CostModel) *Volatile {
 // Name implements sim.System.
 func (v *Volatile) Name() string { return "volatile" }
 
-// Attach implements sim.System.
-func (v *Volatile) Attach(clk sim.Clock, _ sim.RegSource, c *metrics.Counters, p sim.Probe) {
-	v.clk, v.c, v.probe = clk, c, p
+// Attach implements sim.System. The baseline emits no probe event: it has
+// no NVM, write-backs or checkpoints.
+func (v *Volatile) Attach(clk sim.Clock, _ sim.RegSource, c *metrics.Counters, _ sim.Probe) {
+	v.clk, v.c = clk, c
 }
 
 // Load implements sim.System: an SRAM access (counted as a hit so the
@@ -41,11 +41,7 @@ func (v *Volatile) Attach(clk sim.Clock, _ sim.RegSource, c *metrics.Counters, p
 func (v *Volatile) Load(addr uint32, size int) uint32 {
 	v.c.CacheHits++
 	v.clk.Advance(v.cost.HitCycles)
-	val := v.space.Read(addr, size)
-	if v.probe != nil {
-		v.probe.OnAccess(sim.AccessEvent{Cycle: v.clk.Now(), Addr: addr, Size: size, Value: val, Class: sim.AccessHit})
-	}
-	return val
+	return v.space.Read(addr, size)
 }
 
 // Store implements sim.System: an SRAM access.
@@ -53,9 +49,6 @@ func (v *Volatile) Store(addr uint32, size int, val uint32) {
 	v.c.CacheHits++
 	v.clk.Advance(v.cost.HitCycles)
 	v.space.Write(addr, size, val)
-	if v.probe != nil {
-		v.probe.OnAccess(sim.AccessEvent{Cycle: v.clk.Now(), Addr: addr, Size: size, Value: val, Store: true, Class: sim.AccessHit})
-	}
 }
 
 // Fork implements sim.System: the baseline's entire state is its memory

@@ -65,9 +65,7 @@ func (w *WriteThrough) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Coun
 func (w *WriteThrough) Load(addr uint32, size int) uint32 {
 	w.tracker.ObserveRead(addr, size)
 	line := w.cache.Probe(addr)
-	class := sim.AccessHit
 	if line == nil {
-		class = sim.AccessMiss
 		w.c.CacheMisses++
 		line = w.cache.Victim(addr)
 		// Lines are never dirty: replacement is free.
@@ -78,11 +76,7 @@ func (w *WriteThrough) Load(addr uint32, size int) uint32 {
 		w.cache.Touch(line)
 	}
 	w.clk.Advance(w.cost.HitCycles)
-	v := line.ReadData(addr, size)
-	if w.probe != nil {
-		w.probe.OnAccess(sim.AccessEvent{Cycle: w.clk.Now(), Addr: addr, Size: size, Value: v, Class: class})
-	}
-	return v
+	return line.ReadData(addr, size)
 }
 
 // Store implements sim.System: write-through with no allocation; a WAR
@@ -92,9 +86,8 @@ func (w *WriteThrough) Store(addr uint32, size int, val uint32) {
 		w.checkpoint(false)
 	}
 	w.tracker.ObserveWrite(addr, size)
-	class := sim.AccessNVM // store miss: straight through, no allocation
+	// A store miss goes straight through, with no allocation.
 	if line := w.cache.Probe(addr); line != nil {
-		class = sim.AccessHit
 		w.c.CacheHits++
 		w.cache.Touch(line)
 		line.WriteData(addr, size, val)
@@ -104,9 +97,6 @@ func (w *WriteThrough) Store(addr uint32, size int, val uint32) {
 		w.probe.OnWriteBack(sim.WriteBackEvent{Cycle: w.clk.Now(), Addr: addr, Size: size, Verdict: sim.VerdictWriteThrough})
 	}
 	w.clk.Advance(w.cost.HitCycles)
-	if w.probe != nil {
-		w.probe.OnAccess(sim.AccessEvent{Cycle: w.clk.Now(), Addr: addr, Size: size, Value: val, Store: true, Class: class})
-	}
 }
 
 func (w *WriteThrough) checkpoint(forced bool) {

@@ -23,9 +23,10 @@ import (
 //   - "nvm traffic": a counter track of cumulative NVM bytes, sampled at
 //     every persistence point (not per transfer, which would bloat the file).
 //
-// Accesses, the high-rate family, are deliberately not rendered: a
-// trace viewer cannot usefully display tens of millions of instants, and the
-// cycle-exact per-instruction record already exists via trace.Recorder.
+// CPU data accesses are not probe events (the emulator hands them to the
+// verifier directly): a trace viewer could not usefully display tens of
+// millions of instants, and the cycle-exact per-instruction record already
+// exists via trace.Recorder.
 //
 // Events stream through a buffered writer as they happen, so memory stays
 // bounded on arbitrarily long runs. Call Finish once after the run to close
@@ -102,9 +103,6 @@ func (t *TraceEventProbe) closeInterval(name string, end uint64, args string) {
 	t.intervalStart = end
 	t.nvmCounter(end)
 }
-
-// OnAccess implements sim.Probe (not rendered; see type comment).
-func (t *TraceEventProbe) OnAccess(sim.AccessEvent) {}
 
 // OnWriteBack implements sim.Probe.
 func (t *TraceEventProbe) OnWriteBack(e sim.WriteBackEvent) {

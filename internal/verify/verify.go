@@ -2,8 +2,10 @@
 // Section 5.1:
 //
 //  1. Shadow memory: every CPU data access is duplicated into an ideal flat
-//     memory; a load served by the system under test must return the shadow's
-//     value. The shadow keeps a word-granular undo journal since the last
+//     memory; the value a load hands the CPU must equal the shadow's. The
+//     emulator reports each access as the CPU sees it (CPURead, CPUWrite;
+//     see emu.Config.Verifier), after the system under test has served it.
+//     The shadow keeps a word-granular undo journal since the last
 //     checkpoint so that it can be rolled back when a power failure rewinds
 //     the machine to the last committed checkpoint — re-execution then
 //     replays against the same shadow state.
@@ -78,11 +80,13 @@ type Config struct {
 	CheckWAR bool
 }
 
-// Verifier implements the safety checks as a sim.Probe: attach it to the
-// system under test (and the emulator) through emu.Config.Probe and it consumes
-// the event stream — CPU accesses feed the shadow memory, write-back events
-// feed the WAR check, checkpoint commits move the rollback point. A nil
-// *Verifier is valid and disables all checking.
+// Verifier implements the safety checks. It takes its input from two
+// places: the emulator hands it every CPU data access (emu.Config.Verifier
+// calls CPURead and CPUWrite, which feed the shadow memory and the
+// dominance tracker), and as a sim.Probe attached through emu.Config.Probe
+// it consumes the event stream — write-back events feed the WAR check,
+// checkpoint commits move the rollback point, power failures rewind the
+// shadow. A nil *Verifier is valid and disables all checking.
 type Verifier struct {
 	sim.NopProbe
 	cfg    Config
@@ -188,20 +192,6 @@ func (v *Verifier) PowerFailure() {
 			v.shadow.Write(u.addr, 4, u.old)
 		}
 		v.resetInterval()
-	}
-}
-
-// OnAccess implements sim.Probe: loads check against the shadow, stores
-// update it. MMIO accesses bypass the memory system and are not part of the
-// data image, so they are ignored.
-func (v *Verifier) OnAccess(e sim.AccessEvent) {
-	if v == nil || e.Class == sim.AccessMMIO {
-		return
-	}
-	if e.Store {
-		v.CPUWrite(e.Addr, e.Size, e.Value)
-	} else {
-		v.CPURead(e.Addr, e.Size, e.Value)
 	}
 }
 
