@@ -42,12 +42,15 @@ go test -shuffle=on ./internal/harness/ .
 # last reference, and writable draws from that list; mem's
 # TestForkConcurrentRelease forks, writes and releases from several
 # goroutines) under the race detector; power rides along for its schedule
-# property tests. Harness and campaign workers fork each image's frozen
-# space concurrently and release every oracle run's spaces, so the fuzzer
-# runs here too, with the tracker and verifier packages whose interval state
-# shares the page-table layout and its free lists.
+# property tests. The cache package joins it: its storage goes to a free
+# list on Release that New and Clone draw from, and concurrent harness
+# workers and campaign seeds share that list. Harness and campaign workers
+# fork each image's frozen space concurrently and release every oracle
+# run's spaces, caches and trackers, so the fuzzer runs here too, with the
+# tracker and verifier packages whose interval state shares the page-table
+# layout and its free lists.
 go test -race ./internal/harness/... ./internal/core/ ./internal/systems/
-go test -race ./internal/snapshot/ ./internal/mem/ ./internal/power/
+go test -race ./internal/snapshot/ ./internal/mem/ ./internal/cache/ ./internal/power/
 go test -race ./internal/fuzzer/ ./internal/verify/ ./internal/track/
 
 # Benchmark smoke: the cache, tracker, metrics-registry and memory hot-path
@@ -70,12 +73,14 @@ go test -run xxx -bench 'BenchmarkEmulatorThroughputALU$|BenchmarkEmulatorThroug
 # verifier's CPURead/CPUWrite/IntervalBoundary (run without -race — the race
 # allocator breaks the pin). Beside them, mem's TestReleaseReturnsOwnership
 # pins that a parent whose only fork was released writes in place, and the
-# fuzzer's TestCheckAllocatedBytes pins the bytes one warm oracle check
-# allocates across the default systems (measured plus 25%, GC off while it
-# counts): every oracle run gives its memory back to the free lists.
+# fuzzer's TestCheckAllocatedBytes and TestExhaustiveAllocatedBytes pin the
+# bytes one warm oracle check and one warm exhaustive check allocate across
+# the default systems (measured plus 25%, GC off while they count): every
+# oracle run, and every fork, class and tail the explorer is done with,
+# gives its NVM space, cache storage and trackers back to the free lists.
 go test -run xxx -bench 'BenchmarkEmulatorThroughputNACHOIntermittent$' -benchtime 1x . | grep -E 'sim-MIPS|^Benchmark'
 go test -run 'ZeroAlloc|TestReleaseReturnsOwnership' ./internal/core/ ./internal/cache/ ./internal/mem/ ./internal/track/ ./internal/verify/
-go test -run 'TestCheckAllocatedBytes' -v ./internal/fuzzer/
+go test -run 'TestCheckAllocatedBytes|TestExhaustiveAllocatedBytes' -v ./internal/fuzzer/
 
 # Telemetry end-to-end: serve, sweep, scrape mid-flight, validate every
 # exposition line, check that the nacho_sim_* series grew by the sums of the

@@ -12,11 +12,24 @@
 // with a parallel array of packed lookup keys (tag<<1 | valid) so the hit
 // scan — the overwhelmingly common operation on the execution fast path — is
 // one tight, allocation-free loop of word compares over adjacent memory.
+//
+// Storage is recycled. Release puts a cache's storage (a Block) on a free
+// list kept per line count, and New and Clone draw from it: New clears what
+// it takes, Clone overwrites it whole. The snapshot explorer clones a cache
+// for every crash instant it forks, so the copy is the cost, not the
+// allocation.
+//
+// A cache whose LRU stamp is zero — nothing installed or touched since New or
+// InvalidateAll — has every line and key zero, since only Install and Touch
+// raise the stamp. Equal and InvalidateAll use it to skip the scan of an empty
+// cache, the state every power failure leaves behind.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 )
 
 // LineSize is the cache line size in bytes (fixed at four, paper Section 5.3).
@@ -41,15 +54,70 @@ func (l *Line) Addr() uint32 { return l.Tag << 2 }
 // and a valid line's key is always odd — a zero key can never match.
 func key(addr uint32) uint32 { return (addr>>2)<<1 | 1 }
 
+// Block is a run of cache lines with their packed lookup keys, the unit the
+// free list recycles. A Cache keeps its storage in one; a controller that
+// keeps cache.Line storage outside a Cache (the PROWL baseline) takes one for
+// its lines and leaves the keys unused.
+type Block struct {
+	Lines []Line
+	keys  []uint32
+}
+
+// free holds released blocks, one list per line count: free[k] holds blocks
+// of 1<<k lines. A pooled block keeps its stale contents.
+var free [bits.UintSize]sync.Pool
+
+// takeBlock returns a block of n lines with unspecified contents, from the
+// free list when it holds one. n must be a power of two, as every geometry
+// New and the PROWL baseline accept makes it.
+func takeBlock(n int) *Block {
+	if n <= 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("cache: block of %d lines is not a power of two", n))
+	}
+	if b, ok := free[bits.TrailingZeros(uint(n))].Get().(*Block); ok {
+		return b
+	}
+	return &Block{Lines: make([]Line, n), keys: make([]uint32, n)}
+}
+
+// NewBlock returns a block of n zeroed lines (n a power of two), recycled
+// when the free list holds one of that size.
+func NewBlock(n int) *Block {
+	b := takeBlock(n)
+	clear(b.Lines)
+	clear(b.keys)
+	return b
+}
+
+// Clone returns a copy of the block, drawn from the free list and
+// overwritten whole.
+func (b *Block) Clone() *Block {
+	n := takeBlock(len(b.Lines))
+	copy(n.Lines, b.Lines)
+	copy(n.keys, b.keys)
+	return n
+}
+
+// Release puts the block on the free list. Its owner must not use the block,
+// or any slice of its lines, again.
+func (b *Block) Release() {
+	free[bits.TrailingZeros(uint(len(b.Lines)))].Put(b)
+}
+
 // Cache is a set-associative cache of 4-byte lines.
 //
 // Invariant: keys[i] mirrors (lines[i].Tag, lines[i].Valid) at all times.
 // Valid and Tag are mutated only by Install and InvalidateAll, which maintain
 // the mirror; callers that reach lines through Set() mutate data and the
 // Dirty/RD/PW metadata bits only.
+//
+// Invariant: stamp == 0 implies every line and key is zero (see the package
+// doc). Callers mutate only lines that Probe found (so installed) or that
+// they Install before they next read the cache.
 type Cache struct {
 	lines     []Line   // numSets << waysShift entries; padding ways stay zero
 	keys      []uint32 // packed tag|valid mirror of lines, same indexing
+	blk       *Block   // the storage lines and keys belong to
 	ways      int
 	numSets   int
 	waysShift uint
@@ -76,9 +144,13 @@ func New(sizeBytes, ways int) (*Cache, error) {
 		shift++
 	}
 	c := &Cache{ways: ways, numSets: numSets, waysShift: shift}
-	c.lines = make([]Line, numSets<<shift)
-	c.keys = make([]uint32, numSets<<shift)
+	c.setBlock(NewBlock(numSets << shift))
 	return c, nil
+}
+
+// setBlock makes b the cache's storage.
+func (c *Cache) setBlock(b *Block) {
+	c.blk, c.lines, c.keys = b, b.Lines, b.keys
 }
 
 // MustNew is New for statically valid geometries; it panics on error.
@@ -91,20 +163,26 @@ func MustNew(sizeBytes, ways int) *Cache {
 }
 
 // Clone returns an independent deep copy of the cache: every line and the
-// LRU stamp.
+// LRU stamp, in storage drawn from the free list.
 func (c *Cache) Clone() *Cache {
 	n := &Cache{ways: c.ways, numSets: c.numSets, waysShift: c.waysShift, stamp: c.stamp}
-	n.lines = make([]Line, len(c.lines))
-	n.keys = make([]uint32, len(c.keys))
-	copy(n.lines, c.lines)
-	copy(n.keys, c.keys)
+	n.setBlock(c.blk.Clone())
 	return n
 }
 
+// Release puts the cache's storage on the free list once its owner is done
+// with it. The cache is left without storage, so any later use panics rather
+// than read a line another cache now holds.
+func (c *Cache) Release() {
+	c.blk.Release()
+	c.blk, c.lines, c.keys = nil, nil, nil
+}
+
 // Equal reports whether two caches of one geometry hold the same lines —
-// data, metadata bits and last-touch stamps — and the same LRU stamp.
+// data, metadata bits and last-touch stamps — and the same LRU stamp. Two
+// empty caches (stamp 0) are equal without a scan.
 func (c *Cache) Equal(o *Cache) bool {
-	return c.stamp == o.stamp && slices.Equal(c.lines, o.lines)
+	return c.stamp == o.stamp && (c.stamp == 0 || slices.Equal(c.lines, o.lines))
 }
 
 // SizeBytes returns the data capacity.
@@ -201,12 +279,14 @@ func (c *Cache) ForEach(f func(*Line)) {
 	}
 }
 
-// InvalidateAll destroys all volatile contents (power failure).
+// InvalidateAll destroys all volatile contents (power failure). An empty
+// cache (stamp 0) has nothing to clear.
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
-		c.keys[i] = 0
+	if c.stamp == 0 {
+		return
 	}
+	clear(c.lines)
+	clear(c.keys)
 	c.stamp = 0
 }
 

@@ -139,9 +139,11 @@ func (k *Controller) Name() string { return k.name }
 // Mem implements sim.System.
 func (k *Controller) Mem() sim.MemReaderWriter { return k.nvm }
 
-// Release implements sim.System: NVM and the exact-mode tracker go back.
+// Release implements sim.System: NVM, the cache and the exact-mode tracker
+// go back.
 func (k *Controller) Release() {
 	k.nvm.Release()
+	k.cache.Release()
 	if k.tracker != nil {
 		k.tracker.Release()
 	}

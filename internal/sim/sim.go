@@ -137,12 +137,13 @@ type System interface {
 	// SRAM) data space for program loading and final-state inspection.
 	Mem() MemReaderWriter
 
-	// Release gives the system's memory space and trackers back to their
-	// free lists once the run is over and nothing will read the system
-	// again; caches are left to the garbage collector. Whoever ends the run
-	// releases: the harness for every run whose system it discards, the
-	// caller of harness.RunImageSys for the system it is handed. The system
-	// must not be used afterwards.
+	// Release gives the system's memory space, cache storage and trackers
+	// back to their free lists once the run is over and nothing will read
+	// the system again. Whoever ends the run releases: the harness for every
+	// run whose system it discards, the caller of harness.RunImageSys for
+	// the system it is handed, and the snapshot explorer for every fork it
+	// is done with. The system must not be used afterwards: a released
+	// cache has no storage, so a use panics.
 	Release()
 }
 

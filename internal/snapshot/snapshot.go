@@ -35,12 +35,23 @@
 //
 // Equivalence with from-boot runs is not an approximation. A fork copies the
 // register file, clock, outputs and counters by value; the memory system
-// replicates itself (sim.System.Fork: deep-copied cache, trackers and
-// checkpoint position over the forked NVM space); the fork's next failure is
+// replicates itself (sim.System.Fork: cache lines, trackers and checkpoint
+// position copied over the forked NVM space); the fork's next failure is
 // recomputed from its own schedule; and a reused outcome stands for a tail
 // from a state equal to its class's. The tests referee every instant, at
 // full density on small programs, against a from-boot run under the same
 // one-instant schedule.
+//
+// A crash instant costs what it touches. The explorer releases every
+// machine's system (sim.System.Release) once nothing reads it: the scout as
+// soon as it has found the boundaries; a fork that took its class's outcome,
+// or re-ran a tail for a budget, once its outcome has been visited; a class's
+// paused machine and tail system when the next class replaces it, since
+// every outcome that shared them has been visited; and the last class and
+// the prefix machine when Explore returns. A released fork gives its NVM
+// leaves back, so the prefix machine owns them again and writes them in
+// place, and its cache storage and trackers return to the free lists the
+// next fork's copies draw from.
 package snapshot
 
 import (
@@ -89,6 +100,10 @@ type Options struct {
 // counter is zero: the first post-reboot IntervalHist bucket, for one,
 // depends on the absolute cycle. Res's slices and Sys are shared with the
 // class and must be treated as read-only.
+//
+// Sys belongs to the visitor only until visit returns: the explorer releases
+// it once no later outcome shares it, so read its final memory inside visit.
+// Res's slices are not recycled and may be kept.
 type Outcome struct {
 	// Instant is the cycle at which the injected power failure fires.
 	Instant uint64
@@ -98,7 +113,8 @@ type Outcome struct {
 	// Err is the run's error (nil for a clean halt). Compare with
 	// errors.Is / error strings exactly as for a from-boot run.
 	Err error
-	// Sys is the run's memory system, for final-NVM inspection.
+	// Sys is the run's memory system, for final-NVM inspection until visit
+	// returns.
 	Sys sim.System
 	// Reused reports that the instant's post-reboot state equalled its
 	// class's, so the outcome is the class's, shifted, and no tail ran.
@@ -176,7 +192,8 @@ func (s *scoutProbe) OnCheckpointCommit(ev sim.CheckpointEvent) {
 // Explore enumerates crash instants window by window, calling visit with
 // each instant's outcome in strictly increasing instant order. visit
 // returning false stops the exploration early (the partial Stats are still
-// returned).
+// returned). Every machine Explore builds or forks has its system released
+// before Explore returns, whatever the exit.
 //
 // A window is the half-open instant range (b1, b2] between consecutive
 // checkpoint/commit boundaries, with boot and the halt instant as the outer
@@ -205,6 +222,7 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 		_, _ = sm.Run() // a halted machine only flushes: nothing can fail
 	}
 	stats.ScoutCycles = sm.Now()
+	sm.System().Release()
 	if end == 0 {
 		return stats, nil
 	}
@@ -213,6 +231,8 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 	if err != nil {
 		return stats, fmt.Errorf("snapshot: prefix machine: %w", err)
 	}
+	x := &explorer{pm: pm, stride: opts.Stride, stats: &stats, visit: visit}
+	defer x.release()
 
 	targets := make([]uint64, 0, len(sc.commits)+1)
 	for _, k := range sc.commits {
@@ -222,7 +242,6 @@ func Explore(newMachine NewMachine, opts Options, visit func(Outcome) bool) (Sta
 	}
 	targets = append(targets, end)
 
-	x := &explorer{pm: pm, stride: opts.Stride, stats: &stats, visit: visit}
 	skipped := 0
 	cur := uint64(0)
 	for _, target := range targets {
@@ -281,6 +300,22 @@ type class struct {
 	sys     sim.System
 }
 
+// release gives back the class's paused machine and its tail's system; a
+// nil class holds neither.
+func (c *class) release() {
+	if c != nil {
+		c.rep.System().Release()
+		c.sys.Release()
+	}
+}
+
+// release gives back the prefix machine and the current class, at
+// Explore's exit.
+func (x *explorer) release() {
+	x.pm.System().Release()
+	x.class.release()
+}
+
 // advance runs the prefix machine to its first instruction boundary at or
 // past cycle to.
 func (x *explorer) advance(to uint64) error {
@@ -305,13 +340,20 @@ func (x *explorer) window(from, target, end uint64) (bool, error) {
 		_, err := f.RunUntil(min(t, target))
 		x.stats.ForkCycles += f.Now() - pm.Now()
 		if err != nil {
+			f.System().Release()
 			return false, fmt.Errorf("snapshot: fork to instant %d: %w", t, err)
 		}
 		if f.Now() < t {
+			f.System().Release()
 			break
 		}
 		failed := f.Retired()
-		if !x.visit(x.outcome(t, sched, f)) {
+		o, kept := x.outcome(t, sched, f)
+		more := x.visit(o)
+		if !kept {
+			f.System().Release()
+		}
+		if !more {
 			return false, nil
 		}
 		// The failure struck inside instruction number failed or after it
@@ -329,9 +371,11 @@ func (x *explorer) window(from, target, end uint64) (bool, error) {
 // outcome completes instant t from its fork f, paused right after the
 // failure's reboot: from the current class when f's state equals the
 // class's, else by running f's tail on a fork of f, which becomes the new
-// class.
-func (x *explorer) outcome(t uint64, sched power.Schedule, f *emu.Machine) Outcome {
-	o := Outcome{Instant: t}
+// class and releases the old one. kept reports that f became the new
+// class's machine; otherwise f is the caller's to release once the outcome
+// has been visited.
+func (x *explorer) outcome(t uint64, sched power.Schedule, f *emu.Machine) (o Outcome, kept bool) {
+	o.Instant = t
 	if c := x.class; c != nil && f.EqualState(c.rep) {
 		if res, ok := c.shift(f); ok {
 			x.stats.Reused++
@@ -345,11 +389,13 @@ func (x *explorer) outcome(t uint64, sched power.Schedule, f *emu.Machine) Outco
 		tm := f.Fork(sched)
 		o.Res, o.Err = x.tail(tm)
 		o.Sys = tm.System()
+		x.class.release()
 		x.class = &class{rep: f, reboot: f.Now(), retired: f.Retired(), res: o.Res, err: o.Err, sys: o.Sys}
+		kept = true
 	}
 	x.stats.Instants++
 	x.stats.BootCycles += o.Res.Counters.Cycles
-	return o
+	return o, kept
 }
 
 // tail runs m, paused right after a reboot, to completion.

@@ -24,8 +24,13 @@ import (
 // forced to evict a dirty line it must create a full checkpoint (flush all
 // dirty lines plus registers, double-buffered) to stay incorruptible. See
 // DESIGN.md for the substitution note.
+//
+// Like cache.Cache, PROWL keeps the empty-cache invariant: while its LRU
+// stamp is 0 (nothing touched since boot or the last power failure), every
+// line is zero.
 type PROWL struct {
-	ways    [2][]cache.Line
+	lines   *cache.Block    // both ways' lines, way 0 first
+	ways    [2][]cache.Line // the two halves of lines
 	numSets int
 	stamp   uint64
 
@@ -51,9 +56,14 @@ func NewPROWL(nvm *mem.NVM, sizeBytes int, checkpointBase uint32, cost mem.CostM
 	}
 	p := &PROWL{numSets: numSets, nvm: nvm, cost: cost,
 		ckpt: checkpoint.NewStore(nvm, checkpointBase, lines)}
-	p.ways[0] = make([]cache.Line, numSets)
-	p.ways[1] = make([]cache.Line, numSets)
+	p.setLines(cache.NewBlock(lines))
 	return p, nil
+}
+
+// setLines makes b, drawn from the cache free list, the two ways' storage.
+func (p *PROWL) setLines(b *cache.Block) {
+	p.lines = b
+	p.ways[0], p.ways[1] = b.Lines[:p.numSets], b.Lines[p.numSets:]
 }
 
 // Name implements sim.System.
@@ -239,19 +249,17 @@ func (p *PROWL) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim
 		regs:    regs,
 		c:       c,
 	}
-	for w := 0; w < 2; w++ {
-		f.ways[w] = make([]cache.Line, len(p.ways[w]))
-		copy(f.ways[w], p.ways[w])
-	}
+	f.setLines(p.lines.Clone())
 	return f
 }
 
 // EqualState implements sim.System: the LRU stamp, the checkpoint-store
-// position, both way arrays and NVM.
+// position, both way arrays and NVM. Two empty caches (stamp 0) are equal
+// without a scan.
 func (p *PROWL) EqualState(o sim.System) bool {
 	q, ok := o.(*PROWL)
 	return ok && p.stamp == q.stamp && p.ckpt.EqualState(q.ckpt) &&
-		slices.Equal(p.ways[0], q.ways[0]) && slices.Equal(p.ways[1], q.ways[1]) &&
+		(p.stamp == 0 || slices.Equal(p.lines.Lines, q.lines.Lines)) &&
 		p.nvm.Equal(q.nvm)
 }
 
@@ -261,9 +269,13 @@ func (p *PROWL) NotifySP(uint32) {}
 // ForceCheckpoint implements sim.System.
 func (p *PROWL) ForceCheckpoint() { p.checkpoint(true) }
 
-// PowerFailure implements sim.System.
+// PowerFailure implements sim.System. An empty cache (stamp 0) has nothing
+// to clear.
 func (p *PROWL) PowerFailure() {
-	p.forEach(func(l *cache.Line) { *l = cache.Line{} })
+	if p.stamp == 0 {
+		return
+	}
+	clear(p.lines.Lines)
 	p.stamp = 0
 }
 
@@ -275,5 +287,10 @@ func (p *PROWL) Restore() (sim.Snapshot, bool) {
 // Mem implements sim.System.
 func (p *PROWL) Mem() sim.MemReaderWriter { return p.nvm }
 
-// Release implements sim.System: PROWL tracks nothing, so only NVM goes back.
-func (p *PROWL) Release() { p.nvm.Release() }
+// Release implements sim.System: NVM and the way arrays go back. PROWL
+// tracks nothing.
+func (p *PROWL) Release() {
+	p.nvm.Release()
+	p.lines.Release()
+	p.lines, p.ways = nil, [2][]cache.Line{}
+}

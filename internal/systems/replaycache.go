@@ -263,8 +263,9 @@ func (r *ReplayCache) Restore() (sim.Snapshot, bool) {
 // Mem implements sim.System.
 func (r *ReplayCache) Mem() sim.MemReaderWriter { return r.nvm }
 
-// Release implements sim.System.
+// Release implements sim.System: NVM, the cache and the tracker go back.
 func (r *ReplayCache) Release() {
 	r.nvm.Release()
+	r.cache.Release()
 	r.tracker.Release()
 }

@@ -156,8 +156,10 @@ func (w *WriteThrough) Restore() (sim.Snapshot, bool) {
 // Mem implements sim.System.
 func (w *WriteThrough) Mem() sim.MemReaderWriter { return w.nvm }
 
-// Release implements sim.System.
+// Release implements sim.System: NVM, the read cache and the tracker go
+// back.
 func (w *WriteThrough) Release() {
 	w.nvm.Release()
+	w.cache.Release()
 	w.tracker.Release()
 }
