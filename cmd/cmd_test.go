@@ -11,12 +11,37 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// readSources reads go.mod and every Go file of the module that the
+// commands are built from. go test caches a passing result against the
+// files the test process opened, and the go build subprocess's reads do not
+// count, so without this an edit to the library would be served a stale
+// cached pass.
+var readSources = sync.OnceValue(func() error {
+	list := exec.Command("go", "list", "-e", "-deps", "-f",
+		"{{if not .Standard}}{{range .GoFiles}}{{$.Dir}}/{{.}}\n{{end}}{{end}}", "./cmd/...")
+	list.Dir = ".."
+	out, err := list.Output()
+	if err != nil {
+		return err
+	}
+	for _, f := range append(strings.Fields(string(out)), "../go.mod") {
+		if _, err := os.ReadFile(f); err != nil {
+			return err
+		}
+	}
+	return nil
+})
 
 // build compiles one command into t.TempDir and returns the binary path.
 func build(t *testing.T, pkg string) string {
 	t.Helper()
+	if err := readSources(); err != nil {
+		t.Fatalf("reading the module's sources: %v", err)
+	}
 	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
 	cmd := exec.Command("go", "build", "-o", bin, "./"+pkg)
 	cmd.Dir = ".."

@@ -269,15 +269,11 @@ func (c *Cache) Install(l *Line, addr uint32) {
 	c.Touch(l)
 }
 
-// ForEach visits every line (checkpoint flush walks).
-func (c *Cache) ForEach(f func(*Line)) {
-	for s := 0; s < c.numSets; s++ {
-		base := s << c.waysShift
-		for w := 0; w < c.ways; w++ {
-			f(&c.lines[base+w])
-		}
-	}
-}
+// Lines returns every line, set by set, for the checkpoint and region
+// walks. With an associativity that is not a power of two each set ends in
+// padding ways, which are never valid. The slice aliases cache storage;
+// callers mutate data and Dirty/RD/PW only (see the Cache invariant).
+func (c *Cache) Lines() []Line { return c.lines }
 
 // InvalidateAll destroys all volatile contents (power failure). An empty
 // cache (stamp 0) has nothing to clear.

@@ -99,11 +99,11 @@ func TestInvalidateAll(t *testing.T) {
 		l.Dirty, l.RD, l.PW = true, true, true
 	}
 	c.InvalidateAll()
-	c.ForEach(func(l *Line) {
+	for _, l := range c.Lines() {
 		if l.Valid || l.Dirty || l.RD || l.PW || l.lru != 0 {
-			t.Fatalf("line not cleared: %+v", *l)
+			t.Fatalf("line not cleared: %+v", l)
 		}
-	})
+	}
 }
 
 func TestLineDataMerge(t *testing.T) {

@@ -48,8 +48,11 @@ func TestEmptyCacheInvariant(t *testing.T) {
 			{"New", func(c *Cache) *Cache { return c }},
 			{"InvalidateAll of an empty cache", func(c *Cache) *Cache { c.InvalidateAll(); return c }},
 			{"Clone of an empty cache", func(c *Cache) *Cache { return c.Clone() }},
-			{"ForEach", func(c *Cache) *Cache {
-				c.ForEach(func(l *Line) { l.Dirty, l.RD, l.PW = false, false, false })
+			{"Lines writes", func(c *Cache) *Cache {
+				ls := c.Lines()
+				for i := range ls {
+					ls[i].Dirty, ls[i].RD, ls[i].PW = false, false, false
+				}
 				return c
 			}},
 			{"Install", func(c *Cache) *Cache { c.Install(c.Victim(0x40), 0x40); return c }},

@@ -99,16 +99,13 @@ type Controller struct {
 	nvm   *mem.NVM
 	ckpt  *checkpoint.Store
 
-	clk   sim.Clock
-	regs  sim.RegSource
-	c     *metrics.Counters
-	probe sim.Probe
+	clk sim.Clock
+	c   *metrics.Counters
 
 	tracker    *track.Tracker // exact mode only
 	sp         uint32
 	spMin      uint32
-	dirtyCount int    // maintained only when DirtyThreshold > 0
-	lastCommit uint64 // cycle of the previous checkpoint commit
+	dirtyCount int // maintained only when DirtyThreshold > 0
 }
 
 // New builds a controller over the given NVM space. name is the system label
@@ -142,40 +139,38 @@ func (k *Controller) Mem() sim.MemReaderWriter { return k.nvm }
 // Release implements sim.System: NVM, the cache and the exact-mode tracker
 // go back.
 func (k *Controller) Release() {
-	k.nvm.Release()
+	k.ckpt.Release()
 	k.cache.Release()
 	if k.tracker != nil {
 		k.tracker.Release()
 	}
 }
 
-// Attach implements sim.System; it also seeds the boot checkpoint.
+// Attach implements sim.System: the checkpoint store wires the NVM and
+// seeds the boot checkpoint.
 func (k *Controller) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p sim.Probe) {
-	k.clk, k.regs, k.c, k.probe = clk, regs, c, p
-	k.nvm.Attach(clk, c, p)
-	k.ckpt.Init(regs.RegSnapshot(), p)
+	k.clk, k.c = clk, c
+	k.ckpt.Attach(clk, regs, c, p)
 }
 
-// Fork implements sim.System: an independent controller over a
-// copy-on-write fork of the NVM space, with the cache, WAR tracker, stack
-// bounds, and checkpoint-store position deep-copied and the replica wired to
-// the forked machine's clock, registers, and counters. Probe-free by design.
+// Fork implements sim.System: an independent controller over a fork of the
+// checkpoint store (and with it a copy-on-write fork of the NVM space), with
+// the cache, WAR tracker and stack bounds deep-copied and the replica wired
+// to the forked machine's clock, registers, and counters. Probe-free by
+// design.
 func (k *Controller) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
-	nvm := k.nvm.Fork()
-	nvm.Attach(clk, c, nil)
+	ckpt := k.ckpt.Fork(clk, regs, c)
 	f := &Controller{
 		name:       k.name,
 		opts:       k.opts,
 		cache:      k.cache.Clone(),
-		nvm:        nvm,
-		ckpt:       k.ckpt.Fork(nvm),
+		nvm:        ckpt.NVM(),
+		ckpt:       ckpt,
 		clk:        clk,
-		regs:       regs,
 		c:          c,
 		sp:         k.sp,
 		spMin:      k.spMin,
 		dirtyCount: k.dirtyCount,
-		lastCommit: k.lastCommit,
 	}
 	if k.tracker != nil {
 		f.tracker = k.tracker.Clone()
@@ -184,19 +179,17 @@ func (k *Controller) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters
 }
 
 // EqualState implements sim.System: the stack bounds, the dirty count, the
-// checkpoint-store position, the cache, the exact-mode tracker and NVM.
-// lastCommit is left out: it only feeds the IntervalHist counters, never a
-// decision.
+// cache, the exact-mode tracker and the checkpoint store with its NVM.
 func (k *Controller) EqualState(o sim.System) bool {
 	q, ok := o.(*Controller)
 	if !ok || k.sp != q.sp || k.spMin != q.spMin || k.dirtyCount != q.dirtyCount ||
-		!k.ckpt.EqualState(q.ckpt) || !k.cache.Equal(q.cache) {
+		!k.cache.Equal(q.cache) {
 		return false
 	}
 	if k.tracker != nil && !k.tracker.Equal(q.tracker) {
 		return false
 	}
-	return k.nvm.Equal(q.nvm)
+	return k.ckpt.EqualState(q.ckpt)
 }
 
 // Cache exposes the underlying cache for white-box tests.
@@ -234,8 +227,7 @@ func (k *Controller) Store(addr uint32, size int, val uint32) {
 		// Adaptive policy: flush before the dirty set grows beyond the
 		// configured energy budget. The dirty set (including this line)
 		// persists with the checkpoint and the new interval starts clean.
-		k.checkpoint(ckptAdaptive)
-		k.c.AdaptiveCkpts++
+		k.checkpoint(sim.CheckpointEvent{Adaptive: true})
 	}
 }
 
@@ -271,13 +263,13 @@ func (k *Controller) miss(addr uint32, t accessType, size int) *cache.Line {
 			k.c.DroppedStackLines++
 			line.Dirty = false
 			k.noteClean()
-			k.emitWriteBack(victimAddr, sim.VerdictDroppedStack)
+			k.ckpt.WriteBack(victimAddr, 4, sim.VerdictDroppedStack)
 		case k.unsafeWriteBack(line):
 			// Read-dominated write-back: checkpoint flushes every dirty
 			// line (including this one) and clears all WAR bits.
 			k.c.UnsafeEvictions++
-			k.emitWriteBack(victimAddr, sim.VerdictUnsafe)
-			k.checkpoint(ckptEvict)
+			k.ckpt.WriteBack(victimAddr, 4, sim.VerdictUnsafe)
+			k.checkpoint(sim.CheckpointEvent{})
 		default:
 			// Write-dominated: safe to evict straight to NVM.
 			k.c.SafeEvictions++
@@ -285,7 +277,7 @@ func (k *Controller) miss(addr uint32, t accessType, size int) *cache.Line {
 			k.nvm.Write(victimAddr, 4, line.Data)
 			line.Dirty = false
 			k.noteClean()
-			k.emitWriteBack(victimAddr, sim.VerdictSafe)
+			k.ckpt.WriteBack(victimAddr, 4, sim.VerdictSafe)
 		}
 	}
 	if k.opts.WARMode == WARCacheBits {
@@ -350,13 +342,6 @@ func (k *Controller) unsafeWriteBack(line *cache.Line) bool {
 	}
 }
 
-// emitWriteBack reports one dirty-victim verdict to the probe.
-func (k *Controller) emitWriteBack(addr uint32, v sim.Verdict) {
-	if k.probe != nil {
-		k.probe.OnWriteBack(sim.WriteBackEvent{Cycle: k.clk.Now(), Addr: addr, Size: 4, Verdict: v})
-	}
-}
-
 // noteClean maintains the adaptive policy's dirty-line count when a line
 // becomes clean outside a checkpoint.
 func (k *Controller) noteClean() {
@@ -372,70 +357,38 @@ func (k *Controller) inUnusedStack(addr uint32) bool {
 	return k.opts.StackTracking && addr >= k.spMin && addr < k.sp
 }
 
-// ckptCause records why a checkpoint was taken; it shapes the commit event.
-type ckptCause int
-
-const (
-	ckptEvict    ckptCause = iota // unsafe dirty eviction (Algorithm 1)
-	ckptForced                    // periodic forward-progress checkpoint
-	ckptAdaptive                  // dirty-threshold adaptive policy (Section 8)
-)
-
 // checkpoint is Algorithm 1's Checkpoint procedure: double-buffered flush of
-// all live dirty lines plus the register file, then clear every WAR bit.
-func (k *Controller) checkpoint(cause ckptCause) {
-	var lines []checkpoint.Line
-	k.cache.ForEach(func(l *cache.Line) {
+// all live dirty lines plus the register file, then clear every WAR bit. ev
+// names the cause (forced, adaptive, or neither for an unsafe eviction); the
+// store counts and announces the commit. One pass over the cache gathers the
+// dirty lines and clears the bits: a power failure before the commit
+// invalidates the whole cache anyway.
+func (k *Controller) checkpoint(ev sim.CheckpointEvent) {
+	lines := k.ckpt.Staged()
+	ls := k.cache.Lines()
+	for i := range ls {
+		l := &ls[i]
 		if l.Valid && l.Dirty {
 			if k.inUnusedStack(l.Addr()) {
 				k.c.DroppedStackLines++
-				k.emitWriteBack(l.Addr(), sim.VerdictDroppedStack)
-				return
+				k.ckpt.WriteBack(l.Addr(), 4, sim.VerdictDroppedStack)
+			} else {
+				lines = append(lines, checkpoint.Line{Addr: l.Addr(), Data: l.Data})
 			}
-			lines = append(lines, checkpoint.Line{Addr: l.Addr(), Data: l.Data})
 		}
-	})
-	commit := k.ckpt.Checkpoint
+		l.Dirty, l.RD, l.PW = false, false, false
+	}
+	ev.IntervalValid = true
 	if k.opts.EnergyPrediction {
-		commit = k.ckpt.CheckpointSingleBuffered
 		if er, ok := k.clk.(sim.EnergyReserve); ok {
 			// The platform guarantees energy for the whole sequence; a
 			// failure instant inside it fires right after completion.
 			defer er.DeferFailures()()
 		}
+		k.ckpt.CheckpointSingleBuffered(lines, ev)
+	} else {
+		k.ckpt.Checkpoint(lines, ev)
 	}
-	commit(k.regs.RegSnapshot(), lines, func() {
-		// At the commit instant this checkpoint becomes the reboot target:
-		// account it and notify observers (the verifier moves its rollback
-		// point here), even if the redo phase is cut short by a power
-		// failure.
-		now := k.clk.Now()
-		interval := now - k.lastCommit
-		k.c.RecordInterval(interval)
-		k.lastCommit = now
-		k.c.Checkpoints++
-		k.c.CheckpointLines += uint64(len(lines))
-		if n := uint64(len(lines)); n > k.c.MaxCheckpointLines {
-			k.c.MaxCheckpointLines = n
-		}
-		if cause == ckptForced {
-			k.c.ForcedCkpts++
-		}
-		if k.probe != nil {
-			k.probe.OnCheckpointCommit(sim.CheckpointEvent{
-				Cycle:         now,
-				Kind:          sim.CheckpointCommit,
-				Lines:         len(lines),
-				Forced:        cause == ckptForced,
-				Adaptive:      cause == ckptAdaptive,
-				Interval:      interval,
-				IntervalValid: true,
-			})
-		}
-	})
-	k.cache.ForEach(func(l *cache.Line) {
-		l.Dirty, l.RD, l.PW = false, false, false
-	})
 	if k.tracker != nil {
 		k.tracker.Reset()
 	}
@@ -445,7 +398,7 @@ func (k *Controller) checkpoint(cause ckptCause) {
 
 // ForceCheckpoint implements sim.System (periodic forward-progress
 // checkpoints during intermittent runs).
-func (k *Controller) ForceCheckpoint() { k.checkpoint(ckptForced) }
+func (k *Controller) ForceCheckpoint() { k.checkpoint(sim.CheckpointEvent{Forced: true}) }
 
 // NotifySP implements sim.System: stack tracking keeps the minimum stack
 // pointer seen since the last checkpoint.

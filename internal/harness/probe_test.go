@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -96,7 +97,8 @@ func TestProbeAttachmentDoesNotPerturbRuns(t *testing.T) {
 //
 // (Under power failures the two can legitimately diverge: events are emitted
 // for *completed* actions, so an action cut down mid-flight by a failure has
-// charged cycles but emitted nothing.)
+// charged cycles but emitted nothing. The commit counters are the
+// exception, which TestCommitCountersMatchUnderFailures pins.)
 func TestCounterProbeMatchesDirectCounters(t *testing.T) {
 	for _, p := range program.All() {
 		for _, kind := range systems.AllKinds() {
@@ -120,6 +122,74 @@ func TestCounterProbeMatchesDirectCounters(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCommitCountersMatchUnderFailures is the stream-completeness property's
+// failure-schedule case: the checkpoint store counts and announces each
+// commit at its commit word, so the direct commit counters equal those a
+// CounterProbe derives from the commit events even when failures cut
+// checkpoints short in their redo phase. It runs towers under 0.05 ms
+// periodic failures, with the forced checkpoint at half the period, on every
+// system that keeps a checkpoint store, and on NACHO with the adaptive
+// policy (DirtyThreshold 4), with and without EnergyPrediction. The
+// volatile baseline is left out: it has no store, and since every failure
+// restarts it from boot it never finishes under this schedule.
+func TestCommitCountersMatchUnderFailures(t *testing.T) {
+	type variant struct {
+		kind      systems.Kind
+		threshold int
+		predict   bool
+	}
+	var variants []variant
+	for _, kind := range systems.AllKinds() {
+		if kind != systems.KindVolatile {
+			variants = append(variants, variant{kind: kind})
+		}
+	}
+	variants = append(variants, variant{systems.KindNACHO, 4, false}, variant{systems.KindNACHO, 4, true})
+	p, ok := program.ByName("towers")
+	if !ok {
+		t.Fatal("towers benchmark missing")
+	}
+	for _, v := range variants {
+		v := v
+		t.Run(fmt.Sprintf("%s/threshold=%d/predict=%v", v.kind, v.threshold, v.predict), func(t *testing.T) {
+			t.Parallel()
+			cfg := harness.DefaultRunConfig()
+			period := cfg.Cost.CyclesForMillis(0.05)
+			cfg.Schedule = power.Periodic{Period: period}
+			cfg.ForcedCheckpointPeriod = period / 2
+			cfg.DirtyThreshold, cfg.EnergyPrediction = v.threshold, v.predict
+			cp := sim.NewCounterProbe()
+			cfg.Probe = cp
+			res, err := harness.Run(p, v.kind, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Counters.PowerFailures == 0 {
+				t.Fatal("expected power failures")
+			}
+			if v.threshold > 0 && res.Counters.AdaptiveCkpts == 0 {
+				t.Fatal("expected adaptive checkpoints")
+			}
+			got, want := res.Counters, cp.Counters()
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"Checkpoints", got.Checkpoints, want.Checkpoints},
+				{"CheckpointLines", got.CheckpointLines, want.CheckpointLines},
+				{"MaxCheckpointLines", got.MaxCheckpointLines, want.MaxCheckpointLines},
+				{"ForcedCkpts", got.ForcedCkpts, want.ForcedCkpts},
+				{"AdaptiveCkpts", got.AdaptiveCkpts, want.AdaptiveCkpts},
+				{"IntervalHist", got.IntervalHist, want.IntervalHist},
+			} {
+				if f.got != f.want {
+					t.Errorf("%s: direct %v, from commit events %v", f.name, f.got, f.want)
+				}
+			}
+		})
 	}
 }
 

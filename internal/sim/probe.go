@@ -1,26 +1,33 @@
 package sim
 
 // This file defines the instrumentation seam of the simulator: a typed
-// observer interface (Probe) that every event producer — the emulator, the
-// NACHO controller, the NVM, the checkpoint store, and the comparison
-// systems — emits through. The correctness verifier, the per-interval
-// statistics collector and the Perfetto exporter are Probe implementations;
-// production counters stay directly updated for the no-probe fast path, and
-// the live nacho_sim_* series sum those counters over executed runs, so they
-// need no probe. Every event is a write-back, NVM, checkpoint or power
-// event, so both execution engines emit the same stream. Retired
-// instructions are not events: the per-instruction trace recorder is fed by
-// the emulator directly (see emu.Config.Trace), and the run's counters carry
-// the instruction count. CPU data accesses are not events either: the
-// emulator hands each one to the verifier directly (see
+// observer interface (Probe) that every event producer emits through. There
+// are three: the emulator (power failures and restores), the NVM (charged
+// transfers) and the checkpoint store, which every NVM-backed system keeps
+// as its persistent half and which announces what the system persists —
+// checkpoint begins and commits, write-back verdicts and ReplayCache region
+// ends. The memory systems hold no probe of their own. The correctness
+// verifier, the per-interval statistics collector and the Perfetto exporter
+// are Probe implementations; production counters stay directly updated for
+// the no-probe fast path, and the live nacho_sim_* series sum those counters
+// over executed runs, so they need no probe. Every event is a write-back,
+// NVM, checkpoint or power event, so both execution engines emit the same
+// stream. Retired instructions are not events: the per-instruction trace
+// recorder is fed by the emulator directly (see emu.Config.Trace), and the
+// run's counters carry the instruction count. CPU data accesses are not
+// events either: the emulator hands each one to the verifier directly (see
 // emu.Config.Verifier), and the counters carry loads, stores, hits and
 // misses.
 //
-// Emission contract: every producer holds a Probe field that is nil when no
-// observer is attached, and guards each emission with a plain nil check
-// (`if p != nil { p.OnX(...) }`). Event types are flat value structs, so an
-// emission performs no allocation; a detached run costs one predictable
-// branch per event site and no interface call.
+// Emission contract: each of the three producers holds a Probe field that
+// is nil when no observer is attached, and guards each emission with a
+// plain nil check (`if p != nil { p.OnX(...) }`). Event types are flat
+// value structs, so an emission performs no allocation; a detached run
+// costs one predictable branch per event site and no interface call. A
+// system asks its checkpoint store to announce a write-back (Store.WriteBack)
+// right after the action it names; the store announces a commit at the
+// instant its commit word lands, where it also counts it, so commit
+// counters and commit events agree under power failures too.
 
 // Verdict classifies a dirty line leaving the cache (or, for cacheless
 // write-through paths, a store reaching NVM).
@@ -104,8 +111,10 @@ func (k CheckpointKind) String() string {
 
 // CheckpointEvent describes a checkpoint. Begin events (OnCheckpointBegin,
 // emitted by the checkpoint store when staging starts) carry only Cycle and
-// Lines; commit events (OnCheckpointCommit, emitted at the instant the
-// checkpoint becomes the reboot target) carry the full semantics.
+// Lines; commit events (OnCheckpointCommit, emitted by the store at the
+// instant the checkpoint becomes the reboot target) carry the full
+// semantics. A system hands the store the cause (Kind, Forced, Adaptive,
+// IntervalValid); the store fills in Cycle, Lines and Interval.
 type CheckpointEvent struct {
 	Cycle uint64
 	Kind  CheckpointKind

@@ -83,20 +83,24 @@ type System interface {
 	Name() string
 
 	// Attach wires the system to the CPU's clock and register source, to
-	// the run's counters, and to the run's event observer p (nil for none),
-	// which the system hands to every component it owns that emits (NVM,
-	// checkpoint store). It must be called once before execution; the
-	// no-probe path must stay emission-free.
+	// the run's counters, and to the run's event observer p (nil for none).
+	// An NVM-backed system hands all four to its checkpoint store, its
+	// persistent half: the store attaches the NVM (which announces its own
+	// transfers), writes the boot checkpoint from the registers, and
+	// announces the system's checkpoints, write-backs and region ends. It
+	// must be called once before execution; the no-probe path must stay
+	// emission-free.
 	Attach(clk Clock, regs RegSource, c *metrics.Counters, p Probe)
 
 	// Fork returns an independent replica of the system's complete state —
 	// volatile (cache lines, trackers, stack bounds) deep-copied,
 	// non-volatile memory forked copy-on-write — wired to the forked
 	// machine's clock, register source, and counters (the snapshot-fork
-	// exploration mode). Unlike Attach, Fork must not reinitialize anything
-	// (in particular not the checkpoint store, whose sequence position is
-	// part of the state being replicated), and the replica comes up
-	// probe-free: forks run on the emission-free path.
+	// exploration mode). An NVM-backed system forks its checkpoint store,
+	// which forks the NVM. Unlike Attach, Fork must not reinitialize
+	// anything (in particular not the checkpoint store, whose sequence
+	// position is part of the state being replicated), and the replica comes
+	// up probe-free: forks run on the emission-free path.
 	Fork(clk Clock, regs RegSource, c *metrics.Counters) System
 
 	// EqualState reports whether o, a replica of the same system (a fork of

@@ -18,11 +18,6 @@ type Clank struct {
 	nvm     *mem.NVM
 	ckpt    *checkpoint.Store
 	tracker *track.Tracker
-
-	clk   sim.Clock
-	regs  sim.RegSource
-	c     *metrics.Counters
-	probe sim.Probe
 }
 
 // NewClank builds the baseline over the given NVM. checkpointBase locates
@@ -38,11 +33,9 @@ func NewClank(nvm *mem.NVM, checkpointBase uint32) *Clank {
 // Name implements sim.System.
 func (k *Clank) Name() string { return "clank" }
 
-// Attach implements sim.System.
+// Attach implements sim.System: the checkpoint store wires the NVM.
 func (k *Clank) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p sim.Probe) {
-	k.clk, k.regs, k.c, k.probe = clk, regs, c, p
-	k.nvm.Attach(clk, c, p)
-	k.ckpt.Init(regs.RegSnapshot(), p)
+	k.ckpt.Attach(clk, regs, c, p)
 }
 
 // Load implements sim.System: a direct NVM read.
@@ -59,44 +52,27 @@ func (k *Clank) Store(addr uint32, size int, val uint32) {
 	}
 	k.tracker.ObserveWrite(addr, size)
 	k.nvm.Write(addr, size, val)
-	if k.probe != nil {
-		k.probe.OnWriteBack(sim.WriteBackEvent{Cycle: k.clk.Now(), Addr: addr, Size: size, Verdict: sim.VerdictWriteThrough})
-	}
+	k.ckpt.WriteBack(addr, size, sim.VerdictWriteThrough)
 }
 
+// checkpoint persists the registers; the store counts and announces it.
 func (k *Clank) checkpoint(forced bool) {
-	k.ckpt.Checkpoint(k.regs.RegSnapshot(), nil, func() {
-		k.c.Checkpoints++
-		if forced {
-			k.c.ForcedCkpts++
-		}
-		if k.probe != nil {
-			k.probe.OnCheckpointCommit(sim.CheckpointEvent{Cycle: k.clk.Now(), Kind: sim.CheckpointCommit, Forced: forced})
-		}
-	})
+	k.ckpt.Checkpoint(nil, sim.CheckpointEvent{Forced: forced})
 	k.tracker.Reset()
 }
 
-// Fork implements sim.System: forked NVM plus deep-copied tracker state
-// and checkpoint-store position.
+// Fork implements sim.System: a forked checkpoint store (and with it
+// forked NVM) plus deep-copied tracker state.
 func (k *Clank) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
-	nvm := k.nvm.Fork()
-	nvm.Attach(clk, c, nil)
-	return &Clank{
-		nvm:     nvm,
-		ckpt:    k.ckpt.Fork(nvm),
-		tracker: k.tracker.Clone(),
-		clk:     clk,
-		regs:    regs,
-		c:       c,
-	}
+	ckpt := k.ckpt.Fork(clk, regs, c)
+	return &Clank{nvm: ckpt.NVM(), ckpt: ckpt, tracker: k.tracker.Clone()}
 }
 
-// EqualState implements sim.System: the checkpoint-store position, the
-// tracker and NVM.
+// EqualState implements sim.System: the tracker and the checkpoint store
+// with its NVM.
 func (k *Clank) EqualState(o sim.System) bool {
 	q, ok := o.(*Clank)
-	return ok && k.ckpt.EqualState(q.ckpt) && k.tracker.Equal(q.tracker) && k.nvm.Equal(q.nvm)
+	return ok && k.tracker.Equal(q.tracker) && k.ckpt.EqualState(q.ckpt)
 }
 
 // NotifySP implements sim.System (Clank has no stack tracking).
@@ -116,6 +92,6 @@ func (k *Clank) Mem() sim.MemReaderWriter { return k.nvm }
 
 // Release implements sim.System.
 func (k *Clank) Release() {
-	k.nvm.Release()
+	k.ckpt.Release()
 	k.tracker.Release()
 }

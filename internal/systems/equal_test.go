@@ -17,16 +17,14 @@ func replica(sys sim.System, now uint64) sim.System {
 // validLine returns a valid line of c.
 func validLine(t *testing.T, c *cache.Cache) *cache.Line {
 	t.Helper()
-	var v *cache.Line
-	c.ForEach(func(l *cache.Line) {
-		if v == nil && l.Valid {
-			v = l
+	ls := c.Lines()
+	for i := range ls {
+		if ls[i].Valid {
+			return &ls[i]
 		}
-	})
-	if v == nil {
-		t.Fatal("no valid cache line")
 	}
-	return v
+	t.Fatal("no valid cache line")
+	return nil
 }
 
 // TestEqualState: two replicas of one system compare equal, also at

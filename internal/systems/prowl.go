@@ -38,10 +38,8 @@ type PROWL struct {
 	ckpt *checkpoint.Store
 	cost mem.CostModel
 
-	clk   sim.Clock
-	regs  sim.RegSource
-	c     *metrics.Counters
-	probe sim.Probe
+	clk sim.Clock
+	c   *metrics.Counters
 }
 
 // NewPROWL builds a 2-way skewed cache of sizeBytes data capacity.
@@ -69,11 +67,10 @@ func (p *PROWL) setLines(b *cache.Block) {
 // Name implements sim.System.
 func (p *PROWL) Name() string { return "prowl" }
 
-// Attach implements sim.System.
+// Attach implements sim.System: the checkpoint store wires the NVM.
 func (p *PROWL) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, probe sim.Probe) {
-	p.clk, p.regs, p.c, p.probe = clk, regs, c, probe
-	p.nvm.Attach(clk, c, probe)
-	p.ckpt.Init(regs.RegSnapshot(), probe)
+	p.clk, p.c = clk, c
+	p.ckpt.Attach(clk, regs, c, probe)
 }
 
 // index computes the per-way skewed hash of a line address.
@@ -160,9 +157,7 @@ func (p *PROWL) access(addr uint32, isRead bool, size int) *cache.Line {
 			// No WAR detector: a forced dirty eviction requires a
 			// checkpoint to stay incorruptible.
 			p.c.UnsafeEvictions++
-			if p.probe != nil {
-				p.probe.OnWriteBack(sim.WriteBackEvent{Cycle: p.clk.Now(), Addr: line.Addr(), Size: 4, Verdict: sim.VerdictUnsafe})
-			}
+			p.ckpt.WriteBack(line.Addr(), 4, sim.VerdictUnsafe)
 			p.checkpoint(false)
 		}
 	}
@@ -203,64 +198,46 @@ func (p *PROWL) relocate(addr uint32) *cache.Line {
 	return nil
 }
 
+// checkpoint flushes every dirty line, way 0 first, plus the registers,
+// clearing the dirty bits in the same pass (a power failure before the
+// commit clears the whole cache anyway); the store counts and announces it.
 func (p *PROWL) checkpoint(forced bool) {
-	var lines []checkpoint.Line
-	p.forEach(func(l *cache.Line) {
-		if l.Valid && l.Dirty {
+	lines := p.ckpt.Staged()
+	ls := p.lines.Lines
+	for i := range ls {
+		if l := &ls[i]; l.Valid && l.Dirty {
 			lines = append(lines, checkpoint.Line{Addr: l.Addr(), Data: l.Data})
-		}
-	})
-	p.ckpt.Checkpoint(p.regs.RegSnapshot(), lines, func() {
-		p.c.Checkpoints++
-		p.c.CheckpointLines += uint64(len(lines))
-		if n := uint64(len(lines)); n > p.c.MaxCheckpointLines {
-			p.c.MaxCheckpointLines = n
-		}
-		if forced {
-			p.c.ForcedCkpts++
-		}
-		if p.probe != nil {
-			p.probe.OnCheckpointCommit(sim.CheckpointEvent{Cycle: p.clk.Now(), Kind: sim.CheckpointCommit, Lines: len(lines), Forced: forced})
-		}
-	})
-	p.forEach(func(l *cache.Line) { l.Dirty = false })
-}
-
-func (p *PROWL) forEach(f func(*cache.Line)) {
-	for w := 0; w < 2; w++ {
-		for i := range p.ways[w] {
-			f(&p.ways[w][i])
+			l.Dirty = false
 		}
 	}
+	p.ckpt.Checkpoint(lines, sim.CheckpointEvent{Forced: forced})
 }
 
-// Fork implements sim.System: forked NVM plus deep-copied way arrays, LRU
-// stamp, and checkpoint-store position.
+// Fork implements sim.System: a forked checkpoint store (and with it
+// forked NVM) plus deep-copied way arrays and LRU stamp.
 func (p *PROWL) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
-	nvm := p.nvm.Fork()
-	nvm.Attach(clk, c, nil)
+	ckpt := p.ckpt.Fork(clk, regs, c)
 	f := &PROWL{
 		numSets: p.numSets,
 		stamp:   p.stamp,
-		nvm:     nvm,
-		ckpt:    p.ckpt.Fork(nvm),
+		nvm:     ckpt.NVM(),
+		ckpt:    ckpt,
 		cost:    p.cost,
 		clk:     clk,
-		regs:    regs,
 		c:       c,
 	}
 	f.setLines(p.lines.Clone())
 	return f
 }
 
-// EqualState implements sim.System: the LRU stamp, the checkpoint-store
-// position, both way arrays and NVM. Two empty caches (stamp 0) are equal
+// EqualState implements sim.System: the LRU stamp, both way arrays and the
+// checkpoint store with its NVM. Two empty caches (stamp 0) are equal
 // without a scan.
 func (p *PROWL) EqualState(o sim.System) bool {
 	q, ok := o.(*PROWL)
-	return ok && p.stamp == q.stamp && p.ckpt.EqualState(q.ckpt) &&
+	return ok && p.stamp == q.stamp &&
 		(p.stamp == 0 || slices.Equal(p.lines.Lines, q.lines.Lines)) &&
-		p.nvm.Equal(q.nvm)
+		p.ckpt.EqualState(q.ckpt)
 }
 
 // NotifySP implements sim.System (no stack tracking in PROWL).
@@ -290,7 +267,7 @@ func (p *PROWL) Mem() sim.MemReaderWriter { return p.nvm }
 // Release implements sim.System: NVM and the way arrays go back. PROWL
 // tracks nothing.
 func (p *PROWL) Release() {
-	p.nvm.Release()
+	p.ckpt.Release()
 	p.lines.Release()
 	p.lines, p.ways = nil, [2][]cache.Line{}
 }

@@ -45,10 +45,8 @@ type ReplayCache struct {
 	regionSeq   uint32
 	regionStart uint64 // cycle the current region began
 
-	clk   sim.Clock
-	regs  sim.RegSource
-	c     *metrics.Counters
-	probe sim.Probe
+	clk sim.Clock
+	c   *metrics.Counters
 }
 
 // NewReplayCache builds the system with the given cache geometry.
@@ -71,11 +69,10 @@ func NewReplayCache(nvm *mem.NVM, sizeBytes, ways int, checkpointBase uint32, co
 // Name implements sim.System.
 func (r *ReplayCache) Name() string { return "replaycache" }
 
-// Attach implements sim.System.
+// Attach implements sim.System: the checkpoint store wires the NVM.
 func (r *ReplayCache) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p sim.Probe) {
-	r.clk, r.regs, r.c, r.probe = clk, regs, c, p
-	r.nvm.Attach(clk, c, p)
-	r.ckpt.Init(regs.RegSnapshot(), p)
+	r.clk, r.c = clk, c
+	r.ckpt.Attach(clk, regs, c, p)
 }
 
 // Load implements sim.System.
@@ -114,9 +111,7 @@ func (r *ReplayCache) access(addr uint32, isRead bool, size int) *cache.Line {
 		r.c.Evictions++
 		victimAddr := line.Addr()
 		r.enqueue(victimAddr, line.Data)
-		if r.probe != nil {
-			r.probe.OnWriteBack(sim.WriteBackEvent{Cycle: r.clk.Now(), Addr: victimAddr, Size: 4, Verdict: sim.VerdictAsync})
-		}
+		r.ckpt.WriteBack(victimAddr, 4, sim.VerdictAsync)
 	}
 	r.cache.Install(line, addr)
 	line.Dirty = false
@@ -160,12 +155,13 @@ func (r *ReplayCache) retire(now uint64) {
 // write-back queue, the CPU waits for the queue to drain (store persistence
 // ordering), and a one-word region marker is persisted.
 func (r *ReplayCache) endRegion() {
-	r.cache.ForEach(func(l *cache.Line) {
-		if l.Valid && l.Dirty {
+	ls := r.cache.Lines()
+	for i := range ls {
+		if l := &ls[i]; l.Valid && l.Dirty {
 			r.enqueue(l.Addr(), l.Data)
 			l.Dirty = false
 		}
-	})
+	}
 	if n := len(r.queue); n > 0 {
 		if last := r.queue[n-1]; last > r.clk.Now() {
 			r.clk.Advance(last - r.clk.Now())
@@ -176,35 +172,31 @@ func (r *ReplayCache) endRegion() {
 	r.nvm.Write(r.markerAddr, 4, r.regionSeq)
 	r.tracker.Reset()
 	r.regionStart = r.clk.Now()
-	r.c.Regions++
-	if r.probe != nil {
-		r.probe.OnCheckpointCommit(sim.CheckpointEvent{Cycle: r.clk.Now(), Kind: sim.CheckpointRegion})
-	}
+	r.ckpt.RegionEnd()
 }
 
-// Fork implements sim.System: forked NVM plus deep-copied cache, tracker,
-// write-back queue, region position, and checkpoint-store position.
+// Fork implements sim.System: a forked checkpoint store (and with it
+// forked NVM) plus deep-copied cache, tracker, write-back queue and region
+// position.
 func (r *ReplayCache) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
-	nvm := r.nvm.Fork()
-	nvm.Attach(clk, c, nil)
+	ckpt := r.ckpt.Fork(clk, regs, c)
 	return &ReplayCache{
 		cache:       r.cache.Clone(),
 		tracker:     r.tracker.Clone(),
-		nvm:         nvm,
-		ckpt:        r.ckpt.Fork(nvm),
+		nvm:         ckpt.NVM(),
+		ckpt:        ckpt,
 		cost:        r.cost,
 		queue:       append([]uint64(nil), r.queue...),
 		markerAddr:  r.markerAddr,
 		regionSeq:   r.regionSeq,
 		regionStart: r.regionStart,
 		clk:         clk,
-		regs:        regs,
 		c:           c,
 	}
 }
 
 // EqualState implements sim.System: the region position, the write-back
-// queue, the checkpoint-store position, the cache, the tracker and NVM. The
+// queue, the cache, the tracker and the checkpoint store with its NVM. The
 // region start and the queue's completion cycles are compared relative to
 // each replica's clock: the time since the region began decides where the
 // region is cut, and the time left on each write-back decides the stalls.
@@ -222,7 +214,7 @@ func (r *ReplayCache) EqualState(o sim.System) bool {
 			return false
 		}
 	}
-	return r.ckpt.EqualState(q.ckpt) && r.cache.Equal(q.cache) && r.tracker.Equal(q.tracker) && r.nvm.Equal(q.nvm)
+	return r.cache.Equal(q.cache) && r.tracker.Equal(q.tracker) && r.ckpt.EqualState(q.ckpt)
 }
 
 // NotifySP implements sim.System (no stack tracking).
@@ -236,21 +228,18 @@ func (r *ReplayCache) ForceCheckpoint() { r.endRegion() }
 // PowerFailure implements sim.System: the JIT path — on the power-failure
 // interrupt the remaining dirty lines, the queue, and the registers are
 // persisted using reserve energy (the clock's failure window is already
-// open, so these writes are charged but cannot recursively fail).
+// open, so these writes are charged but cannot recursively fail). A JIT
+// save is NOT an interval boundary: execution resumes in place, so
+// rollback-sensitive observers ignore its commit.
 func (r *ReplayCache) PowerFailure() {
-	r.cache.ForEach(func(l *cache.Line) {
-		if l.Valid && l.Dirty {
+	ls := r.cache.Lines()
+	for i := range ls {
+		if l := &ls[i]; l.Valid && l.Dirty {
 			r.nvm.Write(l.Addr(), 4, l.Data)
 		}
-	})
-	r.queue = r.queue[:0]
-	r.ckpt.Checkpoint(r.regs.RegSnapshot(), nil, nil)
-	r.c.Checkpoints++
-	if r.probe != nil {
-		// A JIT save is NOT an interval boundary: execution resumes in
-		// place, so rollback-sensitive observers must ignore it.
-		r.probe.OnCheckpointCommit(sim.CheckpointEvent{Cycle: r.clk.Now(), Kind: sim.CheckpointJIT})
 	}
+	r.queue = r.queue[:0]
+	r.ckpt.Checkpoint(nil, sim.CheckpointEvent{Kind: sim.CheckpointJIT})
 	r.cache.InvalidateAll()
 	r.tracker.Reset()
 }
@@ -265,7 +254,7 @@ func (r *ReplayCache) Mem() sim.MemReaderWriter { return r.nvm }
 
 // Release implements sim.System: NVM, the cache and the tracker go back.
 func (r *ReplayCache) Release() {
-	r.nvm.Release()
+	r.ckpt.Release()
 	r.cache.Release()
 	r.tracker.Release()
 }

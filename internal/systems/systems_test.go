@@ -3,7 +3,6 @@ package systems
 import (
 	"testing"
 
-	"nacho/internal/cache"
 	"nacho/internal/mem"
 	"nacho/internal/metrics"
 	"nacho/internal/sim"
@@ -275,11 +274,11 @@ func TestWriteThroughLinesNeverDirty(t *testing.T) {
 		w.Store(0x100+4*i, 4, i)
 		w.Load(0x100+4*i, 4)
 	}
-	w.cache.ForEach(func(l *cache.Line) {
+	for _, l := range w.cache.Lines() {
 		if l.Dirty {
 			t.Fatal("write-through produced a dirty line")
 		}
-	})
+	}
 }
 
 func TestPROWLRelocationAvoidsCheckpoint(t *testing.T) {

@@ -30,10 +30,8 @@ type WriteThrough struct {
 	ckpt    *checkpoint.Store
 	cost    mem.CostModel
 
-	clk   sim.Clock
-	regs  sim.RegSource
-	c     *metrics.Counters
-	probe sim.Probe
+	clk sim.Clock
+	c   *metrics.Counters
 }
 
 // NewWriteThrough builds the system with the given read-cache geometry.
@@ -54,11 +52,10 @@ func NewWriteThrough(nvm *mem.NVM, sizeBytes, ways int, checkpointBase uint32, c
 // Name implements sim.System.
 func (w *WriteThrough) Name() string { return string(KindWriteThrough) }
 
-// Attach implements sim.System.
+// Attach implements sim.System: the checkpoint store wires the NVM.
 func (w *WriteThrough) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p sim.Probe) {
-	w.clk, w.regs, w.c, w.probe = clk, regs, c, p
-	w.nvm.Attach(clk, c, p)
-	w.ckpt.Init(regs.RegSnapshot(), p)
+	w.clk, w.c = clk, c
+	w.ckpt.Attach(clk, regs, c, p)
 }
 
 // Load implements sim.System: served from the read cache when possible.
@@ -93,47 +90,36 @@ func (w *WriteThrough) Store(addr uint32, size int, val uint32) {
 		line.WriteData(addr, size, val)
 	}
 	w.nvm.Write(addr, size, val)
-	if w.probe != nil {
-		w.probe.OnWriteBack(sim.WriteBackEvent{Cycle: w.clk.Now(), Addr: addr, Size: size, Verdict: sim.VerdictWriteThrough})
-	}
+	w.ckpt.WriteBack(addr, size, sim.VerdictWriteThrough)
 	w.clk.Advance(w.cost.HitCycles)
 }
 
+// checkpoint persists the registers; the store counts and announces it.
 func (w *WriteThrough) checkpoint(forced bool) {
-	w.ckpt.Checkpoint(w.regs.RegSnapshot(), nil, func() {
-		w.c.Checkpoints++
-		if forced {
-			w.c.ForcedCkpts++
-		}
-		if w.probe != nil {
-			w.probe.OnCheckpointCommit(sim.CheckpointEvent{Cycle: w.clk.Now(), Kind: sim.CheckpointCommit, Forced: forced})
-		}
-	})
+	w.ckpt.Checkpoint(nil, sim.CheckpointEvent{Forced: forced})
 	w.tracker.Reset()
 }
 
-// Fork implements sim.System: forked NVM plus deep-copied read cache,
-// tracker, and checkpoint-store position.
+// Fork implements sim.System: a forked checkpoint store (and with it
+// forked NVM) plus deep-copied read cache and tracker.
 func (w *WriteThrough) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim.System {
-	nvm := w.nvm.Fork()
-	nvm.Attach(clk, c, nil)
+	ckpt := w.ckpt.Fork(clk, regs, c)
 	return &WriteThrough{
 		cache:   w.cache.Clone(),
 		tracker: w.tracker.Clone(),
-		nvm:     nvm,
-		ckpt:    w.ckpt.Fork(nvm),
+		nvm:     ckpt.NVM(),
+		ckpt:    ckpt,
 		cost:    w.cost,
 		clk:     clk,
-		regs:    regs,
 		c:       c,
 	}
 }
 
-// EqualState implements sim.System: the checkpoint-store position, the
-// read cache, the tracker and NVM.
+// EqualState implements sim.System: the read cache, the tracker and the
+// checkpoint store with its NVM.
 func (w *WriteThrough) EqualState(o sim.System) bool {
 	q, ok := o.(*WriteThrough)
-	return ok && w.ckpt.EqualState(q.ckpt) && w.cache.Equal(q.cache) && w.tracker.Equal(q.tracker) && w.nvm.Equal(q.nvm)
+	return ok && w.cache.Equal(q.cache) && w.tracker.Equal(q.tracker) && w.ckpt.EqualState(q.ckpt)
 }
 
 // NotifySP implements sim.System (no stack tracking: nothing dirty to drop).
@@ -159,7 +145,7 @@ func (w *WriteThrough) Mem() sim.MemReaderWriter { return w.nvm }
 // Release implements sim.System: NVM, the read cache and the tracker go
 // back.
 func (w *WriteThrough) Release() {
-	w.nvm.Release()
+	w.ckpt.Release()
 	w.cache.Release()
 	w.tracker.Release()
 }
