@@ -3,9 +3,10 @@
 #
 #   ./ci.sh
 #
-# Runs formatting, vet, build, the full test suite, and the race-detector
-# pass over the experiment harness (the worker pool + singleflight run
-# cache carry the only intentional concurrency in the repository).
+# Runs formatting, vet, build, the full test suite, every example program,
+# and the race-detector pass over the experiment harness (the worker pool +
+# singleflight run cache carry the only intentional concurrency in the
+# repository).
 set -eu
 cd "$(dirname "$0")"
 
@@ -19,6 +20,18 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# The build above only compiles the example programs; a public-API change
+# that breaks one at run time (a configuration the API now rejects, say)
+# would pass it. Each example must also run to a clean exit.
+for dir in examples/*/; do
+	[ -f "$dir/main.go" ] || continue
+	go build -o /tmp/nacho-example.ci "./$dir"
+	if ! /tmp/nacho-example.ci >/dev/null; then
+		echo "ci.sh: example $dir failed" >&2
+		exit 1
+	fi
+done
+rm -f /tmp/nacho-example.ci
 # The end-to-end benchmark is its own module (perfbench/go.mod), so the root
 # build and test above never compile it; a change that broke it would pass
 # them.

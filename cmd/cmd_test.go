@@ -331,6 +331,12 @@ func TestCLIErrorPaths(t *testing.T) {
 			[]string{"nachosim:", "/nonexistent-dir/p.json"}},
 		{"nachosim -trace write error", sim, []string{"-bench", "crc", "-trace", "/dev/full"},
 			[]string{"nachosim:", "trace: write /dev/full"}},
+		// The volatile baseline keeps no checkpoint, so it cannot finish
+		// under power failures: both run paths reject it up front.
+		{"nachosim -bench volatile under failures", sim, []string{"-bench", "crc", "-system", "volatile", "-onduration", "0.2"},
+			[]string{"nachosim:", "cannot run under power failures"}},
+		{"nachosim -run volatile under failures", sim, []string{"-run", src, "-system", "volatile", "-onduration", "0.2"},
+			[]string{"nachosim:", "cannot run under power failures"}},
 		{"nachobench unknown flag", bench, []string{"-definitely-not-a-flag"},
 			[]string{"flag provided but not defined", "Usage"}},
 		{"nachobench unknown experiment", bench, []string{"-exp", "no-such-exp"},

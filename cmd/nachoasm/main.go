@@ -18,14 +18,15 @@ import (
 
 	"nacho/internal/asm"
 	"nacho/internal/isa"
+	"nacho/internal/mem"
 )
 
 func main() {
 	var (
 		out      = flag.String("o", "", "write the raw .text image to this file")
 		symbols  = flag.Bool("symbols", false, "dump the symbol table")
-		textBase = flag.Uint("text", 0x0001_0000, "text base address")
-		dataBase = flag.Uint("data", 0x0002_0000, "data base address")
+		textBase = flag.Uint("text", mem.TextBase, "text base address")
+		dataBase = flag.Uint("data", mem.DataBase, "data base address")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {

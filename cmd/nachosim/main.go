@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"nacho"
+	"nacho/internal/mem"
 	"nacho/internal/profiling"
 )
 
@@ -156,7 +157,7 @@ func main() {
 	fmt.Printf("benchmark        %s\n", *bench)
 	fmt.Printf("system           %s\n", *system)
 	fmt.Printf("result word      0x%08x\n", res.ResultWord)
-	fmt.Printf("cycles           %d (%.3f ms at 50 MHz)\n", res.Cycles, float64(res.Cycles)/50e3)
+	fmt.Printf("cycles           %d (%.3f ms at 50 MHz)\n", res.Cycles, float64(res.Cycles)/(mem.ClockHz/1e3))
 	fmt.Printf("instructions     %d (%d loads, %d stores)\n", res.Instructions, res.Loads, res.Stores)
 	fmt.Printf("checkpoints      %d (%d lines flushed", res.Checkpoints, res.CheckpointLines)
 	if res.Checkpoints > 0 {

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"nacho/internal/isa"
+	"nacho/internal/mem"
 )
 
 // Options configures section base addresses for assembly.
@@ -24,10 +25,10 @@ type Options struct {
 	DataBase uint32 // load address of the .data section
 }
 
-// DefaultOptions places .text at 0x0001_0000 and .data at 0x0002_0000,
-// matching the memory map in DESIGN.md.
+// DefaultOptions places .text and .data at the memory map's TextBase and
+// DataBase (package mem).
 func DefaultOptions() Options {
-	return Options{TextBase: 0x0001_0000, DataBase: 0x0002_0000}
+	return Options{TextBase: mem.TextBase, DataBase: mem.DataBase}
 }
 
 // Segment is a contiguous chunk of the assembled image.

@@ -58,11 +58,15 @@ func TestEmptyCacheInvariant(t *testing.T) {
 			{"Install", func(c *Cache) *Cache { c.Install(c.Victim(0x40), 0x40); return c }},
 			{"Touch", func(c *Cache) *Cache { c.Touch(c.Probe(0x40)); return c }},
 			{"Set writes", func(c *Cache) *Cache {
-				for _, l := range c.Set(0x40) {
-					if l.Valid {
-						l.WriteData(0x40, 4, 7)
-						l.Dirty = true
+				set := c.Set(0x40)
+				for i := range set {
+					if set[i].Valid {
+						set[i].WriteData(0x40, 4, 7)
+						set[i].Dirty = true
 					}
+				}
+				if l := c.Probe(0x40); l == nil || l.ReadData(0x40, 4) != 7 || !l.Dirty {
+					t.Fatalf("%dB/%d-way: a write through Set did not land: %+v", g.size, g.ways, l)
 				}
 				return c
 			}},

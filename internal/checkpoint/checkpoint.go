@@ -48,7 +48,6 @@ const (
 type Store struct {
 	nvm      *mem.NVM
 	maxLines int
-	base     uint32
 	seq      uint32 // next sequence number to commit
 
 	regs       sim.RegSource
@@ -58,11 +57,11 @@ type Store struct {
 	staged     []Line // Staged's buffer, kept at the largest checkpoint's size
 }
 
-// NewStore lays out a checkpoint area at base in nvm for up to maxLines
-// dirty lines per checkpoint (the cache capacity; 0 for register-only
-// systems like Clank).
-func NewStore(nvm *mem.NVM, base uint32, maxLines int) *Store {
-	return &Store{nvm: nvm, base: base, maxLines: maxLines, seq: 1}
+// NewStore lays out a checkpoint area at mem.CheckpointBase in nvm for up to
+// maxLines dirty lines per checkpoint (the cache capacity; 0 for
+// register-only systems like Clank).
+func NewStore(nvm *mem.NVM, maxLines int) *Store {
+	return &Store{nvm: nvm, maxLines: maxLines, seq: 1}
 }
 
 // Attach wires the store and its NVM to the run's clock, register source,
@@ -94,7 +93,7 @@ func (s *Store) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Counters, p
 func (s *Store) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) *Store {
 	nvm := s.nvm.Fork()
 	nvm.Attach(clk, c, nil)
-	return &Store{nvm: nvm, base: s.base, maxLines: s.maxLines, seq: s.seq,
+	return &Store{nvm: nvm, maxLines: s.maxLines, seq: s.seq,
 		regs: regs, c: c, lastCommit: s.lastCommit}
 }
 
@@ -114,7 +113,7 @@ func (s *Store) Release() { s.nvm.Release() }
 func (s *Store) slotWords() uint32 { return offLines + 2*uint32(s.maxLines) }
 
 func (s *Store) slotAddr(slot int, wordOff uint32) uint32 {
-	return s.base + uint32(slot)*s.slotWords()*4 + wordOff*4
+	return mem.CheckpointBase + uint32(slot)*s.slotWords()*4 + wordOff*4
 }
 
 // SizeBytes is the NVM footprint of the whole checkpoint area.

@@ -8,8 +8,6 @@ import (
 	"nacho/internal/sim"
 )
 
-const testBase = 0x000E_0000
-
 // regs is a register source whose snapshot the test sets.
 type regs struct{ snap sim.Snapshot }
 
@@ -60,13 +58,13 @@ type rig struct {
 
 func newRig(maxLines int, failAt uint64) *rig {
 	r := &rig{
-		nvm:  mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel()),
+		nvm:  mem.NewNVM(mem.NewSpace()),
 		clk:  &sim.TestClock{FailAt: failAt},
 		regs: &regs{snap: snap(0x100)},
 		c:    &metrics.Counters{},
 		rec:  &recorder{},
 	}
-	r.st = NewStore(r.nvm, testBase, maxLines)
+	r.st = NewStore(r.nvm, maxLines)
 	r.st.Attach(r.clk, r.regs, r.c, r.rec)
 	return r
 }
@@ -139,9 +137,9 @@ func TestInitAndRestore(t *testing.T) {
 }
 
 func TestRestoreWithoutInit(t *testing.T) {
-	nvm := mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel())
+	nvm := mem.NewNVM(mem.NewSpace())
 	nvm.Attach(&sim.TestClock{}, &metrics.Counters{}, nil)
-	if _, ok := NewStore(nvm, testBase, 0).Restore(); ok {
+	if _, ok := NewStore(nvm, 0).Restore(); ok {
 		t.Error("Restore succeeded on empty store")
 	}
 }
@@ -352,13 +350,12 @@ func TestTornCheckpointFallsBackByteForByte(t *testing.T) {
 
 	// Staging is offApplied + offNLines + snapshot words + (addr,data) per
 	// line; the commit sequence word is the very next NVM write. Every write
-	// advances the clock by the NVM cost BEFORE the data lands, so failing at
-	// any cycle in (stageEnd, stageEnd+cost] means staging is fully on NVM
-	// and the commit word is not.
-	cost := mem.DefaultCostModel().NVMCycles
+	// advances the clock by mem.NVMCycles BEFORE the data lands, so failing
+	// at any cycle in (stageEnd, commitEnd] means staging is fully on NVM and
+	// the commit word is not.
 	stagingWrites := uint64(2 + sim.SnapshotWords + 2*len(lines))
-	stageEnd := stagingWrites * cost
-	commitEnd := stageEnd + cost
+	stageEnd := stagingWrites * mem.NVMCycles
+	commitEnd := stageEnd + mem.NVMCycles
 
 	// Ground the arithmetic against the real write sequence once: the
 	// commit is announced when the sequence word lands.
@@ -404,12 +401,12 @@ func TestTornCheckpointFallsBackByteForByte(t *testing.T) {
 			}
 		}
 		check(homeAddr, homeAddr+8)
-		check(testBase, testBase+r.st.SizeBytes())
+		check(mem.CheckpointBase, mem.CheckpointBase+r.st.SizeBytes())
 	}
 }
 
 func TestSizeBytes(t *testing.T) {
-	s := NewStore(nil, testBase, 8)
+	s := NewStore(nil, 8)
 	want := uint32(2 * (offLines + 16) * 4)
 	if s.SizeBytes() != want {
 		t.Errorf("SizeBytes = %d, want %d", s.SizeBytes(), want)

@@ -11,16 +11,15 @@ import (
 // BenchmarkFullLoadHit measures a warm read hit through the sim.System
 // interface: the call both execution engines make for every cached load.
 func BenchmarkFullLoadHit(b *testing.B) {
-	nvm := mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel())
+	nvm := mem.NewNVM(mem.NewSpace())
 	k, err := New("bench", nvm, Options{
 		CacheSize: 512, Ways: 2, WARMode: WARCacheBits,
-		StackTop: 0x000A_0000, CheckpointBase: 0x000E_0000, Cost: mem.DefaultCostModel(),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var c metrics.Counters
-	k.Attach(&sim.TestClock{}, &fakeRegs{sp: 0x000A_0000}, &c, nil)
+	k.Attach(&sim.TestClock{}, &fakeRegs{sp: mem.StackTop}, &c, nil)
 	var sys sim.System = k
 	for a := uint32(0x1000); a < 0x1000+512; a += 4 {
 		sys.Store(a, 4, a)

@@ -57,12 +57,6 @@ type Options struct {
 	Ways          int // associativity
 	WARMode       WARMode
 	StackTracking bool
-	// StackTop is the initial stack pointer (stack grows down from here).
-	StackTop uint32
-	// CheckpointBase is the NVM address of the double-buffered checkpoint
-	// area; it must not overlap program text, data, or stack.
-	CheckpointBase uint32
-	Cost           mem.CostModel
 
 	// DirtyThreshold, when non-zero, enables the adaptive checkpointing
 	// policy sketched in paper Section 8: the controller proactively
@@ -120,9 +114,9 @@ func New(name string, nvm *mem.NVM, opts Options) (*Controller, error) {
 		opts:  opts,
 		cache: ch,
 		nvm:   nvm,
-		ckpt:  checkpoint.NewStore(nvm, opts.CheckpointBase, ch.NumLines()),
-		sp:    opts.StackTop,
-		spMin: opts.StackTop,
+		ckpt:  checkpoint.NewStore(nvm, ch.NumLines()),
+		sp:    mem.StackTop,
+		spMin: mem.StackTop,
 	}
 	if opts.WARMode == WARExact {
 		k.tracker = track.New()
@@ -205,7 +199,7 @@ func (k *Controller) Load(addr uint32, size int) uint32 {
 	if k.tracker != nil {
 		k.tracker.ObserveRead(addr, size)
 	}
-	k.clk.Advance(k.opts.Cost.HitCycles)
+	k.clk.Advance(mem.HitCycles)
 	return line.ReadData(addr, size)
 }
 
@@ -215,7 +209,7 @@ func (k *Controller) Store(addr uint32, size int, val uint32) {
 	if k.tracker != nil {
 		k.tracker.ObserveWrite(addr, size)
 	}
-	k.clk.Advance(k.opts.Cost.HitCycles)
+	k.clk.Advance(mem.HitCycles)
 	adaptive := false
 	if k.opts.DirtyThreshold > 0 && !line.Dirty {
 		k.dirtyCount++
@@ -415,7 +409,7 @@ func (k *Controller) PowerFailure() {
 	if k.tracker != nil {
 		k.tracker.Reset()
 	}
-	k.sp, k.spMin = k.opts.StackTop, k.opts.StackTop
+	k.sp, k.spMin = mem.StackTop, mem.StackTop
 	k.dirtyCount = 0
 }
 

@@ -14,11 +14,6 @@ import (
 	"nacho/internal/verify"
 )
 
-const (
-	testStackTop = 0x000A_0000
-	testCkptBase = 0x000E_0000
-)
-
 type fakeRegs struct{ sp uint32 }
 
 func (f *fakeRegs) RegSnapshot() sim.Snapshot {
@@ -38,11 +33,10 @@ type rig struct {
 
 func newRig(t *testing.T, cacheSize, ways int, war WARMode, stack bool) *rig {
 	t.Helper()
-	r := &rig{clk: &sim.TestClock{}, regs: fakeRegs{sp: testStackTop}}
-	r.nvm = mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel())
+	r := &rig{clk: &sim.TestClock{}, regs: fakeRegs{sp: mem.StackTop}}
+	r.nvm = mem.NewNVM(mem.NewSpace())
 	k, err := New("test", r.nvm, Options{
 		CacheSize: cacheSize, Ways: ways, WARMode: war, StackTracking: stack,
-		StackTop: testStackTop, CheckpointBase: testCkptBase, Cost: mem.DefaultCostModel(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,10 +248,10 @@ func TestNaiveModeCheckpointsEveryDirtyEviction(t *testing.T) {
 
 func TestStackTrackingDropsDeadFrames(t *testing.T) {
 	r := newRig(t, 4, 1, WARCacheBits, true)
-	frame := uint32(testStackTop - 16)
+	frame := uint32(mem.StackTop - 16)
 	r.k.NotifySP(frame)         // enter function
 	r.k.Store(frame, 4, 0xDEAD) // dirty stack line
-	r.k.NotifySP(testStackTop)  // return: frame dead
+	r.k.NotifySP(mem.StackTop)  // return: frame dead
 	r.k.Store(0x2000&^3, 4, 1)  // conflicting store evicts the stack line
 	if r.c.DroppedStackLines != 1 {
 		t.Fatalf("DroppedStackLines = %d, want 1", r.c.DroppedStackLines)
@@ -272,15 +266,15 @@ func TestStackTrackingDropsDeadFrames(t *testing.T) {
 
 func TestStackTrackingSpMinResetsAtCheckpoint(t *testing.T) {
 	r := newRig(t, 8, 1, WARCacheBits, true)
-	deep := uint32(testStackTop - 64)
+	deep := uint32(mem.StackTop - 64)
 	r.k.NotifySP(deep)
-	r.k.NotifySP(testStackTop) // spMin stays at deep
+	r.k.NotifySP(mem.StackTop) // spMin stays at deep
 	r.k.ForceCheckpoint()      // spMin resets to current sp
 	// A dirty line in the previously-dead region must now be preserved on
 	// eviction (it predates... it belongs to the new interval).
 	r.k.NotifySP(deep)
 	r.k.Store(deep, 4, 0xFEED)
-	r.k.NotifySP(testStackTop)
+	r.k.NotifySP(mem.StackTop)
 	// Dead again within THIS interval: spMin == deep, so it still drops.
 	r.k.Store(deep+4, 4, 1) // same set? force eviction via conflict:
 	r.k.Store(deep+32, 4, 2)
@@ -289,7 +283,7 @@ func TestStackTrackingSpMinResetsAtCheckpoint(t *testing.T) {
 
 func TestLiveStackLineNotDropped(t *testing.T) {
 	r := newRig(t, 4, 1, WARCacheBits, true)
-	frame := uint32(testStackTop - 16)
+	frame := uint32(mem.StackTop - 16)
 	r.k.NotifySP(frame)
 	r.k.Store(frame, 4, 0xBEEF) // live frame slot
 	r.k.Store(0x2000&^3, 4, 1)  // evicts it while still live
@@ -313,7 +307,7 @@ func TestPowerFailureInvalidatesCache(t *testing.T) {
 	if !ok {
 		t.Fatal("no checkpoint to restore")
 	}
-	if snap.Regs[1] != testStackTop {
+	if snap.Regs[1] != mem.StackTop {
 		t.Errorf("restored sp = %#x", snap.Regs[1])
 	}
 	if r.nvm.ReadRaw(0x1000, 4) != 7 {
@@ -372,7 +366,7 @@ func randomStream(t *testing.T, seed int64, invertPW bool) error {
 	}
 	r := newRig(t, cacheSize, ways, WARCacheBits, rng.Intn(2) == 0)
 	r.k.opts.TestInvertPW = invertPW
-	ver := verify.New(r.nvm.Space(), verify.Config{RollbackOnFailure: true, CheckWAR: true})
+	ver := verify.New(r.nvm.Space(), verify.Config{Rollback: true})
 	// Attaching again before the stream starts rewrites the same boot
 	// checkpoint.
 	r.attach(ver)
@@ -381,14 +375,14 @@ func randomStream(t *testing.T, seed int64, invertPW bool) error {
 	// freshly (re)allocated slot is always written before it is read
 	// (Section 3.3); conforming programs obey it, so the random stream does
 	// too via the initialized-slot set.
-	sp := uint32(testStackTop)
+	sp := uint32(mem.StackTop)
 	stackInit := map[uint32]bool{}
 	for i := 0; i < 30000; i++ {
 		switch rng.Intn(20) {
 		case 0: // checkpoint
 			r.k.ForceCheckpoint()
 		case 1: // push a frame
-			if sp > testStackTop-256 {
+			if sp > mem.StackTop-256 {
 				sp -= 16
 				for a := sp; a < sp+16; a += 4 {
 					delete(stackInit, a)
@@ -396,7 +390,7 @@ func randomStream(t *testing.T, seed int64, invertPW bool) error {
 				r.k.NotifySP(sp)
 			}
 		case 2: // pop a frame
-			if sp < testStackTop {
+			if sp < mem.StackTop {
 				sp += 16
 				r.k.NotifySP(sp)
 			}
@@ -404,7 +398,7 @@ func randomStream(t *testing.T, seed int64, invertPW bool) error {
 			size := []int{1, 2, 4}[rng.Intn(3)]
 			isRead := rng.Intn(2) == 0
 			var addr uint32
-			if rng.Intn(3) == 0 && sp < testStackTop {
+			if rng.Intn(3) == 0 && sp < mem.StackTop {
 				// Live stack access: word-granular, write-before-read.
 				size = 4
 				addr = sp + 4*uint32(rng.Intn(4))
@@ -449,7 +443,7 @@ func TestWARModeStrings(t *testing.T) {
 }
 
 func TestBadGeometryRejected(t *testing.T) {
-	nvm := mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel())
+	nvm := mem.NewNVM(mem.NewSpace())
 	if _, err := New("bad", nvm, Options{CacheSize: 100, Ways: 3}); err == nil {
 		t.Error("invalid geometry accepted")
 	}
@@ -478,7 +472,7 @@ func TestEqualState(t *testing.T) {
 		{"valid cache line", func(k *Controller) { k.cache.Probe(0x100).PW = true }},
 		{"LRU stamp", func(k *Controller) { k.cache.Touch(k.cache.Probe(0x100)) }},
 		{"tracker entry", func(k *Controller) { k.tracker.ObserveRead(0x400, 4) }},
-		{"checkpoint seq", func(k *Controller) { k.ckpt = checkpoint.NewStore(k.nvm, testCkptBase, k.cache.NumLines()) }},
+		{"checkpoint seq", func(k *Controller) { k.ckpt = checkpoint.NewStore(k.nvm, k.cache.NumLines()) }},
 		{"sp", func(k *Controller) { k.sp -= 4 }},
 		{"spMin", func(k *Controller) { k.spMin -= 4 }},
 		{"dirty count", func(k *Controller) { k.dirtyCount++ }},

@@ -10,11 +10,8 @@ import (
 
 func newRigOpts(t *testing.T, opts Options) *rig {
 	t.Helper()
-	r := &rig{clk: &sim.TestClock{}, regs: fakeRegs{sp: testStackTop}}
-	r.nvm = mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel())
-	opts.StackTop = testStackTop
-	opts.CheckpointBase = testCkptBase
-	opts.Cost = mem.DefaultCostModel()
+	r := &rig{clk: &sim.TestClock{}, regs: fakeRegs{sp: mem.StackTop}}
+	r.nvm = mem.NewNVM(mem.NewSpace())
 	k, err := New("test", r.nvm, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nacho/internal/compile"
+	"nacho/internal/mem"
 	"nacho/internal/power"
 )
 
@@ -111,12 +112,11 @@ func aotGuard(in guardInputs) (cycleGuard, instrGuard uint64) {
 // fetch error), or the program halts.
 func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) error {
 	var (
-		regs     = &m.regs
-		textBase = m.textBase
-		nCode    = uint32(len(code))
+		regs  = &m.regs
+		nCode = uint32(len(code))
 	)
 	pc := m.pc
-	off := pc - textBase
+	off := pc - mem.TextBase
 	if pc%4 != 0 || off>>2 >= nCode {
 		return m.stepChecked() // identical out-of-text fetch error
 	}
@@ -236,7 +236,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 			ins++
 			v := regs[op.Rs1] + op.Imm
 			regs[op.Rd] = v
-			if v < m.initialSP-stackGuard || v > m.initialSP {
+			if v < stackBottom || v > mem.StackTop {
 				m.stackFault = true
 			}
 			m.sys.NotifySP(v)
@@ -262,7 +262,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 				return nil
 			}
 			idx = op.Target
-			pc = textBase + op.Target*4
+			pc = mem.TextBase + op.Target*4
 
 		case compile.Jal:
 			cyc++
@@ -273,14 +273,14 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 				return nil
 			}
 			idx = op.Target
-			pc = textBase + op.Target*4
+			pc = mem.TextBase + op.Target*4
 
 		case compile.JmpReg:
 			cyc++
 			ins++
 			np := (regs[op.Rs1] + op.Imm) &^ 1
 			pc = np
-			if o := np - textBase; np%4 == 0 && o>>2 < nCode {
+			if o := np - mem.TextBase; np%4 == 0 && o>>2 < nCode {
 				idx = o >> 2
 			} else {
 				m.cycle, m.c.Instructions, m.pc = cyc, ins, np
@@ -293,7 +293,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 			np := (regs[op.Rs1] + op.Imm) &^ 1
 			regs[op.Rd] = pc + 4
 			pc = np
-			if o := np - textBase; np%4 == 0 && o>>2 < nCode {
+			if o := np - mem.TextBase; np%4 == 0 && o>>2 < nCode {
 				idx = o >> 2
 			} else {
 				m.cycle, m.c.Instructions, m.pc = cyc, ins, np
@@ -309,7 +309,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 					return nil
 				}
 				idx = op.Target
-				pc = textBase + op.Target*4
+				pc = mem.TextBase + op.Target*4
 			} else {
 				idx++
 				pc += 4
@@ -324,7 +324,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 					return nil
 				}
 				idx = op.Target
-				pc = textBase + op.Target*4
+				pc = mem.TextBase + op.Target*4
 			} else {
 				idx++
 				pc += 4
@@ -339,7 +339,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 					return nil
 				}
 				idx = op.Target
-				pc = textBase + op.Target*4
+				pc = mem.TextBase + op.Target*4
 			} else {
 				idx++
 				pc += 4
@@ -354,7 +354,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 					return nil
 				}
 				idx = op.Target
-				pc = textBase + op.Target*4
+				pc = mem.TextBase + op.Target*4
 			} else {
 				idx++
 				pc += 4
@@ -369,7 +369,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 					return nil
 				}
 				idx = op.Target
-				pc = textBase + op.Target*4
+				pc = mem.TextBase + op.Target*4
 			} else {
 				idx++
 				pc += 4
@@ -384,7 +384,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 					return nil
 				}
 				idx = op.Target
-				pc = textBase + op.Target*4
+				pc = mem.TextBase + op.Target*4
 			} else {
 				idx++
 				pc += 4
@@ -431,7 +431,7 @@ func (m *Machine) execAOT(code []compile.Inst, cycleGuard, instrGuard uint64) er
 				return nil
 			}
 			pc = m.pc
-			if o := pc - textBase; pc%4 == 0 && o>>2 < nCode {
+			if o := pc - mem.TextBase; pc%4 == 0 && o>>2 < nCode {
 				idx = o >> 2
 			} else {
 				return nil // the run loop reports the fetch error

@@ -102,12 +102,10 @@ type Machine struct {
 	regs [32]uint32
 	pc   uint32
 
-	text      []isa.Instr
-	prog      *compile.Program // AOT threaded-code IR (see Text)
-	engine    Engine           // the engine that runs (see Executed)
-	textBase  uint32
-	entry     uint32
-	initialSP uint32
+	text   []isa.Instr
+	prog   *compile.Program // AOT threaded-code IR (see Text)
+	engine Engine           // the engine that runs (see Executed)
+	entry  uint32
 
 	sys   sim.System
 	sched power.Schedule
@@ -151,11 +149,11 @@ var errPowerFail = errors.New("power failure")
 // forward-progress loss from ordinary program errors.
 var ErrCycleBudget = errors.New("cycle budget exceeded")
 
-// New creates a machine executing the pre-analyzed text segment at textBase,
-// starting at entry with the stack pointer at initialSP. The system is
-// attached (clock, registers, counters, cfg.Probe) and its boot checkpoint
-// initialized.
-func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Config) *Machine {
+// New creates a machine executing the pre-analyzed text segment at
+// mem.TextBase, starting at entry with the stack pointer at mem.StackTop.
+// The system is attached (clock, registers, counters, cfg.Probe) and its
+// boot checkpoint initialized.
+func New(sys sim.System, text *Text, entry uint32, cfg Config) *Machine {
 	if text == nil {
 		text = &Text{}
 	}
@@ -170,18 +168,16 @@ func New(sys sim.System, text *Text, textBase, entry, initialSP uint32, cfg Conf
 		cfg.MaxInstructions = defaultMaxInstructions
 	}
 	m := &Machine{
-		text:      text.Instrs,
-		prog:      text.prog,
-		engine:    Executed(cfg.Reference, cfg.Trace != nil),
-		textBase:  textBase,
-		entry:     entry,
-		initialSP: initialSP,
-		sys:       sys,
-		sched:     cfg.Schedule,
-		probe:     cfg.Probe,
-		trace:     cfg.Trace,
-		ver:       cfg.Verifier,
-		cfg:       cfg,
+		text:   text.Instrs,
+		prog:   text.prog,
+		engine: Executed(cfg.Reference, cfg.Trace != nil),
+		entry:  entry,
+		sys:    sys,
+		sched:  cfg.Schedule,
+		probe:  cfg.Probe,
+		trace:  cfg.Trace,
+		ver:    cfg.Verifier,
+		cfg:    cfg,
 	}
 	m.resetToEntry()
 	m.failEnabled = true
@@ -259,9 +255,9 @@ func (m *Machine) RegSnapshot() sim.Snapshot {
 
 func (m *Machine) resetToEntry() {
 	m.regs = [32]uint32{}
-	m.regs[isa.SP] = m.initialSP
+	m.regs[isa.SP] = mem.StackTop
 	m.pc = m.entry
-	m.sys.NotifySP(m.initialSP)
+	m.sys.NotifySP(mem.StackTop)
 }
 
 func (m *Machine) applySnapshot(s sim.Snapshot) {
@@ -515,17 +511,17 @@ func (m *Machine) reboot() {
 }
 
 func (m *Machine) fetch() (isa.Instr, error) {
-	off := m.pc - m.textBase
+	off := m.pc - mem.TextBase
 	if m.pc%4 != 0 || off/4 >= uint32(len(m.text)) {
 		return isa.Instr{}, fmt.Errorf("emu: pc 0x%08x outside text segment", m.pc)
 	}
 	return m.text[off/4], nil
 }
 
-// stackGuard is how far below the initial stack pointer the stack may grow
-// before the emulator reports an overflow (a program bug: the memory map
-// reserves this band between .data and the stack).
-const stackGuard = 0x8000
+// stackBottom is how far the stack may grow before the emulator reports an
+// overflow (a program bug: the memory map reserves mem.StackSize bytes
+// below mem.StackTop for the stack).
+const stackBottom = mem.StackTop - mem.StackSize
 
 func (m *Machine) setReg(r isa.Reg, v uint32) {
 	if r == isa.Zero {
@@ -533,7 +529,7 @@ func (m *Machine) setReg(r isa.Reg, v uint32) {
 	}
 	m.regs[r] = v
 	if r == isa.SP {
-		if v < m.initialSP-stackGuard || v > m.initialSP {
+		if v < stackBottom || v > mem.StackTop {
 			m.stackFault = true
 		}
 		m.sys.NotifySP(v)

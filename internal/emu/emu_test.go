@@ -12,25 +12,18 @@ import (
 	"nacho/internal/systems"
 )
 
-const (
-	textBase = 0x0001_0000
-	dataBase = 0x0002_0000
-	stackTop = 0x000A_0000
-	ckptBase = 0x000E_0000
-)
-
 // run assembles src and executes it on the given system kind.
 func run(t *testing.T, src string, kind systems.Kind, cfg emu.Config) (emu.Result, error) {
 	t.Helper()
 	space, text, entry := load(t, src)
-	return emu.New(build(t, kind, space), text, textBase, entry, stackTop, cfg).Run()
+	return emu.New(build(t, kind, space), text, entry, cfg).Run()
 }
 
 // load assembles src into a fresh space and returns the space, the decoded
 // text and the entry point.
 func load(t *testing.T, src string) (*mem.Space, *emu.Text, uint32) {
 	t.Helper()
-	prog, err := asm.Assemble(src, asm.Options{TextBase: textBase, DataBase: dataBase})
+	prog, err := asm.Assemble(src, asm.DefaultOptions())
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
@@ -38,7 +31,7 @@ func load(t *testing.T, src string) (*mem.Space, *emu.Text, uint32) {
 	var text []byte
 	for _, seg := range prog.Segments {
 		space.LoadBytes(seg.Addr, seg.Data)
-		if seg.Addr == textBase {
+		if seg.Addr == mem.TextBase {
 			text = seg.Data
 		}
 	}
@@ -53,10 +46,7 @@ func load(t *testing.T, src string) (*mem.Space, *emu.Text, uint32) {
 // every test here uses.
 func build(t *testing.T, kind systems.Kind, space *mem.Space) sim.System {
 	t.Helper()
-	sys, err := systems.Build(kind, space, systems.Config{
-		CacheSize: 64, Ways: 2, StackTop: stackTop, CheckpointBase: ckptBase,
-		Cost: mem.DefaultCostModel(),
-	})
+	sys, err := systems.Build(kind, space, systems.Config{CacheSize: 64, Ways: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,8 +442,8 @@ _start:
 	auipc a0, 0                # a0 = &_start
 ` + epilogue
 	res := mustRun(t, src)
-	if res.Result != textBase {
-		t.Errorf("auipc = %#x, want %#x", res.Result, uint32(textBase))
+	if res.Result != mem.TextBase {
+		t.Errorf("auipc = %#x, want %#x", res.Result, uint32(mem.TextBase))
 	}
 }
 

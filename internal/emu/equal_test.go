@@ -14,11 +14,11 @@ import (
 // different clocks when their cycle-valued fields keep the same distance
 // from them, and any single perturbed field makes them unequal.
 func TestEqualState(t *testing.T) {
-	sys, err := systems.Build(systems.KindVolatile, mem.NewSpace(), systems.Config{Cost: mem.DefaultCostModel()})
+	sys, err := systems.Build(systems.KindVolatile, mem.NewSpace(), systems.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(sys, nil, 0x1_0000, 0x1_0000, 0xA_0000, Config{ForcedCheckpointPeriod: 500})
+	m := New(sys, nil, mem.TextBase, Config{ForcedCheckpointPeriod: 500})
 	m.cycle, m.results, m.output = 1000, []uint32{7}, []byte("x")
 	m.regs[5] = 42
 	replicas := func() (*Machine, *Machine) {
@@ -67,7 +67,7 @@ func TestEqualState(t *testing.T) {
 func TestMachineAppliesEngineRule(t *testing.T) {
 	for _, reference := range []bool{false, true} {
 		for _, traced := range []bool{false, true} {
-			sys, err := systems.Build(systems.KindVolatile, mem.NewSpace(), systems.Config{Cost: mem.DefaultCostModel()})
+			sys, err := systems.Build(systems.KindVolatile, mem.NewSpace(), systems.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestMachineAppliesEngineRule(t *testing.T) {
 			if traced {
 				cfg.Trace = trace.NewRecorder(io.Discard)
 			}
-			m := New(sys, nil, 0x1_0000, 0x1_0000, 0xA_0000, cfg)
+			m := New(sys, nil, mem.TextBase, cfg)
 			if want := Executed(reference, traced); m.engine != want {
 				t.Errorf("New(reference=%v, traced=%v) runs on %q, want %q", reference, traced, m.engine, want)
 			}

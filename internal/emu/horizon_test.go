@@ -125,7 +125,7 @@ func mixedProgram() []isa.Instr {
 	}
 	var p []isa.Instr
 	p = append(p,
-		isa.Instr{Op: isa.LUI, Rd: x(6), Imm: 0x0002_0000},        // data base
+		isa.Instr{Op: isa.LUI, Rd: x(6), Imm: mem.DataBase},       // data base
 		isa.Instr{Op: isa.ADDI, Rd: x(7), Rs1: isa.Zero, Imm: -3}, // 0xFFFFFFFD
 	)
 	p = append(p, incs(8)...)
@@ -163,19 +163,11 @@ func mixedProgram() []isa.Instr {
 // mixedProgram.
 func horizonTestMachine(t *testing.T, kind systems.Kind, cfg Config) *Machine {
 	t.Helper()
-	const (
-		textBase = 0x0001_0000
-		stackTop = 0x000A_0000
-		ckptBase = 0x000E_0000
-	)
-	sys, err := systems.Build(kind, mem.NewSpace(), systems.Config{
-		CacheSize: 64, Ways: 2, StackTop: stackTop, CheckpointBase: ckptBase,
-		Cost: mem.DefaultCostModel(),
-	})
+	sys, err := systems.Build(kind, mem.NewSpace(), systems.Config{CacheSize: 64, Ways: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(sys, NewText(mixedProgram()), textBase, textBase, stackTop, cfg)
+	return New(sys, NewText(mixedProgram()), mem.TextBase, cfg)
 }
 
 // TestForcedCheckpointArithmeticNearOverflow runs both engines with the

@@ -79,7 +79,7 @@ func verifiedMachine(t *testing.T, kind systems.Kind, reference bool, c *corrupt
 	space, text, entry := load(t, storeLoadSrc)
 	ver := verify.New(space, systems.VerifyConfigFor(kind))
 	c.System = build(t, kind, space.Fork())
-	m := emu.New(c, text, textBase, entry, stackTop, emu.Config{Probe: ver, Verifier: ver, Reference: reference})
+	m := emu.New(c, text, entry, emu.Config{Probe: ver, Verifier: ver, Reference: reference})
 	return m, ver
 }
 

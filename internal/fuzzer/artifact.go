@@ -10,6 +10,7 @@ import (
 
 	"nacho/internal/asm"
 	"nacho/internal/emu"
+	"nacho/internal/mem"
 	"nacho/internal/program"
 	"nacho/internal/systems"
 )
@@ -51,9 +52,9 @@ func NewArtifact(f Finding, cfg Config) (*Artifact, error) {
 	}
 	var text, data []byte
 	for _, seg := range img.Segments {
-		if seg.Addr == program.TextBase {
+		if seg.Addr == mem.TextBase {
 			text = seg.Data
-		} else if seg.Addr == program.DataBase {
+		} else if seg.Addr == mem.DataBase {
 			data = seg.Data
 		}
 	}
@@ -99,9 +100,9 @@ func (a *Artifact) Image() (*program.Image, error) {
 	}
 	return &program.Image{
 		Program:  &program.Program{Name: fmt.Sprintf("artifact-seed%d", a.Seed), Description: "fuzz finding replay"},
-		Segments: []asm.Segment{{Addr: program.TextBase, Data: text}, {Addr: program.DataBase, Data: data}},
+		Segments: []asm.Segment{{Addr: mem.TextBase, Data: text}, {Addr: mem.DataBase, Data: data}},
 		Text:     decoded,
-		Entry:    program.TextBase,
+		Entry:    mem.TextBase,
 	}, nil
 }
 

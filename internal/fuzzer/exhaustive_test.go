@@ -79,7 +79,7 @@ func TestExhaustiveFullDensityForkBootEquivalence(t *testing.T) {
 		}
 	}
 	for _, kind := range kinds {
-		if systems.VerifyConfigFor(kind).RollbackOnFailure && reused[kind] == 0 {
+		if systems.VerifyConfigFor(kind).Rollback && reused[kind] == 0 {
 			t.Errorf("%s: no instant reused its class's outcome", kind)
 		}
 	}

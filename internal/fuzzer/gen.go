@@ -23,6 +23,7 @@ import (
 	"nacho/internal/asm"
 	"nacho/internal/emu"
 	"nacho/internal/isa"
+	"nacho/internal/mem"
 	"nacho/internal/program"
 )
 
@@ -98,7 +99,7 @@ type Prog struct {
 
 // Register conventions of rendered programs:
 //
-//	s0          buffer base (program.DataBase)
+//	s0          buffer base (mem.DataBase)
 //	s1, s2, s3  loop counters, by nesting depth
 //	t0-t6, a0-a7  scratch pool (Op.R/S/T index into this)
 //
@@ -339,15 +340,15 @@ func (r *renderer) renderFunc(body []Op) int {
 }
 
 // Render lowers the program to an executable image against the standard
-// memory layout: text at program.TextBase, the data buffer at
-// program.DataBase (deterministically initialized from the seed), entry at
+// memory layout: text at mem.TextBase, the data buffer at
+// mem.DataBase (deterministically initialized from the seed), entry at
 // the first text word. The halt sequence reports the current a0 through the
 // RESULT MMIO word and exits with status 0.
 func (p *Prog) Render() (*program.Image, error) {
 	params := p.Params.normalized()
 	r := &renderer{bufBytes: params.BufWords * 4, maxLoop: int64(params.MaxLoop)}
 
-	r.li(isa.S0, int32(program.DataBase))
+	r.li(isa.S0, int32(mem.DataBase))
 	r.renderOps(p.Ops, 0, false)
 	r.emit(isa.Instr{Op: isa.LUI, Rd: isa.T0, Imm: int32(emu.MMIOBase)})
 	r.emit(isa.Instr{Op: isa.SW, Rs1: isa.T0, Rs2: isa.A0, Imm: emu.ResultAddr - emu.MMIOBase})
@@ -388,9 +389,9 @@ func (p *Prog) Render() (*program.Image, error) {
 
 	return &program.Image{
 		Program:  &program.Program{Name: fmt.Sprintf("fuzz-seed%d", p.Seed), Description: "fuzzer-generated"},
-		Segments: []asm.Segment{{Addr: program.TextBase, Data: text}, {Addr: program.DataBase, Data: data}},
+		Segments: []asm.Segment{{Addr: mem.TextBase, Data: text}, {Addr: mem.DataBase, Data: data}},
 		Text:     decoded,
-		Entry:    program.TextBase,
+		Entry:    mem.TextBase,
 	}, nil
 }
 
@@ -402,7 +403,7 @@ func (p *Prog) Listing() ([]string, error) {
 	}
 	out := make([]string, img.Text.Len())
 	for i, in := range img.Text.Instrs {
-		out[i] = fmt.Sprintf("%08x: %s", program.TextBase+uint32(4*i), in)
+		out[i] = fmt.Sprintf("%08x: %s", mem.TextBase+uint32(4*i), in)
 	}
 	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"nacho/internal/emu"
-	"nacho/internal/mem"
 	"nacho/internal/metrics"
 	"nacho/internal/power"
 	"nacho/internal/program"
@@ -42,17 +41,11 @@ func mutantMachine(img *program.Image, kind systems.Kind, cfg Config, sched powe
 	if err != nil {
 		return nil, err
 	}
-	sys, err := systems.Build(kind, frozen.Fork(), systems.Config{
-		CacheSize:      cfg.CacheSize,
-		Ways:           cfg.Ways,
-		StackTop:       program.StackTop,
-		CheckpointBase: program.CheckpointBase,
-		Cost:           mem.DefaultCostModel(),
-	})
+	sys, err := systems.Build(kind, frozen.Fork(), systems.Config{CacheSize: cfg.CacheSize, Ways: cfg.Ways})
 	if err != nil {
 		return nil, err
 	}
-	return emu.New(keepVolatile{sys}, img.Text, program.TextBase, img.Entry, program.StackTop, emu.Config{
+	return emu.New(keepVolatile{sys}, img.Text, img.Entry, emu.Config{
 		Schedule:        sched,
 		MaxInstructions: fuzzMaxInstructions,
 		MaxCycles:       budget,

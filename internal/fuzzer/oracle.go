@@ -8,6 +8,7 @@ import (
 
 	"nacho/internal/emu"
 	"nacho/internal/harness"
+	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/sim"
@@ -150,7 +151,7 @@ func baseConfig(cfg Config) harness.RunConfig {
 func finalSegments(img *program.Image, m sim.MemReaderWriter) []segBytes {
 	var out []segBytes
 	for _, seg := range img.Segments {
-		if seg.Addr == program.TextBase {
+		if seg.Addr == mem.TextBase {
 			continue
 		}
 		b := make([]byte, len(seg.Data))

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"nacho/internal/emu"
+	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/systems"
@@ -227,7 +228,6 @@ func table2(tl *tally, benchmarks []string) (*Report, error) {
 		Note:   "periodic power failures; forced checkpoint every on-duration/2",
 		Header: append([]string{"on-duration"}, benchmarks...),
 	}
-	cost := DefaultRunConfig().Cost
 	for _, ms := range Table2OnDurationsMs {
 		row := []string{fmt.Sprintf("%g ms", ms)}
 		for _, name := range benchmarks {
@@ -240,7 +240,7 @@ func table2(tl *tally, benchmarks []string) (*Report, error) {
 				return nil, err
 			}
 			cfg := DefaultRunConfig()
-			period := cost.CyclesForMillis(ms)
+			period := mem.CyclesForMillis(ms)
 			cfg.Schedule = power.Periodic{Period: period}
 			cfg.ForcedCheckpointPeriod = period / 2
 			res, err := tl.get(p, systems.KindNACHO, cfg)

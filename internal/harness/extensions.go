@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nacho/internal/energy"
+	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/systems"
@@ -134,7 +135,6 @@ func extTable2Long(tl *tally, _ []string) (*Report, error) {
 		Note:   "periodic power failures; forced checkpoint every on-duration/2",
 		Header: append([]string{"on-duration"}, benchmarks...),
 	}
-	cost := DefaultRunConfig().Cost
 	base := map[string]float64{}
 	for _, name := range benchmarks {
 		p, ok := program.ByName(name)
@@ -152,7 +152,7 @@ func extTable2Long(tl *tally, _ []string) (*Report, error) {
 		for _, name := range benchmarks {
 			p, _ := program.ByName(name)
 			cfg := DefaultRunConfig()
-			period := cost.CyclesForMillis(ms)
+			period := mem.CyclesForMillis(ms)
 			cfg.Schedule = power.Periodic{Period: period}
 			cfg.ForcedCheckpointPeriod = period / 2
 			res, err := tl.get(p, systems.KindNACHO, cfg)
@@ -218,8 +218,7 @@ func extSeedVariance(tl *tally, benchmarks []string) (*Report, error) {
 		Note:   fmt.Sprintf("%d seeded-uniform schedules per benchmark; forced checkpoint every 2.5 ms", nSeeds),
 		Header: []string{"benchmark", "min", "mean", "max"},
 	}
-	cost := DefaultRunConfig().Cost
-	period := cost.CyclesForMillis(5)
+	period := mem.CyclesForMillis(5)
 	for _, name := range benchmarks {
 		p, ok := program.ByName(name)
 		if !ok {

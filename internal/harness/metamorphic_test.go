@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nacho/internal/harness"
+	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/systems"
@@ -25,7 +26,7 @@ func dataSections(t *testing.T, img *program.Image, kind systems.Kind, cfg harne
 	out := make(map[uint32][]byte)
 	m := sys.Mem()
 	for _, seg := range img.Segments {
-		if seg.Addr == program.TextBase {
+		if seg.Addr == mem.TextBase {
 			continue
 		}
 		b := make([]byte, len(seg.Data))

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/sim"
@@ -37,7 +36,6 @@ func TestIdentityCoversResultAffectingFields(t *testing.T) {
 		"ForcedCheckpointPeriod": func(c *RunConfig) { c.ForcedCheckpointPeriod = 500 },
 		"Verify":                 func(c *RunConfig) { c.Verify = false },
 		"MaxInstructions":        func(c *RunConfig) { c.MaxInstructions = 1 << 20 },
-		"Cost":                   func(c *RunConfig) { c.Cost.NVMCycles = 9 },
 		"DirtyThreshold":         func(c *RunConfig) { c.DirtyThreshold = 8 },
 		"EnergyPrediction":       func(c *RunConfig) { c.EnergyPrediction = true },
 		"MaxCycles":              func(c *RunConfig) { c.MaxCycles = 1 << 21 },
@@ -68,22 +66,6 @@ func TestIdentityCoversResultAffectingFields(t *testing.T) {
 		} else {
 			t.Errorf("RunConfig field %s is on neither list: add it to the identity and affects, or to invariant", name)
 		}
-	}
-
-	costFields := reflect.TypeOf(mem.CostModel{})
-	for i := 0; i < costFields.NumField(); i++ {
-		cfg := DefaultRunConfig()
-		f := reflect.ValueOf(&cfg.Cost).Elem().Field(i)
-		f.SetUint(f.Uint() + 1)
-		if identity(img, systems.KindNACHO, cfg, true) == base {
-			t.Errorf("CostModel.%s does not contribute to the run identity", costFields.Field(i).Name)
-		}
-	}
-	// A zero Cost runs under the default model, so it is the same run.
-	zeroCost := DefaultRunConfig()
-	zeroCost.Cost = mem.CostModel{}
-	if identity(img, systems.KindNACHO, zeroCost, true) != base {
-		t.Error("a zero Cost keys apart from the default model it runs under")
 	}
 
 	if identity(img, systems.KindClank, DefaultRunConfig(), true) == base {

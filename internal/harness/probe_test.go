@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nacho/internal/harness"
+	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/sim"
@@ -157,7 +158,7 @@ func TestCommitCountersMatchUnderFailures(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/threshold=%d/predict=%v", v.kind, v.threshold, v.predict), func(t *testing.T) {
 			t.Parallel()
 			cfg := harness.DefaultRunConfig()
-			period := cfg.Cost.CyclesForMillis(0.05)
+			period := mem.CyclesForMillis(0.05)
 			cfg.Schedule = power.Periodic{Period: period}
 			cfg.ForcedCheckpointPeriod = period / 2
 			cfg.DirtyThreshold, cfg.EnergyPrediction = v.threshold, v.predict

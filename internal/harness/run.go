@@ -33,7 +33,6 @@ type RunConfig struct {
 	Verify bool
 	// MaxInstructions overrides the emulator's runaway guard (0 = default).
 	MaxInstructions uint64
-	Cost            mem.CostModel
 
 	// DirtyThreshold and EnergyPrediction enable the Section 8 extension
 	// policies on NACHO-family systems (see systems.Config).
@@ -70,9 +69,9 @@ type RunConfig struct {
 }
 
 // DefaultRunConfig is the paper's headline configuration: a 2-way 512 B
-// cache with the Section 5.2 cost model, verification on.
+// cache, verification on.
 func DefaultRunConfig() RunConfig {
-	return RunConfig{CacheSize: 512, Ways: 2, Verify: true, Cost: mem.DefaultCostModel()}
+	return RunConfig{CacheSize: 512, Ways: 2, Verify: true}
 }
 
 // observed reports whether the run carries a trace or a probe. The caller
@@ -82,16 +81,12 @@ func DefaultRunConfig() RunConfig {
 func (cfg RunConfig) observed() bool { return cfg.Trace != nil || cfg.Probe != nil }
 
 // identity is the one description of a run's identity: every RunConfig field
-// that can change the result, with the zero Cost read as the default model
-// the run executes under, plus the image, the system and the golden check.
-// The fields that cannot change results — Trace, Probe, Reference and Span —
-// stay out (TestIdentityCoversResultAffectingFields). It keys the
+// that can change the result, plus the image, the system and the golden
+// check. The fields that cannot change results — Trace, Probe, Reference and
+// Span — stay out (TestIdentityCoversResultAffectingFields). It keys the
 // in-process run cache, its digest names the run's store object, and it
 // fills the ledger's identity columns.
 func identity(img *program.Image, kind systems.Kind, cfg RunConfig, checkGolden bool) store.Key {
-	if cfg.Cost == (mem.CostModel{}) {
-		cfg.Cost = mem.DefaultCostModel()
-	}
 	schedule := "none"
 	if cfg.Schedule != nil {
 		schedule = cfg.Schedule.Key()
@@ -109,9 +104,6 @@ func identity(img *program.Image, kind systems.Kind, cfg RunConfig, checkGolden 
 		FinalFlush:             cfg.FinalFlush,
 		Verify:                 cfg.Verify,
 		CheckGolden:            checkGolden,
-		ClockHz:                cfg.Cost.ClockHz,
-		HitCycles:              cfg.Cost.HitCycles,
-		NVMCycles:              cfg.Cost.NVMCycles,
 		DirtyThreshold:         cfg.DirtyThreshold,
 		EnergyPrediction:       cfg.EnergyPrediction,
 	}
@@ -177,9 +169,6 @@ func RunImageSys(img *program.Image, kind systems.Kind, cfg RunConfig, checkGold
 // execute runs the request's simulation and appends its ledger record.
 func (r *request) execute() (emu.Result, sim.System, error) {
 	img, kind, cfg := r.img, r.kind, r.cfg
-	if cfg.Cost == (mem.CostModel{}) {
-		cfg.Cost = mem.DefaultCostModel()
-	}
 	frozen, err := img.FrozenSpace()
 	if err != nil {
 		return emu.Result{}, nil, err
@@ -260,16 +249,13 @@ func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg R
 	sys, err := systems.Build(kind, space, systems.Config{
 		CacheSize:        cfg.CacheSize,
 		Ways:             cfg.Ways,
-		StackTop:         program.StackTop,
-		CheckpointBase:   program.CheckpointBase,
-		Cost:             cfg.Cost,
 		DirtyThreshold:   cfg.DirtyThreshold,
 		EnergyPrediction: cfg.EnergyPrediction,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	machine := emu.New(sys, img.Text, program.TextBase, img.Entry, program.StackTop, emu.Config{
+	machine := emu.New(sys, img.Text, img.Entry, emu.Config{
 		Schedule:               cfg.Schedule,
 		ForcedCheckpointPeriod: cfg.ForcedCheckpointPeriod,
 		MaxInstructions:        cfg.MaxInstructions,
@@ -289,9 +275,6 @@ func newMachineOn(space *mem.Space, img *program.Image, kind systems.Kind, cfg R
 // The snapshot-fork explorer uses BuildMachine as its machine factory,
 // owning the run loop itself.
 func BuildMachine(img *program.Image, kind systems.Kind, cfg RunConfig) (*emu.Machine, sim.System, error) {
-	if cfg.Cost == (mem.CostModel{}) {
-		cfg.Cost = mem.DefaultCostModel()
-	}
 	frozen, err := img.FrozenSpace()
 	if err != nil {
 		return nil, nil, err

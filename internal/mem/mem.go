@@ -1,6 +1,7 @@
 // Package mem implements the physical memory substrate: a sparse 32-bit byte-
 // addressable space, the non-volatile main-memory model with access counting,
-// and the access cost model of paper Section 5.2.
+// and the machine constants: the access cost model of paper Section 5.2 and
+// the memory map.
 package mem
 
 import (
@@ -14,24 +15,25 @@ import (
 	"nacho/internal/sim"
 )
 
-// CostModel holds the latency parameters from paper Section 5.2: a 50 MHz
-// core, a 2-cycle data-cache (SRAM) access, and a 6-cycle NVM access
-// (125 ns rounded down).
-type CostModel struct {
-	ClockHz   uint64 // processor frequency
-	HitCycles uint64 // data-cache hit / SRAM access latency
-	NVMCycles uint64 // NVM word access latency
-}
+// The machine of the paper's evaluation, the one this repository simulates:
+// the Section 5.2 cost model and the memory map every program is built for
+// (DESIGN.md §4). These constants are its one definition.
+const (
+	ClockHz   = 50_000_000 // processor frequency
+	HitCycles = 2          // data-cache hit / SRAM access latency
+	NVMCycles = 6          // NVM word access latency (125 ns rounded down)
 
-// DefaultCostModel returns the paper's evaluation parameters.
-func DefaultCostModel() CostModel {
-	return CostModel{ClockHz: 50_000_000, HitCycles: 2, NVMCycles: 6}
-}
+	TextBase       = 0x0001_0000 // load address of .text
+	DataBase       = 0x0002_0000 // load address of .data
+	StackTop       = 0x000A_0000 // initial stack pointer; the stack grows down
+	StackSize      = 0x8000      // the band below StackTop the stack may use
+	CheckpointBase = 0x000E_0000 // the double-buffered checkpoint area in NVM
+)
 
-// CyclesForMillis converts milliseconds of on-time to cycles at the model's
-// clock (used for power-failure schedules, Section 6.1.4).
-func (m CostModel) CyclesForMillis(ms float64) uint64 {
-	return uint64(ms * float64(m.ClockHz) / 1000)
+// CyclesForMillis converts milliseconds of on-time to cycles at ClockHz
+// (used for power-failure schedules, Section 6.1.4).
+func CyclesForMillis(ms float64) uint64 {
+	return uint64(ms * ClockHz / 1000)
 }
 
 // The page table. A Space maps every 32-bit address through two levels: a
@@ -364,7 +366,6 @@ func (s *Space) Equal(o *Space) (uint32, bool) {
 // survive power failures by construction (nothing clears them).
 type NVM struct {
 	space *Space
-	cost  CostModel
 	clk   sim.Clock
 	c     *metrics.Counters
 	probe sim.Probe
@@ -373,8 +374,8 @@ type NVM struct {
 // NewNVM wraps a space with the paper's NVM latency and accounting. The
 // clock, counters and probe are attached later via Attach (systems are
 // constructed before the emulator exists).
-func NewNVM(space *Space, cost CostModel) *NVM {
-	return &NVM{space: space, cost: cost}
+func NewNVM(space *Space) *NVM {
+	return &NVM{space: space}
 }
 
 // Attach binds the NVM to a simulation clock and counter set, and p (nil
@@ -398,7 +399,7 @@ func (n *NVM) Now() uint64 {
 func (n *NVM) Read(addr uint32, size int) uint32 {
 	n.c.NVMReads++
 	n.c.NVMReadBytes += uint64(size)
-	n.clk.Advance(n.cost.NVMCycles)
+	n.clk.Advance(NVMCycles)
 	if n.probe != nil {
 		n.probe.OnNVM(sim.NVMEvent{Cycle: n.clk.Now(), Addr: addr, Bytes: size})
 	}
@@ -409,18 +410,18 @@ func (n *NVM) Read(addr uint32, size int) uint32 {
 func (n *NVM) Write(addr uint32, size int, val uint32) {
 	n.c.NVMWrites++
 	n.c.NVMWriteBytes += uint64(size)
-	n.clk.Advance(n.cost.NVMCycles)
+	n.clk.Advance(NVMCycles)
 	if n.probe != nil {
 		n.probe.OnNVM(sim.NVMEvent{Cycle: n.clk.Now(), Addr: addr, Bytes: size, Write: true})
 	}
 	n.space.Write(addr, size, val)
 }
 
-// Fork returns an NVM over a copy-on-write fork of the space, with the same
-// cost model but no clock, counters, or probe: the forking system attaches
-// it to the forked machine's clock and counter set.
+// Fork returns an NVM over a copy-on-write fork of the space, with no clock,
+// counters, or probe: the forking system attaches it to the forked
+// machine's clock and counter set.
 func (n *NVM) Fork() *NVM {
-	return &NVM{space: n.space.Fork(), cost: n.cost}
+	return &NVM{space: n.space.Fork()}
 }
 
 // Release gives the NVM's space back (Space.Release) once its owner is done
@@ -450,9 +451,6 @@ func (n *NVM) FirstDiff(addr uint32, want []byte) int { return n.space.FirstDiff
 
 // Space exposes the underlying space (verifier comparisons).
 func (n *NVM) Space() *Space { return n.space }
-
-// Cost returns the NVM's cost model.
-func (n *NVM) Cost() CostModel { return n.cost }
 
 // AlignmentError reports a misaligned or invalid-size access; the emulator
 // treats it as a program bug and aborts the run.

@@ -200,7 +200,7 @@ func TestCloneAndEqual(t *testing.T) {
 func TestNVMAccountingAndLatency(t *testing.T) {
 	clk := &sim.TestClock{}
 	var c metrics.Counters
-	n := NewNVM(NewSpace(), DefaultCostModel())
+	n := NewNVM(NewSpace())
 	n.Attach(clk, &c, nil)
 
 	n.Write(0x40, 4, 123)
@@ -222,7 +222,7 @@ func TestNVMAccountingAndLatency(t *testing.T) {
 func TestNVMAsyncWriteUncharged(t *testing.T) {
 	clk := &sim.TestClock{}
 	var c metrics.Counters
-	n := NewNVM(NewSpace(), DefaultCostModel())
+	n := NewNVM(NewSpace())
 	n.Attach(clk, &c, nil)
 	n.WriteAsync(0x80, 4, 7)
 	if clk.Cycle != 0 {
@@ -239,7 +239,7 @@ func TestNVMAsyncWriteUncharged(t *testing.T) {
 func TestNVMRawUncounted(t *testing.T) {
 	clk := &sim.TestClock{}
 	var c metrics.Counters
-	n := NewNVM(NewSpace(), DefaultCostModel())
+	n := NewNVM(NewSpace())
 	n.Attach(clk, &c, nil)
 	n.WriteRaw(0x10, 4, 9)
 	if n.ReadRaw(0x10, 4) != 9 {
@@ -276,19 +276,6 @@ func TestCheckAligned(t *testing.T) {
 		if ae.Error() == "" {
 			t.Error("empty error string")
 		}
-	}
-}
-
-func TestCostModelCycles(t *testing.T) {
-	m := DefaultCostModel()
-	if m.ClockHz != 50_000_000 || m.HitCycles != 2 || m.NVMCycles != 6 {
-		t.Errorf("unexpected default cost model: %+v", m)
-	}
-	if got := m.CyclesForMillis(5); got != 250_000 {
-		t.Errorf("CyclesForMillis(5) = %d, want 250000", got)
-	}
-	if got := m.CyclesForMillis(0.5); got != 25_000 {
-		t.Errorf("CyclesForMillis(0.5) = %d, want 25000", got)
 	}
 }
 

@@ -25,15 +25,15 @@ func TestFrozenSpaceLoadsOnce(t *testing.T) {
 	if b, _ := img.FrozenSpace(); b != a {
 		t.Fatal("FrozenSpace loaded the image twice")
 	}
-	if got := a.Read(DataBase, 4); got != 0x11223344 {
+	if got := a.Read(mem.DataBase, 4); got != 0x11223344 {
 		t.Fatalf("data word = %#x, want 0x11223344", got)
 	}
 	for _, c := range []struct {
 		addr uint32
 		want string
 	}{
-		{StackTop - 0x100, "overlaps the stack region"},
-		{CheckpointBase, "overlaps the checkpoint area"},
+		{mem.StackTop - 0x100, "overlaps the stack region"},
+		{mem.CheckpointBase, "overlaps the checkpoint area"},
 	} {
 		bad := &Image{Program: img.Program, Segments: []asm.Segment{{Addr: c.addr, Data: make([]byte, 8)}}}
 		if _, err := bad.FrozenSpace(); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -32,14 +32,6 @@ import (
 	"nacho/internal/mem"
 )
 
-// Memory layout shared by all benchmarks (see DESIGN.md).
-const (
-	TextBase       = 0x0001_0000
-	DataBase       = 0x0002_0000
-	StackTop       = 0x000A_0000
-	CheckpointBase = 0x000E_0000
-)
-
 // header is prepended to every benchmark source: MMIO addresses and the
 // xorshift32 PRNG step used for input generation.
 //
@@ -148,15 +140,15 @@ func (img *Image) FrozenSpace() (*mem.Space, error) {
 }
 
 // load loads the segments into a fresh space. The image must stay clear of
-// the stack guard band and the checkpoint area (see the memory map above).
+// the stack band and the checkpoint area of the memory map (package mem).
 func (img *Image) load() (*mem.Space, error) {
 	space := mem.NewSpace()
 	for _, seg := range img.Segments {
 		end := seg.Addr + uint32(len(seg.Data))
-		if seg.Addr < StackTop && end > StackTop-0x8000 {
+		if seg.Addr < mem.StackTop && end > mem.StackTop-mem.StackSize {
 			return nil, fmt.Errorf("%s: segment [%#x,%#x) overlaps the stack region", img.Program.Name, seg.Addr, end)
 		}
-		if end > CheckpointBase && seg.Addr < CheckpointBase+0x10000 {
+		if end > mem.CheckpointBase && seg.Addr < mem.CheckpointBase+0x10000 {
 			return nil, fmt.Errorf("%s: segment [%#x,%#x) overlaps the checkpoint area", img.Program.Name, seg.Addr, end)
 		}
 		space.LoadBytes(seg.Addr, seg.Data)
@@ -177,13 +169,13 @@ func (p *Program) Build() (*Image, error) {
 	if img, ok := buildCache[p.Name]; ok {
 		return img, nil
 	}
-	prog, err := asm.Assemble(p.Source(), asm.Options{TextBase: TextBase, DataBase: DataBase})
+	prog, err := asm.Assemble(p.Source(), asm.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("program %s: %w", p.Name, err)
 	}
 	var text *emu.Text
 	for _, seg := range prog.Segments {
-		if seg.Addr == TextBase {
+		if seg.Addr == mem.TextBase {
 			text, err = emu.DecodeText(seg.Data)
 			if err != nil {
 				return nil, fmt.Errorf("program %s: %w", p.Name, err)
@@ -259,13 +251,13 @@ func All() []*Program {
 // benchmark header (PRNG, MMIO symbols) is not prepended. The returned
 // image has no reference checksum.
 func FromSource(name, source string) (*Image, error) {
-	prog, err := asm.Assemble(source, asm.Options{TextBase: TextBase, DataBase: DataBase})
+	prog, err := asm.Assemble(source, asm.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("program %s: %w", name, err)
 	}
 	var text *emu.Text
 	for _, seg := range prog.Segments {
-		if seg.Addr == TextBase {
+		if seg.Addr == mem.TextBase {
 			text, err = emu.DecodeText(seg.Data)
 			if err != nil {
 				return nil, fmt.Errorf("program %s: %w", name, err)

@@ -3,6 +3,10 @@ package program
 import (
 	"strings"
 	"testing"
+
+	"nacho/internal/asm"
+	"nacho/internal/emu"
+	"nacho/internal/mem"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -23,6 +27,25 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		if !strings.Contains(p.Source(), "_start") {
 			t.Errorf("%s source lacks _start", p.Name)
+		}
+	}
+}
+
+// TestHeaderMMIOMatchesEmulator ties the benchmark header's MMIO symbols to
+// the emulator's MMIO words: the header is a string literal, so nothing else
+// notices when the two drift apart.
+func TestHeaderMMIOMatchesEmulator(t *testing.T) {
+	prog, err := asm.Assemble(header+"_start:\n ebreak\n", asm.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]uint32{
+		"MMIO_EXIT":   emu.ExitAddr,
+		"MMIO_RESULT": emu.ResultAddr,
+		"MMIO_PUTC":   emu.PutcharAddr,
+	} {
+		if got, ok := prog.Symbol(name); !ok || got != want {
+			t.Errorf("header %s = %#x (defined: %v), want %#x", name, got, ok, want)
 		}
 	}
 }
@@ -105,7 +128,7 @@ func TestFromSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Entry != TextBase || img.Text.Len() != 1 {
+	if img.Entry != mem.TextBase || img.Text.Len() != 1 {
 		t.Errorf("image: entry=%#x text=%d", img.Entry, img.Text.Len())
 	}
 	if _, err := FromSource("bad", "_start:\n bogus\n"); err == nil {
@@ -153,10 +176,10 @@ func TestSegmentsWithinMemoryMap(t *testing.T) {
 		}
 		for _, seg := range img.Segments {
 			end := seg.Addr + uint32(len(seg.Data))
-			if seg.Addr == TextBase && end > DataBase {
+			if seg.Addr == mem.TextBase && end > mem.DataBase {
 				t.Errorf("%s: text overflows into data (%#x)", p.Name, end)
 			}
-			if seg.Addr == DataBase && end > StackTop-0x10000 {
+			if seg.Addr == mem.DataBase && end > mem.StackTop-0x10000 {
 				t.Errorf("%s: data too close to the stack (%#x)", p.Name, end)
 			}
 		}

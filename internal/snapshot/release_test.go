@@ -86,17 +86,11 @@ func countingFactory(img *program.Image, kind systems.Kind, maxCycles uint64, l 
 		if err != nil {
 			return nil, err
 		}
-		sys, err := systems.Build(kind, frozen.Fork(), systems.Config{
-			CacheSize:      64,
-			Ways:           2,
-			StackTop:       program.StackTop,
-			CheckpointBase: program.CheckpointBase,
-			Cost:           mem.DefaultCostModel(),
-		})
+		sys, err := systems.Build(kind, frozen.Fork(), systems.Config{CacheSize: 64, Ways: 2})
 		if err != nil {
 			return nil, err
 		}
-		return emu.New(l.wrap(sys), img.Text, program.TextBase, img.Entry, program.StackTop, emu.Config{
+		return emu.New(l.wrap(sys), img.Text, img.Entry, emu.Config{
 			Schedule:        sched,
 			Probe:           probe,
 			FinalFlush:      true,
@@ -144,7 +138,7 @@ func TestExploreReleasesEveryFork(t *testing.T) {
 				n := 0
 				stats, err := snapshot.Explore(countingFactory(img, kind, tc.maxCycles, &l), snapshot.Options{Windows: 2, Stride: 61}, func(o snapshot.Outcome) bool {
 					n++
-					_ = o.Sys.Mem().ReadRaw(program.CheckpointBase, 4)
+					_ = o.Sys.Mem().ReadRaw(mem.CheckpointBase, 4)
 					return n != tc.stopAt
 				})
 				if err != nil {

@@ -15,6 +15,7 @@ import (
 
 	"nacho/internal/emu"
 	"nacho/internal/harness"
+	"nacho/internal/mem"
 	"nacho/internal/power"
 	"nacho/internal/program"
 	"nacho/internal/sim"
@@ -52,7 +53,7 @@ func nvmDiff(t *testing.T, img *program.Image, got, want sim.System, instant uin
 	t.Helper()
 	gm, wm := got.Mem(), want.Mem()
 	for _, seg := range img.Segments {
-		if seg.Addr == program.TextBase {
+		if seg.Addr == mem.TextBase {
 			continue
 		}
 		for i := range seg.Data {

@@ -16,7 +16,7 @@ import (
 // the key serialization — or anything about the simulation that the key
 // cannot see — changes meaning, so stale stores turn into clean misses
 // instead of serving results computed under different semantics.
-const KeyVersion = 3
+const KeyVersion = 4
 
 // Key is the complete, serializable identity of one run: everything that can
 // influence the simulation result, and nothing that cannot. The harness
@@ -42,11 +42,6 @@ type Key struct {
 	FinalFlush             bool   `json:"final_flush"`
 	Verify                 bool   `json:"verify"`
 	CheckGolden            bool   `json:"check_golden"`
-
-	// Cost model (mem.CostModel), flattened so the serialization is stable.
-	ClockHz   uint64 `json:"clock_hz"`
-	HitCycles uint64 `json:"hit_cycles"`
-	NVMCycles uint64 `json:"nvm_cycles"`
 
 	DirtyThreshold   int  `json:"dirty_threshold"`
 	EnergyPrediction bool `json:"energy_prediction"`
@@ -95,9 +90,6 @@ func (k *Key) appendCanonical(buf []byte) []byte {
 	boolean("final_flush", k.FinalFlush)
 	boolean("verify", k.Verify)
 	boolean("check_golden", k.CheckGolden)
-	num("clock_hz", k.ClockHz)
-	num("hit_cycles", k.HitCycles)
-	num("nvm_cycles", k.NVMCycles)
 	sint("dirty_threshold", k.DirtyThreshold)
 	boolean("energy_prediction", k.EnergyPrediction)
 	return append(buf, '}')

@@ -25,9 +25,6 @@ func testKey() Key {
 		FinalFlush:             false,
 		Verify:                 true,
 		CheckGolden:            true,
-		ClockHz:                50_000_000,
-		HitCycles:              2,
-		NVMCycles:              6,
 		DirtyThreshold:         0,
 		EnergyPrediction:       false,
 	}
@@ -54,7 +51,7 @@ func testEntry(k Key) *Entry {
 // serialization, and therefore every existing store, silently drifting is
 // exactly what this constant is here to catch. If this test fails you have
 // changed the store format — bump KeyVersion and regenerate the constant.
-const goldenDigest = "d24a630fa30da7534c3e36b80820bda7c440f3bb438d2a702337656d62541de8"
+const goldenDigest = "98fdadb76da8aae875fc7883d21c1e91bdcee6677896d4183332da01117db77e"
 
 func TestGoldenDigest(t *testing.T) {
 	k := testKey()
@@ -90,9 +87,6 @@ func TestDigestSensitivity(t *testing.T) {
 		"FinalFlush":             func(k *Key) { k.FinalFlush = true },
 		"Verify":                 func(k *Key) { k.Verify = false },
 		"CheckGolden":            func(k *Key) { k.CheckGolden = false },
-		"ClockHz":                func(k *Key) { k.ClockHz = 100_000_000 },
-		"HitCycles":              func(k *Key) { k.HitCycles = 3 },
-		"NVMCycles":              func(k *Key) { k.NVMCycles = 9 },
 		"DirtyThreshold":         func(k *Key) { k.DirtyThreshold = 8 },
 		"EnergyPrediction":       func(k *Key) { k.EnergyPrediction = true },
 	}
@@ -383,7 +377,7 @@ func TestCanonicalFormStable(t *testing.T) {
 	want := fmt.Sprintf(`{"v":%d,"program":"aes","image_hash":"%s","system":"nacho",`+
 		`"cache":512,"ways":2,"schedule":"none","forced_period":0,`+
 		`"max_instructions":0,"max_cycles":0,"final_flush":false,"verify":true,"check_golden":true,`+
-		`"clock_hz":50000000,"hit_cycles":2,"nvm_cycles":6,"dirty_threshold":0,"energy_prediction":false}`,
+		`"dirty_threshold":0,"energy_prediction":false}`,
 		KeyVersion, k.ImageHash)
 	if got := k.Canonical(); got != want {
 		t.Fatalf("canonical form drifted:\n got %s\nwant %s", got, want)

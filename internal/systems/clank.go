@@ -20,12 +20,11 @@ type Clank struct {
 	tracker *track.Tracker
 }
 
-// NewClank builds the baseline over the given NVM. checkpointBase locates
-// the double-buffered register checkpoint area.
-func NewClank(nvm *mem.NVM, checkpointBase uint32) *Clank {
+// NewClank builds the baseline over the given NVM.
+func NewClank(nvm *mem.NVM) *Clank {
 	return &Clank{
 		nvm:     nvm,
-		ckpt:    checkpoint.NewStore(nvm, checkpointBase, 0),
+		ckpt:    checkpoint.NewStore(nvm, 0),
 		tracker: track.New(),
 	}
 }

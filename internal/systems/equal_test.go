@@ -42,7 +42,7 @@ func TestEqualState(t *testing.T) {
 			{"tracker entry", func(_ *testing.T, s sim.System) { s.(*Clank).tracker.ObserveRead(0x400, 4) }},
 			{"checkpoint seq", func(_ *testing.T, s sim.System) {
 				k := s.(*Clank)
-				k.ckpt = checkpoint.NewStore(k.nvm, testCkptBase, 0)
+				k.ckpt = checkpoint.NewStore(k.nvm, 0)
 			}},
 		},
 		KindPROWL: {nvmWord,
@@ -51,7 +51,7 @@ func TestEqualState(t *testing.T) {
 			{"LRU stamp", func(_ *testing.T, s sim.System) { s.(*PROWL).stamp++ }},
 			{"checkpoint seq", func(_ *testing.T, s sim.System) {
 				p := s.(*PROWL)
-				p.ckpt = checkpoint.NewStore(p.nvm, testCkptBase, 2*p.numSets)
+				p.ckpt = checkpoint.NewStore(p.nvm, 2*p.numSets)
 			}},
 		},
 		KindReplayCache: {nvmWord,
@@ -63,7 +63,7 @@ func TestEqualState(t *testing.T) {
 			{"tracker entry", func(_ *testing.T, s sim.System) { s.(*ReplayCache).tracker.ObserveWrite(0x400, 4) }},
 			{"checkpoint seq", func(_ *testing.T, s sim.System) {
 				r := s.(*ReplayCache)
-				r.ckpt = checkpoint.NewStore(r.nvm, testCkptBase, 0)
+				r.ckpt = checkpoint.NewStore(r.nvm, 0)
 			}},
 			{"region sequence", func(_ *testing.T, s sim.System) { s.(*ReplayCache).regionSeq++ }},
 			{"region start relative to the clock", func(_ *testing.T, s sim.System) { s.(*ReplayCache).regionStart-- }},
@@ -82,7 +82,7 @@ func TestEqualState(t *testing.T) {
 			{"tracker entry", func(_ *testing.T, s sim.System) { s.(*WriteThrough).tracker.ObserveRead(0x400, 4) }},
 			{"checkpoint seq", func(_ *testing.T, s sim.System) {
 				w := s.(*WriteThrough)
-				w.ckpt = checkpoint.NewStore(w.nvm, testCkptBase, 0)
+				w.ckpt = checkpoint.NewStore(w.nvm, 0)
 			}},
 		},
 	}

@@ -36,14 +36,13 @@ type PROWL struct {
 
 	nvm  *mem.NVM
 	ckpt *checkpoint.Store
-	cost mem.CostModel
 
 	clk sim.Clock
 	c   *metrics.Counters
 }
 
 // NewPROWL builds a 2-way skewed cache of sizeBytes data capacity.
-func NewPROWL(nvm *mem.NVM, sizeBytes int, checkpointBase uint32, cost mem.CostModel) (*PROWL, error) {
+func NewPROWL(nvm *mem.NVM, sizeBytes int) (*PROWL, error) {
 	lines := sizeBytes / cache.LineSize
 	if lines <= 0 || lines%2 != 0 {
 		return nil, fmt.Errorf("prowl: size %dB not divisible into 2 ways of %dB lines", sizeBytes, cache.LineSize)
@@ -52,8 +51,7 @@ func NewPROWL(nvm *mem.NVM, sizeBytes int, checkpointBase uint32, cost mem.CostM
 	if numSets&(numSets-1) != 0 {
 		return nil, fmt.Errorf("prowl: set count %d is not a power of two", numSets)
 	}
-	p := &PROWL{numSets: numSets, nvm: nvm, cost: cost,
-		ckpt: checkpoint.NewStore(nvm, checkpointBase, lines)}
+	p := &PROWL{numSets: numSets, nvm: nvm, ckpt: checkpoint.NewStore(nvm, lines)}
 	p.setLines(cache.NewBlock(lines))
 	return p, nil
 }
@@ -128,14 +126,14 @@ func (p *PROWL) victim(addr uint32) *cache.Line {
 // Load implements sim.System.
 func (p *PROWL) Load(addr uint32, size int) uint32 {
 	line := p.access(addr, true, size)
-	p.clk.Advance(p.cost.HitCycles)
+	p.clk.Advance(mem.HitCycles)
 	return line.ReadData(addr, size)
 }
 
 // Store implements sim.System.
 func (p *PROWL) Store(addr uint32, size int, val uint32) {
 	line := p.access(addr, false, size)
-	p.clk.Advance(p.cost.HitCycles)
+	p.clk.Advance(mem.HitCycles)
 	line.WriteData(addr, size, val)
 	line.Dirty = true
 }
@@ -222,7 +220,6 @@ func (p *PROWL) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counters) sim
 		stamp:   p.stamp,
 		nvm:     ckpt.NVM(),
 		ckpt:    ckpt,
-		cost:    p.cost,
 		clk:     clk,
 		c:       c,
 	}

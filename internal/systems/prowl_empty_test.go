@@ -57,7 +57,7 @@ func TestPROWLEmptyInvariant(t *testing.T) {
 		{"Release then NewPROWL", func(p *PROWL) *PROWL {
 			released = p.lines
 			p.Release()
-			n, err := NewPROWL(mem.NewNVM(mem.NewSpace(), mem.DefaultCostModel()), testConfig().CacheSize, testCkptBase, mem.DefaultCostModel())
+			n, err := NewPROWL(mem.NewNVM(mem.NewSpace()), testConfig().CacheSize)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,6 @@ type ReplayCache struct {
 	tracker *track.Tracker
 	nvm     *mem.NVM
 	ckpt    *checkpoint.Store
-	cost    mem.CostModel
 
 	queue       []uint64 // completion cycles of outstanding write-backs (sorted)
 	markerAddr  uint32
@@ -50,19 +49,18 @@ type ReplayCache struct {
 }
 
 // NewReplayCache builds the system with the given cache geometry.
-func NewReplayCache(nvm *mem.NVM, sizeBytes, ways int, checkpointBase uint32, cost mem.CostModel) (*ReplayCache, error) {
+func NewReplayCache(nvm *mem.NVM, sizeBytes, ways int) (*ReplayCache, error) {
 	ch, err := cache.New(sizeBytes, ways)
 	if err != nil {
 		return nil, err
 	}
-	ck := checkpoint.NewStore(nvm, checkpointBase, 0)
+	ck := checkpoint.NewStore(nvm, 0)
 	return &ReplayCache{
 		cache:      ch,
 		tracker:    track.New(),
 		nvm:        nvm,
 		ckpt:       ck,
-		cost:       cost,
-		markerAddr: checkpointBase + ck.SizeBytes(),
+		markerAddr: mem.CheckpointBase + ck.SizeBytes(),
 	}, nil
 }
 
@@ -79,7 +77,7 @@ func (r *ReplayCache) Attach(clk sim.Clock, regs sim.RegSource, c *metrics.Count
 func (r *ReplayCache) Load(addr uint32, size int) uint32 {
 	r.tracker.ObserveRead(addr, size)
 	line := r.access(addr, true, size)
-	r.clk.Advance(r.cost.HitCycles)
+	r.clk.Advance(mem.HitCycles)
 	return line.ReadData(addr, size)
 }
 
@@ -92,7 +90,7 @@ func (r *ReplayCache) Store(addr uint32, size int, val uint32) {
 	}
 	r.tracker.ObserveWrite(addr, size)
 	line := r.access(addr, false, size)
-	r.clk.Advance(r.cost.HitCycles)
+	r.clk.Advance(mem.HitCycles)
 	line.WriteData(addr, size, val)
 	line.Dirty = true
 }
@@ -138,7 +136,7 @@ func (r *ReplayCache) enqueue(addr, data uint32) {
 	if n := len(r.queue); n > 0 && r.queue[n-1] > start {
 		start = r.queue[n-1]
 	}
-	r.queue = append(r.queue, start+r.cost.NVMCycles)
+	r.queue = append(r.queue, start+mem.NVMCycles)
 	r.nvm.WriteAsync(addr, 4, data)
 }
 
@@ -185,7 +183,6 @@ func (r *ReplayCache) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counter
 		tracker:     r.tracker.Clone(),
 		nvm:         ckpt.NVM(),
 		ckpt:        ckpt,
-		cost:        r.cost,
 		queue:       append([]uint64(nil), r.queue...),
 		markerAddr:  r.markerAddr,
 		regionSeq:   r.regionSeq,

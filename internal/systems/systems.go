@@ -48,11 +48,8 @@ func AllKinds() []Kind {
 // Config is the common build configuration. CacheSize/Ways are ignored by
 // the cacheless systems (volatile, clank).
 type Config struct {
-	CacheSize      int
-	Ways           int
-	StackTop       uint32
-	CheckpointBase uint32
-	Cost           mem.CostModel
+	CacheSize int
+	Ways      int
 
 	// DirtyThreshold enables the Section 8 adaptive checkpointing policy on
 	// the NACHO-family systems (0 = off).
@@ -66,32 +63,29 @@ type Config struct {
 // space. For every kind except KindVolatile the space acts as non-volatile
 // main memory.
 func Build(kind Kind, space *mem.Space, cfg Config) (sim.System, error) {
-	nvm := mem.NewNVM(space, cfg.Cost)
+	nvm := mem.NewNVM(space)
 	nachoOpts := func(war core.WARMode, stack bool) core.Options {
 		return core.Options{
 			CacheSize:        cfg.CacheSize,
 			Ways:             cfg.Ways,
 			WARMode:          war,
 			StackTracking:    stack,
-			StackTop:         cfg.StackTop,
-			CheckpointBase:   cfg.CheckpointBase,
-			Cost:             cfg.Cost,
 			DirtyThreshold:   cfg.DirtyThreshold,
 			EnergyPrediction: cfg.EnergyPrediction,
 		}
 	}
 	switch kind {
 	case KindVolatile:
-		return NewVolatile(space, cfg.Cost), nil
+		return NewVolatile(space), nil
 	case KindClank:
-		return NewClank(nvm, cfg.CheckpointBase), nil
+		return NewClank(nvm), nil
 	case KindPROWL:
 		if cfg.Ways != 2 {
 			return nil, fmt.Errorf("systems: prowl supports only 2 ways, got %d", cfg.Ways)
 		}
-		return NewPROWL(nvm, cfg.CacheSize, cfg.CheckpointBase, cfg.Cost)
+		return NewPROWL(nvm, cfg.CacheSize)
 	case KindReplayCache:
-		return NewReplayCache(nvm, cfg.CacheSize, cfg.Ways, cfg.CheckpointBase, cfg.Cost)
+		return NewReplayCache(nvm, cfg.CacheSize, cfg.Ways)
 	case KindNaiveNACHO:
 		return core.New(string(kind), nvm, nachoOpts(core.WARNone, false))
 	case KindNACHO:
@@ -107,7 +101,7 @@ func Build(kind Kind, space *mem.Space, cfg Config) (sim.System, error) {
 	case KindNACHOST:
 		return core.New(string(kind), nvm, nachoOpts(core.WARNone, true))
 	case KindWriteThrough:
-		return NewWriteThrough(nvm, cfg.CacheSize, cfg.Ways, cfg.CheckpointBase, cfg.Cost)
+		return NewWriteThrough(nvm, cfg.CacheSize, cfg.Ways)
 	}
 	return nil, fmt.Errorf("systems: unknown kind %q", kind)
 }
@@ -118,12 +112,5 @@ func Build(kind Kind, space *mem.Space, cfg Config) (sim.System, error) {
 // resumes in place, so only the shadow check applies. The volatile baseline
 // has no recovery at all.
 func VerifyConfigFor(kind Kind) verify.Config {
-	switch kind {
-	case KindReplayCache:
-		return verify.Config{RollbackOnFailure: false, CheckWAR: false}
-	case KindVolatile:
-		return verify.Config{RollbackOnFailure: false, CheckWAR: false}
-	default:
-		return verify.Config{RollbackOnFailure: true, CheckWAR: true}
-	}
+	return verify.Config{Rollback: kind != KindReplayCache && kind != KindVolatile}
 }

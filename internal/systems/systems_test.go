@@ -8,22 +8,16 @@ import (
 	"nacho/internal/sim"
 )
 
-const (
-	testStackTop = 0x000A_0000
-	testCkptBase = 0x000E_0000
-)
-
 type fakeRegs struct{}
 
 func (fakeRegs) RegSnapshot() sim.Snapshot {
 	var s sim.Snapshot
-	s.Regs[1] = testStackTop
+	s.Regs[1] = mem.StackTop
 	return s
 }
 
 func testConfig() Config {
-	return Config{CacheSize: 64, Ways: 2, StackTop: testStackTop,
-		CheckpointBase: testCkptBase, Cost: mem.DefaultCostModel()}
+	return Config{CacheSize: 64, Ways: 2}
 }
 
 // build constructs and attaches a system over fresh NVM.
@@ -207,13 +201,13 @@ func TestOracleMatchesExactSemantics(t *testing.T) {
 }
 
 func TestVerifyConfigFor(t *testing.T) {
-	if cfg := VerifyConfigFor(KindNACHO); !cfg.RollbackOnFailure || !cfg.CheckWAR {
+	if !VerifyConfigFor(KindNACHO).Rollback {
 		t.Error("nacho verify config wrong")
 	}
-	if cfg := VerifyConfigFor(KindReplayCache); cfg.RollbackOnFailure || cfg.CheckWAR {
+	if VerifyConfigFor(KindReplayCache).Rollback {
 		t.Error("replaycache verify config wrong")
 	}
-	if cfg := VerifyConfigFor(KindVolatile); cfg.RollbackOnFailure || cfg.CheckWAR {
+	if VerifyConfigFor(KindVolatile).Rollback {
 		t.Error("volatile verify config wrong")
 	}
 }

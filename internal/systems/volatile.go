@@ -17,14 +17,13 @@ import (
 // system is normalized against.
 type Volatile struct {
 	space *mem.Space
-	cost  mem.CostModel
 	clk   sim.Clock
 	c     *metrics.Counters
 }
 
 // NewVolatile builds the baseline over the given memory image.
-func NewVolatile(space *mem.Space, cost mem.CostModel) *Volatile {
-	return &Volatile{space: space, cost: cost}
+func NewVolatile(space *mem.Space) *Volatile {
+	return &Volatile{space: space}
 }
 
 // Name implements sim.System.
@@ -40,21 +39,21 @@ func (v *Volatile) Attach(clk sim.Clock, _ sim.RegSource, c *metrics.Counters, _
 // energy model sees the SRAM traffic).
 func (v *Volatile) Load(addr uint32, size int) uint32 {
 	v.c.CacheHits++
-	v.clk.Advance(v.cost.HitCycles)
+	v.clk.Advance(mem.HitCycles)
 	return v.space.Read(addr, size)
 }
 
 // Store implements sim.System: an SRAM access.
 func (v *Volatile) Store(addr uint32, size int, val uint32) {
 	v.c.CacheHits++
-	v.clk.Advance(v.cost.HitCycles)
+	v.clk.Advance(mem.HitCycles)
 	v.space.Write(addr, size, val)
 }
 
 // Fork implements sim.System: the baseline's entire state is its memory
 // space, forked copy-on-write.
 func (v *Volatile) Fork(clk sim.Clock, _ sim.RegSource, c *metrics.Counters) sim.System {
-	return &Volatile{space: v.space.Fork(), cost: v.cost, clk: clk, c: c}
+	return &Volatile{space: v.space.Fork(), clk: clk, c: c}
 }
 
 // EqualState implements sim.System: the memory space is the whole state.

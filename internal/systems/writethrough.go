@@ -28,14 +28,13 @@ type WriteThrough struct {
 	tracker *track.Tracker
 	nvm     *mem.NVM
 	ckpt    *checkpoint.Store
-	cost    mem.CostModel
 
 	clk sim.Clock
 	c   *metrics.Counters
 }
 
 // NewWriteThrough builds the system with the given read-cache geometry.
-func NewWriteThrough(nvm *mem.NVM, sizeBytes, ways int, checkpointBase uint32, cost mem.CostModel) (*WriteThrough, error) {
+func NewWriteThrough(nvm *mem.NVM, sizeBytes, ways int) (*WriteThrough, error) {
 	ch, err := cache.New(sizeBytes, ways)
 	if err != nil {
 		return nil, err
@@ -44,8 +43,7 @@ func NewWriteThrough(nvm *mem.NVM, sizeBytes, ways int, checkpointBase uint32, c
 		cache:   ch,
 		tracker: track.New(),
 		nvm:     nvm,
-		ckpt:    checkpoint.NewStore(nvm, checkpointBase, 0),
-		cost:    cost,
+		ckpt:    checkpoint.NewStore(nvm, 0),
 	}, nil
 }
 
@@ -72,7 +70,7 @@ func (w *WriteThrough) Load(addr uint32, size int) uint32 {
 		w.c.CacheHits++
 		w.cache.Touch(line)
 	}
-	w.clk.Advance(w.cost.HitCycles)
+	w.clk.Advance(mem.HitCycles)
 	return line.ReadData(addr, size)
 }
 
@@ -91,7 +89,7 @@ func (w *WriteThrough) Store(addr uint32, size int, val uint32) {
 	}
 	w.nvm.Write(addr, size, val)
 	w.ckpt.WriteBack(addr, size, sim.VerdictWriteThrough)
-	w.clk.Advance(w.cost.HitCycles)
+	w.clk.Advance(mem.HitCycles)
 }
 
 // checkpoint persists the registers; the store counts and announces it.
@@ -109,7 +107,6 @@ func (w *WriteThrough) Fork(clk sim.Clock, regs sim.RegSource, c *metrics.Counte
 		tracker: w.tracker.Clone(),
 		nvm:     ckpt.NVM(),
 		ckpt:    ckpt,
-		cost:    w.cost,
 		clk:     clk,
 		c:       c,
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"nacho/internal/mem"
 	"nacho/internal/sim"
 )
 
@@ -55,9 +56,9 @@ const (
 	tidWriteBack = 4
 )
 
-// cyclesPerMicro converts the modelled 50 MHz clock to trace microseconds
-// (the trace-event ts unit), so the viewer's time axis is simulated time.
-const cyclesPerMicro = 50.0
+// cyclesPerMicro converts the modelled clock to trace microseconds (the
+// trace-event ts unit), so the viewer's time axis is simulated time.
+const cyclesPerMicro = mem.ClockHz / 1e6
 
 // NewTraceEventProbe starts a trace-event stream on w. The caller must call
 // Finish exactly once after the run; until then the written JSON is

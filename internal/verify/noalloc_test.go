@@ -11,7 +11,7 @@ import "testing"
 // shadow pages are owned and its journal has capacity, a checked load, a
 // journalled store and an interval boundary must not allocate.
 func TestCPUAccessZeroAlloc(t *testing.T) {
-	v := newVerifier(Config{RollbackOnFailure: true, CheckWAR: true})
+	v := newVerifier(Config{Rollback: true})
 	warm := func() {
 		v.CPUWrite(0x104, 4, 7)
 		v.CPURead(0x100, 4, 0xCAFE)

@@ -68,16 +68,14 @@ func (v Violation) Error() string {
 
 // Config selects per-system verification behaviour.
 type Config struct {
-	// RollbackOnFailure rolls the shadow back to the last interval boundary
-	// when power fails — the behaviour of checkpoint/rollback systems (NACHO,
-	// Clank, PROWL). JIT-flush systems (ReplayCache) resume at the failure
-	// point, so their shadow must not rewind.
-	RollbackOnFailure bool
-	// CheckWAR enables the exact write-back dominance check. It applies to
-	// rollback systems; ReplayCache's region semantics make mid-region
-	// write-backs legal, so it runs with CheckWAR disabled and relies on the
-	// shadow check.
-	CheckWAR bool
+	// Rollback selects the semantics of checkpoint/rollback systems (NACHO,
+	// Clank, PROWL, WriteThrough): a power failure rolls the shadow back to
+	// the last interval boundary, and every physical write-back runs the
+	// exact WAR (dominance) check. JIT-flush systems (ReplayCache) resume at
+	// the failure point, so their shadow must not rewind, and their region
+	// semantics make mid-region write-backs legal: they rely on the shadow
+	// check alone.
+	Rollback bool
 }
 
 // Verifier implements the safety checks. It takes its input from two
@@ -165,7 +163,7 @@ func (v *Verifier) resetInterval() {
 // NVMWriteBack checks a physical write-back (eviction) for the exact WAR
 // condition. Checkpoint-internal writes must not be reported through here.
 func (v *Verifier) NVMWriteBack(addr uint32, size int) {
-	if v == nil || !v.cfg.CheckWAR {
+	if v == nil || !v.cfg.Rollback {
 		return
 	}
 	if v.tracker.ReadDominated(addr, size) {
@@ -187,7 +185,7 @@ func (v *Verifier) PowerFailure() {
 	if v == nil {
 		return
 	}
-	if v.cfg.RollbackOnFailure {
+	if v.cfg.Rollback {
 		for _, u := range v.undo {
 			v.shadow.Write(u.addr, 4, u.old)
 		}

@@ -51,21 +51,21 @@ func TestSubWordShadow(t *testing.T) {
 }
 
 func TestWARDetection(t *testing.T) {
-	v := newVerifier(Config{CheckWAR: true})
+	v := newVerifier(Config{Rollback: true})
 	v.CPURead(0x400, 4, 0)
 	v.NVMWriteBack(0x400, 4)
 	if err := v.Err(); err == nil || !strings.Contains(err.Error(), "war-violation") {
 		t.Errorf("WAR not detected: %v", err)
 	}
 	// Write-dominated write-back is fine.
-	v2 := newVerifier(Config{CheckWAR: true})
+	v2 := newVerifier(Config{Rollback: true})
 	v2.CPUWrite(0x500, 4, 1)
 	v2.NVMWriteBack(0x500, 4)
 	if err := v2.Err(); err != nil {
 		t.Errorf("safe write-back flagged: %v", err)
 	}
-	// With CheckWAR disabled nothing is recorded.
-	v3 := newVerifier(Config{CheckWAR: false})
+	// Without rollback semantics nothing is recorded.
+	v3 := newVerifier(Config{Rollback: false})
 	v3.CPURead(0x400, 4, 0)
 	v3.NVMWriteBack(0x400, 4)
 	if err := v3.Err(); err != nil {
@@ -74,7 +74,7 @@ func TestWARDetection(t *testing.T) {
 }
 
 func TestIntervalBoundaryResets(t *testing.T) {
-	v := newVerifier(Config{CheckWAR: true})
+	v := newVerifier(Config{Rollback: true})
 	v.CPURead(0x600, 4, 0)
 	v.IntervalBoundary()
 	v.NVMWriteBack(0x600, 4) // read was in the previous interval
@@ -84,7 +84,7 @@ func TestIntervalBoundaryResets(t *testing.T) {
 }
 
 func TestRollbackOnFailure(t *testing.T) {
-	v := newVerifier(Config{RollbackOnFailure: true})
+	v := newVerifier(Config{Rollback: true})
 	v.CPUWrite(0x100, 4, 1) // overwrite the initial 0xCAFE
 	v.PowerFailure()        // rollback to the last boundary (the start)
 	v.CPURead(0x100, 4, 0xCAFE)
@@ -103,7 +103,7 @@ func TestRollbackOnFailure(t *testing.T) {
 }
 
 func TestNoRollbackForJITSystems(t *testing.T) {
-	v := newVerifier(Config{RollbackOnFailure: false})
+	v := newVerifier(Config{Rollback: false})
 	v.CPUWrite(0x100, 4, 1)
 	v.PowerFailure() // resume-in-place semantics: shadow keeps the write
 	v.CPURead(0x100, 4, 1)
@@ -113,7 +113,7 @@ func TestNoRollbackForJITSystems(t *testing.T) {
 }
 
 func TestJournalKeepsFirstPreimage(t *testing.T) {
-	v := newVerifier(Config{RollbackOnFailure: true})
+	v := newVerifier(Config{Rollback: true})
 	v.CPUWrite(0x100, 4, 1)
 	v.CPUWrite(0x100, 4, 2)
 	v.CPUWrite(0x100, 4, 3)
@@ -129,7 +129,7 @@ func TestJournalKeepsFirstPreimage(t *testing.T) {
 // after it, must be journalled afresh, or the rollback would skip it.
 func TestJournalGenerationWrap(t *testing.T) {
 	for _, boundaries := range []int{1<<16 - 1, 1 << 16, 1<<16 + 1, 3 << 16} {
-		v := newVerifier(Config{RollbackOnFailure: true})
+		v := newVerifier(Config{Rollback: true})
 		v.CPUWrite(0x100, 4, 1)
 		for i := 0; i < boundaries; i++ {
 			v.IntervalBoundary()

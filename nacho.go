@@ -91,6 +91,8 @@ type Config struct {
 	// OnDurationMs, when non-zero, injects a periodic power failure every
 	// that many milliseconds of active time (at the model's 50 MHz clock)
 	// and arms the paper's forward-progress checkpoint at half the period.
+	// The volatile system keeps no checkpoint, so it rejects a non-zero
+	// value.
 	OnDurationMs float64
 	// RandomFailures replaces the periodic schedule with seeded-uniform
 	// on-durations in [OnDurationMs/2, OnDurationMs].
@@ -141,19 +143,17 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) runConfig() harness.RunConfig {
-	cost := mem.DefaultCostModel()
 	rc := harness.RunConfig{
 		CacheSize:        c.CacheSize,
 		Ways:             c.Ways,
 		Verify:           !c.DisableVerify,
 		MaxInstructions:  c.MaxInstructions,
-		Cost:             cost,
 		DirtyThreshold:   c.DirtyThreshold,
 		EnergyPrediction: c.EnergyPrediction,
 		Trace:            c.Trace,
 	}
 	if c.OnDurationMs > 0 {
-		period := cost.CyclesForMillis(c.OnDurationMs)
+		period := mem.CyclesForMillis(c.OnDurationMs)
 		if c.RandomFailures {
 			rc.Schedule = power.NewUniform(period/2, period, c.Seed)
 		} else {
@@ -282,7 +282,7 @@ func (r *Result) HitRate() float64 {
 
 // Duration converts cycles to wall time at the modelled 50 MHz clock.
 func (r *Result) Duration() time.Duration {
-	return time.Duration(float64(r.Cycles) / 50e6 * float64(time.Second))
+	return time.Duration(float64(r.Cycles) / mem.ClockHz * float64(time.Second))
 }
 
 // Run executes one benchmark under the configured system. With verification
@@ -290,14 +290,31 @@ func (r *Result) Duration() time.Duration {
 // exact WAR violation, or checksum mismatch against the benchmark's Go
 // reference implementation.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	p, ok := program.ByName(cfg.Benchmark)
 	if !ok {
 		return nil, fmt.Errorf("nacho: unknown benchmark %q (see Benchmarks())", cfg.Benchmark)
 	}
+	img, err := p.Build()
+	if err != nil {
+		return nil, err
+	}
+	return run(img, cfg, true)
+}
+
+// run is Run's and RunSource's one path from a Config to a Result: it checks
+// the config, runs img with the config's observers attached, and maps the
+// outcome. checkGolden compares the reported result word against the
+// image's expected checksum.
+func run(img *program.Image, cfg Config, checkGolden bool) (*Result, error) {
+	cfg = cfg.withDefaults()
+	// The volatile baseline keeps no checkpoint: every failure restarts it
+	// from its entry point, so under failures it never finishes.
+	if cfg.System == Volatile && cfg.OnDurationMs > 0 {
+		return nil, fmt.Errorf("nacho: system %s keeps no checkpoint and cannot run under power failures (OnDurationMs must be 0)", Volatile)
+	}
 	rc := cfg.runConfig()
 	stats, tep := cfg.observers(&rc)
-	res, err := harness.Run(p, systems.Kind(cfg.System), rc)
+	res, err := harness.RunImage(img, systems.Kind(cfg.System), rc, checkGolden)
 	if err := finishObservers(tep, res, err); err != nil {
 		return nil, err
 	}

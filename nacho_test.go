@@ -56,6 +56,26 @@ func TestRunWithFailures(t *testing.T) {
 	}
 }
 
+// TestVolatileUnderFailuresRejected: the volatile baseline keeps no
+// checkpoint, so every power failure would restart it from its entry point
+// until the instruction limit stopped it. Run and RunSource reject the
+// combination up front, and still run volatile on always-on power.
+func TestVolatileUnderFailuresRejected(t *testing.T) {
+	for name, f := range map[string]func(Config) (*Result, error){
+		"Run":       Run,
+		"RunSource": func(cfg Config) (*Result, error) { return RunSource("halt", "_start:\n ebreak\n", cfg) },
+	} {
+		cfg := Config{Benchmark: "crc", System: Volatile, OnDurationMs: 0.2}
+		if _, err := f(cfg); err == nil || !strings.Contains(err.Error(), "cannot run under power failures") {
+			t.Errorf("%s(volatile, OnDurationMs 0.2): error = %v, want the power-failure rejection", name, err)
+		}
+		cfg.OnDurationMs = 0
+		if _, err := f(cfg); err != nil {
+			t.Errorf("%s(volatile, always on): %v", name, err)
+		}
+	}
+}
+
 func TestBenchmarksListed(t *testing.T) {
 	names := Benchmarks()
 	if len(names) != 9 {

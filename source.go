@@ -3,19 +3,19 @@ package nacho
 import (
 	"fmt"
 
+	"nacho/internal/emu"
 	"nacho/internal/harness"
 	"nacho/internal/program"
-	"nacho/internal/systems"
 )
 
 // MMIO addresses available to user programs (see RunSource).
 const (
 	// MMIOExit halts the program; the stored value is the exit status.
-	MMIOExit = 0x000F_0000
+	MMIOExit = emu.ExitAddr
 	// MMIOResult reports a result word (returned in Result.ResultWord).
-	MMIOResult = 0x000F_0004
+	MMIOResult = emu.ResultAddr
 	// MMIOPutchar appends the stored low byte to Result.Output.
-	MMIOPutchar = 0x000F_0008
+	MMIOPutchar = emu.PutcharAddr
 )
 
 // RunSource assembles and runs a caller-supplied RV32IM assembly program
@@ -35,18 +35,11 @@ const (
 //	    li   t1, 0x000F0000   # MMIOExit
 //	    sw   zero, (t1)
 func RunSource(name, source string, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	img, err := program.FromSource(name, source)
 	if err != nil {
 		return nil, err
 	}
-	rc := cfg.runConfig()
-	stats, tep := cfg.observers(&rc)
-	res, err := harness.RunImage(img, systems.Kind(cfg.System), rc, false)
-	if err := finishObservers(tep, res, err); err != nil {
-		return nil, err
-	}
-	return newResult(res, stats), nil
+	return run(img, cfg, false)
 }
 
 // ExperimentOutput is one regenerated table or figure in both render forms,
